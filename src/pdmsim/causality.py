@@ -15,7 +15,7 @@ CHECK_ATOL = 1e-9
 
 
 def _f_tr_matrix(M: np.ndarray) -> float:
-    w, _ = hermitian_eig(M)
+    w, _ = hermitian_eig(M, vectors=False)
     value = float(np.sum(np.abs(w))) - 1.0
     # Clamp rounding dust on either side of zero.
     return value if value > 1e-12 else 0.0
@@ -37,7 +37,7 @@ class CausalityReport:
 
 def classify(R: PseudoDensityMatrix, tol: float = PSD_ATOL) -> CausalityReport:
     """Classify a PDM as causal (negative eigenvalue) or spacelike-compatible."""
-    w, _ = hermitian_eig(R.matrix)
+    w, _ = hermitian_eig(R.matrix, vectors=False)
     value = float(np.sum(np.abs(w))) - 1.0
     value = value if value > 1e-12 else 0.0
     causal = bool(w[0] < -tol)

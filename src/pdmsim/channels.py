@@ -29,7 +29,7 @@ class DensityState:
             raise InvariantViolation("density matrix is not Hermitian")
         if abs(np.trace(M).real - 1.0) > HERM_ATOL or abs(np.trace(M).imag) > HERM_ATOL:
             raise InvariantViolation("density matrix trace is not 1")
-        w, _ = hermitian_eig(M)
+        w, _ = hermitian_eig(M, vectors=False)
         if w[0] < -PSD_ATOL:
             raise InvariantViolation(f"density matrix has eigenvalue {w[0]:.3e} < -{PSD_ATOL}")
         object.__setattr__(self, "matrix", M)
@@ -183,7 +183,7 @@ def validate_channel(ch: KrausChannel) -> ChannelReport:
     acc = sum(K.conj().T @ K for K in ch.kraus_ops)
     tp = float(np.max(np.abs(acc - np.eye(d))))
     C = choi_matrix(ch)
-    w, _ = hermitian_eig((C + C.conj().T) / 2.0)
+    w, _ = hermitian_eig((C + C.conj().T) / 2.0, vectors=False)
     cmin = float(w[0])
     return ChannelReport(tp, cmin, tp <= TP_ATOL and cmin >= -PSD_ATOL)
 

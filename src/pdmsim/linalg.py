@@ -83,24 +83,33 @@ def partial_trace(M: np.ndarray, factor_dims: Sequence[int], keep: Iterable[int]
     return t.reshape(dk, dk)
 
 
-def hermitian_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(M: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, V)`` with eigenvalues ``w`` real and ascending and the
     columns of ``V`` an orthonormal eigenbasis. The input is symmetrized
     as ``(M + M^dag)/2`` before solving to absorb rounding noise; inputs
     farther than ``HERM_ATOL`` from Hermitian are rejected.
+
+    With ``vectors=False`` only the eigenvalues are solved for and ``V`` is
+    None. Callers that need only ``w`` should ask for that: from 32x32 up,
+    the eigenvector back-transformation is a matrix product large enough to
+    wake OpenBLAS's worker threads, which costs milliseconds per call on a
+    busy host, while the eigenvalues alone stay on the calling thread.
     """
     M = np.asarray(M, dtype=complex)
     if not is_hermitian(M):
         raise UsageError("hermitian_eig requires a Hermitian matrix")
-    w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
+    H = (M + M.conj().T) / 2.0
+    if not vectors:
+        return np.linalg.eigvalsh(H), None
+    w, V = np.linalg.eigh(H)
     return w, V
 
 
 def trace_norm(M: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix: the sum of absolute eigenvalues."""
-    w, _ = hermitian_eig(M)
+    w, _ = hermitian_eig(M, vectors=False)
     return float(np.sum(np.abs(w)))
 
 

@@ -6,6 +6,7 @@ status lines.
 
 import itertools
 import math
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import pdmsim
 from pdmsim import (
     Event,
     NoiseModel,
@@ -183,11 +185,15 @@ def test_criterion_9_marginal_consistency():
 
 
 def test_criterion_10_verify_command_runtime():
+    # The child process imports the same pdmsim as this test process.
+    src = os.path.dirname(os.path.dirname(pdmsim.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pdmsim.cli", "verify", "--seed", "0", "--trials", "200"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stdout + proc.stderr

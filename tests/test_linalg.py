@@ -119,6 +119,15 @@ class TestHermitianEig:
         with pytest.raises(UsageError):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_eigenvalues_only(self, rng):
+        for dim in (2, 8, 32):
+            M = random_hermitian(dim, rng)
+            w, V = hermitian_eig(M, vectors=False)
+            assert V is None
+            assert np.max(np.abs(w - hermitian_eig(M)[0])) <= 1e-12
+        with pytest.raises(UsageError):
+            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex), vectors=False)
+
 
 class TestTraceNorm:
     def test_maximally_mixed(self):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pdmsim import (
 )
 from pdmsim.causality import random_cptp
 from pdmsim.linalg import PAULIS, kron
+from pdmsim.schedule import PDM_BYTE_BUDGET
 from pdmsim.verify import GOLDEN_TWO_EVENT, golden_schedule, random_schedule
 
 from conftest import random_density
@@ -109,11 +111,89 @@ class TestBuildPdm:
             assert R.stored_expectation((0,) * R.event_count) == pytest.approx(1.0, abs=1e-12)
 
     def test_event_cap(self, rng):
+        # A 10-event chain needs a 4^9 * 4 stack plus a 1024 x 1024 matrix: 32 MiB.
         rho = random_density(1, rng)
-        events = tuple(Event(i + 1, 0, i) for i in range(6))
+        events = tuple(Event(i + 1, 0, i) for i in range(10))
         s = Schedule(1, rho, events)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=f"33554432 bytes, over the {PDM_BYTE_BUDGET}-byte"):
             build_pdm(s)
+
+
+def _layout(qubits, slices, rng, none_gaps=()):
+    """Events from ``slices`` (lists of qubits per slice), ids assigned in time order.
+
+    Gaps listed in ``none_gaps`` are identity; the others are random CPTP maps.
+    """
+    events, eid = [], 1
+    for si, sl in enumerate(slices):
+        for q in sl:
+            events.append(Event(eid, q, si))
+            eid += 1
+    channels = tuple(
+        None if g in none_gaps else random_cptp(qubits, int(rng.integers(1, 4)), rng)
+        for g in range(len(slices) - 1)
+    )
+    return Schedule(qubits, random_density(qubits, rng), tuple(events), channels)
+
+
+ENGINE_CASES = {
+    "1q-single-slice": lambda rng: _layout(1, [[0]], rng),
+    "2q-single-slice": lambda rng: _layout(2, [[1, 0]], rng),
+    "3q-single-slice": lambda rng: _layout(3, [[2, 0, 1]], rng),
+    "1q-chain-5-none-gaps": lambda rng: _layout(1, [[0]] * 5, rng, none_gaps=(0, 2)),
+    "2q-last-slice-2": lambda rng: _layout(2, [[0], [1], [0, 1]], rng),
+    "2q-5-events-none-gap": lambda rng: _layout(2, [[0, 1], [1], [1, 0]], rng, none_gaps=(1,)),
+    "3q-last-slice-3": lambda rng: _layout(3, [[1], [0, 2, 1]], rng),
+    "3q-5-events-1-per-slice": lambda rng: _layout(3, [[0], [2], [1], [2], [0]], rng),
+    "3q-5-events-all-none": lambda rng: _layout(3, [[2, 0], [1], [0, 1]], rng, none_gaps=(0, 1)),
+    # 4^4 operators of 16 x 16 before the last gap: per-Kraus products in blocks.
+    "4q-5-events-1-per-slice": lambda rng: _layout(4, [[0], [1], [2], [3], [0]], rng),
+    # Event 1 is the later measurement: the label axes must be permuted back.
+    "2q-ids-out-of-time-order": lambda rng: Schedule(
+        2,
+        random_density(2, rng),
+        (Event(1, 0, 1), Event(2, 1, 0), Event(3, 0, 0)),
+        (random_cptp(2, 2, rng),),
+    ),
+}
+
+
+class TestBatchedEngine:
+    """``build_pdm``'s single forward pass against the per-assignment engine."""
+
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    def test_matches_expectation_on_every_assignment(self, case, rng):
+        s = ENGINE_CASES[case](rng)
+        R = build_pdm(s)
+        n = s.event_count
+        dim = 2**n
+        ref = np.zeros((dim, dim), dtype=complex)
+        for idx, a in enumerate(itertools.product(range(4), repeat=n)):
+            e = expectation(s, a)
+            assert abs(R.coefficients[idx] - e) <= 1e-12
+            ref += e * kron([PAULIS[l] for l in a])
+        assert np.max(np.abs(R.matrix - ref / dim)) <= 1e-12
+
+    def test_eight_event_chain_matches_oracle(self):
+        rng = np.random.default_rng(8)
+        s = _layout(1, [[0]] * 8, rng)
+        R = build_pdm(s)
+        for _ in range(12):
+            a = tuple(rng.integers(0, 4, size=8))
+            assert abs(R.stored_expectation(a) - expectation_oracle(s, a)) <= 1e-12
+
+    def test_peak_allocation(self):
+        # The largest working stack of this layout is 4^4 operators of 8 x 8:
+        # 256 KiB. Building the full last-slice stack would take 1 MiB alone.
+        s = _layout(3, [[0], [1], [2], [0], [1]], np.random.default_rng(3))
+        build_pdm(s)
+        tracemalloc.start()
+        try:
+            build_pdm(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
 
 class TestPdmExpectation:
@@ -200,7 +280,33 @@ class TestAncillaExpectation:
             ancilla_expectation(s, (1, 1))
 
 
+class TestAssignmentLabels:
+    @pytest.mark.parametrize("bad", [(True, 0), (3.7, 0), (1.0, 1), ("1", 0), (4, 0), (-1, 0)])
+    def test_rejects_non_label(self, bad):
+        s = golden_schedule()
+        R = build_pdm(s)
+        for read in (
+            lambda a: expectation(s, a),
+            lambda a: expectation_oracle(s, a),
+            R.stored_expectation,
+            lambda a: pdm_expectation(R, a),
+        ):
+            with pytest.raises(UsageError):
+                read(bad)
+
+    def test_accepts_numpy_integers(self):
+        s = golden_schedule()
+        R = build_pdm(s)
+        a = np.array([1, 1], dtype=np.int64)
+        assert expectation(s, a) == pytest.approx(1.0, abs=1e-14)
+        assert R.stored_expectation((np.int32(3), np.uint8(0))) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestScheduleValidation:
+    def test_no_events(self, rng):
+        with pytest.raises(UsageError, match="at least one event"):
+            Schedule(1, random_density(1, rng), ())
+
     def test_non_contiguous_ids(self, rng):
         with pytest.raises(UsageError):
             Schedule(1, random_density(1, rng), (Event(1, 0, 0), Event(3, 0, 1)))
