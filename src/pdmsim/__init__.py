@@ -16,6 +16,7 @@ from .causality import (
     f_tr,
     haar_unitary,
     random_cptp,
+    spectrum_verdict,
 )
 from .channels import (
     ChannelReport,
@@ -24,11 +25,13 @@ from .channels import (
     NoiseModel,
     apply_channel,
     channel_at_time,
+    choi_matrices,
     choi_matrix,
     compose,
     identity_channel,
     make_channel,
     state_from_bloch,
+    tp_residual,
     unitary_channel,
     validate_channel,
 )
@@ -52,6 +55,7 @@ from .schedule import (
     expectation_oracle,
     pdm_expectation,
     reduce_pdm,
+    two_event_pdm_stack,
     two_event_schedule,
 )
 from .sweep import (

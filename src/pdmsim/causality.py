@@ -12,17 +12,34 @@ from .linalg import PSD_ATOL, embed_operator, hermitian_eig
 from .schedule import PseudoDensityMatrix
 
 CHECK_ATOL = 1e-9
+CAUSAL, SPACELIKE = "causal", "spacelike_compatible"
+
+# Tolerance policy. A PDM is classified from its ascending spectrum w alone:
+# it is "causal" iff w[0] < -PSD_ATOL, and then f_tr = sum|w| - 1; otherwise
+# it is "spacelike_compatible" and f_tr is exactly 0. A PDM has unit trace to
+# HERM_ATOL, so a causal spectrum has sum|w| - 1 >= 2 PSD_ATOL - HERM_ATOL > 0:
+# "causal" holds iff f_tr > 0. Eigenvalues in [-PSD_ATOL, 0) are rounding
+# noise, not negativity, and count toward neither.
+
+
+def spectrum_verdict(w, tol: float = PSD_ATOL) -> tuple[np.ndarray, np.ndarray]:
+    """``(f_tr, causal)`` from eigenvalues ascending along the last axis of ``w``.
+
+    Works on one spectrum (0-d results) or a stack of them; see the tolerance
+    policy above.
+    """
+    w = np.asarray(w, dtype=float)
+    causal = w[..., 0] < -tol
+    return np.where(causal, np.sum(np.abs(w), axis=-1) - 1.0, 0.0), causal
 
 
 def _f_tr_matrix(M: np.ndarray) -> float:
     w, _ = hermitian_eig(M, vectors=False)
-    value = float(np.sum(np.abs(w))) - 1.0
-    # Clamp rounding dust on either side of zero.
-    return value if value > 1e-12 else 0.0
+    return float(spectrum_verdict(w)[0])
 
 
 def f_tr(R: PseudoDensityMatrix) -> float:
-    """Causality monotone: trace norm minus one, clamped at zero."""
+    """Causality monotone ||R||_tr - 1, reported as 0 unless R is causal."""
     return _f_tr_matrix(R.matrix)
 
 
@@ -31,21 +48,19 @@ class CausalityReport:
     f_tr: float
     eigenvalues: tuple
     min_eigenvalue: float
-    classification: str  # "causal" | "spacelike_compatible"
+    classification: str  # CAUSAL | SPACELIKE
     tolerance: float
 
 
 def classify(R: PseudoDensityMatrix, tol: float = PSD_ATOL) -> CausalityReport:
-    """Classify a PDM as causal (negative eigenvalue) or spacelike-compatible."""
+    """Classify a PDM as causal (eigenvalue below -tol) or spacelike-compatible."""
     w, _ = hermitian_eig(R.matrix, vectors=False)
-    value = float(np.sum(np.abs(w))) - 1.0
-    value = value if value > 1e-12 else 0.0
-    causal = bool(w[0] < -tol)
+    value, causal = spectrum_verdict(w, tol)
     return CausalityReport(
-        f_tr=value,
+        f_tr=float(value),
         eigenvalues=tuple(float(x) for x in w),
         min_eigenvalue=float(w[0]),
-        classification="causal" if causal else "spacelike_compatible",
+        classification=CAUSAL if causal else SPACELIKE,
         tolerance=tol,
     )
 

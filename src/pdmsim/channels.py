@@ -48,6 +48,8 @@ def state_from_bloch(r) -> DensityState:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise UsageError("Bloch vector must have 3 components")
+    if not np.all(np.isfinite(r)):
+        raise UsageError(f"Bloch vector components must be finite, got {r.tolist()}")
     if np.linalg.norm(r) > 1 + 1e-12:
         raise UsageError(f"Bloch vector norm {np.linalg.norm(r):.6f} exceeds 1")
     M = (I2 + r[0] * X + r[1] * Y + r[2] * Z) / 2.0
@@ -155,19 +157,35 @@ def apply_channel(ch: KrausChannel, rho: DensityState, targets=None) -> DensityS
     return DensityState((M + M.conj().T) / 2.0, rho.qubit_count)
 
 
+def choi_matrices(channels) -> np.ndarray:
+    """Unnormalized Choi matrices sum_ij |i><j| (x) E(|i><j|) as a (T, d^2, d^2) stack.
+
+    Entry ((i, a), (j, b)) is sum_k K_k[a, i] conj(K_k[b, j]): one contraction
+    over the Kraus operators of all the channels, summed per channel. The
+    channels must share one dimension; their Kraus counts may differ.
+    """
+    chans = list(channels)
+    if not chans:
+        raise UsageError("choi_matrices needs at least one channel")
+    d = chans[0].dim
+    if any(ch.dim != d for ch in chans):
+        raise UsageError("choi_matrices needs channels of one dimension")
+    ks = np.array([K for ch in chans for K in ch.kraus_ops])
+    starts = np.cumsum([0] + [len(ch.kraus_ops) for ch in chans[:-1]])
+    terms = np.einsum("kai,kbj->kiajb", ks, ks.conj())
+    return np.add.reduceat(terms, starts, axis=0).reshape(len(chans), d * d, d * d)
+
+
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
-    """Unnormalized Choi matrix sum_ij |i><j| (x) E(|i><j|)."""
-    d = ch.dim
-    C = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            Eij = np.zeros((d, d), dtype=complex)
-            Eij[i, j] = 1.0
-            out = sum(K @ Eij @ K.conj().T for K in ch.kraus_ops)
-            block = np.zeros((d, d), dtype=complex)
-            block[i, j] = 1.0
-            C += np.kron(block, out)
-    return C
+    """Unnormalized Choi matrix of one channel; see ``choi_matrices``."""
+    return choi_matrices([ch])[0]
+
+
+def tp_residual(ch: KrausChannel) -> float:
+    """Trace-preservation residual max|sum_k K_k^dag K_k - I|."""
+    ks = np.asarray(ch.kraus_ops)
+    acc = np.einsum("kba,kbc->ac", ks.conj(), ks)
+    return float(np.max(np.abs(acc - np.eye(ch.dim))))
 
 
 @dataclass(frozen=True)
@@ -179,11 +197,9 @@ class ChannelReport:
 
 def validate_channel(ch: KrausChannel) -> ChannelReport:
     """Check trace preservation and complete positivity of a Kraus channel."""
-    d = ch.dim
-    acc = sum(K.conj().T @ K for K in ch.kraus_ops)
-    tp = float(np.max(np.abs(acc - np.eye(d))))
+    tp = tp_residual(ch)
     C = choi_matrix(ch)
-    w, _ = hermitian_eig((C + C.conj().T) / 2.0, vectors=False)
+    w, _ = hermitian_eig(C, vectors=False)
     cmin = float(w[0])
     return ChannelReport(tp, cmin, tp <= TP_ATOL and cmin >= -PSD_ATOL)
 
@@ -205,8 +221,10 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind in ("dephasing", "depolarizing", "amplitude_damping"):
-            if self.tau is None or self.tau <= 0:
-                raise UsageError(f"{self.kind} model requires a time constant tau > 0")
+            if self.tau is None or not self.tau > 0 or not math.isfinite(self.tau):
+                raise UsageError(
+                    f"{self.kind} model requires a finite time constant tau > 0, got {self.tau!r}"
+                )
         elif self.kind == "unitary":
             if self.unitary is None:
                 raise UsageError("unitary model requires a matrix")

@@ -50,8 +50,14 @@ def pauli_string_matrix(labels: Iterable[int]) -> np.ndarray:
     return kron([PAULIS[l] for l in labels])
 
 
+def dagger(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a ``(..., D, D)`` stack."""
+    return np.swapaxes(M, -1, -2).conj()
+
+
 def is_hermitian(M: np.ndarray, atol: float = HERM_ATOL) -> bool:
-    return bool(np.max(np.abs(M - M.conj().T)) <= atol)
+    """Whether a matrix, or every matrix of a ``(..., D, D)`` stack, is Hermitian to ``atol``."""
+    return bool(np.max(np.abs(M - dagger(M))) <= atol)
 
 
 def partial_trace(M: np.ndarray, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -84,12 +90,13 @@ def partial_trace(M: np.ndarray, factor_dims: Sequence[int], keep: Iterable[int]
 
 
 def hermitian_eig(M: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or a ``(..., D, D)`` stack of them.
 
-    Returns ``(w, V)`` with eigenvalues ``w`` real and ascending and the
-    columns of ``V`` an orthonormal eigenbasis. The input is symmetrized
-    as ``(M + M^dag)/2`` before solving to absorb rounding noise; inputs
-    farther than ``HERM_ATOL`` from Hermitian are rejected.
+    Returns ``(w, V)`` with eigenvalues ``w`` real and ascending along the
+    last axis and the columns of ``V`` an orthonormal eigenbasis. The input
+    is symmetrized as ``(M + M^dag)/2`` before solving to absorb rounding
+    noise; inputs farther than ``HERM_ATOL`` from Hermitian are rejected
+    (for a stack, one such matrix rejects the whole stack).
 
     With ``vectors=False`` only the eigenvalues are solved for and ``V`` is
     None. Callers that need only ``w`` should ask for that: from 32x32 up,
@@ -100,7 +107,7 @@ def hermitian_eig(M: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.n
     M = np.asarray(M, dtype=complex)
     if not is_hermitian(M):
         raise UsageError("hermitian_eig requires a Hermitian matrix")
-    H = (M + M.conj().T) / 2.0
+    H = (M + dagger(M)) / 2.0
     if not vectors:
         return np.linalg.eigvalsh(H), None
     w, V = np.linalg.eigh(H)

@@ -14,13 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DensityState, KrausChannel, apply_channel_to_matrix, identity_channel
+from .channels import (
+    TP_ATOL,
+    DensityState,
+    KrausChannel,
+    apply_channel_to_matrix,
+    choi_matrices,
+    identity_channel,
+    tp_residual,
+)
 from .errors import InvariantViolation, UsageError
 from .linalg import (
     HERM_ATOL,
     I2,
     PAULIS,
     embed_operator,
+    is_hermitian,
     kron,
     partial_trace,
 )
@@ -111,9 +120,12 @@ class Schedule:
             channels = tuple([None] * gaps)
         if len(channels) != gaps:
             raise UsageError(f"expected {gaps} inter-slice channels, got {len(channels)}")
-        for ch in channels:
-            if ch is not None and ch.acts_on != self.qubit_count:
+        for gap, ch in enumerate(channels):
+            if ch is None:
+                continue
+            if ch.acts_on != self.qubit_count:
                 raise UsageError("inter-slice channel dimension does not match system")
+            _require_trace_preserving(gap, tp_residual(ch))
         object.__setattr__(self, "inter_slice_channels", channels)
 
     @property
@@ -136,6 +148,14 @@ class Schedule:
         return identity_channel(self.qubit_count) if ch is None else ch
 
 
+def _require_trace_preserving(gap: int, residual: float) -> None:
+    if residual > TP_ATOL:
+        raise UsageError(
+            f"gap channel {gap} is not trace preserving: "
+            f"max|sum K^dag K - I| = {residual:.3e} > {TP_ATOL}"
+        )
+
+
 def two_event_schedule(initial: DensityState, channel: KrausChannel | None) -> Schedule:
     """Two consecutive measurement events on one qubit with a channel in the gap."""
     return Schedule(
@@ -144,6 +164,42 @@ def two_event_schedule(initial: DensityState, channel: KrausChannel | None) -> S
         events=(Event(1, 0, 0), Event(2, 0, 1)),
         inter_slice_channels=(channel,),
     )
+
+
+def two_event_pdm_stack(initial: DensityState, channels) -> np.ndarray:
+    """PDMs of the two-event schedules ``(initial, channels[k])`` as one (T, 4, 4) stack.
+
+    Closed form (Horsman et al. 2017; Fullwood & Parzygnat 2022): the PDM of
+    two consecutive measurement events on one qubit with gap channel E is the
+    Jordan product R = {rho (x) I, J(E)}/2, where J(E) = sum_ij |i><j| (x) E(|j><i|)
+    is the Choi matrix partially transposed on its first factor. Row k equals
+    ``build_pdm(two_event_schedule(initial, channels[k])).matrix``; a None
+    channel is the identity. Channels may differ in Kraus count.
+    """
+    if initial.qubit_count != 1:
+        raise UsageError("the two-event closed form needs a 1-qubit initial state")
+    chans = [identity_channel(1) if ch is None else ch for ch in channels]
+    if not chans:
+        raise UsageError("the two-event closed form needs at least one channel")
+    for k, ch in enumerate(chans):
+        if ch.acts_on != 1:
+            raise UsageError(f"gap channel {k} acts on {ch.acts_on} qubits, not 1")
+    # C[k, i, a, j, b] is Choi entry ((i, a), (j, b)) of channel k.
+    C = choi_matrices(chans).reshape(-1, 2, 2, 2, 2)
+    # Tracing out the output factor gives conj(sum K^dag K), the identity iff TP.
+    tp = np.max(np.abs(np.einsum("kiaja->kij", C) - I2), axis=(1, 2))
+    k = int(np.argmax(tp))
+    _require_trace_preserving(k, tp[k])
+    J = C.transpose(0, 3, 2, 1, 4).reshape(-1, 4, 4)
+    A = np.kron(initial.matrix, I2)
+    R = (A @ J + J @ A) / 2.0
+    if not is_hermitian(R):
+        raise InvariantViolation("a PDM of the stack is not Hermitian")
+    tr = np.trace(R, axis1=1, axis2=2)
+    k = int(np.argmax(np.abs(tr - 1.0)))
+    if abs(tr[k] - 1.0) > HERM_ATOL:
+        raise InvariantViolation(f"PDM {k} of the stack has trace {tr[k]}, not 1")
+    return R
 
 
 def expectation(s: Schedule, assignment) -> float:

@@ -48,6 +48,21 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _reject_unknown(doc: dict, known, where: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise UsageError(f"{where} has unknown field(s) {', '.join(map(repr, unknown))}")
+
+
+def _number(doc: dict, key: str, where: str) -> float:
+    """A required field as a float; the consuming type checks its range."""
+    raw = _require(doc, key, where)
+    try:
+        return float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{where} field {key!r} must be a number, got {raw!r}") from None
+
+
 def parse_initial_state(doc, qubits: int) -> tuple[DensityState, dict]:
     """Parse an initial-state descriptor; returns the state and its canonical form."""
     if isinstance(doc, dict) and "bloch" in doc:
@@ -138,12 +153,17 @@ def _parse_schedule(doc: dict) -> tuple[Schedule, dict]:
 def noise_model_from_dict(doc: dict) -> tuple[NoiseModel, dict]:
     kind = _require(doc, "kind", "noise descriptor")
     if kind in _CHANNEL_KINDS:
-        tau = float(_require(doc, "tau", f"{kind} noise descriptor"))
+        _reject_unknown(doc, ("kind", "tau"), f"{kind} noise descriptor")
+        tau = _number(doc, "tau", f"{kind} noise descriptor")
         return NoiseModel(kind, tau=tau), {"kind": kind, "tau": tau}
     if kind == "unitary":
+        _reject_unknown(doc, ("kind", "matrix"), "unitary noise descriptor")
         U = _matrix_from_pairs(_require(doc, "matrix", "unitary noise descriptor"))
+        if U.shape != (2, 2):
+            raise UsageError(f"unitary noise matrix must be 2x2 (one qubit), got shape {U.shape}")
         return NoiseModel("unitary", unitary=U), {"kind": "unitary", "matrix": _matrix_to_pairs(U)}
     if kind == "composite":
+        _reject_unknown(doc, ("kind", "members"), "composite noise descriptor")
         members = _require(doc, "members", "composite noise descriptor")
         if not isinstance(members, list) or not members:
             raise UsageError("composite noise requires a nonempty member list")

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import CausalityReport, classify
+from .causality import CAUSAL, SPACELIKE, spectrum_verdict
 from .channels import NoiseModel, channel_at_time, state_from_bloch
 from .errors import UsageError
-from .linalg import PSD_ATOL
-from .schedule import build_pdm, two_event_schedule
-from .serialize import _require, noise_model_from_dict
+from .linalg import PSD_ATOL, hermitian_eig
+from .schedule import two_event_pdm_stack
+from .serialize import _number, _reject_unknown, _require, noise_model_from_dict
 
 CSV_HEADER = "t,lambda1,lambda2,lambda3,lambda4,f_tr,classification"
+_SWEEP_KEYS = ("initial_state", "noise", "t_min", "t_max", "points", "grid", "csv", "svg")
 
 
 @dataclass(frozen=True)
@@ -30,10 +32,15 @@ class SweepConfig:
     svg_path: str | None = None
 
     def __post_init__(self):
+        for name in ("t_min", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.t_min < 0:
             raise UsageError("t_min must be >= 0")
         if not self.t_min < self.t_max:
             raise UsageError("t_min must be strictly less than t_max")
+        if isinstance(self.points, (bool, np.bool_)) or not isinstance(self.points, (int, np.integer)):
+            raise UsageError(f"points must be an integer, got {self.points!r}")
         if self.points < 2:
             raise UsageError("points must be >= 2")
         if self.grid not in ("linear", "log"):
@@ -51,19 +58,24 @@ class SweepRow:
 
 
 def sweep_config_from_dict(doc: dict) -> SweepConfig:
+    _reject_unknown(doc, _SWEEP_KEYS, "sweep config")
     state_doc = _require(doc, "initial_state", "sweep config")
     if not isinstance(state_doc, dict) or "bloch" not in state_doc:
         raise UsageError("sweep config initial_state must carry a bloch vector")
+    _reject_unknown(state_doc, ("bloch",), "sweep config initial_state")
     bloch = tuple(float(x) for x in state_doc["bloch"])
     if len(bloch) != 3:
         raise UsageError("bloch vector must have 3 components")
     noise, _ = noise_model_from_dict(_require(doc, "noise", "sweep config"))
+    points = _require(doc, "points", "sweep config")
+    if isinstance(points, float) and points.is_integer():
+        points = int(points)
     return SweepConfig(
         bloch=bloch,
         noise=noise,
-        t_min=float(_require(doc, "t_min", "sweep config")),
-        t_max=float(_require(doc, "t_max", "sweep config")),
-        points=int(_require(doc, "points", "sweep config")),
+        t_min=_number(doc, "t_min", "sweep config"),
+        t_max=_number(doc, "t_max", "sweep config"),
+        points=points,
         grid=doc.get("grid", "linear"),
         csv_path=doc.get("csv"),
         svg_path=doc.get("svg"),
@@ -76,45 +88,52 @@ def time_grid(cfg: SweepConfig) -> np.ndarray:
     return np.linspace(cfg.t_min, cfg.t_max, cfg.points)
 
 
-def report_at_time(cfg: SweepConfig, t: float) -> CausalityReport:
-    ch = channel_at_time(cfg.noise, t)
-    s = two_event_schedule(state_from_bloch(cfg.bloch), ch)
-    return classify(build_pdm(s))
+def _spectra(cfg: SweepConfig, ts) -> np.ndarray:
+    """Ascending PDM eigenvalues at each waiting time: one stack, one eigensolve."""
+    channels = [channel_at_time(cfg.noise, float(t)) for t in ts]
+    R = two_event_pdm_stack(state_from_bloch(cfg.bloch), channels)
+    return hermitian_eig(R, vectors=False)[0]
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    rows = []
-    for t in time_grid(cfg):
-        rep = report_at_time(cfg, float(t))
-        rows.append(SweepRow(float(t), rep.eigenvalues, rep.f_tr, rep.classification))
-    return rows
+    ts = time_grid(cfg)
+    W = _spectra(cfg, ts)
+    values, causal = spectrum_verdict(W)
+    return [
+        SweepRow(float(t), tuple(w.tolist()), float(v), CAUSAL if c else SPACELIKE)
+        for t, w, v, c in zip(ts, W, values, causal)
+    ]
 
 
 def find_transition(cfg: SweepConfig, scan_points: int = 256) -> float | None:
-    """Waiting time where the minimum PDM eigenvalue crosses the causal threshold.
+    """First waiting time where the minimum PDM eigenvalue crosses the causal threshold.
 
-    Bisects the signed distance of the minimum eigenvalue from the
-    classification threshold; returns None when no sign change exists on
-    [t_min, t_max] (checked on a coarse scan grid).
+    Evaluates h(t) = lambda_min(t) + PSD_ATOL, negative exactly where the
+    PDM is causal, on ``scan_points`` equally spaced times in [t_min, t_max]
+    as one batched stack. The *first* adjacent pair of scan points across
+    which h changes sign (or where h is exactly 0) is bisected with
+    one-point stacks to 1e-9 * (t_max - t_min); later crossings are not
+    reported. Returns None when the scan shows no sign change, so a pair of
+    crossings closer together than the scan step can be missed.
     """
+    if scan_points < 2:
+        raise UsageError("scan_points must be >= 2")
 
-    def h(t: float) -> float:
-        return report_at_time(cfg, t).min_eigenvalue + PSD_ATOL
+    def h(ts) -> np.ndarray:
+        return _spectra(cfg, ts)[:, 0] + PSD_ATOL
 
     ts = np.linspace(cfg.t_min, cfg.t_max, scan_points)
-    vals = [h(float(t)) for t in ts]
-    lo = hi = None
-    for i in range(len(ts) - 1):
-        if vals[i] == 0.0 or np.sign(vals[i]) != np.sign(vals[i + 1]):
-            lo, hi = float(ts[i]), float(ts[i + 1])
-            flo = vals[i]
-            break
-    if lo is None:
+    vals = h(ts)
+    signs = np.sign(vals)
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (signs[:-1] != signs[1:]))
+    if hits.size == 0:
         return None
+    i = int(hits[0])
+    lo, hi, flo = float(ts[i]), float(ts[i + 1]), float(vals[i])
     tol = 1e-9 * (cfg.t_max - cfg.t_min)
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        fm = h(mid)
+        fm = float(h([mid])[0])
         if fm == 0.0:
             return mid
         if np.sign(fm) == np.sign(flo):

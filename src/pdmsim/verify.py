@@ -27,6 +27,7 @@ from .schedule import (
     build_pdm,
     expectation,
     expectation_oracle,
+    two_event_pdm_stack,
     two_event_schedule,
 )
 
@@ -123,6 +124,24 @@ def suite_ancilla(seed: int = 0, trials: int = 50) -> SuiteResult:
     return SuiteResult("ancilla_protocol", worst <= 1e-10, worst, detail)
 
 
+def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
+    """One closed-form stack of random two-event schedules vs ``build_pdm`` on each.
+
+    The schedules share one random input state and each has its own random
+    CPTP gap channel of Kraus rank 1-4.
+    """
+    rng = np.random.default_rng(seed)
+    state = state_from_bloch(random_bloch(rng))
+    channels = [random_cptp(1, int(rng.integers(1, 5)), rng) for _ in range(trials)]
+    stack = two_event_pdm_stack(state, channels)
+    devs = [
+        float(np.max(np.abs(build_pdm(two_event_schedule(state, ch)).matrix - R)))
+        for ch, R in zip(channels, stack)
+    ]
+    k = int(np.argmax(devs))
+    return SuiteResult("closed_form_two_event", devs[k] <= 1e-12, devs[k], f"trial {k}")
+
+
 def suite_unitary_invariance(seed: int = 0, trials: int = 200) -> SuiteResult:
     rep = check_unitary_invariance(build_pdm(golden_schedule()), trials, seed)
     return SuiteResult("unitary_invariance", rep.passed, rep.max_deviation)
@@ -160,6 +179,7 @@ def run_all(seed: int = 0, trials: int = 200) -> list[SuiteResult]:
         suite_golden(),
         suite_engine_oracle(seed, trials),
         suite_ancilla(seed, max(1, trials // 4)),
+        suite_closed_form(seed, max(1, trials // 4)),
         suite_unitary_invariance(seed, trials),
         suite_local_monotonicity(seed, trials),
         suite_convexity(seed, max(1, trials // 2)),

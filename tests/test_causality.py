@@ -16,11 +16,13 @@ from pdmsim import (
     f_tr,
     find_transition,
     make_channel,
+    spectrum_verdict,
     state_from_bloch,
     two_event_schedule,
     unitary_channel,
 )
 from pdmsim.causality import haar_unitary
+from pdmsim.linalg import PSD_ATOL
 from pdmsim.schedule import Event, Schedule
 from pdmsim.verify import golden_schedule
 
@@ -67,6 +69,34 @@ class TestClassify:
         rep = classify(dephasing_pdm(0.01))
         assert rep.classification == "causal"
         assert rep.min_eigenvalue == pytest.approx(-0.005, abs=1e-12)
+
+
+class TestTolerancePolicy:
+    @pytest.mark.parametrize("delta", [1e-10, -1e-10])
+    def test_depolarizing_within_tolerance_of_one_third(self, delta):
+        # lambda_min = (1 - 3 lam)/4 = -+7.5e-11 lies inside [-PSD_ATOL, PSD_ATOL]:
+        # not causal, so the monotone reads exactly 0.
+        R = depolarizing_pdm(1 / 3 + delta)
+        rep = classify(R)
+        assert abs(rep.min_eigenvalue) <= PSD_ATOL
+        assert rep.classification == "spacelike_compatible"
+        assert rep.f_tr == 0.0
+        assert f_tr(R) == 0.0
+
+    def test_depolarizing_past_tolerance_is_causal(self):
+        rep = classify(depolarizing_pdm(1 / 3 + 1e-9))
+        assert rep.min_eigenvalue < -PSD_ATOL
+        assert rep.classification == "causal"
+        assert rep.f_tr == pytest.approx(1.5e-9, rel=1e-5)
+
+    def test_verdict_on_a_stack_matches_rows(self):
+        W = np.array([[-0.5, 0.0, 0.5, 1.0], [-5e-11, 0.0, 0.5, 0.5], [-2e-10, 0.1, 0.4, 0.5]])
+        values, causal = spectrum_verdict(W)
+        assert causal.tolist() == [True, False, True]
+        assert values[1] == 0.0 and values[2] > 0
+        for w, v, c in zip(W, values, causal):
+            one = spectrum_verdict(w)
+            assert (float(one[0]), bool(one[1])) == (v, c)
 
 
 class TestDephasingFamily:

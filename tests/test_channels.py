@@ -10,13 +10,16 @@ from pdmsim import (
     UsageError,
     apply_channel,
     channel_at_time,
+    choi_matrices,
     choi_matrix,
     compose,
     identity_channel,
     make_channel,
     state_from_bloch,
+    tp_residual,
     validate_channel,
 )
+from pdmsim.causality import random_cptp
 from pdmsim.channels import DensityState, dephasing_about_axis
 from pdmsim.linalg import I2, X, Y, Z
 
@@ -25,6 +28,19 @@ from conftest import random_density
 
 def bloch_of(state):
     return np.array([np.trace(P @ state.matrix).real for P in (X, Y, Z)])
+
+
+def choi_loop(ch):
+    """Reference Choi matrix: sum_ij |i><j| (x) E(|i><j|), one basis operator at a time."""
+    d = ch.dim
+    C = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            Eij = np.zeros((d, d), dtype=complex)
+            Eij[i, j] = 1.0
+            out = sum(K @ Eij @ K.conj().T for K in ch.kraus_ops)
+            C += np.kron(Eij, out)
+    return C
 
 
 class TestStateFromBloch:
@@ -40,6 +56,11 @@ class TestStateFromBloch:
     def test_rejects_outside_ball(self):
         with pytest.raises(UsageError):
             state_from_bloch([0.8, 0.8, 0.8])
+
+    def test_rejects_non_finite(self):
+        for r in ([float("nan"), 0, 0], [0, float("inf"), 0]):
+            with pytest.raises(UsageError, match="finite"):
+                state_from_bloch(r)
 
     def test_density_state_invariants_enforced(self):
         with pytest.raises(InvariantViolation):
@@ -136,6 +157,33 @@ class TestValidateChannel:
         w = np.linalg.eigvalsh(C)
         assert np.allclose(w, [0, 0, 0, 2], atol=1e-12)
 
+    def test_tp_residual(self):
+        assert tp_residual(make_channel("depolarizing", 0.3)) <= 1e-15
+        assert tp_residual(KrausChannel((I2, X), 1)) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestChoiMatrix:
+    @pytest.mark.parametrize("qubits", [1, 2, 3])
+    def test_matches_loop_formula(self, qubits):
+        rng = np.random.default_rng(77 + qubits)
+        for _ in range(10):
+            ch = random_cptp(qubits, int(rng.integers(1, 5)), rng)
+            assert np.max(np.abs(choi_matrix(ch) - choi_loop(ch))) <= 1e-14
+
+    def test_stack_with_mixed_kraus_counts(self):
+        rng = np.random.default_rng(5)
+        chans = [random_cptp(1, rank, rng) for rank in (3, 1, 4, 2, 1)]
+        stack = choi_matrices(chans)
+        assert stack.shape == (5, 4, 4)
+        for ch, C in zip(chans, stack):
+            assert np.max(np.abs(C - choi_loop(ch))) <= 1e-14
+
+    def test_stack_rejects_mixed_dimensions(self):
+        with pytest.raises(UsageError):
+            choi_matrices([identity_channel(1), identity_channel(2)])
+        with pytest.raises(UsageError):
+            choi_matrices([])
+
 
 class TestChannelAtTime:
     def test_time_zero_is_identity(self, rng):
@@ -171,6 +219,11 @@ class TestChannelAtTime:
     def test_negative_time_rejected(self):
         with pytest.raises(UsageError):
             channel_at_time(NoiseModel("dephasing", tau=1.0), -0.1)
+
+    def test_non_finite_tau_rejected(self):
+        for tau in (float("inf"), float("nan")):
+            with pytest.raises(UsageError, match="tau"):
+                NoiseModel("depolarizing", tau=tau)
 
 
 class TestComposition:

@@ -140,6 +140,14 @@ class TestSweep:
         cfg = write(tmp_path / "cfg.json", sweep_doc((0, 0, 0), "depolarizing", 1.0, 4.0, 0.0, 5))
         assert main(["sweep", cfg, "--csv", str(tmp_path / "x.csv")]) == 2
 
+    def test_overflowing_t_max_exit_2(self, tmp_path, capsys):
+        # JSON 1e400 parses to inf; it must be rejected by name, not run.
+        text = json.dumps(sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 1.0, 5))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text.replace('"t_max": 1.0', '"t_max": 1e400'))
+        assert main(["sweep", str(cfg), "--csv", str(tmp_path / "x.csv")]) == 2
+        assert "t_max must be finite" in capsys.readouterr().err
+
 
 class TestTransition:
     def test_depolarizing_mixed_ln3(self, tmp_path, capsys):
@@ -182,7 +190,24 @@ class TestVerify:
         assert main(["verify", "--seed", "1", "--trials", "5"]) == 0
         out = capsys.readouterr().out
         assert "all suites passed" in out
-        assert out.count("[PASS]") == 6
+        assert out.count("[PASS]") == 7
+        assert "[PASS] closed_form_two_event" in out
+
+    def test_closed_form_suite_flags_a_wrong_stack(self, monkeypatch):
+        import pdmsim.verify as verify
+
+        exact = verify.two_event_pdm_stack
+
+        def skewed(state, channels):
+            R = exact(state, channels)
+            R[3, 0, 0] += 1e-9
+            return R
+
+        monkeypatch.setattr(verify, "two_event_pdm_stack", skewed)
+        res = verify.suite_closed_form(seed=0, trials=5)
+        assert not res.passed
+        assert res.detail == "trial 3"
+        assert res.max_deviation == pytest.approx(1e-9, rel=1e-6)
 
     def test_seed_variation(self, capsys):
         for seed in range(3):

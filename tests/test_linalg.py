@@ -128,6 +128,21 @@ class TestHermitianEig:
         with pytest.raises(UsageError):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex), vectors=False)
 
+    def test_stack_matches_per_matrix(self, rng):
+        stack = np.stack([random_hermitian(4, rng) for _ in range(7)])
+        w, _ = hermitian_eig(stack, vectors=False)
+        assert w.shape == (7, 4)
+        for M, row in zip(stack, w):
+            assert np.max(np.abs(row - hermitian_eig(M, vectors=False)[0])) <= 1e-12
+        w, V = hermitian_eig(stack)
+        assert np.max(np.abs(V @ (w[..., None] * V.conj().swapaxes(-1, -2)) - stack)) <= 1e-10
+
+    def test_stack_with_one_non_hermitian_rejected(self, rng):
+        stack = np.stack([random_hermitian(4, rng) for _ in range(3)])
+        stack[1, 0, 1] += 1e-6
+        with pytest.raises(UsageError):
+            hermitian_eig(stack, vectors=False)
+
 
 class TestTraceNorm:
     def test_maximally_mixed(self):

@@ -7,22 +7,29 @@ import pytest
 from pdmsim import (
     DensityState,
     Event,
+    KrausChannel,
+    NoiseModel,
     Schedule,
     UsageError,
     ancilla_expectation,
     build_pdm,
+    channel_at_time,
+    compose,
     expectation,
     expectation_oracle,
+    identity_channel,
     make_channel,
     pdm_expectation,
     reduce_pdm,
     state_from_bloch,
+    two_event_pdm_stack,
     two_event_schedule,
+    unitary_channel,
 )
-from pdmsim.causality import random_cptp
-from pdmsim.linalg import PAULIS, kron
+from pdmsim.causality import haar_unitary, random_cptp
+from pdmsim.linalg import I2, PAULIS, X, kron
 from pdmsim.schedule import PDM_BYTE_BUDGET
-from pdmsim.verify import GOLDEN_TWO_EVENT, golden_schedule, random_schedule
+from pdmsim.verify import GOLDEN_TWO_EVENT, golden_schedule, random_bloch, random_schedule
 
 from conftest import random_density
 
@@ -323,3 +330,60 @@ class TestScheduleValidation:
                 (Event(1, 0, 0), Event(2, 0, 1)),
                 (make_channel("dephasing", 0.5),),
             )
+
+    def test_non_trace_preserving_gap_rejected(self, rng):
+        leaky = KrausChannel((I2, X), 1)
+        with pytest.raises(UsageError, match=r"channel 0 is not trace preserving.*1\.000e\+00"):
+            two_event_schedule(random_density(1, rng), leaky)
+        with pytest.raises(UsageError, match="channel 1 is not trace preserving"):
+            Schedule(
+                1,
+                random_density(1, rng),
+                (Event(1, 0, 0), Event(2, 0, 1), Event(3, 0, 2)),
+                (None, KrausChannel((0.9 * I2,), 1)),
+            )
+
+
+class TestTwoEventClosedForm:
+    def test_matches_build_pdm_on_random_states_and_channels(self):
+        rng = np.random.default_rng(2017)
+        worst = 0.0
+        for _ in range(200):
+            rho = state_from_bloch(random_bloch(rng))
+            ch = random_cptp(1, int(rng.integers(1, 5)), rng)
+            (R,) = two_event_pdm_stack(rho, [ch])
+            worst = max(worst, np.max(np.abs(R - build_pdm(two_event_schedule(rho, ch)).matrix)))
+        assert worst <= 1e-12
+
+    def test_one_stack_of_varying_kraus_counts(self, rng):
+        rho = random_density(1, rng)
+        model = NoiseModel(
+            "composite",
+            members=(NoiseModel("depolarizing", tau=1.0), NoiseModel("amplitude_damping", tau=2.0)),
+        )
+        chans = [
+            None,
+            identity_channel(1),
+            unitary_channel(haar_unitary(2, rng)),
+            make_channel("dephasing", 0.4),
+            make_channel("depolarizing", 0.7),
+            channel_at_time(model, 0.8),  # 8 Kraus operators
+            compose(make_channel("dephasing", 0.5), random_cptp(1, 3, rng)),
+        ]
+        stack = two_event_pdm_stack(rho, chans)
+        assert stack.shape == (len(chans), 4, 4)
+        for ch, R in zip(chans, stack):
+            assert np.max(np.abs(R - build_pdm(two_event_schedule(rho, ch)).matrix)) <= 1e-12
+
+    def test_multi_qubit_channel_rejected(self, rng):
+        U = haar_unitary(4, rng)
+        with pytest.raises(UsageError, match="gap channel 1 acts on 2 qubits"):
+            two_event_pdm_stack(state_from_bloch([0, 0, 1]), [None, unitary_channel(U)])
+
+    def test_bad_inputs_rejected(self, rng):
+        with pytest.raises(UsageError):
+            two_event_pdm_stack(random_density(2, rng), [None])
+        with pytest.raises(UsageError):
+            two_event_pdm_stack(random_density(1, rng), [])
+        with pytest.raises(UsageError, match="gap channel 2 is not trace preserving"):
+            two_event_pdm_stack(random_density(1, rng), [None, None, KrausChannel((I2, X), 1)])
