@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, apply_channel_to_matrix
 from .errors import UsageError
-from .linalg import PSD_ATOL, embed_operator, hermitian_eig
+from .linalg import PSD_ATOL, hermitian_eig
 from .schedule import PseudoDensityMatrix
 
 CHECK_ATOL = 1e-9
@@ -118,10 +118,7 @@ def check_local_monotonicity(
         rng = np.random.default_rng(seed + k)
         ch = random_cptp(1, int(rng.integers(1, 5)), rng)
         factor = int(rng.integers(0, n))
-        out = np.zeros_like(R.matrix)
-        for K in ch.kraus_ops:
-            Kf = embed_operator(K, [factor], n)
-            out += Kf @ R.matrix @ Kf.conj().T
+        out = apply_channel_to_matrix(ch, R.matrix, [factor], n)
         worst = max(worst, _f_tr_matrix(out) - base)
     return CheckReport(worst <= CHECK_ATOL, trials, max(0.0, worst))
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation, UsageError
-from .linalg import HERM_ATOL, PSD_ATOL, I2, X, Y, Z, embed_operator, hermitian_eig
+from .linalg import HERM_ATOL, PSD_ATOL, I2, X, Y, Z, dagger, embed_operator, hermitian_eig
 
 TP_ATOL = 1e-10
 
@@ -138,14 +138,20 @@ def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
 
 
 def apply_channel_to_matrix(ch: KrausChannel, M: np.ndarray, targets, qubit_count: int) -> np.ndarray:
-    """Linear action of the channel on an arbitrary operator of the full system."""
+    """Linear action of the channel on an operator of the full system, or on each of a (B, D, D) stack.
+
+    The Kraus operators are embedded as one stack and applied as one
+    broadcast product sum_k K_k M K_k^dag over the whole stack. The k
+    products are all held before the sum, so a call briefly needs about 2k
+    times the stack's memory.
+    """
     if ch.acts_on != len(targets):
         raise UsageError(f"channel acts on {ch.acts_on} qubits but {len(targets)} targets given")
-    out = np.zeros_like(np.asarray(M, dtype=complex))
-    for K in ch.kraus_ops:
-        Kf = embed_operator(K, targets, qubit_count)
-        out += Kf @ M @ Kf.conj().T
-    return out
+    M = np.asarray(M, dtype=complex)
+    ks = embed_operator(np.asarray(ch.kraus_ops), targets, qubit_count)
+    # One leading Kraus axis, broadcast over the stack axes of M.
+    ks = ks.reshape(ks.shape[:1] + (1,) * (M.ndim - 2) + ks.shape[1:])
+    return (ks @ M @ dagger(ks)).sum(axis=0)
 
 
 def apply_channel(ch: KrausChannel, rho: DensityState, targets=None) -> DensityState:

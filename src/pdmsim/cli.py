@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -112,10 +113,15 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first ``main`` call and reused by later ones."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

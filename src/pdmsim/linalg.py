@@ -123,8 +123,9 @@ def trace_norm(M: np.ndarray) -> float:
 def embed_operator(K: np.ndarray, targets: Sequence[int], qubit_count: int) -> np.ndarray:
     """Embed an operator acting on ``targets`` into a ``qubit_count``-qubit system.
 
-    ``K`` acts on ``len(targets)`` qubits; the targets are matched to K's
-    factors in the order given. Identity acts everywhere else.
+    ``K`` acts on ``len(targets)`` qubits, or is a ``(..., 2^m, 2^m)`` stack of
+    such operators, each embedded; the targets are matched to K's factors in
+    the order given. Identity acts everywhere else.
     """
     K = np.asarray(K, dtype=complex)
     m = len(targets)
@@ -132,15 +133,18 @@ def embed_operator(K: np.ndarray, targets: Sequence[int], qubit_count: int) -> n
         raise UsageError(f"targets must be distinct, got {list(targets)}")
     if any(q < 0 or q >= qubit_count for q in targets):
         raise UsageError(f"targets {list(targets)} out of range for {qubit_count} qubits")
-    if K.shape != (2**m, 2**m):
+    if K.ndim < 2 or K.shape[-2:] != (2**m, 2**m):
         raise UsageError(f"operator shape {K.shape} does not act on {m} qubits")
     if m == qubit_count and list(targets) == list(range(qubit_count)):
         return K
+    # np.kron pairs the identity with each operator of a stack.
     full = np.kron(K, np.eye(2 ** (qubit_count - m), dtype=complex))
     # Factor i of `full` currently holds qubit order[i]; permute so factor q
     # holds qubit q.
     order = list(targets) + [q for q in range(qubit_count) if q not in targets]
     perm = np.argsort(order)
-    t = full.reshape([2] * (2 * qubit_count))
-    axes = list(perm) + [qubit_count + p for p in perm]
-    return t.transpose(axes).reshape(2**qubit_count, 2**qubit_count)
+    lead = K.shape[:-2]
+    b = len(lead)
+    t = full.reshape(lead + (2,) * (2 * qubit_count))
+    axes = list(range(b)) + [b + p for p in perm] + [b + qubit_count + p for p in perm]
+    return t.transpose(axes).reshape(lead + (2**qubit_count, 2**qubit_count))

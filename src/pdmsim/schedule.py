@@ -9,6 +9,7 @@ outcomes, one tensor factor per event in event-id order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .linalg import (
     HERM_ATOL,
     I2,
     PAULIS,
+    dagger,
     embed_operator,
     is_hermitian,
     kron,
@@ -53,6 +55,14 @@ _BASIS_CHANGE = {1: _H, 2: _H @ _SDG, 3: I2}
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+# The ancilla protocol's fixed operators, primary qubit left and ancilla right:
+# the ancilla's |0><0|, its Z readout, and per label the copy block
+# U^dag CNOT U with U the label's basis change on the primary.
+_ANCILLA_0 = np.array([[1, 0], [0, 0]], dtype=complex)
+_ANCILLA_Z = np.kron(I2, PAULIS[3])
+_COPY_BLOCKS = {
+    label: np.kron(U, I2).conj().T @ _CNOT @ np.kron(U, I2) for label, U in _BASIS_CHANGE.items()
+}
 
 #: The Pauli matrices stacked by label, shape (4, 2, 2).
 _PAULI_STACK = np.stack(PAULIS)
@@ -64,6 +74,32 @@ _JORDAN_TABLE = (
     (2, True, np.array([-0.5j, 0.5j]), np.array([0.5j, -0.5j])),
     (3, False, np.array([0.5, -0.5]), np.array([0.5, -0.5])),
 )
+
+
+#: The +-1 outcomes of a Lueders pair (P+, P-), in that order.
+_OUTCOMES = np.array([1.0, -1.0])
+#: Entries each of the cached event-operator tables below may hold; one entry
+#: is a D x D (or 2 x D x D) matrix, so this bounds the memory they keep.
+_EVENT_CACHE_SIZE = 64
+
+
+def _read_only(M: np.ndarray) -> np.ndarray:
+    M.setflags(write=False)
+    return M
+
+
+@functools.lru_cache(maxsize=_EVENT_CACHE_SIZE)
+def _event_pauli(label: int, qubit: int, qubit_count: int) -> np.ndarray:
+    """The Pauli of ``label`` on ``qubit``, embedded in the full register; read-only."""
+    return _read_only(embed_operator(PAULIS[label], [qubit], qubit_count).copy())
+
+
+@functools.lru_cache(maxsize=_EVENT_CACHE_SIZE)
+def _event_projectors(label: int, qubit: int, qubit_count: int) -> np.ndarray:
+    """The Lueders pair (P+, P-) = (I +- A)/2 of the event's Pauli A as a read-only (2, D, D) stack."""
+    A = _event_pauli(label, qubit, qubit_count)
+    I = np.eye(2**qubit_count)
+    return _read_only(np.stack([(I + A) / 2.0, (I - A) / 2.0]))
 
 
 def _pauli_labels(assignment, event_count: int) -> tuple:
@@ -105,15 +141,21 @@ class Schedule:
         ids = sorted(e.id for e in events)
         if ids != list(range(1, len(events) + 1)):
             raise UsageError(f"event ids must be contiguous 1..n, got {ids}")
-        slices = sorted({e.slice_index for e in events})
-        if slices != list(range(len(slices))):
-            raise UsageError(f"slice indices must be contiguous 0..S-1, got {slices}")
-        for s in slices:
-            qubits = [e.qubit for e in events if e.slice_index == s]
+        indices = sorted({e.slice_index for e in events})
+        if indices != list(range(len(indices))):
+            raise UsageError(f"slice indices must be contiguous 0..S-1, got {indices}")
+        slices = tuple(
+            tuple(sorted((e for e in events if e.slice_index == s), key=lambda e: e.qubit))
+            for s in indices
+        )
+        for s, sl in enumerate(slices):
+            qubits = [e.qubit for e in sl]
             if len(set(qubits)) != len(qubits):
                 raise UsageError(f"slice {s} has repeated qubits {qubits}")
             if any(q < 0 or q >= self.qubit_count for q in qubits):
                 raise UsageError(f"slice {s} touches qubits {qubits} out of range")
+        # Not a field: derived from `events`, so equality and hashing ignore it.
+        object.__setattr__(self, "_slices", slices)
         channels = tuple(self.inter_slice_channels)
         gaps = len(slices) - 1
         if len(channels) == 0:
@@ -134,11 +176,11 @@ class Schedule:
 
     @property
     def slice_count(self) -> int:
-        return 1 + max(e.slice_index for e in self.events)
+        return len(self._slices)
 
-    def events_in_slice(self, s: int) -> list:
+    def events_in_slice(self, s: int) -> tuple:
         """Events of one slice ordered by qubit index (they commute; order fixed for reproducibility)."""
-        return sorted((e for e in self.events if e.slice_index == s), key=lambda e: e.qubit)
+        return self._slices[s] if 0 <= s < len(self._slices) else ()
 
     def _check_assignment(self, assignment) -> tuple:
         return _pauli_labels(assignment, self.event_count)
@@ -219,7 +261,7 @@ def expectation(s: Schedule, assignment) -> float:
             label = a[ev.id - 1]
             if label == 0:
                 continue
-            A = embed_operator(PAULIS[label], [ev.qubit], n)
+            A = _event_pauli(label, ev.qubit, n)
             M = (A @ M + M @ A) / 2.0
         if sl < s.slice_count - 1:
             M = apply_channel_to_matrix(s._gap_channel(sl), M, list(range(n)), n)
@@ -232,34 +274,29 @@ def expectation_oracle(s: Schedule, assignment) -> float:
     Every non-identity event splits the evolution into its two projective
     outcomes (Lueders rule, unnormalized so the trace carries the branch
     probability); the result is the probability-weighted sum of outcome
-    products over all 2^k branches.
+    products over all 2^k branches. The branches are held as one
+    (2^k, D, D) stack with their outcome products as a sign vector; branch
+    2b + o is branch b followed by outcome o (0: +1, 1: -1).
     """
     a = s._check_assignment(assignment)
     k = sum(1 for l in a if l != 0)
     if k > MAX_ORACLE_BRANCH_EVENTS:
         raise UsageError(f"{k} non-identity events exceeds the branch limit")
     n = s.qubit_count
-    branches = [(1.0, s.initial_state.matrix.copy())]
+    D = 2**n
+    branches = s.initial_state.matrix[None]
+    signs = np.ones(1)
     for sl in range(s.slice_count):
         for ev in s.events_in_slice(sl):
             label = a[ev.id - 1]
             if label == 0:
                 continue
-            A = embed_operator(PAULIS[label], [ev.qubit], n)
-            P_plus = (np.eye(2**n) + A) / 2.0
-            P_minus = (np.eye(2**n) - A) / 2.0
-            branches = [
-                (sign * prod, P @ M @ P)
-                for prod, M in branches
-                for sign, P in ((1.0, P_plus), (-1.0, P_minus))
-            ]
+            P = _event_projectors(label, ev.qubit, n)
+            branches = (P @ branches[:, None] @ P).reshape(-1, D, D)
+            signs = (signs[:, None] * _OUTCOMES).reshape(-1)
         if sl < s.slice_count - 1:
-            ch = s._gap_channel(sl)
-            branches = [
-                (prod, apply_channel_to_matrix(ch, M, list(range(n)), n))
-                for prod, M in branches
-            ]
-    return float(sum(prod * np.trace(M).real for prod, M in branches))
+            branches = apply_channel_to_matrix(s._gap_channel(sl), branches, list(range(n)), n)
+    return float(signs @ np.trace(branches, axis1=1, axis2=2).real)
 
 
 @dataclass(frozen=True)
@@ -465,16 +502,15 @@ def ancilla_expectation(s: Schedule, assignment) -> float:
     if s.qubit_count != 1 or s.event_count != 2 or s.slice_count != 2:
         raise UsageError("ancilla protocol requires one qubit and exactly two slices of one event")
     # Primary is qubit 0 (left factor), ancilla qubit 1.
-    anc0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    rho = np.kron(s.initial_state.matrix, anc0)
+    rho = np.kron(s.initial_state.matrix, _ANCILLA_0)
     for sl in range(2):
         (ev,) = s.events_in_slice(sl)
         label = a[ev.id - 1]
         if label != 0:
-            U = np.kron(_BASIS_CHANGE[label], I2)
-            block = U.conj().T @ _CNOT @ U
+            block = _COPY_BLOCKS[label]
             rho = block @ rho @ block.conj().T
         if sl == 0:
-            rho = apply_channel_to_matrix(s._gap_channel(0), rho, [0], 2)
-    Zanc = np.kron(I2, PAULIS[3])
-    return float(np.trace(Zanc @ rho).real)
+            # The gap channel on the primary only: Kraus operators K (x) I.
+            ks = np.kron(np.asarray(s._gap_channel(0).kraus_ops), I2)
+            rho = (ks @ rho @ dagger(ks)).sum(axis=0)
+    return float(np.trace(_ANCILLA_Z @ rho).real)

@@ -26,6 +26,7 @@ from .errors import UsageError
 from .schedule import Event, Schedule
 
 _CHANNEL_KINDS = ("dephasing", "depolarizing", "amplitude_damping")
+_SCHEDULE_KEYS = ("qubits", "initial_state", "slices", "channels")
 
 
 def _matrix_to_pairs(M: np.ndarray) -> list:
@@ -63,16 +64,36 @@ def _number(doc: dict, key: str, where: str) -> float:
         raise UsageError(f"{where} field {key!r} must be a number, got {raw!r}") from None
 
 
+def _integer(doc: dict, key: str, where: str) -> int:
+    """A required integral field; 2.0 is accepted as 2, booleans and 1.5 are not."""
+    x = _number(doc, key, where)
+    if isinstance(doc[key], bool) or not x.is_integer():
+        raise UsageError(f"{where} field {key!r} must be an integer, got {doc[key]!r}")
+    return int(x)
+
+
+def _bloch(doc: dict, where: str) -> list:
+    """A required ``bloch`` field as a list of 3 floats."""
+    raw = _require(doc, "bloch", where)
+    try:
+        r = [float(x) for x in raw]
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{where} field 'bloch' must be a list of 3 numbers, got {raw!r}") from None
+    if len(r) != 3:
+        raise UsageError("bloch vector must have 3 components")
+    return r
+
+
 def parse_initial_state(doc, qubits: int) -> tuple[DensityState, dict]:
     """Parse an initial-state descriptor; returns the state and its canonical form."""
     if isinstance(doc, dict) and "bloch" in doc:
-        r = [float(x) for x in doc["bloch"]]
-        if len(r) != 3:
-            raise UsageError("bloch vector must have 3 components")
+        _reject_unknown(doc, ("bloch",), "initial_state")
+        r = _bloch(doc, "initial_state")
         if qubits != 1:
             raise UsageError("a bloch-vector initial state requires a 1-qubit system")
         return state_from_bloch(r), {"bloch": r}
     if isinstance(doc, dict) and "matrix" in doc:
+        _reject_unknown(doc, ("matrix",), "initial_state")
         M = _matrix_from_pairs(doc["matrix"])
         if M.shape[0] != 2**qubits:
             raise UsageError(f"initial state dim {M.shape[0]} does not match {qubits} qubits")
@@ -82,20 +103,27 @@ def parse_initial_state(doc, qubits: int) -> tuple[DensityState, dict]:
 
 def parse_channel_descriptor(doc, qubits: int) -> tuple[KrausChannel | None, dict | None]:
     """Parse one inter-slice channel descriptor into a channel on the full system."""
-    if doc is None or (isinstance(doc, dict) and doc.get("kind") == "identity"):
-        return None, None if doc is None else {"kind": "identity"}
+    if doc is None:
+        return None, None
     kind = _require(doc, "kind", "channel descriptor")
+    if kind == "identity":
+        _reject_unknown(doc, ("kind",), "identity descriptor")
+        return None, {"kind": "identity"}
     if kind in _CHANNEL_KINDS:
         if qubits != 1:
             raise UsageError(f"{kind} gap channel requires a 1-qubit schedule")
+        where = f"{kind} descriptor"
         if "param" in doc:
-            param = float(doc["param"])
+            _reject_unknown(doc, ("kind", "param"), where)
+            param = _number(doc, "param", where)
             return make_channel(kind, param), {"kind": kind, "param": param}
-        tau = float(_require(doc, "tau", f"{kind} descriptor"))
-        t = float(_require(doc, "t", f"{kind} descriptor"))
+        _reject_unknown(doc, ("kind", "tau", "t"), where)
+        tau = _number(doc, "tau", where)
+        t = _number(doc, "t", where)
         model = NoiseModel(kind, tau=tau)
         return channel_at_time(model, t), {"kind": kind, "tau": tau, "t": t}
     if kind == "unitary":
+        _reject_unknown(doc, ("kind", "matrix"), "unitary descriptor")
         U = _matrix_from_pairs(_require(doc, "matrix", "unitary descriptor"))
         if U.shape[0] != 2**qubits:
             raise UsageError("unitary dimension does not match the system")
@@ -112,7 +140,8 @@ def normalize_schedule_doc(doc: dict) -> dict:
 
 
 def _parse_schedule(doc: dict) -> tuple[Schedule, dict]:
-    qubits = int(_require(doc, "qubits", "schedule"))
+    qubits = _integer(doc, "qubits", "schedule")
+    _reject_unknown(doc, _SCHEDULE_KEYS, "schedule")
     if qubits < 1:
         raise UsageError("qubits must be >= 1")
     state, state_doc = parse_initial_state(_require(doc, "initial_state", "schedule"), qubits)
@@ -126,12 +155,16 @@ def _parse_schedule(doc: dict) -> tuple[Schedule, dict]:
             raise UsageError(f"slice {si} must be a nonempty event list")
         canon = []
         for ev in sl:
-            eid = int(_require(ev, "id", "event"))
-            q = int(_require(ev, "qubit", "event"))
+            where = f"slice {si} event"
+            eid = _integer(ev, "id", where)
+            q = _integer(ev, "qubit", where)
+            _reject_unknown(ev, ("id", "qubit"), where)
             events.append(Event(eid, q, si))
             canon.append({"id": eid, "qubit": q})
         canon_slices.append(canon)
     raw_channels = doc.get("channels", [None] * (len(slices) - 1))
+    if not isinstance(raw_channels, list):
+        raise UsageError(f"channels must be a list of gap-channel descriptors, got {raw_channels!r}")
     if len(raw_channels) != len(slices) - 1:
         raise UsageError(
             f"expected {len(slices) - 1} gap channels, got {len(raw_channels)}"

@@ -12,7 +12,7 @@ from .channels import NoiseModel, channel_at_time, state_from_bloch
 from .errors import UsageError
 from .linalg import PSD_ATOL, hermitian_eig
 from .schedule import two_event_pdm_stack
-from .serialize import _number, _reject_unknown, _require, noise_model_from_dict
+from .serialize import _bloch, _number, _reject_unknown, _require, noise_model_from_dict
 
 CSV_HEADER = "t,lambda1,lambda2,lambda3,lambda4,f_tr,classification"
 _SWEEP_KEYS = ("initial_state", "noise", "t_min", "t_max", "points", "grid", "csv", "svg")
@@ -63,9 +63,7 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
     if not isinstance(state_doc, dict) or "bloch" not in state_doc:
         raise UsageError("sweep config initial_state must carry a bloch vector")
     _reject_unknown(state_doc, ("bloch",), "sweep config initial_state")
-    bloch = tuple(float(x) for x in state_doc["bloch"])
-    if len(bloch) != 3:
-        raise UsageError("bloch vector must have 3 components")
+    bloch = tuple(_bloch(state_doc, "sweep config initial_state"))
     noise, _ = noise_model_from_dict(_require(doc, "noise", "sweep config"))
     points = _require(doc, "points", "sweep config")
     if isinstance(points, float) and points.is_integer():

@@ -20,8 +20,8 @@ from pdmsim import (
     validate_channel,
 )
 from pdmsim.causality import random_cptp
-from pdmsim.channels import DensityState, dephasing_about_axis
-from pdmsim.linalg import I2, X, Y, Z
+from pdmsim.channels import DensityState, apply_channel_to_matrix, dephasing_about_axis
+from pdmsim.linalg import I2, X, Y, Z, embed_operator
 
 from conftest import random_density
 
@@ -41,6 +41,15 @@ def choi_loop(ch):
             out = sum(K @ Eij @ K.conj().T for K in ch.kraus_ops)
             C += np.kron(Eij, out)
     return C
+
+
+def apply_loop(ch, M, targets, qubit_count):
+    """Reference channel action: one embedded Kraus operator at a time."""
+    out = np.zeros_like(M)
+    for K in ch.kraus_ops:
+        Kf = embed_operator(K, targets, qubit_count)
+        out += Kf @ M @ Kf.conj().T
+    return out
 
 
 class TestStateFromBloch:
@@ -135,6 +144,20 @@ class TestApplyChannel:
                 assert abs(np.trace(M).real - 1) <= 1e-12
                 assert np.max(np.abs(M - M.conj().T)) <= 1e-12
                 assert np.linalg.eigvalsh(M)[0] >= -1e-10
+
+    @pytest.mark.parametrize(
+        "qubits, targets", [(1, [0]), (2, [0, 1]), (3, [0, 1, 2]), (2, [1]), (3, [2, 0]), (3, [1])]
+    )
+    def test_stack_matches_per_matrix(self, qubits, targets, rng):
+        D = 2**qubits
+        for rank in (1, 2, 4):
+            ch = random_cptp(len(targets), rank, rng)
+            stack = rng.normal(size=(5, D, D)) + 1j * rng.normal(size=(5, D, D))
+            out = apply_channel_to_matrix(ch, stack, targets, qubits)
+            assert out.shape == stack.shape
+            for M, got in zip(stack, out):
+                assert np.max(np.abs(got - apply_channel_to_matrix(ch, M, targets, qubits))) <= 1e-14
+                assert np.max(np.abs(got - apply_loop(ch, M, targets, qubits))) <= 1e-14
 
     def test_target_mismatch(self, rng):
         with pytest.raises(UsageError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -81,6 +82,48 @@ class TestBuild:
     def test_invariant_violation_exit_3(self, tmp_path):
         doc = dict(GOLDEN_DOC, initial_state={"matrix": [[[0.9, 0], [0, 0]], [[0, 0], [0.5, 0]]]})
         assert main(["build", write(tmp_path / "s.json", doc)]) == 3
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"chanels": [{"kind": "dephasing", "param": 0.1}]}, "'chanels'"),
+            ({"initial_state": {"bloch": [0, 0, 1], "pure": True}}, "'pure'"),
+            ({"slices": [[{"id": 1, "qubit": 0, "label": 3}], [{"id": 2, "qubit": 0}]]}, "'label'"),
+            ({"channels": [{"kind": "dephasing", "param": 0.1, "tau": 1.0}]}, "'tau'"),
+            ({"channels": [{"kind": "dephasing", "tau": 1.0, "t": 0.5, "rate": 2}]}, "'rate'"),
+            ({"channels": [{"kind": "identity", "param": 0.1}]}, "'param'"),
+            ({"initial_state": {"bloch": ["a", 0, 0]}}, "'bloch'"),
+            ({"slices": [[{"id": "one", "qubit": 0}], [{"id": 2, "qubit": 0}]]}, "'id'"),
+            ({"slices": [[{"id": 1.5, "qubit": 0}], [{"id": 2, "qubit": 0}]]}, "'id'"),
+            ({"slices": [[{"id": 1, "qubit": "q0"}], [{"id": 2, "qubit": 0}]]}, "'qubit'"),
+            ({"qubits": "one"}, "'qubits'"),
+            ({"channels": [{"kind": "dephasing", "param": "strong"}]}, "'param'"),
+            ({"channels": [{"kind": "dephasing", "tau": "slow", "t": 1.0}]}, "'tau'"),
+            ({"channels": [{"kind": "dephasing", "tau": 1.0, "t": None}]}, "'t'"),
+            ({"channels": None}, "channels must be a list"),
+        ],
+        ids=[
+            "top-level-key",
+            "initial-state-key",
+            "event-key",
+            "channel-key",
+            "timed-channel-key",
+            "identity-channel-key",
+            "bloch",
+            "id",
+            "fractional-id",
+            "qubit",
+            "qubits",
+            "param",
+            "tau",
+            "t",
+            "channels-not-a-list",
+        ],
+    )
+    def test_malformed_schedule_exit_2(self, tmp_path, capsys, change, named):
+        assert main(["build", write(tmp_path / "s.json", dict(GOLDEN_DOC, **change))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
 
 class TestSweep:
@@ -209,6 +252,32 @@ class TestVerify:
         assert res.detail == "trial 3"
         assert res.max_deviation == pytest.approx(1e-9, rel=1e-6)
 
+    def test_engine_oracle_suite_checks_build_pdm(self, monkeypatch):
+        import pdmsim.verify as verify
+
+        exact = verify.build_pdm
+
+        def skewed(s):
+            R = exact(s)
+            c = R.coefficients.copy()
+            c[1:] *= 1 - 1e-6
+            return dataclasses.replace(R, coefficients=c)
+
+        monkeypatch.setattr(verify, "build_pdm", skewed)
+        res = verify.suite_engine_oracle(seed=0, trials=5)
+        assert not res.passed
+        assert res.detail.startswith("build_pdm: trial ")
+
+    def test_engine_oracle_suite_names_the_expectation_side(self, monkeypatch):
+        import pdmsim.verify as verify
+
+        exact = verify.expectation
+        monkeypatch.setattr(verify, "expectation", lambda s, a: exact(s, a) + 1e-9)
+        res = verify.suite_engine_oracle(seed=0, trials=5)
+        assert not res.passed
+        assert res.detail.startswith("expectation: trial ")
+        assert res.max_deviation == pytest.approx(1e-9, rel=1e-3)
+
     def test_seed_variation(self, capsys):
         for seed in range(3):
             assert main(["verify", "--seed", str(seed), "--trials", "3"]) == 0
@@ -218,6 +287,32 @@ class TestVerify:
 
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2
+
+
+class TestParserReuse:
+    def test_back_to_back_commands_do_not_share_values(self, tmp_path, capsys, monkeypatch):
+        import pdmsim.cli as cli
+
+        path = write(tmp_path / "golden.json", GOLDEN_DOC)
+        report = tmp_path / "report.txt"
+        assert main(["build", path, "--out", str(report)]) == 0
+        report.unlink()
+        assert main(["build", path]) == 0
+        assert not report.exists()
+
+        cfg = write(tmp_path / "cfg.json", sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 4.0, 5))
+        svg = tmp_path / "out.svg"
+        assert main(["sweep", cfg, "--csv", str(tmp_path / "a.csv"), "--svg", str(svg)]) == 0
+        svg.unlink()
+        assert main(["sweep", cfg, "--csv", str(tmp_path / "b.csv")]) == 0
+        assert not svg.exists()
+
+        seen = []
+        monkeypatch.setattr(cli, "run_all", lambda seed, trials: seen.append((seed, trials)) or [])
+        assert main(["verify", "--seed", "7", "--trials", "3"]) == 0
+        assert main(["verify"]) == 0
+        assert seen == [(7, 3), (0, 200)]
+        assert cli._parser() is cli._parser()
 
 
 class TestSvg:

@@ -11,7 +11,7 @@ from pdmsim import (
     trace_norm,
 )
 from pdmsim.causality import haar_unitary
-from pdmsim.linalg import I2, PAULIS, X, Y, Z
+from pdmsim.linalg import I2, PAULIS, X, Y, Z, embed_operator
 from pdmsim.verify import GOLDEN_TWO_EVENT
 
 from conftest import random_hermitian
@@ -62,6 +62,28 @@ class TestKron:
             left = kron([A, kron([B, C])])
             right = kron([kron([A, B]), C])
             assert np.max(np.abs(left - right)) <= 1e-14
+
+
+class TestEmbedOperator:
+    def test_matches_kron_reference(self):
+        assert np.array_equal(embed_operator(X, [1], 2), np.kron(I2, X))
+        # A on qubit 2 and Z on qubit 0 of three.
+        assert np.array_equal(embed_operator(np.kron(Y, Z), [2, 0], 3), kron([Z, I2, Y]))
+
+    @pytest.mark.parametrize("qubits, targets", [(1, [0]), (3, [0, 1, 2]), (2, [1]), (3, [2, 0])])
+    def test_stack_matches_per_operator(self, qubits, targets, rng):
+        d = 2 ** len(targets)
+        ks = rng.normal(size=(2, 3, d, d)) + 1j * rng.normal(size=(2, 3, d, d))
+        out = embed_operator(ks, targets, qubits)
+        assert out.shape == (2, 3, 2**qubits, 2**qubits)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], embed_operator(ks[idx], targets, qubits))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(UsageError):
+            embed_operator(np.eye(4), [0], 2)
+        with pytest.raises(UsageError):
+            embed_operator(np.ones(2), [0], 1)
 
 
 class TestPartialTrace:

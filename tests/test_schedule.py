@@ -27,8 +27,8 @@ from pdmsim import (
     unitary_channel,
 )
 from pdmsim.causality import haar_unitary, random_cptp
-from pdmsim.linalg import I2, PAULIS, X, kron
-from pdmsim.schedule import PDM_BYTE_BUDGET
+from pdmsim.linalg import I2, PAULIS, X, embed_operator, kron
+from pdmsim.schedule import PDM_BYTE_BUDGET, _event_pauli, _event_projectors
 from pdmsim.verify import GOLDEN_TWO_EVENT, golden_schedule, random_bloch, random_schedule
 
 from conftest import random_density
@@ -36,6 +36,31 @@ from conftest import random_density
 
 def mixed_two_event(channel):
     return two_event_schedule(state_from_bloch([0, 0, 0]), channel)
+
+
+def oracle_branch_list(s, assignment):
+    """Reference branch oracle: a list of (outcome product, operator) pairs, one Kraus loop per branch."""
+    n = s.qubit_count
+    branches = [(1.0, s.initial_state.matrix.copy())]
+    for sl in range(s.slice_count):
+        for ev in s.events_in_slice(sl):
+            label = assignment[ev.id - 1]
+            if label == 0:
+                continue
+            A = embed_operator(PAULIS[label], [ev.qubit], n)
+            P_plus = (np.eye(2**n) + A) / 2.0
+            P_minus = (np.eye(2**n) - A) / 2.0
+            branches = [
+                (sign * prod, P @ M @ P)
+                for prod, M in branches
+                for sign, P in ((1.0, P_plus), (-1.0, P_minus))
+            ]
+        if sl < s.slice_count - 1:
+            ch = s.inter_slice_channels[sl] or identity_channel(n)
+            branches = [
+                (prod, sum(K @ M @ K.conj().T for K in ch.kraus_ops)) for prod, M in branches
+            ]
+    return float(sum(prod * np.trace(M).real for prod, M in branches))
 
 
 class TestExpectation:
@@ -88,6 +113,32 @@ class TestExpectationOracle:
             for _ in range(6):
                 a = tuple(rng.integers(0, 4, size=s.event_count))
                 assert abs(expectation(s, a) - expectation_oracle(s, a)) <= 1e-12
+
+    def test_stacked_branches_match_branch_list(self):
+        for k in range(60):
+            rng = np.random.default_rng(500 + k)
+            noisy = random_schedule(rng, max_events=5)
+            noiseless = Schedule(noisy.qubit_count, noisy.initial_state, noisy.events)
+            n = noisy.event_count
+            picks = [tuple(rng.integers(0, 4, size=n)) for _ in range(6)]
+            picks.append(tuple(rng.integers(1, 4, size=n)))  # every event splits: 2^n branches
+            for s in (noisy, noiseless):
+                for a in picks:
+                    assert abs(expectation_oracle(s, a) - oracle_branch_list(s, a)) <= 1e-14
+
+    def test_event_tables_are_read_only(self):
+        for label, qubit, n in ((1, 0, 1), (2, 1, 3), (3, 2, 3)):
+            A = _event_pauli(label, qubit, n)
+            P = _event_projectors(label, qubit, n)
+            assert _event_pauli(label, qubit, n) is A
+            assert np.array_equal(A, embed_operator(PAULIS[label], [qubit], n))
+            assert np.array_equal(P[0] - P[1], A)
+            with pytest.raises(ValueError):
+                A[0, 0] = 7.0
+            with pytest.raises(ValueError):
+                P[0, 0, 0] = 7.0
+        # The 1-qubit table holds a copy, not the shared Pauli constant.
+        assert PAULIS[1].flags.writeable
 
 
 class TestBuildPdm:
@@ -310,6 +361,16 @@ class TestAssignmentLabels:
 
 
 class TestScheduleValidation:
+    def test_slices_computed_once_match_events(self):
+        for k in range(20):
+            s = random_schedule(np.random.default_rng(k), max_events=5)
+            assert s.slice_count == 1 + max(e.slice_index for e in s.events)
+            for sl in range(s.slice_count):
+                expected = sorted((e for e in s.events if e.slice_index == sl), key=lambda e: e.qubit)
+                assert list(s.events_in_slice(sl)) == expected
+            assert s.events_in_slice(s.slice_count) == ()
+            assert s.events_in_slice(-1) == ()
+
     def test_no_events(self, rng):
         with pytest.raises(UsageError, match="at least one event"):
             Schedule(1, random_density(1, rng), ())

@@ -152,6 +152,11 @@ class TestSweepConfigHardening:
         with pytest.raises(UsageError, match="'t_max' must be a number"):
             sweep_config_from_dict(config_doc(t_max=None))
 
+    def test_non_numeric_bloch_rejected(self):
+        for bad in (["a", 0, 0], None, [0, None, 0]):
+            with pytest.raises(UsageError, match="'bloch' must be a list of 3 numbers"):
+                sweep_config_from_dict(config_doc(initial_state={"bloch": bad}))
+
     def test_points_must_be_integral(self):
         for bad in (2.7, True, "6", None, math.inf):
             with pytest.raises(UsageError, match="points must be an integer"):
