@@ -50,9 +50,12 @@ from .schedule import (
     PseudoDensityMatrix,
     Schedule,
     ancilla_expectation,
+    ancilla_expectations,
     build_pdm,
     expectation,
     expectation_oracle,
+    expectations,
+    oracle_expectations,
     pdm_expectation,
     reduce_pdm,
     two_event_pdm_stack,

@@ -8,7 +8,7 @@ import numpy as np
 
 from .channels import KrausChannel, apply_channel_to_matrix
 from .errors import UsageError
-from .linalg import PSD_ATOL, hermitian_eig
+from .linalg import PSD_ATOL, dagger, hermitian_eig
 from .schedule import PseudoDensityMatrix
 
 CHECK_ATOL = 1e-9
@@ -33,14 +33,15 @@ def spectrum_verdict(w, tol: float = PSD_ATOL) -> tuple[np.ndarray, np.ndarray]:
     return np.where(causal, np.sum(np.abs(w), axis=-1) - 1.0, 0.0), causal
 
 
-def _f_tr_matrix(M: np.ndarray) -> float:
+def _f_tr_matrix(M: np.ndarray) -> np.ndarray:
+    """f_tr of a matrix (0-d result) or of each matrix of a stack, from one eigenvalue solve."""
     w, _ = hermitian_eig(M, vectors=False)
-    return float(spectrum_verdict(w)[0])
+    return spectrum_verdict(w)[0]
 
 
 def f_tr(R: PseudoDensityMatrix) -> float:
     """Causality monotone ||R||_tr - 1, reported as 0 unless R is causal."""
-    return _f_tr_matrix(R.matrix)
+    return float(_f_tr_matrix(R.matrix))
 
 
 @dataclass(frozen=True)
@@ -97,11 +98,8 @@ def check_unitary_invariance(
         raise UsageError("trials must be >= 1")
     base = f_tr(R)
     dim = R.matrix.shape[0]
-    worst = 0.0
-    for k in range(trials):
-        rng = np.random.default_rng(seed + k)
-        U = haar_unitary(dim, rng)
-        worst = max(worst, abs(_f_tr_matrix(U @ R.matrix @ U.conj().T) - base))
+    Us = np.stack([haar_unitary(dim, np.random.default_rng(seed + k)) for k in range(trials)])
+    worst = float(np.max(np.abs(_f_tr_matrix(Us @ R.matrix @ dagger(Us)) - base)))
     return CheckReport(worst <= CHECK_ATOL, trials, worst)
 
 
@@ -113,13 +111,13 @@ def check_local_monotonicity(
         raise UsageError("trials must be >= 1")
     base = f_tr(R)
     n = R.event_count
-    worst = -np.inf
+    outs = []
     for k in range(trials):
         rng = np.random.default_rng(seed + k)
         ch = random_cptp(1, int(rng.integers(1, 5)), rng)
         factor = int(rng.integers(0, n))
-        out = apply_channel_to_matrix(ch, R.matrix, [factor], n)
-        worst = max(worst, _f_tr_matrix(out) - base)
+        outs.append(apply_channel_to_matrix(ch, R.matrix, [factor], n))
+    worst = float(np.max(_f_tr_matrix(np.stack(outs)) - base))
     return CheckReport(worst <= CHECK_ATOL, trials, max(0.0, worst))
 
 
@@ -134,5 +132,5 @@ def check_convexity(Rs, weights) -> CheckReport:
     if len(dims) != 1:
         raise UsageError("all PDMs must share one dimension")
     mix = sum(w * R.matrix for w, R in zip(ws, Rs))
-    gap = _f_tr_matrix(mix) - sum(w * f_tr(R) for w, R in zip(ws, Rs))
+    gap = float(_f_tr_matrix(mix)) - sum(w * f_tr(R) for w, R in zip(ws, Rs))
     return CheckReport(gap <= CHECK_ATOL, len(Rs), max(0.0, gap))

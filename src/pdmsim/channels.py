@@ -138,20 +138,21 @@ def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
 
 
 def apply_channel_to_matrix(ch: KrausChannel, M: np.ndarray, targets, qubit_count: int) -> np.ndarray:
-    """Linear action of the channel on an operator of the full system, or on each of a (B, D, D) stack.
+    """Linear action of the channel on an operator of the full system, or on each of a (..., D, D) stack.
 
-    The Kraus operators are embedded as one stack and applied as one
-    broadcast product sum_k K_k M K_k^dag over the whole stack. The k
-    products are all held before the sum, so a call briefly needs about 2k
-    times the stack's memory.
+    The Kraus operators are embedded as one stack, and each term K_k M K_k^dag
+    is one product over the whole stack, added into the result as it is
+    made. So a call holds about three times the stack's memory, whatever the
+    Kraus count.
     """
     if ch.acts_on != len(targets):
         raise UsageError(f"channel acts on {ch.acts_on} qubits but {len(targets)} targets given")
     M = np.asarray(M, dtype=complex)
     ks = embed_operator(np.asarray(ch.kraus_ops), targets, qubit_count)
-    # One leading Kraus axis, broadcast over the stack axes of M.
-    ks = ks.reshape(ks.shape[:1] + (1,) * (M.ndim - 2) + ks.shape[1:])
-    return (ks @ M @ dagger(ks)).sum(axis=0)
+    out = ks[0] @ M @ dagger(ks[0])
+    for K in ks[1:]:
+        out += K @ M @ dagger(K)
+    return out
 
 
 def apply_channel(ch: KrausChannel, rho: DensityState, targets=None) -> DensityState:

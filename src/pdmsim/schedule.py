@@ -51,18 +51,20 @@ _SINGLE_THREAD_MACS = 2**15
 # Basis-change unitaries U with U sigma U^dag = Z, for labels X, Y, Z.
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
-_BASIS_CHANGE = {1: _H, 2: _H @ _SDG, 3: I2}
+_BASIS_CHANGE = (_H, _H @ _SDG, I2)
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 # The ancilla protocol's fixed operators, primary qubit left and ancilla right:
 # the ancilla's |0><0|, its Z readout, and per label the copy block
-# U^dag CNOT U with U the label's basis change on the primary.
+# U^dag CNOT U with U the label's basis change on the primary (I4 for label 0).
 _ANCILLA_0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _ANCILLA_Z = np.kron(I2, PAULIS[3])
-_COPY_BLOCKS = {
-    label: np.kron(U, I2).conj().T @ _CNOT @ np.kron(U, I2) for label, U in _BASIS_CHANGE.items()
-}
+_COPY_BLOCKS = np.stack(
+    [np.eye(4, dtype=complex)]
+    + [np.kron(U, I2).conj().T @ _CNOT @ np.kron(U, I2) for U in _BASIS_CHANGE]
+)
+_COPY_BLOCKS.setflags(write=False)
 
 #: The Pauli matrices stacked by label, shape (4, 2, 2).
 _PAULI_STACK = np.stack(PAULIS)
@@ -79,7 +81,7 @@ _JORDAN_TABLE = (
 #: The +-1 outcomes of a Lueders pair (P+, P-), in that order.
 _OUTCOMES = np.array([1.0, -1.0])
 #: Entries each of the cached event-operator tables below may hold; one entry
-#: is a D x D (or 2 x D x D) matrix, so this bounds the memory they keep.
+#: is a (4, D, D) or (4, 2, D, D) stack, so this bounds the memory they keep.
 _EVENT_CACHE_SIZE = 64
 
 
@@ -89,30 +91,59 @@ def _read_only(M: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_EVENT_CACHE_SIZE)
-def _event_pauli(label: int, qubit: int, qubit_count: int) -> np.ndarray:
-    """The Pauli of ``label`` on ``qubit``, embedded in the full register; read-only."""
-    return _read_only(embed_operator(PAULIS[label], [qubit], qubit_count).copy())
+def _event_paulis(qubit: int, qubit_count: int) -> np.ndarray:
+    """The Paulis of labels 0..3 on ``qubit``, embedded in the full register, as a read-only (4, D, D) stack."""
+    return _read_only(embed_operator(_PAULI_STACK, [qubit], qubit_count).copy())
 
 
 @functools.lru_cache(maxsize=_EVENT_CACHE_SIZE)
-def _event_projectors(label: int, qubit: int, qubit_count: int) -> np.ndarray:
-    """The Lueders pair (P+, P-) = (I +- A)/2 of the event's Pauli A as a read-only (2, D, D) stack."""
-    A = _event_pauli(label, qubit, qubit_count)
+def _event_projectors(qubit: int, qubit_count: int) -> np.ndarray:
+    """The Lueders pairs (P+, P-) = (I +- A)/2 of labels 0..3 on ``qubit`` as a read-only (4, 2, D, D) stack.
+
+    Label 0 (A = I) gets the pair (I, 0): a branch passes unchanged and its
+    -1 twin is exactly zero.
+    """
+    A = _event_paulis(qubit, qubit_count)
     I = np.eye(2**qubit_count)
-    return _read_only(np.stack([(I + A) / 2.0, (I - A) / 2.0]))
+    return _read_only(np.stack([(I + A) / 2.0, (I - A) / 2.0], axis=1))
 
 
-def _pauli_labels(assignment, event_count: int) -> tuple:
-    """Validate a Pauli assignment: one integer label 0..3 per event."""
-    a = tuple(assignment)
-    if len(a) != event_count:
-        raise UsageError(f"assignment length {len(a)} does not match {event_count} events")
-    for x in a:
-        if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
-            raise UsageError(f"assignment labels must be integers 0..3, got {x!r}")
-        if not 0 <= x <= 3:
-            raise UsageError(f"assignment labels must be 0..3, got {a}")
-    return tuple(int(x) for x in a)
+def _pauli_labels(assignments, event_count: int) -> np.ndarray:
+    """Validate a batch of Pauli assignments, each one integer label 0..3 per event.
+
+    Returns the labels as a (P, event_count) integer array. A 2-D integer
+    array, such as one this function returned, needs only its shape and range
+    checked; any other input is checked element by element before it is
+    converted, so a bool or float label is rejected, never cast.
+    """
+    if isinstance(assignments, np.ndarray) and assignments.dtype.kind in "iu":
+        labels = assignments
+        if labels.ndim != 2 or labels.shape[1] != event_count:
+            raise UsageError(f"assignments of shape {labels.shape} do not match {event_count} events")
+        bad = ((labels < 0) | (labels > 3)).any(axis=1)
+        if bad.any():
+            row = tuple(int(x) for x in labels[np.argmax(bad)])
+            raise UsageError(f"assignment labels must be 0..3, got {row}")
+    else:
+        rows = []
+        for a in assignments:
+            try:
+                a = tuple(a)
+            except TypeError:
+                raise UsageError(f"an assignment must be a sequence of labels, got {a!r}") from None
+            if len(a) != event_count:
+                raise UsageError(f"assignment length {len(a)} does not match {event_count} events")
+            for x in a:
+                if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+                    raise UsageError(f"assignment labels must be integers 0..3, got {x!r}")
+            a = tuple(int(x) for x in a)
+            if not all(0 <= x <= 3 for x in a):
+                raise UsageError(f"assignment labels must be 0..3, got {a}")
+            rows.append(a)
+        labels = np.array(rows, dtype=np.intp).reshape(len(rows), event_count)
+    if len(labels) == 0:
+        raise UsageError("need at least one assignment")
+    return labels.astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True)
@@ -182,9 +213,6 @@ class Schedule:
         """Events of one slice ordered by qubit index (they commute; order fixed for reproducibility)."""
         return self._slices[s] if 0 <= s < len(self._slices) else ()
 
-    def _check_assignment(self, assignment) -> tuple:
-        return _pauli_labels(assignment, self.event_count)
-
     def _gap_channel(self, gap: int) -> KrausChannel:
         ch = self.inter_slice_channels[gap]
         return identity_channel(self.qubit_count) if ch is None else ch
@@ -244,59 +272,75 @@ def two_event_pdm_stack(initial: DensityState, channels) -> np.ndarray:
     return R
 
 
-def expectation(s: Schedule, assignment) -> float:
-    """Expectation of the product of +-1 outcomes for one Pauli assignment.
+def expectations(s: Schedule, assignments) -> np.ndarray:
+    """Expectations of the product of +-1 outcomes for a batch of Pauli assignments, shape (P,).
 
     Uses the outcome-weighted superoperator: measuring a non-identity Pauli A
     and weighting by the outcome maps the running operator M to (AM + MA)/2,
     which equals P+ M P+ - P- M P-. Identity labels contribute outcome +1 and
-    leave the state untouched. The result is the trace of the accumulated
-    operator after all slices.
+    leave the state untouched: their A is I, whose Jordan product returns M
+    exactly. The assignments share one (P, D, D) stack; each event maps it
+    through the rows' own Paulis (skipped when every row has label 0) and each
+    gap channel acts on the whole stack. Entry p is the trace of row p after
+    all slices.
     """
-    a = s._check_assignment(assignment)
+    labels = _pauli_labels(assignments, s.event_count)
     n = s.qubit_count
-    M = s.initial_state.matrix.copy()
+    M = np.broadcast_to(s.initial_state.matrix, (len(labels),) + s.initial_state.matrix.shape)
     for sl in range(s.slice_count):
         for ev in s.events_in_slice(sl):
-            label = a[ev.id - 1]
-            if label == 0:
-                continue
-            A = _event_pauli(label, ev.qubit, n)
-            M = (A @ M + M @ A) / 2.0
+            column = labels[:, ev.id - 1]
+            if column.any():
+                A = _event_paulis(ev.qubit, n)[column]
+                M = (A @ M + M @ A) / 2.0
         if sl < s.slice_count - 1:
             M = apply_channel_to_matrix(s._gap_channel(sl), M, list(range(n)), n)
-    return float(np.trace(M).real)
+    return np.trace(M, axis1=1, axis2=2).real
 
 
-def expectation_oracle(s: Schedule, assignment) -> float:
-    """Brute-force cross-check of ``expectation`` by explicit branch enumeration.
+def expectation(s: Schedule, assignment) -> float:
+    """Expectation of the product of +-1 outcomes for one Pauli assignment; see ``expectations``."""
+    return float(expectations(s, [assignment])[0])
+
+
+def oracle_expectations(s: Schedule, assignments) -> np.ndarray:
+    """Brute-force cross-check of ``expectations`` by explicit branch enumeration, shape (P,).
 
     Every non-identity event splits the evolution into its two projective
     outcomes (Lueders rule, unnormalized so the trace carries the branch
     probability); the result is the probability-weighted sum of outcome
-    products over all 2^k branches. The branches are held as one
-    (2^k, D, D) stack with their outcome products as a sign vector; branch
-    2b + o is branch b followed by outcome o (0: +1, 1: -1).
+    products over all branches. The branches of all assignments are held as
+    one (P, 2^k, D, D) stack, k the number of events that are non-identity in
+    any row, with their outcome products as a (P, 2^k) sign array; branch
+    2b + o is branch b followed by outcome o (0: +1, 1: -1). A row whose
+    label is 0 at a splitting event takes the pair (I, 0), so its -1 branch
+    is zero and adds nothing.
     """
-    a = s._check_assignment(assignment)
-    k = sum(1 for l in a if l != 0)
+    labels = _pauli_labels(assignments, s.event_count)
+    k = int(np.count_nonzero(labels.any(axis=0)))
     if k > MAX_ORACLE_BRANCH_EVENTS:
         raise UsageError(f"{k} non-identity events exceeds the branch limit")
     n = s.qubit_count
     D = 2**n
-    branches = s.initial_state.matrix[None]
-    signs = np.ones(1)
+    P = len(labels)
+    branches = np.broadcast_to(s.initial_state.matrix, (P, 1, D, D))
+    signs = np.ones((P, 1))
     for sl in range(s.slice_count):
         for ev in s.events_in_slice(sl):
-            label = a[ev.id - 1]
-            if label == 0:
+            column = labels[:, ev.id - 1]
+            if not column.any():
                 continue
-            P = _event_projectors(label, ev.qubit, n)
-            branches = (P @ branches[:, None] @ P).reshape(-1, D, D)
-            signs = (signs[:, None] * _OUTCOMES).reshape(-1)
+            pair = _event_projectors(ev.qubit, n)[column][:, None]
+            branches = (pair @ branches[:, :, None] @ pair).reshape(P, -1, D, D)
+            signs = (signs[:, :, None] * _OUTCOMES).reshape(P, -1)
         if sl < s.slice_count - 1:
             branches = apply_channel_to_matrix(s._gap_channel(sl), branches, list(range(n)), n)
-    return float(signs @ np.trace(branches, axis1=1, axis2=2).real)
+    return np.einsum("pb,pb->p", signs, np.trace(branches, axis1=2, axis2=3).real)
+
+
+def expectation_oracle(s: Schedule, assignment) -> float:
+    """Branch-enumeration expectation of one Pauli assignment; see ``oracle_expectations``."""
+    return float(oracle_expectations(s, [assignment])[0])
 
 
 @dataclass(frozen=True)
@@ -336,12 +380,13 @@ class PseudoDensityMatrix:
     def event_count(self) -> int:
         return len(self.events)
 
+    def stored_expectations(self, assignments) -> np.ndarray:
+        """The stored expectations of a batch of Pauli assignments, shape (P,)."""
+        labels = _pauli_labels(assignments, self.event_count)
+        return self.coefficients[labels @ 4 ** np.arange(self.event_count - 1, -1, -1)]
+
     def stored_expectation(self, assignment) -> float:
-        a = _pauli_labels(assignment, self.event_count)
-        idx = 0
-        for l in a:
-            idx = idx * 4 + l
-        return float(self.coefficients[idx])
+        return float(self.stored_expectations([assignment])[0])
 
 
 def _measure(stack: np.ndarray, qubit: int, qubit_count: int) -> np.ndarray:
@@ -460,7 +505,7 @@ def build_pdm(s: Schedule) -> PseudoDensityMatrix:
 
 def pdm_expectation(R: PseudoDensityMatrix, assignment) -> float:
     """Read an expectation back out of the matrix: Tr((tensor of Paulis) R)."""
-    a = _pauli_labels(assignment, R.event_count)
+    (a,) = _pauli_labels([assignment], R.event_count)
     P = kron([PAULIS[l] for l in a])
     return float(np.trace(P @ R.matrix).real)
 
@@ -490,27 +535,31 @@ def reduce_pdm(R: PseudoDensityMatrix, keep) -> PseudoDensityMatrix:
     return PseudoDensityMatrix(M, events, coeffs)
 
 
-def ancilla_expectation(s: Schedule, assignment) -> float:
-    """Ancilla-parity readout of a two-event single-qubit schedule.
+def ancilla_expectations(s: Schedule, assignments) -> np.ndarray:
+    """Ancilla-parity readout of a two-event single-qubit schedule for a batch of assignments, shape (P,).
 
     Simulates the primary qubit with a |0> ancilla: each non-identity event
     rotates the measured Pauli onto Z, copies the outcome bit into the
     ancilla with a CNOT, and rotates back; the gap channel acts on the
-    primary only. Returns <Z> of the ancilla, which equals ``expectation``.
+    primary only. Returns <Z> of the ancilla, which equals ``expectations``.
+    All assignments run as one (P, 4, 4) stack; label 0's copy block is I.
     """
-    a = s._check_assignment(assignment)
+    labels = _pauli_labels(assignments, s.event_count)
     if s.qubit_count != 1 or s.event_count != 2 or s.slice_count != 2:
         raise UsageError("ancilla protocol requires one qubit and exactly two slices of one event")
     # Primary is qubit 0 (left factor), ancilla qubit 1.
     rho = np.kron(s.initial_state.matrix, _ANCILLA_0)
     for sl in range(2):
         (ev,) = s.events_in_slice(sl)
-        label = a[ev.id - 1]
-        if label != 0:
-            block = _COPY_BLOCKS[label]
-            rho = block @ rho @ block.conj().T
+        block = _COPY_BLOCKS[labels[:, ev.id - 1]]
+        rho = block @ rho @ dagger(block)
         if sl == 0:
             # The gap channel on the primary only: Kraus operators K (x) I.
-            ks = np.kron(np.asarray(s._gap_channel(0).kraus_ops), I2)
+            ks = np.kron(np.asarray(s._gap_channel(0).kraus_ops), I2)[:, None]
             rho = (ks @ rho @ dagger(ks)).sum(axis=0)
-    return float(np.trace(_ANCILLA_Z @ rho).real)
+    return np.trace(_ANCILLA_Z @ rho, axis1=1, axis2=2).real
+
+
+def ancilla_expectation(s: Schedule, assignment) -> float:
+    """Ancilla-parity readout of one Pauli assignment; see ``ancilla_expectations``."""
+    return float(ancilla_expectations(s, [assignment])[0])

@@ -21,7 +21,8 @@ from pdmsim import (
     two_event_schedule,
     unitary_channel,
 )
-from pdmsim.causality import haar_unitary
+from pdmsim.causality import _f_tr_matrix, haar_unitary, random_cptp
+from pdmsim.channels import apply_channel_to_matrix
 from pdmsim.linalg import PSD_ATOL
 from pdmsim.schedule import Event, Schedule
 from pdmsim.verify import golden_schedule
@@ -35,6 +36,29 @@ def dephasing_pdm(gamma):
 
 def depolarizing_pdm(lam):
     return build_pdm(two_event_schedule(state_from_bloch([0, 0, 0]), make_channel("depolarizing", lam)))
+
+
+def unitary_invariance_loop(R, trials, seed):
+    """Reference: one eigensolve per trial of max |f_tr(U R U^dag) - f_tr(R)|."""
+    base = f_tr(R)
+    worst = 0.0
+    for k in range(trials):
+        U = haar_unitary(R.matrix.shape[0], np.random.default_rng(seed + k))
+        worst = max(worst, abs(float(_f_tr_matrix(U @ R.matrix @ U.conj().T)) - base))
+    return worst
+
+
+def local_monotonicity_loop(R, trials, seed):
+    """Reference: one eigensolve per trial of the largest rise of f_tr under a one-factor channel."""
+    base = f_tr(R)
+    worst = -np.inf
+    for k in range(trials):
+        rng = np.random.default_rng(seed + k)
+        ch = random_cptp(1, int(rng.integers(1, 5)), rng)
+        factor = int(rng.integers(0, R.event_count))
+        out = apply_channel_to_matrix(ch, R.matrix, [factor], R.event_count)
+        worst = max(worst, float(_f_tr_matrix(out)) - base)
+    return max(0.0, worst)
 
 
 class TestFtr:
@@ -164,6 +188,21 @@ class TestMonotoneAxioms:
     def test_local_monotonicity_randomized(self):
         rep = check_local_monotonicity(build_pdm(golden_schedule()), trials=200, seed=11)
         assert rep.passed and rep.max_deviation <= 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_stacked_checks_match_per_trial_loops(self, seed):
+        from pdmsim.verify import random_schedule
+
+        R_random = build_pdm(random_schedule(np.random.default_rng(seed), max_events=3))
+        for R in (build_pdm(golden_schedule()), R_random):
+            for check, reference in (
+                (check_unitary_invariance, unitary_invariance_loop),
+                (check_local_monotonicity, local_monotonicity_loop),
+            ):
+                rep = check(R, trials=40, seed=seed)
+                want = reference(R, trials=40, seed=seed)
+                assert rep.trials == 40 and rep.passed == (want <= 1e-9)
+                assert abs(rep.max_deviation - want) <= 1e-12
 
     def test_convexity_single_element(self):
         R = build_pdm(golden_schedule())

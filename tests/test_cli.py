@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,12 +272,31 @@ class TestVerify:
     def test_engine_oracle_suite_names_the_expectation_side(self, monkeypatch):
         import pdmsim.verify as verify
 
-        exact = verify.expectation
-        monkeypatch.setattr(verify, "expectation", lambda s, a: exact(s, a) + 1e-9)
+        exact = verify.expectations
+        monkeypatch.setattr(verify, "expectations", lambda s, a: exact(s, a) + 1e-9)
         res = verify.suite_engine_oracle(seed=0, trials=5)
         assert not res.passed
         assert res.detail.startswith("expectation: trial ")
         assert res.max_deviation == pytest.approx(1e-9, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "suite, batched",
+        [("suite_engine_oracle", "oracle_expectations"), ("suite_ancilla", "ancilla_expectations")],
+    )
+    def test_failing_detail_prints_plain_ints(self, monkeypatch, suite, batched):
+        import pdmsim.verify as verify
+
+        exact = getattr(verify, batched)
+
+        def skewed(s, a):
+            out = exact(s, a)
+            out[-1] += 1e-6
+            return out
+
+        monkeypatch.setattr(verify, batched, skewed)
+        res = getattr(verify, suite)(seed=0, trials=3)
+        assert not res.passed
+        assert re.search(r"assignment \(\d+(, \d+)*\)$", res.detail), res.detail
 
     def test_seed_variation(self, capsys):
         for seed in range(3):

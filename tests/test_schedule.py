@@ -12,13 +12,16 @@ from pdmsim import (
     Schedule,
     UsageError,
     ancilla_expectation,
+    ancilla_expectations,
     build_pdm,
     channel_at_time,
     compose,
     expectation,
     expectation_oracle,
+    expectations,
     identity_channel,
     make_channel,
+    oracle_expectations,
     pdm_expectation,
     reduce_pdm,
     state_from_bloch,
@@ -28,7 +31,7 @@ from pdmsim import (
 )
 from pdmsim.causality import haar_unitary, random_cptp
 from pdmsim.linalg import I2, PAULIS, X, embed_operator, kron
-from pdmsim.schedule import PDM_BYTE_BUDGET, _event_pauli, _event_projectors
+from pdmsim.schedule import PDM_BYTE_BUDGET, _event_paulis, _event_projectors
 from pdmsim.verify import GOLDEN_TWO_EVENT, golden_schedule, random_bloch, random_schedule
 
 from conftest import random_density
@@ -61,6 +64,42 @@ def oracle_branch_list(s, assignment):
                 (prod, sum(K @ M @ K.conj().T for K in ch.kraus_ops)) for prod, M in branches
             ]
     return float(sum(prod * np.trace(M).real for prod, M in branches))
+
+
+def expectation_loop(s, assignment):
+    """Reference engine: one running operator and one Kraus loop per gap for a single assignment."""
+    n = s.qubit_count
+    M = s.initial_state.matrix.copy()
+    for sl in range(s.slice_count):
+        for ev in s.events_in_slice(sl):
+            label = assignment[ev.id - 1]
+            if label == 0:
+                continue
+            A = embed_operator(PAULIS[label], [ev.qubit], n)
+            M = (A @ M + M @ A) / 2.0
+        if sl < s.slice_count - 1:
+            ch = s.inter_slice_channels[sl] or identity_channel(n)
+            M = sum(K @ M @ K.conj().T for K in ch.kraus_ops)
+    return float(np.trace(M).real)
+
+
+def ancilla_loop(s, assignment):
+    """Reference ancilla protocol for a single assignment of a two-event 1-qubit schedule."""
+    H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    basis_change = {1: H, 2: H @ np.diag([1, -1j]), 3: I2}
+    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    rho = np.kron(s.initial_state.matrix, np.diag([1.0, 0.0]))
+    for sl in range(2):
+        (ev,) = s.events_in_slice(sl)
+        label = assignment[ev.id - 1]
+        if label != 0:
+            U = np.kron(basis_change[label], I2)
+            block = U.conj().T @ cnot @ U
+            rho = block @ rho @ block.conj().T
+        if sl == 0:
+            ch = s.inter_slice_channels[0] or identity_channel(1)
+            rho = sum(np.kron(K, I2) @ rho @ np.kron(K, I2).conj().T for K in ch.kraus_ops)
+    return float(np.trace(np.kron(I2, PAULIS[3]) @ rho).real)
 
 
 class TestExpectation:
@@ -127,16 +166,19 @@ class TestExpectationOracle:
                     assert abs(expectation_oracle(s, a) - oracle_branch_list(s, a)) <= 1e-14
 
     def test_event_tables_are_read_only(self):
-        for label, qubit, n in ((1, 0, 1), (2, 1, 3), (3, 2, 3)):
-            A = _event_pauli(label, qubit, n)
-            P = _event_projectors(label, qubit, n)
-            assert _event_pauli(label, qubit, n) is A
-            assert np.array_equal(A, embed_operator(PAULIS[label], [qubit], n))
-            assert np.array_equal(P[0] - P[1], A)
+        for qubit, n in ((0, 1), (1, 3), (2, 3)):
+            A = _event_paulis(qubit, n)
+            P = _event_projectors(qubit, n)
+            assert _event_paulis(qubit, n) is A
+            for label in range(4):
+                assert np.array_equal(A[label], embed_operator(PAULIS[label], [qubit], n))
+                assert np.array_equal(P[label, 0] - P[label, 1], A[label])
+            # Label 0 splits into (I, 0): the -1 branch is exactly zero.
+            assert np.array_equal(P[0, 0], np.eye(2**n)) and not P[0, 1].any()
             with pytest.raises(ValueError):
-                A[0, 0] = 7.0
+                A[1, 0, 0] = 7.0
             with pytest.raises(ValueError):
-                P[0, 0, 0] = 7.0
+                P[1, 0, 0, 0] = 7.0
         # The 1-qubit table holds a copy, not the shared Pauli constant.
         assert PAULIS[1].flags.writeable
 
@@ -254,6 +296,64 @@ class TestBatchedEngine:
         assert peak <= 2**20
 
 
+class TestBatchedReferencePaths:
+    """The batched expectation, oracle and ancilla paths against per-assignment reference loops."""
+
+    def test_random_schedules_match_loops(self):
+        for k in range(60):
+            rng = np.random.default_rng(700 + k)
+            noisy = random_schedule(rng, max_events=5)
+            noiseless = Schedule(noisy.qubit_count, noisy.initial_state, noisy.events)
+            n = noisy.event_count
+            labels = rng.integers(0, 4, size=(7, n))
+            labels[0] = 0  # an all-identity row
+            labels[-1] = rng.integers(1, 4, size=n)  # a row that splits at every event
+            labels[1:-1, rng.integers(0, n)] = 0  # an event that is identity in every row but the last
+            for s in (noisy, noiseless):
+                for picks in (labels, labels[1:-1]):
+                    got_e = expectations(s, picks)
+                    got_o = oracle_expectations(s, picks)
+                    got_s = build_pdm(s).stored_expectations(picks)
+                    for p, a in enumerate(picks):
+                        assert abs(got_e[p] - expectation_loop(s, a)) <= 1e-14
+                        assert abs(got_o[p] - oracle_branch_list(s, a)) <= 1e-14
+                        assert abs(got_s[p] - expectation_loop(s, a)) <= 1e-12
+                    assert abs(got_e[0] - expectation(s, picks[0])) <= 1e-14
+
+    def test_one_event_schedules(self):
+        for k in range(10):
+            rng = np.random.default_rng(800 + k)
+            s = random_schedule(rng, max_events=1)
+            assert s.event_count == 1
+            picks = [(label,) for label in range(4)]
+            got_e, got_o = expectations(s, picks), oracle_expectations(s, picks)
+            for p, a in enumerate(picks):
+                assert abs(got_e[p] - expectation_loop(s, a)) <= 1e-14
+                assert abs(got_o[p] - oracle_branch_list(s, a)) <= 1e-14
+
+    def test_ancilla_matches_loop(self):
+        pairs = list(itertools.product(range(4), repeat=2))
+        for k in range(20):
+            rng = np.random.default_rng(900 + k)
+            s = two_event_schedule(
+                state_from_bloch(random_bloch(rng)), random_cptp(1, int(rng.integers(1, 5)), rng)
+            )
+            got = ancilla_expectations(s, pairs)
+            for p, a in enumerate(pairs):
+                assert abs(got[p] - ancilla_loop(s, a)) <= 1e-14
+
+    def test_branch_limit(self):
+        s = _layout(1, [[0]] * 13, np.random.default_rng(13))
+        with pytest.raises(UsageError, match="13 non-identity events exceeds the branch limit"):
+            expectation_oracle(s, (1,) * 13)
+        # 12 splitting events are within the limit.
+        a = (0,) + (3,) * 12
+        assert abs(expectation_oracle(s, a) - expectation(s, a)) <= 1e-12
+        # The limit counts the events that split in any row of a batch.
+        with pytest.raises(UsageError, match="13 non-identity events"):
+            oracle_expectations(s, [(0,) + (1,) * 12, (1,) + (0,) * 12])
+
+
 class TestPdmExpectation:
     def test_golden_z_first(self):
         R = build_pdm(golden_schedule())
@@ -351,6 +451,51 @@ class TestAssignmentLabels:
         ):
             with pytest.raises(UsageError):
                 read(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [(1, 1), (True, 0)],
+            [(1, True)],
+            [(1, 1), (2, 0.0)],
+            [(1, 1), (np.float64(2), 0)],
+            [(0, 0), (0, 4)],
+            [(0, 0), (-1, 0)],
+            [(1, 1), (1, 1, 1)],
+            [(1, 1), 3],
+            (1, 1),
+            [],
+            np.array([(1, 1), (1, 0)], dtype=bool),
+            np.array([(1.0, 1.0)]),
+            np.array([(1, 1), (1, 4)]),
+            np.array([(1, 1, 1)]),
+            np.array([1, 1]),
+            np.zeros((0, 2), dtype=int),
+        ],
+    )
+    def test_rejects_bad_batch(self, bad):
+        s = golden_schedule()
+        R = build_pdm(s)
+        for read in (
+            lambda a: expectations(s, a),
+            lambda a: oracle_expectations(s, a),
+            lambda a: ancilla_expectations(s, a),
+            R.stored_expectations,
+        ):
+            with pytest.raises(UsageError):
+                read(bad)
+
+    def test_batch_forms_agree(self):
+        s = _layout(2, [[0, 1], [1]], np.random.default_rng(5))
+        picks = [(1, 2, 3), (0, 0, 0), (3, 0, 1)]
+        want = [expectation(s, a) for a in picks]
+        for form in (
+            picks,
+            [tuple(np.int32(x) for x in a) for a in picks],
+            np.array(picks, dtype=np.uint8),
+            np.array(picks),
+        ):
+            assert np.max(np.abs(expectations(s, form) - want)) <= 1e-14
 
     def test_accepts_numpy_integers(self):
         s = golden_schedule()
