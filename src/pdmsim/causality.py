@@ -90,34 +90,60 @@ class CheckReport:
     max_deviation: float
 
 
+#: Bytes of trial matrices a stacked axiom check holds at once. A chunk has
+#: at least one trial, so a large PDM is checked one trial at a time.
+CHECK_STACK_BYTES = 2**20
+
+
+def _trial_chunks(trials: int, dim: int):
+    """Consecutive ranges of trials whose (dim, dim) complex matrices fit in CHECK_STACK_BYTES."""
+    size = max(1, CHECK_STACK_BYTES // (16 * dim * dim))
+    return (range(lo, min(lo + size, trials)) for lo in range(0, trials, size))
+
+
 def check_unitary_invariance(
     R: PseudoDensityMatrix, trials: int = 100, seed: int = 0
 ) -> CheckReport:
-    """f_tr(U R U^dag) must equal f_tr(R) for Haar-random unitaries U."""
+    """f_tr(U R U^dag) must equal f_tr(R) for Haar-random unitaries U.
+
+    Trials are stacked in chunks of at most CHECK_STACK_BYTES, one eigenvalue
+    solve per chunk.
+    """
     if trials < 1:
         raise UsageError("trials must be >= 1")
     base = f_tr(R)
     dim = R.matrix.shape[0]
-    Us = np.stack([haar_unitary(dim, np.random.default_rng(seed + k)) for k in range(trials)])
-    worst = float(np.max(np.abs(_f_tr_matrix(Us @ R.matrix @ dagger(Us)) - base)))
+    worst = -np.inf
+    for ks in _trial_chunks(trials, dim):
+        Us = np.stack([haar_unitary(dim, np.random.default_rng(seed + k)) for k in ks])
+        # np.maximum keeps a NaN, so it fails the check.
+        worst = np.maximum(worst, np.max(np.abs(_f_tr_matrix(Us @ R.matrix @ dagger(Us)) - base)))
+    worst = float(worst)
     return CheckReport(worst <= CHECK_ATOL, trials, worst)
 
 
 def check_local_monotonicity(
     R: PseudoDensityMatrix, trials: int = 100, seed: int = 0
 ) -> CheckReport:
-    """f_tr must not increase under a CPTP channel on a single event factor."""
+    """f_tr must not increase under a CPTP channel on a single event factor.
+
+    Trials are stacked in chunks of at most CHECK_STACK_BYTES, one eigenvalue
+    solve per chunk.
+    """
     if trials < 1:
         raise UsageError("trials must be >= 1")
     base = f_tr(R)
     n = R.event_count
-    outs = []
-    for k in range(trials):
-        rng = np.random.default_rng(seed + k)
-        ch = random_cptp(1, int(rng.integers(1, 5)), rng)
-        factor = int(rng.integers(0, n))
-        outs.append(apply_channel_to_matrix(ch, R.matrix, [factor], n))
-    worst = float(np.max(_f_tr_matrix(np.stack(outs)) - base))
+    worst = -np.inf
+    for ks in _trial_chunks(trials, R.matrix.shape[0]):
+        outs = []
+        for k in ks:
+            rng = np.random.default_rng(seed + k)
+            ch = random_cptp(1, int(rng.integers(1, 5)), rng)
+            factor = int(rng.integers(0, n))
+            outs.append(apply_channel_to_matrix(ch, R.matrix, [factor], n))
+        worst = np.maximum(worst, np.max(_f_tr_matrix(np.stack(outs)) - base))
+    worst = float(worst)
     return CheckReport(worst <= CHECK_ATOL, trials, max(0.0, worst))
 
 

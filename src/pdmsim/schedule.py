@@ -42,6 +42,9 @@ from .linalg import (
 #: chain would need 32 MiB, ~0.2 s to build and 1-1.5 s to eigensolve.
 PDM_BYTE_BUDGET = 8 * 2**20
 MAX_ORACLE_BRANCH_EVENTS = 12
+#: Bytes of Lueders branches ``oracle_expectations`` holds for one chunk of
+#: rows; a chunk has at least one row.
+ORACLE_STACK_BYTES = 2**16
 #: Multiply-adds of the largest complex matrix product `_apply_gap` issues.
 #: OpenBLAS runs a product up to this size on the calling thread; a larger
 #: one wakes its worker threads, which on a busy 2-vCPU host took 5-15 ms
@@ -111,39 +114,28 @@ def _event_projectors(qubit: int, qubit_count: int) -> np.ndarray:
 def _pauli_labels(assignments, event_count: int) -> np.ndarray:
     """Validate a batch of Pauli assignments, each one integer label 0..3 per event.
 
-    Returns the labels as a (P, event_count) integer array. A 2-D integer
-    array, such as one this function returned, needs only its shape and range
-    checked; any other input is checked element by element before it is
-    converted, so a bool or float label is rejected, never cast.
+    Returns the labels as a (P, event_count) integer array. Every label is
+    checked before the batch is converted, so a bool or float label is
+    rejected, never cast.
     """
-    if isinstance(assignments, np.ndarray) and assignments.dtype.kind in "iu":
-        labels = assignments
-        if labels.ndim != 2 or labels.shape[1] != event_count:
-            raise UsageError(f"assignments of shape {labels.shape} do not match {event_count} events")
-        bad = ((labels < 0) | (labels > 3)).any(axis=1)
-        if bad.any():
-            row = tuple(int(x) for x in labels[np.argmax(bad)])
-            raise UsageError(f"assignment labels must be 0..3, got {row}")
-    else:
-        rows = []
-        for a in assignments:
-            try:
-                a = tuple(a)
-            except TypeError:
-                raise UsageError(f"an assignment must be a sequence of labels, got {a!r}") from None
-            if len(a) != event_count:
-                raise UsageError(f"assignment length {len(a)} does not match {event_count} events")
-            for x in a:
-                if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
-                    raise UsageError(f"assignment labels must be integers 0..3, got {x!r}")
-            a = tuple(int(x) for x in a)
-            if not all(0 <= x <= 3 for x in a):
-                raise UsageError(f"assignment labels must be 0..3, got {a}")
-            rows.append(a)
-        labels = np.array(rows, dtype=np.intp).reshape(len(rows), event_count)
-    if len(labels) == 0:
+    rows = []
+    for a in assignments:
+        try:
+            a = tuple(a)
+        except TypeError:
+            raise UsageError(f"an assignment must be a sequence of labels, got {a!r}") from None
+        if len(a) != event_count:
+            raise UsageError(f"assignment length {len(a)} does not match {event_count} events")
+        for x in a:
+            if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+                raise UsageError(f"assignment labels must be integers 0..3, got {x!r}")
+        a = tuple(int(x) for x in a)
+        if not all(0 <= x <= 3 for x in a):
+            raise UsageError(f"assignment labels must be 0..3, got {a}")
+        rows.append(a)
+    if not rows:
         raise UsageError("need at least one assignment")
-    return labels.astype(np.intp, copy=False)
+    return np.array(rows, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -309,17 +301,28 @@ def oracle_expectations(s: Schedule, assignments) -> np.ndarray:
     Every non-identity event splits the evolution into its two projective
     outcomes (Lueders rule, unnormalized so the trace carries the branch
     probability); the result is the probability-weighted sum of outcome
-    products over all branches. The branches of all assignments are held as
-    one (P, 2^k, D, D) stack, k the number of events that are non-identity in
-    any row, with their outcome products as a (P, 2^k) sign array; branch
-    2b + o is branch b followed by outcome o (0: +1, 1: -1). A row whose
-    label is 0 at a splitting event takes the pair (I, 0), so its -1 branch
-    is zero and adds nothing.
+    products over all branches. The rows run in chunks whose branches fit in
+    ORACLE_STACK_BYTES; see ``_oracle_chunk``. ``MAX_ORACLE_BRANCH_EVENTS``
+    bounds the events that are non-identity in any row.
     """
     labels = _pauli_labels(assignments, s.event_count)
     k = int(np.count_nonzero(labels.any(axis=0)))
     if k > MAX_ORACLE_BRANCH_EVENTS:
         raise UsageError(f"{k} non-identity events exceeds the branch limit")
+    rows = max(1, ORACLE_STACK_BYTES // (16 * 2**k * 4**s.qubit_count))
+    chunks = [_oracle_chunk(s, labels[i : i + rows]) for i in range(0, len(labels), rows)]
+    return np.concatenate(chunks)
+
+
+def _oracle_chunk(s: Schedule, labels: np.ndarray) -> np.ndarray:
+    """Branch enumeration for a (P, events) label array, shape (P,).
+
+    The branches of all rows are held as one (P, 2^k, D, D) stack, k the
+    number of events that are non-identity in any row, with their outcome
+    products as a (P, 2^k) sign array; branch 2b + o is branch b followed by
+    outcome o (0: +1, 1: -1). A row whose label is 0 at a splitting event
+    takes the pair (I, 0), so its -1 branch is zero and adds nothing.
+    """
     n = s.qubit_count
     D = 2**n
     P = len(labels)

@@ -89,6 +89,17 @@ def _plain(labels) -> tuple:
     return tuple(int(x) for x in labels)
 
 
+def _deviations(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """|got - want|, with a non-finite value on either side counted as an infinite deviation.
+
+    A NaN would lose every comparison against the running worst and hide
+    the other deviations of its trial; as inf it is the worst and fails.
+    """
+    devs = np.abs(got - want)
+    devs[~np.isfinite(devs)] = np.inf
+    return devs
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
@@ -123,7 +134,7 @@ def suite_engine_oracle(seed: int = 0, trials: int = 200, assignments_per: int =
         R = build_pdm(s)
         want = oracle_expectations(s, labels)
         got = np.stack([expectations(s, labels), R.stored_expectations(labels)], axis=1)
-        devs = np.abs(got - want[:, None])
+        devs = _deviations(got, want[:, None])
         # Row-major over (pick, side): the first maximum is the one a per-pick loop would keep.
         pick, side = divmod(int(np.argmax(devs)), 2)
         if devs[pick, side] > worst:
@@ -140,7 +151,7 @@ def suite_ancilla(seed: int = 0, trials: int = 50) -> SuiteResult:
         s = two_event_schedule(
             state_from_bloch(random_bloch(rng)), random_cptp(1, int(rng.integers(1, 5)), rng)
         )
-        devs = np.abs(ancilla_expectations(s, _ALL_PAIRS) - expectations(s, _ALL_PAIRS))
+        devs = _deviations(ancilla_expectations(s, _ALL_PAIRS), expectations(s, _ALL_PAIRS))
         i = int(np.argmax(devs))
         if devs[i] > worst:
             worst, detail = float(devs[i]), f"trial {k} assignment {_plain(_ALL_PAIRS[i])}"

@@ -21,6 +21,7 @@ from pdmsim import (
     two_event_schedule,
     unitary_channel,
 )
+import pdmsim.causality as causality
 from pdmsim.causality import _f_tr_matrix, haar_unitary, random_cptp
 from pdmsim.channels import apply_channel_to_matrix
 from pdmsim.linalg import PSD_ATOL
@@ -189,10 +190,14 @@ class TestMonotoneAxioms:
         rep = check_local_monotonicity(build_pdm(golden_schedule()), trials=200, seed=11)
         assert rep.passed and rep.max_deviation <= 1e-9
 
+    @pytest.mark.parametrize("stack_bytes", [None, 3 * 16 * 4 * 4])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_stacked_checks_match_per_trial_loops(self, seed):
+    def test_stacked_checks_match_per_trial_loops(self, seed, stack_bytes, monkeypatch):
         from pdmsim.verify import random_schedule
 
+        if stack_bytes is not None:
+            # Chunks of 3 trials of a 4x4 PDM (40 = 13 * 3 + 1), one trial of a larger one.
+            monkeypatch.setattr(causality, "CHECK_STACK_BYTES", stack_bytes)
         R_random = build_pdm(random_schedule(np.random.default_rng(seed), max_events=3))
         for R in (build_pdm(golden_schedule()), R_random):
             for check, reference in (
@@ -203,6 +208,31 @@ class TestMonotoneAxioms:
                 want = reference(R, trials=40, seed=seed)
                 assert rep.trials == 40 and rep.passed == (want <= 1e-9)
                 assert abs(rep.max_deviation - want) <= 1e-12
+
+    @pytest.mark.parametrize("stack_bytes", [None, 3 * 16 * 4 * 4])
+    def test_checks_see_the_first_and_last_trial(self, stack_bytes, monkeypatch):
+        # One trial's matrix is doubled, which raises its f_tr; the report must show it.
+        if stack_bytes is not None:
+            monkeypatch.setattr(causality, "CHECK_STACK_BYTES", stack_bytes)
+        R = build_pdm(golden_schedule())
+        for name, check in (
+            ("haar_unitary", check_unitary_invariance),
+            ("apply_channel_to_matrix", check_local_monotonicity),
+        ):
+            real = getattr(causality, name)
+            for distorted in (0, 39):
+                calls = []
+
+                def doubled(*args, real=real, calls=calls, distorted=distorted):
+                    calls.append(1)
+                    out = real(*args)
+                    return 2 * out if len(calls) - 1 == distorted else out
+
+                with monkeypatch.context() as m:
+                    m.setattr(causality, name, doubled)
+                    rep = check(R, trials=40, seed=3)
+                assert len(calls) == 40
+                assert not rep.passed and rep.max_deviation > 0.01
 
     def test_convexity_single_element(self):
         R = build_pdm(golden_schedule())

@@ -298,6 +298,31 @@ class TestVerify:
         assert not res.passed
         assert re.search(r"assignment \(\d+(, \d+)*\)$", res.detail), res.detail
 
+    @pytest.mark.parametrize(
+        "suite, batched",
+        [("suite_engine_oracle", "oracle_expectations"), ("suite_ancilla", "ancilla_expectations")],
+    )
+    def test_nan_on_one_pick_fails_the_suite(self, monkeypatch, suite, batched):
+        import pdmsim.verify as verify
+
+        exact = getattr(verify, batched)
+        calls = []
+
+        def nan_then_skew(s, a):
+            # Only the first trial: a NaN at its first pick and a real deviation at its last.
+            out = exact(s, a)
+            if not calls:
+                out[0] = np.nan
+                out[-1] += 1e-3
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr(verify, batched, nan_then_skew)
+        res = getattr(verify, suite)(seed=0, trials=3)
+        assert not res.passed
+        assert res.max_deviation == np.inf
+        assert "trial 0 assignment " in res.detail
+
     def test_seed_variation(self, capsys):
         for seed in range(3):
             assert main(["verify", "--seed", str(seed), "--trials", "3"]) == 0

@@ -29,6 +29,7 @@ from pdmsim import (
     two_event_schedule,
     unitary_channel,
 )
+import pdmsim.schedule as schedule
 from pdmsim.causality import haar_unitary, random_cptp
 from pdmsim.linalg import I2, PAULIS, X, embed_operator, kron
 from pdmsim.schedule import PDM_BYTE_BUDGET, _event_paulis, _event_projectors
@@ -319,6 +320,34 @@ class TestBatchedReferencePaths:
                         assert abs(got_o[p] - oracle_branch_list(s, a)) <= 1e-14
                         assert abs(got_s[p] - expectation_loop(s, a)) <= 1e-12
                     assert abs(got_e[0] - expectation(s, picks[0])) <= 1e-14
+
+    @pytest.mark.parametrize("stack_bytes", [1, 3 * 16 * 2**4 * 4**3])
+    def test_oracle_chunks_match_one_stack(self, stack_bytes, monkeypatch):
+        # One row per chunk, and chunks of 3 rows for 3 qubits with 4 splitting events.
+        for k in range(20):
+            rng = np.random.default_rng(750 + k)
+            s = random_schedule(rng, max_events=5)
+            labels = rng.integers(0, 4, size=(8, s.event_count))
+            want = oracle_expectations(s, labels)
+            with monkeypatch.context() as m:
+                m.setattr(schedule, "ORACLE_STACK_BYTES", stack_bytes)
+                got = oracle_expectations(s, labels)
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_oracle_peak_allocation(self):
+        # Nine rows of 3 qubits with 4 splitting events end with 16 branches of
+        # 8 x 8 each, 16 KiB a row: in one stack the call peaked at ~380 KiB,
+        # in chunks of 64 KiB at ~170 KiB.
+        s = _layout(3, [[0], [1], [2], [0]], np.random.default_rng(3))
+        labels = np.random.default_rng(1).integers(1, 4, size=(9, 4))
+        oracle_expectations(s, labels)
+        tracemalloc.start()
+        try:
+            oracle_expectations(s, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**18
 
     def test_one_event_schedules(self):
         for k in range(10):
