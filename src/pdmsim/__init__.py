@@ -27,9 +27,11 @@ from .channels import (
     channel_at_time,
     choi_matrices,
     choi_matrix,
+    choi_stack,
     compose,
     identity_channel,
     make_channel,
+    noise_kraus,
     state_from_bloch,
     tp_residual,
     unitary_channel,
@@ -58,6 +60,7 @@ from .schedule import (
     oracle_expectations,
     pdm_expectation,
     reduce_pdm,
+    two_event_pdm_from_choi,
     two_event_pdm_stack,
     two_event_schedule,
 )

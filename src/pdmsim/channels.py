@@ -52,8 +52,12 @@ def state_from_bloch(r) -> DensityState:
         raise UsageError(f"Bloch vector components must be finite, got {r.tolist()}")
     if np.linalg.norm(r) > 1 + 1e-12:
         raise UsageError(f"Bloch vector norm {np.linalg.norm(r):.6f} exceeds 1")
-    M = (I2 + r[0] * X + r[1] * Y + r[2] * Z) / 2.0
-    return DensityState(M, 1)
+    return DensityState(bloch_matrix(r), 1)
+
+
+def bloch_matrix(r) -> np.ndarray:
+    """The matrix (I + r.x X + r.y Y + r.z Z)/2, unvalidated; ``state_from_bloch`` checks r."""
+    return (I2 + r[0] * X + r[1] * Y + r[2] * Z) / 2.0
 
 
 @dataclass(frozen=True)
@@ -82,16 +86,57 @@ def identity_channel(qubit_count: int = 1) -> KrausChannel:
     return KrausChannel((np.eye(2**qubit_count, dtype=complex),), qubit_count)
 
 
-def unitary_channel(U: np.ndarray) -> KrausChannel:
-    U = np.asarray(U, dtype=complex)
+def _require_unitary(U: np.ndarray) -> None:
     if np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) > TP_ATOL:
         raise UsageError("matrix is not unitary")
-    n = int(round(math.log2(U.shape[0])))
-    return KrausChannel((U,), n)
+
+
+def _qubits(d: int) -> int:
+    return int(round(math.log2(d)))
+
+
+def unitary_channel(U: np.ndarray) -> KrausChannel:
+    U = np.asarray(U, dtype=complex)
+    _require_unitary(U)
+    return KrausChannel((U,), _qubits(U.shape[0]))
+
+
+_DEPHASING_BASIS = np.stack([I2, Z])
+_DEPOLARIZING_BASIS = np.stack([I2, X, Y, Z])
+
+
+def _dephasing_kraus(g: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Dephasing at strengths g with Kraus basis (I, axis), as a (T, 2, 2, 2) array."""
+    w = np.empty((len(g), 2))
+    w[:, 0] = (1 + g) / 2
+    w[:, 1] = (1 - g) / 2
+    return np.sqrt(w)[..., None, None] * basis
+
+
+def _family_kraus(kind: str, s: np.ndarray) -> np.ndarray:
+    """Kraus operators of a single-qubit noise family at the strengths s, shape (T, K, 2, 2).
+
+    The one place each family's formula is written; ``make_channel`` and
+    ``noise_kraus`` both call it.
+    """
+    if kind == "dephasing":
+        return _dephasing_kraus(s, _DEPHASING_BASIS)
+    if kind == "depolarizing":
+        w = np.empty((len(s), 4))
+        w[:, 0] = (1 + 3 * s) / 4
+        w[:, 1:] = ((1 - s) / 4)[:, None]
+        return np.sqrt(w)[..., None, None] * _DEPOLARIZING_BASIS
+    if kind == "amplitude_damping":
+        ks = np.zeros((len(s), 2, 2, 2), dtype=complex)
+        ks[:, 0, 0, 0] = 1.0
+        ks[:, 0, 1, 1] = np.sqrt(1 - s)
+        ks[:, 1, 0, 1] = np.sqrt(s)
+        return ks
+    raise UsageError(f"unknown channel kind {kind!r}")
 
 
 def make_channel(kind: str, param: float) -> KrausChannel:
-    """Standard single-qubit noise channels.
+    """Standard single-qubit noise channels: ``noise_kraus``'s family formulas at one strength.
 
     dephasing(gamma): off-diagonals survive with factor gamma.
     depolarizing(lam): the Bloch vector shrinks by lam.
@@ -99,34 +144,15 @@ def make_channel(kind: str, param: float) -> KrausChannel:
     """
     if not (0.0 <= param <= 1.0):
         raise UsageError(f"{kind} parameter must be in [0, 1], got {param}")
-    if kind == "dephasing":
-        g = param
-        ops = (math.sqrt((1 + g) / 2) * I2, math.sqrt((1 - g) / 2) * Z)
-    elif kind == "depolarizing":
-        lam = param
-        ops = (
-            math.sqrt((1 + 3 * lam) / 4) * I2,
-            math.sqrt((1 - lam) / 4) * X,
-            math.sqrt((1 - lam) / 4) * Y,
-            math.sqrt((1 - lam) / 4) * Z,
-        )
-    elif kind == "amplitude_damping":
-        p = param
-        ops = (
-            np.array([[1, 0], [0, math.sqrt(1 - p)]], dtype=complex),
-            np.array([[0, math.sqrt(p)], [0, 0]], dtype=complex),
-        )
-    else:
-        raise UsageError(f"unknown channel kind {kind!r}")
-    return KrausChannel(ops, 1)
+    return KrausChannel(tuple(_family_kraus(kind, np.array([param], dtype=float))[0]), 1)
 
 
 def dephasing_about_axis(axis: np.ndarray, g: float) -> KrausChannel:
     """Dephasing that preserves the given Pauli axis and shrinks the other two by g."""
     if not (0.0 <= g <= 1.0):
         raise UsageError(f"dephasing parameter must be in [0, 1], got {g}")
-    A = np.asarray(axis, dtype=complex)
-    return KrausChannel((math.sqrt((1 + g) / 2) * I2, math.sqrt((1 - g) / 2) * A), 1)
+    basis = np.stack([I2, np.asarray(axis, dtype=complex)])
+    return KrausChannel(tuple(_dephasing_kraus(np.array([g], dtype=float), basis)[0]), 1)
 
 
 def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
@@ -164,12 +190,21 @@ def apply_channel(ch: KrausChannel, rho: DensityState, targets=None) -> DensityS
     return DensityState((M + M.conj().T) / 2.0, rho.qubit_count)
 
 
-def choi_matrices(channels) -> np.ndarray:
-    """Unnormalized Choi matrices sum_ij |i><j| (x) E(|i><j|) as a (T, d^2, d^2) stack.
+def choi_stack(ks: np.ndarray) -> np.ndarray:
+    """Unnormalized Choi matrices sum_ij |i><j| (x) E(|i><j|) of a (T, K, d, d) Kraus array.
 
-    Entry ((i, a), (j, b)) is sum_k K_k[a, i] conj(K_k[b, j]): one contraction
-    over the Kraus operators of all the channels, summed per channel. The
-    channels must share one dimension; their Kraus counts may differ.
+    Entry ((i, a), (j, b)) of row t is sum_k K_tk[a, i] conj(K_tk[b, j]): one
+    contraction over the whole array, shape (T, d^2, d^2). All-zero Kraus
+    operators add nothing, so rows with fewer operators may be padded with them.
+    """
+    T, _, d, _ = ks.shape
+    return np.einsum("tkai,tkbj->tiajb", ks, ks.conj()).reshape(T, d * d, d * d)
+
+
+def choi_matrices(channels) -> np.ndarray:
+    """Choi matrices of channels of one dimension as a (T, d^2, d^2) stack; see ``choi_stack``.
+
+    The channels' Kraus operators are zero-padded to the largest Kraus count.
     """
     chans = list(channels)
     if not chans:
@@ -177,10 +212,10 @@ def choi_matrices(channels) -> np.ndarray:
     d = chans[0].dim
     if any(ch.dim != d for ch in chans):
         raise UsageError("choi_matrices needs channels of one dimension")
-    ks = np.array([K for ch in chans for K in ch.kraus_ops])
-    starts = np.cumsum([0] + [len(ch.kraus_ops) for ch in chans[:-1]])
-    terms = np.einsum("kai,kbj->kiajb", ks, ks.conj())
-    return np.add.reduceat(terms, starts, axis=0).reshape(len(chans), d * d, d * d)
+    ks = np.zeros((len(chans), max(len(ch.kraus_ops) for ch in chans), d, d), dtype=complex)
+    for row, ch in zip(ks, chans):
+        row[: len(ch.kraus_ops)] = ch.kraus_ops
+    return choi_stack(ks)
 
 
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
@@ -242,27 +277,62 @@ class NoiseModel:
             raise UsageError(f"unknown noise model kind {self.kind!r}")
 
 
-def channel_at_time(model: NoiseModel, t: float) -> KrausChannel:
-    """Snapshot the noise model at waiting time t (seconds).
+def noise_kraus(model: NoiseModel, ts) -> np.ndarray:
+    """Kraus operators of the noise model at every waiting time in ts, as one (T, K, d, d) array.
 
-    dephasing: gamma(t) = exp(-t/tau); depolarizing: lam(t) = exp(-t/tau);
-    amplitude_damping: p(t) = 1 - exp(-t/tau). t = 0 is always the identity.
+    Row k is the channel after waiting ts[k] seconds:
+
+    - dephasing: gamma(t) = exp(-t/tau)
+    - depolarizing: lam(t) = exp(-t/tau)
+    - amplitude_damping: p(t) = 1 - exp(-t/tau)
+    - unitary: the fixed unitary, and the identity at t = 0
+    - composite: the members at the same time, applied left to right, as
+      the pairwise products of their Kraus operators in ``compose``'s order
+
+    t = 0 is always the identity channel. A negative (or NaN) time is a
+    ``UsageError``.
     """
-    if t < 0:
-        raise UsageError(f"time must be nonnegative, got {t}")
-    if model.kind == "dephasing":
-        return make_channel("dephasing", math.exp(-t / model.tau))
-    if model.kind == "depolarizing":
-        return make_channel("depolarizing", math.exp(-t / model.tau))
-    if model.kind == "amplitude_damping":
-        return make_channel("amplitude_damping", 1.0 - math.exp(-t / model.tau))
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    bad = ts[~(ts >= 0)]
+    if bad.size:
+        raise UsageError(f"time must be nonnegative, got {bad[0]}")
+    return _kraus_at(model, ts)
+
+
+def _kraus_at(model: NoiseModel, ts: np.ndarray) -> np.ndarray:
     if model.kind == "unitary":
         U = np.asarray(model.unitary, dtype=complex)
-        if t == 0:
-            return identity_channel(int(round(math.log2(U.shape[0]))))
-        return unitary_channel(U)
-    # composite: left-to-right composition of the members at the same time
-    ch = channel_at_time(model.members[0], t)
-    for m in model.members[1:]:
-        ch = compose(ch, channel_at_time(m, t))
-    return ch
+        _require_unitary(U)
+        return np.where((ts == 0)[:, None, None, None], np.eye(len(U)), U)
+    if model.kind == "composite":
+        ks = _kraus_at(model.members[0], ts)
+        for m in model.members[1:]:
+            ks = _kraus_products(_kraus_at(m, ts), ks)
+        return ks
+    # libm's exp per time, not numpy's: the two differ in the last bit on a few
+    # percent of inputs, and one-time channels in schedule files go through
+    # here, so ``pdm build`` prints the same digits as with ``math.exp``.
+    decay = np.array([math.exp(-t / model.tau) for t in ts.tolist()])
+    return _family_kraus(model.kind, 1.0 - decay if model.kind == "amplitude_damping" else decay)
+
+
+def _kraus_products(then: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """then[t, b] @ first[t, a] at index b * K_a + a, ``compose``'s order, for (T, K, d, d) arrays.
+
+    Written as d broadcast outer products: numpy's batched matmul and einsum
+    both take ~5x longer on stacks of 2x2 matrices.
+    """
+    d = first.shape[-1]
+    if then.shape[-1] != d:
+        raise UsageError("cannot compose channels of different dimension")
+    B, A = then[:, :, None], first[:, None]
+    out = B[..., :, :1] * A[..., :1, :]
+    for j in range(1, d):
+        out += B[..., :, j : j + 1] * A[..., j : j + 1, :]
+    return out.reshape(len(first), -1, d, d)
+
+
+def channel_at_time(model: NoiseModel, t: float) -> KrausChannel:
+    """Snapshot the noise model at waiting time t (seconds): ``noise_kraus`` at one time."""
+    ops = noise_kraus(model, [t])[0]
+    return KrausChannel(tuple(ops), _qubits(ops.shape[-1]))

@@ -231,23 +231,37 @@ def two_event_schedule(initial: DensityState, channel: KrausChannel | None) -> S
 def two_event_pdm_stack(initial: DensityState, channels) -> np.ndarray:
     """PDMs of the two-event schedules ``(initial, channels[k])`` as one (T, 4, 4) stack.
 
-    Closed form (Horsman et al. 2017; Fullwood & Parzygnat 2022): the PDM of
-    two consecutive measurement events on one qubit with gap channel E is the
-    Jordan product R = {rho (x) I, J(E)}/2, where J(E) = sum_ij |i><j| (x) E(|j><i|)
-    is the Choi matrix partially transposed on its first factor. Row k equals
-    ``build_pdm(two_event_schedule(initial, channels[k])).matrix``; a None
-    channel is the identity. Channels may differ in Kraus count.
+    Row k equals ``build_pdm(two_event_schedule(initial, channels[k])).matrix``;
+    a None channel is the identity. Channels may differ in Kraus count. The
+    channels' Choi stack (``choi_matrices``) goes through
+    ``two_event_pdm_from_choi``, the closed form that sweeps also use.
     """
-    if initial.qubit_count != 1:
-        raise UsageError("the two-event closed form needs a 1-qubit initial state")
     chans = [identity_channel(1) if ch is None else ch for ch in channels]
     if not chans:
         raise UsageError("the two-event closed form needs at least one channel")
     for k, ch in enumerate(chans):
         if ch.acts_on != 1:
             raise UsageError(f"gap channel {k} acts on {ch.acts_on} qubits, not 1")
+    return two_event_pdm_from_choi(initial, choi_matrices(chans))
+
+
+def two_event_pdm_from_choi(initial: DensityState, choi: np.ndarray) -> np.ndarray:
+    """Two-event PDMs from a (T, 4, 4) stack of unnormalized single-qubit Choi matrices.
+
+    Closed form (Horsman et al. 2017; Fullwood & Parzygnat 2022): the PDM of
+    two consecutive measurement events on one qubit with gap channel E is the
+    Jordan product R = {rho (x) I, J(E)}/2, where J(E) = sum_ij |i><j| (x) E(|j><i|)
+    is the Choi matrix partially transposed on its first factor. A channel
+    that is not trace preserving is a ``UsageError``; the stack is checked to
+    be Hermitian with unit trace.
+    """
+    if initial.qubit_count != 1:
+        raise UsageError("the two-event closed form needs a 1-qubit initial state")
+    if choi.shape[1:] != (4, 4):
+        n = int(round(math.log2(choi.shape[-1]))) // 2
+        raise UsageError(f"gap channel acts on {n} qubits, not 1")
     # C[k, i, a, j, b] is Choi entry ((i, a), (j, b)) of channel k.
-    C = choi_matrices(chans).reshape(-1, 2, 2, 2, 2)
+    C = choi.reshape(-1, 2, 2, 2, 2)
     # Tracing out the output factor gives conj(sum K^dag K), the identity iff TP.
     tp = np.max(np.abs(np.einsum("kiaja->kij", C) - I2), axis=(1, 2))
     k = int(np.argmax(tp))

@@ -8,13 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causality import CAUSAL, SPACELIKE, spectrum_verdict
-from .channels import NoiseModel, channel_at_time, state_from_bloch
+from .channels import NoiseModel, choi_stack, noise_kraus, state_from_bloch
 from .errors import UsageError
 from .linalg import PSD_ATOL, hermitian_eig
-from .schedule import two_event_pdm_stack
+from .schedule import two_event_pdm_from_choi
 from .serialize import _bloch, _number, _reject_unknown, _require, noise_model_from_dict
 
 CSV_HEADER = "t,lambda1,lambda2,lambda3,lambda4,f_tr,classification"
+#: Interior points evaluated per refinement round of ``find_transition``.
+_REFINE_POINTS = 63
 _SWEEP_KEYS = ("initial_state", "noise", "t_min", "t_max", "points", "grid", "csv", "svg")
 
 
@@ -86,11 +88,20 @@ def time_grid(cfg: SweepConfig) -> np.ndarray:
     return np.linspace(cfg.t_min, cfg.t_max, cfg.points)
 
 
+def pdm_stack(cfg: SweepConfig, ts) -> np.ndarray:
+    """Closed-form two-event PDMs at the waiting times ts, as one (T, 4, 4) stack.
+
+    The noise model is evaluated at all times by one ``noise_kraus`` call,
+    and its Choi stack comes from one contraction; no channel object is
+    made per time.
+    """
+    choi = choi_stack(noise_kraus(cfg.noise, ts))
+    return two_event_pdm_from_choi(state_from_bloch(cfg.bloch), choi)
+
+
 def _spectra(cfg: SweepConfig, ts) -> np.ndarray:
     """Ascending PDM eigenvalues at each waiting time: one stack, one eigensolve."""
-    channels = [channel_at_time(cfg.noise, float(t)) for t in ts]
-    R = two_event_pdm_stack(state_from_bloch(cfg.bloch), channels)
-    return hermitian_eig(R, vectors=False)[0]
+    return hermitian_eig(pdm_stack(cfg, ts), vectors=False)[0]
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
@@ -103,16 +114,28 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     ]
 
 
+def _first_crossing(vals: np.ndarray) -> int | None:
+    """Index i of the first pair (vals[i], vals[i + 1]) with a sign change or vals[i] == 0."""
+    signs = np.sign(vals)
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (signs[:-1] != signs[1:]))
+    return int(hits[0]) if hits.size else None
+
+
 def find_transition(cfg: SweepConfig, scan_points: int = 256) -> float | None:
     """First waiting time where the minimum PDM eigenvalue crosses the causal threshold.
 
     Evaluates h(t) = lambda_min(t) + PSD_ATOL, negative exactly where the
     PDM is causal, on ``scan_points`` equally spaced times in [t_min, t_max]
-    as one batched stack. The *first* adjacent pair of scan points across
-    which h changes sign (or where h is exactly 0) is bisected with
-    one-point stacks to 1e-9 * (t_max - t_min); later crossings are not
-    reported. Returns None when the scan shows no sign change, so a pair of
-    crossings closer together than the scan step can be missed.
+    as one batched stack, and takes the *first* adjacent pair of scan points
+    across which h changes sign (or where h is exactly 0). That bracket is
+    refined in rounds: each evaluates 63 equally spaced interior points as
+    one stack, reuses the endpoint values, and keeps the first subinterval
+    with a sign change or an exact zero, until the bracket is at most
+    1e-9 * (t_max - t_min) wide (about 4 rounds) or can no longer shrink in
+    floating point. Returns the bracket's midpoint, or its left end when h
+    is exactly 0 there. Later crossings are not reported. Returns None when
+    the scan shows no sign change, so a pair of crossings closer together
+    than the scan step can be missed.
     """
     if scan_points < 2:
         raise UsageError("scan_points must be >= 2")
@@ -122,23 +145,18 @@ def find_transition(cfg: SweepConfig, scan_points: int = 256) -> float | None:
 
     ts = np.linspace(cfg.t_min, cfg.t_max, scan_points)
     vals = h(ts)
-    signs = np.sign(vals)
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (signs[:-1] != signs[1:]))
-    if hits.size == 0:
-        return None
-    i = int(hits[0])
-    lo, hi, flo = float(ts[i]), float(ts[i + 1]), float(vals[i])
-    tol = 1e-9 * (cfg.t_max - cfg.t_min)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        fm = float(h([mid])[0])
-        if fm == 0.0:
-            return mid
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    tol, width = 1e-9 * (cfg.t_max - cfg.t_min), math.inf
+    while (i := _first_crossing(vals)) is not None:
+        lo, hi = float(ts[i]), float(ts[i + 1])
+        if vals[i] == 0.0:
+            return lo
+        if hi - lo <= tol or hi - lo >= width:
+            return (lo + hi) / 2
+        width = hi - lo
+        inner = np.linspace(lo, hi, _REFINE_POINTS + 2)[1:-1]
+        ts = np.concatenate([[lo], inner, [hi]])
+        vals = np.concatenate([vals[i : i + 1], h(inner), vals[i + 1 : i + 2]])
+    return None
 
 
 def rows_to_csv(rows) -> str:

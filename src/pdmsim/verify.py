@@ -5,6 +5,7 @@ These back ``pdm verify`` and double as helpers for the test suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -15,9 +16,17 @@ from .causality import (
     check_local_monotonicity,
     check_unitary_invariance,
     f_tr,
+    haar_unitary,
     random_cptp,
 )
-from .channels import DensityState, state_from_bloch
+from .channels import (
+    DensityState,
+    NoiseModel,
+    bloch_matrix,
+    channel_at_time,
+    compose,
+    state_from_bloch,
+)
 from .errors import UsageError
 from .linalg import kron
 from .schedule import (
@@ -30,6 +39,7 @@ from .schedule import (
     two_event_pdm_stack,
     two_event_schedule,
 )
+from .sweep import SweepConfig, pdm_stack
 
 #: Eq.-style golden PDM for |0>, two consecutive measurements, no noise.
 GOLDEN_TWO_EVENT = np.array(
@@ -55,8 +65,8 @@ def random_bloch(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_product_state(qubits: int, rng: np.random.Generator) -> DensityState:
-    mats = [state_from_bloch(random_bloch(rng)).matrix for _ in range(qubits)]
-    return DensityState(kron(mats), qubits)
+    """Product of random single-qubit states, validated once as a whole."""
+    return DensityState(kron([bloch_matrix(random_bloch(rng)) for _ in range(qubits)]), qubits)
 
 
 def random_schedule(rng: np.random.Generator, max_events: int = 4) -> Schedule:
@@ -162,18 +172,35 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
     """One closed-form stack of random two-event schedules vs ``build_pdm`` on each.
 
     The schedules share one random input state and each has its own random
-    CPTP gap channel of Kraus rank 1-4.
+    CPTP gap channel of Kraus rank 1-4. The same stack also holds per-time
+    channels of a random composite of amplitude damping, a unitary and
+    dephasing (members that do not commute) at t = 0, 1 and 2, each a
+    ``compose`` of its members' ``channel_at_time``. Those rows are checked
+    against the batched sweep path, ``sweep.pdm_stack``, which evaluates the
+    model at all times with one ``noise_kraus`` call.
     """
     rng = np.random.default_rng(seed)
-    state = state_from_bloch(random_bloch(rng))
+    bloch = random_bloch(rng)
+    state = state_from_bloch(bloch)
     channels = [random_cptp(1, int(rng.integers(1, 5)), rng) for _ in range(trials)]
-    stack = two_event_pdm_stack(state, channels)
+    damping, dephasing = (float(tau) for tau in rng.uniform(0.5, 2.0, size=2))
+    members = (
+        NoiseModel("amplitude_damping", tau=damping),
+        NoiseModel("unitary", unitary=haar_unitary(2, rng)),
+        NoiseModel("dephasing", tau=dephasing),
+    )
+    ts = np.linspace(0.0, 2.0, 3)
+    per_time = [functools.reduce(compose, [channel_at_time(m, t) for m in members]) for t in ts]
+    stack = two_event_pdm_stack(state, channels + per_time)
     devs = [
         float(np.max(np.abs(build_pdm(two_event_schedule(state, ch)).matrix - R)))
         for ch, R in zip(channels, stack)
     ]
+    cfg = SweepConfig(tuple(bloch), NoiseModel("composite", members=members), 0.0, 2.0, len(ts))
+    devs += np.max(np.abs(pdm_stack(cfg, ts) - stack[trials:]), axis=(1, 2)).tolist()
     k = int(np.argmax(devs))
-    return SuiteResult("closed_form_two_event", devs[k] <= 1e-12, devs[k], f"trial {k}")
+    detail = f"trial {k}" if k < trials else f"sweep path at t={float(ts[k - trials])!r}"
+    return SuiteResult("closed_form_two_event", devs[k] <= 1e-12, devs[k], detail)
 
 
 def suite_unitary_invariance(seed: int = 0, trials: int = 200) -> SuiteResult:

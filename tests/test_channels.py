@@ -12,16 +12,19 @@ from pdmsim import (
     channel_at_time,
     choi_matrices,
     choi_matrix,
+    choi_stack,
     compose,
     identity_channel,
     make_channel,
+    noise_kraus,
     state_from_bloch,
     tp_residual,
     validate_channel,
 )
-from pdmsim.causality import random_cptp
+from pdmsim.causality import haar_unitary, random_cptp
 from pdmsim.channels import DensityState, apply_channel_to_matrix, dephasing_about_axis
 from pdmsim.linalg import I2, X, Y, Z, embed_operator
+from pdmsim.schedule import two_event_pdm_from_choi
 
 from conftest import random_density
 
@@ -277,3 +280,116 @@ class TestComposition:
             assert np.allclose(scales, [g**2, g**2, g**2], atol=1e-12)
             dep = make_channel("depolarizing", g**2)
             assert np.max(np.abs(choi_matrix(comp) - choi_matrix(dep))) <= 1e-10
+
+
+def family_reference(kind, s):
+    """Kraus operators of a noise family at strength s, written out one operator at a time."""
+    if kind == "dephasing":
+        return (math.sqrt((1 + s) / 2) * I2, math.sqrt((1 - s) / 2) * Z)
+    if kind == "depolarizing":
+        w = math.sqrt((1 - s) / 4)
+        return (math.sqrt((1 + 3 * s) / 4) * I2, w * X, w * Y, w * Z)
+    return (
+        np.array([[1, 0], [0, math.sqrt(1 - s)]], dtype=complex),
+        np.array([[0, math.sqrt(s)], [0, 0]], dtype=complex),
+    )
+
+
+def model_reference(model, t):
+    """The channel of a noise model at time t: per-member formulas joined with ``compose``."""
+    if model.kind == "unitary":
+        U = np.asarray(model.unitary, dtype=complex)
+        return KrausChannel((np.eye(len(U)) if t == 0 else U,), int(math.log2(len(U))))
+    if model.kind == "composite":
+        ch = model_reference(model.members[0], t)
+        for m in model.members[1:]:
+            ch = compose(ch, model_reference(m, t))
+        return ch
+    decay = math.exp(-t / model.tau)
+    s = 1 - decay if model.kind == "amplitude_damping" else decay
+    return KrausChannel(family_reference(model.kind, s), 1)
+
+
+_U = haar_unitary(2, np.random.default_rng(5))
+KERNEL_MODELS = {
+    "dephasing": NoiseModel("dephasing", tau=0.8),
+    "depolarizing": NoiseModel("depolarizing", tau=1.7),
+    "amplitude_damping": NoiseModel("amplitude_damping", tau=2.2),
+    "unitary": NoiseModel("unitary", unitary=_U),
+    "composite2": NoiseModel(
+        "composite", members=(NoiseModel("depolarizing", tau=1.2), NoiseModel("amplitude_damping", tau=0.6))
+    ),
+    "composite3": NoiseModel(
+        "composite",
+        members=(
+            NoiseModel("amplitude_damping", tau=0.9),
+            NoiseModel("unitary", unitary=_U),
+            NoiseModel("dephasing", tau=3.0),
+        ),
+    ),
+}
+KERNEL_GRIDS = {
+    "linear": np.linspace(0.0, 6.0, 25),
+    "log": np.concatenate([[0.0], np.geomspace(1e-4, 40.0, 24)]),
+}
+
+
+class TestNoiseKernel:
+    @pytest.mark.parametrize("grid", sorted(KERNEL_GRIDS))
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    def test_rows_match_per_time_channels(self, name, grid):
+        model, ts = KERNEL_MODELS[name], KERNEL_GRIDS[grid]
+        ks = noise_kraus(model, ts)
+        refs = [model_reference(model, float(t)) for t in ts]
+        assert ks.shape == (len(ts), len(refs[0].kraus_ops), 2, 2)
+        for row, ref in zip(ks, refs):
+            assert np.max(np.abs(row - np.asarray(ref.kraus_ops))) <= 1e-15
+        assert np.max(np.abs(choi_stack(ks) - choi_matrices(refs))) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["dephasing", "depolarizing", "amplitude_damping"])
+    def test_decay_rows_are_bit_exact(self, kind):
+        # Strengths come from libm's exp, so a one-time channel in a schedule
+        # file has the same bits, and ``pdm build`` prints the same digits.
+        model = KERNEL_MODELS[kind]
+        ts = np.concatenate([KERNEL_GRIDS["linear"], KERNEL_GRIDS["log"]])
+        for t, row in zip(ts, noise_kraus(model, ts)):
+            assert np.array_equal(row, np.asarray(model_reference(model, float(t)).kraus_ops))
+
+    def test_make_channel_matches_written_formulas(self):
+        for kind in ("dephasing", "depolarizing", "amplitude_damping"):
+            for s in (0.0, 0.3, 1 / 3, 1.0):
+                got = np.asarray(make_channel(kind, s).kraus_ops)
+                assert np.array_equal(got, np.asarray(family_reference(kind, s)))
+
+    def test_unitary_is_identity_at_time_zero(self):
+        for U in (_U, haar_unitary(4, np.random.default_rng(6))):
+            ks = noise_kraus(NoiseModel("unitary", unitary=U), [0.0, 1.0, 0.0])
+            assert np.array_equal(ks[[0, 2], 0], np.stack([np.eye(len(U))] * 2))
+            assert np.array_equal(ks[1, 0], U)
+
+    def test_non_unitary_matrix_rejected(self):
+        with pytest.raises(UsageError, match="not unitary"):
+            noise_kraus(NoiseModel("unitary", unitary=2 * I2), [0.5])
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    def test_negative_time_rejected(self, name):
+        for ts in ([-0.1], [0.0, 1.0, -1e-300], [math.nan]):
+            with pytest.raises(UsageError, match="time must be nonnegative"):
+                noise_kraus(KERNEL_MODELS[name], ts)
+
+    def test_mixed_member_dimensions_rejected(self):
+        model = NoiseModel(
+            "composite",
+            members=(NoiseModel("dephasing", tau=1.0), NoiseModel("unitary", unitary=np.eye(4))),
+        )
+        with pytest.raises(UsageError, match="different dimension"):
+            noise_kraus(model, [0.5])
+
+    def test_non_tp_stack_rejected_by_closed_form(self):
+        good = noise_kraus(KERNEL_MODELS["composite2"], np.linspace(0, 2, 5))
+        bad = good.copy()
+        bad[3, 0] *= 1.01
+        rho = state_from_bloch([0.1, 0.2, 0.3])
+        assert two_event_pdm_from_choi(rho, choi_stack(good)).shape == (5, 4, 4)
+        with pytest.raises(UsageError, match="gap channel 3 is not trace preserving"):
+            two_event_pdm_from_choi(rho, choi_stack(bad))

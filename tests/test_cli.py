@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from pdmsim import NoiseModel, SweepConfig, emit_svg, find_transition, rows_from_csv, rows_to_csv, run_sweep
-from pdmsim.cli import main
+from pdmsim import build_pdm, state_from_bloch
+from pdmsim.serialize import schedule_from_dict
+from pdmsim.cli import format_matrix_rows, main
 from pdmsim.sweep import CSV_HEADER
 
 
@@ -229,7 +231,64 @@ class TestTransition:
         assert last_causal <= t_star <= first_space
 
 
+def entrywise_rows(M):
+    """The per-entry report formula that ``format_matrix_rows`` replaces."""
+    return ["  [" + "  ".join(f"{v.real:+.6f}{v.imag:+.6f}j" for v in row) + "]" for row in M]
+
+
+class TestMatrixFormat:
+    EDGES = [0.0, -0.0, 2.5e-7, -2.5e-7, 4.9999995e-7, -4.9999995e-7, 5e-7, -5e-7]
+    EDGES += [0.1234565, -0.1234565, 1e300, -1e300]
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 32])
+    def test_random_matrices_match_entrywise_formula(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in (1e-6, 1.0, 1e3):
+            M = scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            assert format_matrix_rows(M) == entrywise_rows(M)
+
+    def test_edge_values_match_entrywise_formula(self):
+        vals = np.array(self.EDGES)
+        M = (vals[:, None] + 1j * vals[None, :]).astype(complex)
+        M.imag[:, 1] = -0.0  # complex(re, -0.0) keeps the sign of the zero
+        assert format_matrix_rows(M) == entrywise_rows(M)
+        assert "-0.000000" in format_matrix_rows(M)[1]
+
+    def test_report_matrix_lines(self, tmp_path, capsys):
+        path = write(tmp_path / "golden.json", GOLDEN_DOC)
+        assert main(["build", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:6] == entrywise_rows(build_pdm(schedule_from_dict(GOLDEN_DOC)).matrix)
+
+
 class TestVerify:
+    def test_product_states_match_per_qubit_states(self):
+        from pdmsim.linalg import kron
+        from pdmsim.verify import random_bloch, random_product_state
+
+        for seed in range(6):
+            for qubits in (1, 2, 3):
+                old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = kron([state_from_bloch(random_bloch(old)).matrix for _ in range(qubits)])
+                assert np.array_equal(random_product_state(qubits, new).matrix, want)
+                assert old.random() == new.random()
+
+    def test_closed_form_suite_flags_a_wrong_sweep_path(self, monkeypatch):
+        import pdmsim.verify as verify
+
+        exact = verify.pdm_stack
+
+        def skewed(cfg, ts):
+            R = exact(cfg, ts)
+            R[1, 1, 1] += 1e-9
+            return R
+
+        monkeypatch.setattr(verify, "pdm_stack", skewed)
+        res = verify.suite_closed_form(seed=0, trials=5)
+        assert not res.passed
+        assert res.detail == "sweep path at t=1.0"
+        assert res.max_deviation == pytest.approx(1e-9, rel=1e-6)
+
     def test_small_run_passes(self, capsys):
         assert main(["verify", "--seed", "1", "--trials", "5"]) == 0
         out = capsys.readouterr().out

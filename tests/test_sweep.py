@@ -19,6 +19,7 @@ from pdmsim import (
     sweep_config_from_dict,
     two_event_schedule,
 )
+from pdmsim import sweep
 from pdmsim.causality import haar_unitary
 from pdmsim.linalg import PSD_ATOL
 from pdmsim.sweep import time_grid
@@ -33,6 +34,15 @@ NOISES = {
         members=(NoiseModel("dephasing", tau=1.0), NoiseModel("amplitude_damping", tau=2.5)),
     ),
 }
+#: A composite of all three decay families; unlike NOISES["composite"] it has a transition.
+DECAY_COMPOSITE = NoiseModel(
+    "composite",
+    members=(
+        NoiseModel("depolarizing", tau=1.0),
+        NoiseModel("dephasing", tau=2.0),
+        NoiseModel("amplitude_damping", tau=3.0),
+    ),
+)
 INPUTS = {"mixed": (0.0, 0.0, 0.0), "polarised": (0.3, -0.2, 0.6)}
 GRIDS = {"linear": (0.0, 5.0), "log": (0.01, 5.0)}
 
@@ -111,6 +121,89 @@ class TestFindTransition:
         assert (got is None) == (ref is None)
         if ref is not None:
             assert abs(got - ref) <= 1e-9 * (cfg.t_max - cfg.t_min)
+
+    @pytest.mark.parametrize(
+        "kind,bloch,t_min,t_max,grid",
+        [
+            ("depolarizing", (0.0, 0.0, 0.0), 0.5, 3.0, "log"),
+            ("depolarizing", (0.05, 0.0, 0.1), 0.2, 6.0, "linear"),
+            ("depolarizing", (0.0, 0.0, 0.5), 0.1, 4.0, "log"),
+            ("depolarizing", (0.0, 0.0, 0.0), 2.0, 5.0, "linear"),
+            ("dephasing", (0.0, 0.0, 0.0), 0.01, 7.0, "log"),
+            ("decay_composite", (0.0, 0.0, 0.0), 0.01, 5.0, "log"),
+            ("decay_composite", (0.2, 0.1, -0.3), 0.4, 3.0, "linear"),
+        ],
+    )
+    def test_offset_and_log_configs_match_reference(self, kind, bloch, t_min, t_max, grid):
+        noise = DECAY_COMPOSITE if kind == "decay_composite" else NOISES[kind]
+        cfg = SweepConfig(bloch, noise, t_min, t_max, 2, grid=grid)
+        got, ref = find_transition(cfg), reference_transition(cfg)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert cfg.t_min <= got <= cfg.t_max
+            assert abs(got - ref) <= 1e-9 * (cfg.t_max - cfg.t_min)
+
+    @staticmethod
+    def fake_spectra(monkeypatch, h):
+        """Replace the PDM spectra with ones whose h(t) = lambda_min + PSD_ATOL is ``h``; count calls."""
+        calls = []
+
+        def spectra(cfg, ts):
+            ts = np.asarray(ts, dtype=float)
+            calls.append(len(ts))
+            return np.repeat((h(ts) - PSD_ATOL)[:, None], 4, axis=1)
+
+        monkeypatch.setattr(sweep, "_spectra", spectra)
+        return calls
+
+    def test_exact_zero_at_scan_points(self, monkeypatch):
+        cfg = SweepConfig((0, 0, 0), NOISES["depolarizing"], 1.0, 3.0, 2)
+        scan = np.linspace(cfg.t_min, cfg.t_max, 256)
+        tol = 1e-9 * (cfg.t_max - cfg.t_min)
+        for t0 in (scan[100], scan[1], scan[-1]):
+            # A sign change into an exact zero, and a zero that h only touches.
+            for h in (lambda ts: np.sign(ts - t0), lambda ts: -np.abs(ts - t0)):
+                self.fake_spectra(monkeypatch, h)
+                assert (h(np.array([t0])) - PSD_ATOL + PSD_ATOL)[0] == 0.0
+                assert abs(find_transition(cfg) - t0) <= tol
+        # A zero at the first scan point is the transition itself.
+        self.fake_spectra(monkeypatch, lambda ts: ts - cfg.t_min)
+        assert find_transition(cfg) == cfg.t_min
+
+    def test_first_of_several_crossings_in_one_bracket(self, monkeypatch):
+        # Three roots between two adjacent scan points: the scan sees one sign
+        # change, and the refinement must follow the first root.
+        cfg = SweepConfig((0, 0, 0), NOISES["depolarizing"], 0.0, 1.0, 2)
+        scan = np.linspace(cfg.t_min, cfg.t_max, 256)
+        step = scan[1] - scan[0]
+        roots = scan[40] + step * np.array([0.31, 0.52, 0.77])
+        self.fake_spectra(monkeypatch, lambda ts: -np.prod(ts[:, None] - roots, axis=1))
+        assert abs(find_transition(cfg) - roots[0]) <= 1e-9 * (cfg.t_max - cfg.t_min)
+
+    @pytest.mark.parametrize("noise", [NOISES["depolarizing"], DECAY_COMPOSITE])
+    def test_batched_evaluation_count(self, monkeypatch, noise):
+        cfg = SweepConfig((0.2, 0.1, -0.3), noise, 0.0, 4.0, 2)
+        calls = []
+        real = sweep._spectra
+
+        def counted(cfg, ts):
+            calls.append(len(ts))
+            return real(cfg, ts)
+
+        monkeypatch.setattr(sweep, "_spectra", counted)
+        assert find_transition(cfg) is not None
+        assert len(calls) <= 6
+        assert calls[0] == 256 and all(n == 63 for n in calls[1:])
+
+    def test_stops_at_float_resolution(self, monkeypatch):
+        # tol = 1e-9 is below the float spacing at 1e8 (~1.5e-8): the bracket
+        # cannot shrink to tol, and the refinement must still stop.
+        cfg = SweepConfig((0, 0, 0), NOISES["depolarizing"], 1e8, 1e8 + 1.0, 2)
+        t0 = 1e8 + 0.3
+        calls = self.fake_spectra(monkeypatch, lambda ts: t0 - ts)
+        got = find_transition(cfg)
+        assert abs(got - t0) <= 2 * np.spacing(t0)
+        assert len(calls) <= 6
 
     def test_scan_points_validated(self):
         cfg = SweepConfig((0, 0, 0), NOISES["depolarizing"], 0.0, 4.0, 2)
