@@ -64,6 +64,7 @@ from .schedule import (
     two_event_pdm_stack,
     two_event_schedule,
 )
+from .serialize import sweep_config_from_dict
 from .sweep import (
     SweepConfig,
     SweepRow,
@@ -72,7 +73,6 @@ from .sweep import (
     rows_from_csv,
     rows_to_csv,
     run_sweep,
-    sweep_config_from_dict,
 )
 
 __version__ = "0.1.0"

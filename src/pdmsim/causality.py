@@ -15,28 +15,39 @@ CHECK_ATOL = 1e-9
 CAUSAL, SPACELIKE = "causal", "spacelike_compatible"
 
 # Tolerance policy. A PDM is classified from its ascending spectrum w alone:
-# it is "causal" iff w[0] < -PSD_ATOL, and then f_tr = sum|w| - 1; otherwise
-# it is "spacelike_compatible" and f_tr is exactly 0. A PDM has unit trace to
-# HERM_ATOL, so a causal spectrum has sum|w| - 1 >= 2 PSD_ATOL - HERM_ATOL > 0:
-# "causal" holds iff f_tr > 0. Eigenvalues in [-PSD_ATOL, 0) are rounding
-# noise, not negativity, and count toward neither.
+# it is "causal" iff causal_margin(w) = w[0] + PSD_ATOL < 0, and then
+# f_tr = sum|w| - 1; otherwise it is "spacelike_compatible" and f_tr is
+# exactly 0. A PDM has unit trace to HERM_ATOL, so a causal spectrum has
+# sum|w| - 1 >= 2 PSD_ATOL - HERM_ATOL > 0: "causal" holds iff f_tr > 0.
+# Eigenvalues in [-PSD_ATOL, 0) are rounding noise, not negativity, and count
+# toward neither. No function takes another tolerance.
 
 
-def spectrum_verdict(w, tol: float = PSD_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def causal_margin(w) -> np.ndarray:
+    """``w[..., 0] + PSD_ATOL`` for spectra ascending along the last axis of ``w``.
+
+    Negative exactly where the PDM is causal. This is the only place the
+    causal threshold is written: for doubles, ``w0 + PSD_ATOL < 0`` holds
+    exactly when ``w0 < -PSD_ATOL``, and the sum is 0 exactly when
+    ``w0 == -PSD_ATOL``.
+    """
+    return np.asarray(w, dtype=float)[..., 0] + PSD_ATOL
+
+
+def spectrum_verdict(w) -> tuple[np.ndarray, np.ndarray]:
     """``(f_tr, causal)`` from eigenvalues ascending along the last axis of ``w``.
 
     Works on one spectrum (0-d results) or a stack of them; see the tolerance
     policy above.
     """
     w = np.asarray(w, dtype=float)
-    causal = w[..., 0] < -tol
+    causal = causal_margin(w) < 0
     return np.where(causal, np.sum(np.abs(w), axis=-1) - 1.0, 0.0), causal
 
 
 def _f_tr_matrix(M: np.ndarray) -> np.ndarray:
     """f_tr of a matrix (0-d result) or of each matrix of a stack, from one eigenvalue solve."""
-    w, _ = hermitian_eig(M, vectors=False)
-    return spectrum_verdict(w)[0]
+    return spectrum_verdict(hermitian_eig(M))[0]
 
 
 def f_tr(R: PseudoDensityMatrix) -> float:
@@ -50,19 +61,17 @@ class CausalityReport:
     eigenvalues: tuple
     min_eigenvalue: float
     classification: str  # CAUSAL | SPACELIKE
-    tolerance: float
 
 
-def classify(R: PseudoDensityMatrix, tol: float = PSD_ATOL) -> CausalityReport:
-    """Classify a PDM as causal (eigenvalue below -tol) or spacelike-compatible."""
-    w, _ = hermitian_eig(R.matrix, vectors=False)
-    value, causal = spectrum_verdict(w, tol)
+def classify(R: PseudoDensityMatrix) -> CausalityReport:
+    """Classify a PDM as causal or spacelike-compatible under the tolerance policy above."""
+    w = hermitian_eig(R.matrix)
+    value, causal = spectrum_verdict(w)
     return CausalityReport(
         f_tr=float(value),
         eigenvalues=tuple(float(x) for x in w),
         min_eigenvalue=float(w[0]),
         classification=CAUSAL if causal else SPACELIKE,
-        tolerance=tol,
     )
 
 

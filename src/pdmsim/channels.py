@@ -29,18 +29,10 @@ class DensityState:
             raise InvariantViolation("density matrix is not Hermitian")
         if abs(np.trace(M).real - 1.0) > HERM_ATOL or abs(np.trace(M).imag) > HERM_ATOL:
             raise InvariantViolation("density matrix trace is not 1")
-        w, _ = hermitian_eig(M, vectors=False)
+        w = hermitian_eig(M)
         if w[0] < -PSD_ATOL:
             raise InvariantViolation(f"density matrix has eigenvalue {w[0]:.3e} < -{PSD_ATOL}")
         object.__setattr__(self, "matrix", M)
-
-    @classmethod
-    def from_matrix(cls, M: np.ndarray) -> "DensityState":
-        d = np.asarray(M).shape[0]
-        n = int(round(math.log2(d)))
-        if 2**n != d:
-            raise UsageError(f"dimension {d} is not a power of 2")
-        return cls(np.asarray(M, dtype=complex), n)
 
 
 def state_from_bloch(r) -> DensityState:
@@ -241,8 +233,7 @@ def validate_channel(ch: KrausChannel) -> ChannelReport:
     """Check trace preservation and complete positivity of a Kraus channel."""
     tp = tp_residual(ch)
     C = choi_matrix(ch)
-    w, _ = hermitian_eig(C, vectors=False)
-    cmin = float(w[0])
+    cmin = float(hermitian_eig(C)[0])
     return ChannelReport(tp, cmin, tp <= TP_ATOL and cmin >= -PSD_ATOL)
 
 

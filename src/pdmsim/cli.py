@@ -15,8 +15,8 @@ import numpy as np
 from .causality import classify
 from .errors import InvariantViolation, UsageError
 from .schedule import build_pdm
-from .serialize import load_json, schedule_from_dict
-from .sweep import emit_svg, find_transition, rows_to_csv, run_sweep, sweep_config_from_dict
+from .serialize import load_json, schedule_from_dict, sweep_config_from_dict
+from .sweep import emit_svg, find_transition, rows_to_csv, run_sweep
 from .verify import run_all
 
 EXIT_OK = 0

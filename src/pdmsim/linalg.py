@@ -55,9 +55,9 @@ def dagger(M: np.ndarray) -> np.ndarray:
     return np.swapaxes(M, -1, -2).conj()
 
 
-def is_hermitian(M: np.ndarray, atol: float = HERM_ATOL) -> bool:
-    """Whether a matrix, or every matrix of a ``(..., D, D)`` stack, is Hermitian to ``atol``."""
-    return bool(np.max(np.abs(M - dagger(M))) <= atol)
+def is_hermitian(M: np.ndarray) -> bool:
+    """Whether a matrix, or every matrix of a ``(..., D, D)`` stack, is Hermitian to ``HERM_ATOL``."""
+    return bool(np.max(np.abs(M - dagger(M))) <= HERM_ATOL)
 
 
 def partial_trace(M: np.ndarray, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -89,35 +89,28 @@ def partial_trace(M: np.ndarray, factor_dims: Sequence[int], keep: Iterable[int]
     return t.reshape(dk, dk)
 
 
-def hermitian_eig(M: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigendecomposition of a Hermitian matrix or a ``(..., D, D)`` stack of them.
+def hermitian_eig(M: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix or of each matrix of a ``(..., D, D)`` stack.
 
-    Returns ``(w, V)`` with eigenvalues ``w`` real and ascending along the
-    last axis and the columns of ``V`` an orthonormal eigenbasis. The input
-    is symmetrized as ``(M + M^dag)/2`` before solving to absorb rounding
-    noise; inputs farther than ``HERM_ATOL`` from Hermitian are rejected
-    (for a stack, one such matrix rejects the whole stack).
+    Returns them real and ascending along the last axis. The input is
+    symmetrized as ``(M + M^dag)/2`` before solving to absorb rounding noise;
+    inputs farther than ``HERM_ATOL`` from Hermitian are rejected (for a
+    stack, one such matrix rejects the whole stack).
 
-    With ``vectors=False`` only the eigenvalues are solved for and ``V`` is
-    None. Callers that need only ``w`` should ask for that: from 32x32 up,
-    the eigenvector back-transformation is a matrix product large enough to
-    wake OpenBLAS's worker threads, which costs milliseconds per call on a
-    busy host, while the eigenvalues alone stay on the calling thread.
+    No eigenvectors are solved for: from 32x32 up, their back-transformation
+    is a matrix product large enough to wake OpenBLAS's worker threads, which
+    costs milliseconds per call on a busy host, while the eigenvalues alone
+    stay on the calling thread.
     """
     M = np.asarray(M, dtype=complex)
     if not is_hermitian(M):
         raise UsageError("hermitian_eig requires a Hermitian matrix")
-    H = (M + dagger(M)) / 2.0
-    if not vectors:
-        return np.linalg.eigvalsh(H), None
-    w, V = np.linalg.eigh(H)
-    return w, V
+    return np.linalg.eigvalsh((M + dagger(M)) / 2.0)
 
 
 def trace_norm(M: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix: the sum of absolute eigenvalues."""
-    w, _ = hermitian_eig(M, vectors=False)
-    return float(np.sum(np.abs(w)))
+    return float(np.sum(np.abs(hermitian_eig(M))))
 
 
 def embed_operator(K: np.ndarray, targets: Sequence[int], qubit_count: int) -> np.ndarray:

@@ -205,10 +205,6 @@ class Schedule:
         """Events of one slice ordered by qubit index (they commute; order fixed for reproducibility)."""
         return self._slices[s] if 0 <= s < len(self._slices) else ()
 
-    def _gap_channel(self, gap: int) -> KrausChannel:
-        ch = self.inter_slice_channels[gap]
-        return identity_channel(self.qubit_count) if ch is None else ch
-
 
 def _require_trace_preserving(gap: int, residual: float) -> None:
     if residual > TP_ATOL:
@@ -287,20 +283,21 @@ def expectations(s: Schedule, assignments) -> np.ndarray:
     leave the state untouched: their A is I, whose Jordan product returns M
     exactly. The assignments share one (P, D, D) stack; each event maps it
     through the rows' own Paulis (skipped when every row has label 0) and each
-    gap channel acts on the whole stack. Entry p is the trace of row p after
-    all slices.
+    gap channel acts on the whole stack (skipped for a None gap, the identity).
+    Entry p is the trace of row p after all slices.
     """
     labels = _pauli_labels(assignments, s.event_count)
     n = s.qubit_count
     M = np.broadcast_to(s.initial_state.matrix, (len(labels),) + s.initial_state.matrix.shape)
-    for sl in range(s.slice_count):
+    # The last slice has no gap after it.
+    for sl, ch in enumerate(s.inter_slice_channels + (None,)):
         for ev in s.events_in_slice(sl):
             column = labels[:, ev.id - 1]
             if column.any():
                 A = _event_paulis(ev.qubit, n)[column]
                 M = (A @ M + M @ A) / 2.0
-        if sl < s.slice_count - 1:
-            M = apply_channel_to_matrix(s._gap_channel(sl), M, list(range(n)), n)
+        if ch is not None:
+            M = apply_channel_to_matrix(ch, M, list(range(n)), n)
     return np.trace(M, axis1=1, axis2=2).real
 
 
@@ -335,14 +332,15 @@ def _oracle_chunk(s: Schedule, labels: np.ndarray) -> np.ndarray:
     number of events that are non-identity in any row, with their outcome
     products as a (P, 2^k) sign array; branch 2b + o is branch b followed by
     outcome o (0: +1, 1: -1). A row whose label is 0 at a splitting event
-    takes the pair (I, 0), so its -1 branch is zero and adds nothing.
+    takes the pair (I, 0), so its -1 branch is zero and adds nothing. A None
+    gap is the identity and is skipped.
     """
     n = s.qubit_count
     D = 2**n
     P = len(labels)
     branches = np.broadcast_to(s.initial_state.matrix, (P, 1, D, D))
     signs = np.ones((P, 1))
-    for sl in range(s.slice_count):
+    for sl, ch in enumerate(s.inter_slice_channels + (None,)):
         for ev in s.events_in_slice(sl):
             column = labels[:, ev.id - 1]
             if not column.any():
@@ -350,8 +348,8 @@ def _oracle_chunk(s: Schedule, labels: np.ndarray) -> np.ndarray:
             pair = _event_projectors(ev.qubit, n)[column][:, None]
             branches = (pair @ branches[:, :, None] @ pair).reshape(P, -1, D, D)
             signs = (signs[:, :, None] * _OUTCOMES).reshape(P, -1)
-        if sl < s.slice_count - 1:
-            branches = apply_channel_to_matrix(s._gap_channel(sl), branches, list(range(n)), n)
+        if ch is not None:
+            branches = apply_channel_to_matrix(ch, branches, list(range(n)), n)
     return np.einsum("pb,pb->p", signs, np.trace(branches, axis1=2, axis2=3).real)
 
 
@@ -558,8 +556,9 @@ def ancilla_expectations(s: Schedule, assignments) -> np.ndarray:
     Simulates the primary qubit with a |0> ancilla: each non-identity event
     rotates the measured Pauli onto Z, copies the outcome bit into the
     ancilla with a CNOT, and rotates back; the gap channel acts on the
-    primary only. Returns <Z> of the ancilla, which equals ``expectations``.
-    All assignments run as one (P, 4, 4) stack; label 0's copy block is I.
+    primary only (a None gap has the Kraus stack I2[None]). Returns <Z> of the
+    ancilla, which equals ``expectations``. All assignments run as one
+    (P, 4, 4) stack; label 0's copy block is I.
     """
     labels = _pauli_labels(assignments, s.event_count)
     if s.qubit_count != 1 or s.event_count != 2 or s.slice_count != 2:
@@ -572,7 +571,9 @@ def ancilla_expectations(s: Schedule, assignments) -> np.ndarray:
         rho = block @ rho @ dagger(block)
         if sl == 0:
             # The gap channel on the primary only: Kraus operators K (x) I.
-            ks = np.kron(np.asarray(s._gap_channel(0).kraus_ops), I2)[:, None]
+            ch = s.inter_slice_channels[0]
+            kraus = I2[None] if ch is None else np.asarray(ch.kraus_ops)
+            ks = np.kron(kraus, I2)[:, None]
             rho = (ks @ rho @ dagger(ks)).sum(axis=0)
     return np.trace(_ANCILLA_Z @ rho, axis1=1, axis2=2).real
 

@@ -24,9 +24,11 @@ from .channels import (
 )
 from .errors import UsageError
 from .schedule import Event, Schedule
+from .sweep import SweepConfig
 
 _CHANNEL_KINDS = ("dephasing", "depolarizing", "amplitude_damping")
 _SCHEDULE_KEYS = ("qubits", "initial_state", "slices", "channels")
+_SWEEP_KEYS = ("initial_state", "noise", "t_min", "t_max", "points", "grid", "csv", "svg")
 
 
 def _matrix_to_pairs(M: np.ndarray) -> list:
@@ -206,6 +208,29 @@ def noise_model_from_dict(doc: dict) -> tuple[NoiseModel, dict]:
             {"kind": "composite", "members": [c for _, c in parsed]},
         )
     raise UsageError(f"unknown noise kind {kind!r}")
+
+
+def sweep_config_from_dict(doc: dict) -> SweepConfig:
+    _reject_unknown(doc, _SWEEP_KEYS, "sweep config")
+    state_doc = _require(doc, "initial_state", "sweep config")
+    if not isinstance(state_doc, dict) or "bloch" not in state_doc:
+        raise UsageError("sweep config initial_state must carry a bloch vector")
+    _reject_unknown(state_doc, ("bloch",), "sweep config initial_state")
+    bloch = tuple(_bloch(state_doc, "sweep config initial_state"))
+    noise, _ = noise_model_from_dict(_require(doc, "noise", "sweep config"))
+    points = _require(doc, "points", "sweep config")
+    if isinstance(points, float) and points.is_integer():
+        points = int(points)
+    return SweepConfig(
+        bloch=bloch,
+        noise=noise,
+        t_min=_number(doc, "t_min", "sweep config"),
+        t_max=_number(doc, "t_max", "sweep config"),
+        points=points,
+        grid=doc.get("grid", "linear"),
+        csv_path=doc.get("csv"),
+        svg_path=doc.get("svg"),
+    )
 
 
 def load_json(path: str) -> dict:

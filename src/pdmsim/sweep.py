@@ -7,17 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import CAUSAL, SPACELIKE, spectrum_verdict
+from .causality import CAUSAL, SPACELIKE, causal_margin, spectrum_verdict
 from .channels import NoiseModel, choi_stack, noise_kraus, state_from_bloch
 from .errors import UsageError
-from .linalg import PSD_ATOL, hermitian_eig
+from .linalg import hermitian_eig
 from .schedule import two_event_pdm_from_choi
-from .serialize import _bloch, _number, _reject_unknown, _require, noise_model_from_dict
 
 CSV_HEADER = "t,lambda1,lambda2,lambda3,lambda4,f_tr,classification"
+#: Equally spaced times ``find_transition`` scans in [t_min, t_max].
+_SCAN_POINTS = 256
 #: Interior points evaluated per refinement round of ``find_transition``.
 _REFINE_POINTS = 63
-_SWEEP_KEYS = ("initial_state", "noise", "t_min", "t_max", "points", "grid", "csv", "svg")
 
 
 @dataclass(frozen=True)
@@ -59,29 +59,6 @@ class SweepRow:
     classification: str
 
 
-def sweep_config_from_dict(doc: dict) -> SweepConfig:
-    _reject_unknown(doc, _SWEEP_KEYS, "sweep config")
-    state_doc = _require(doc, "initial_state", "sweep config")
-    if not isinstance(state_doc, dict) or "bloch" not in state_doc:
-        raise UsageError("sweep config initial_state must carry a bloch vector")
-    _reject_unknown(state_doc, ("bloch",), "sweep config initial_state")
-    bloch = tuple(_bloch(state_doc, "sweep config initial_state"))
-    noise, _ = noise_model_from_dict(_require(doc, "noise", "sweep config"))
-    points = _require(doc, "points", "sweep config")
-    if isinstance(points, float) and points.is_integer():
-        points = int(points)
-    return SweepConfig(
-        bloch=bloch,
-        noise=noise,
-        t_min=_number(doc, "t_min", "sweep config"),
-        t_max=_number(doc, "t_max", "sweep config"),
-        points=points,
-        grid=doc.get("grid", "linear"),
-        csv_path=doc.get("csv"),
-        svg_path=doc.get("svg"),
-    )
-
-
 def time_grid(cfg: SweepConfig) -> np.ndarray:
     if cfg.grid == "log":
         return np.geomspace(cfg.t_min, cfg.t_max, cfg.points)
@@ -101,7 +78,7 @@ def pdm_stack(cfg: SweepConfig, ts) -> np.ndarray:
 
 def _spectra(cfg: SweepConfig, ts) -> np.ndarray:
     """Ascending PDM eigenvalues at each waiting time: one stack, one eigensolve."""
-    return hermitian_eig(pdm_stack(cfg, ts), vectors=False)[0]
+    return hermitian_eig(pdm_stack(cfg, ts))
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
@@ -121,11 +98,11 @@ def _first_crossing(vals: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def find_transition(cfg: SweepConfig, scan_points: int = 256) -> float | None:
+def find_transition(cfg: SweepConfig) -> float | None:
     """First waiting time where the minimum PDM eigenvalue crosses the causal threshold.
 
-    Evaluates h(t) = lambda_min(t) + PSD_ATOL, negative exactly where the
-    PDM is causal, on ``scan_points`` equally spaced times in [t_min, t_max]
+    Evaluates h(t) = ``causal_margin`` of the PDM spectrum, negative exactly
+    where the PDM is causal, on 256 equally spaced times in [t_min, t_max]
     as one batched stack, and takes the *first* adjacent pair of scan points
     across which h changes sign (or where h is exactly 0). That bracket is
     refined in rounds: each evaluates 63 equally spaced interior points as
@@ -137,13 +114,11 @@ def find_transition(cfg: SweepConfig, scan_points: int = 256) -> float | None:
     the scan shows no sign change, so a pair of crossings closer together
     than the scan step can be missed.
     """
-    if scan_points < 2:
-        raise UsageError("scan_points must be >= 2")
 
     def h(ts) -> np.ndarray:
-        return _spectra(cfg, ts)[:, 0] + PSD_ATOL
+        return causal_margin(_spectra(cfg, ts))
 
-    ts = np.linspace(cfg.t_min, cfg.t_max, scan_points)
+    ts = np.linspace(cfg.t_min, cfg.t_max, _SCAN_POINTS)
     vals = h(ts)
     tol, width = 1e-9 * (cfg.t_max - cfg.t_min), math.inf
     while (i := _first_crossing(vals)) is not None:

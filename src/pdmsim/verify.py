@@ -88,6 +88,8 @@ def random_schedule(rng: np.random.Generator, max_events: int = 4) -> Schedule:
     return Schedule(qubits, random_product_state(qubits, rng), tuple(events), channels)
 
 
+#: Random assignments ``suite_engine_oracle`` checks per trial, besides the all-identity one.
+_RANDOM_PICKS = 8
 #: The sides ``suite_engine_oracle`` checks against the oracle, in column order.
 _SIDES = ("expectation", "build_pdm")
 #: All 16 Pauli assignments of two events, in ``itertools.product`` order.
@@ -127,10 +129,11 @@ def suite_golden() -> SuiteResult:
     return SuiteResult("golden_two_event", dev <= 1e-10, dev)
 
 
-def suite_engine_oracle(seed: int = 0, trials: int = 200, assignments_per: int = 8) -> SuiteResult:
+def suite_engine_oracle(seed: int = 0, trials: int = 200) -> SuiteResult:
     """The branch oracle vs ``expectations`` and vs ``build_pdm``'s coefficients.
 
-    Each trial evaluates its picks as one batch on each side. ``detail``
+    Each trial draws ``_RANDOM_PICKS`` random assignments, adds the
+    all-identity one, and evaluates them as one batch on each side. ``detail``
     names the side and the assignment of the worst deviation.
     """
     worst, detail = 0.0, ""
@@ -138,7 +141,7 @@ def suite_engine_oracle(seed: int = 0, trials: int = 200, assignments_per: int =
         rng = np.random.default_rng(seed + k)
         s = random_schedule(rng)
         n = s.event_count
-        picks = [rng.integers(0, 4, size=n) for _ in range(assignments_per)]
+        picks = [rng.integers(0, 4, size=n) for _ in range(_RANDOM_PICKS)]
         picks.append(np.zeros(n, dtype=int))
         labels = np.stack(picks)
         R = build_pdm(s)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pdmsim import (
+    KrausChannel,
     NoiseModel,
     SweepConfig,
     UsageError,
@@ -15,16 +16,18 @@ from pdmsim import (
     classify,
     f_tr,
     find_transition,
+    hermitian_eig,
     make_channel,
     spectrum_verdict,
     state_from_bloch,
+    two_event_pdm_stack,
     two_event_schedule,
     unitary_channel,
 )
 import pdmsim.causality as causality
 from pdmsim.causality import _f_tr_matrix, haar_unitary, random_cptp
 from pdmsim.channels import apply_channel_to_matrix
-from pdmsim.linalg import PSD_ATOL
+from pdmsim.linalg import PAULIS, PSD_ATOL
 from pdmsim.schedule import Event, Schedule
 from pdmsim.verify import golden_schedule
 
@@ -271,6 +274,45 @@ class TestTwoEventUniversality:
             U = haar_unitary(2, rng)
             s = two_event_schedule(rho, unitary_channel(U))
             assert f_tr(build_pdm(s)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_ftr_between_zero_and_one(self, rng):
+        # Two single-qubit events: 0 <= f_tr <= 1 for every input state and
+        # CPTP gap; pure states and unitary gaps reach 1.
+        for k in range(40):
+            rho = random_pure(1, rng) if k % 2 else random_density(1, rng)
+            channels = [random_cptp(1, int(rng.integers(1, 5)), rng) for _ in range(100)]
+            values = spectrum_verdict(hermitian_eig(two_event_pdm_stack(rho, channels)))[0]
+            assert np.all(values >= 0.0)
+            assert np.max(values) <= 1.0 + 1e-12
+
+
+class TestPauliChannelSpectrum:
+    def test_maximally_mixed_input(self):
+        # The Pauli channel with PTM diag(1, lx, ly, lz), drawn uniformly from
+        # the CPTP tetrahedron (all four Pauli weights p >= 0), after the
+        # maximally mixed input.
+        rng = np.random.default_rng(7)
+        p = rng.dirichlet(np.ones(4), size=200)  # weights of I, X, Y, Z
+        # lambda_i = p_0 + p_i - (the other two weights) = 2 (p_0 + p_i) - 1.
+        lx, ly, lz = (2 * (p[:, 0] + p[:, i]) - 1 for i in (1, 2, 3))
+        expected = np.sort(
+            np.stack(
+                [
+                    (1 + lx - ly + lz) / 4,
+                    (1 - lx + ly + lz) / 4,
+                    (1 + lx + ly - lz) / 4,
+                    (1 - lx - ly - lz) / 4,
+                ],
+                axis=1,
+            ),
+            axis=1,
+        )
+        rho = state_from_bloch([0, 0, 0])
+        channels = [KrausChannel(tuple(np.sqrt(w)[:, None, None] * np.stack(PAULIS)), 1) for w in p]
+        stack = two_event_pdm_stack(rho, channels)
+        built = np.stack([build_pdm(two_event_schedule(rho, ch)).matrix for ch in channels])
+        for R in (stack, built):
+            assert np.max(np.abs(hermitian_eig(R) - expected)) <= 1e-12
 
 
 class TestTimeMonotonicity:

@@ -10,8 +10,8 @@ from pdmsim.serialize import (
     normalize_schedule_doc,
     noise_model_from_dict,
     schedule_from_dict,
+    sweep_config_from_dict,
 )
-from pdmsim.sweep import sweep_config_from_dict
 from pdmsim.verify import GOLDEN_TWO_EVENT
 
 GOLDEN_DOC = {

@@ -205,11 +205,6 @@ class TestFindTransition:
         assert abs(got - t0) <= 2 * np.spacing(t0)
         assert len(calls) <= 6
 
-    def test_scan_points_validated(self):
-        cfg = SweepConfig((0, 0, 0), NOISES["depolarizing"], 0.0, 4.0, 2)
-        with pytest.raises(UsageError):
-            find_transition(cfg, scan_points=1)
-
 
 def config_doc(**overrides):
     doc = {
