@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_channel_to_matrix
+from .channels import KrausChannel
 from .errors import UsageError
-from .linalg import PSD_ATOL, dagger, hermitian_eig
+from .linalg import PSD_ATOL, dagger, embed_operator, hermitian_eig
 from .schedule import PseudoDensityMatrix
 
 CHECK_ATOL = 1e-9
@@ -97,6 +97,9 @@ class CheckReport:
     passed: bool
     trials: int
     max_deviation: float
+    #: The worst trial by its index k (a seeded check's trial k draws from seed + k),
+    #: and for local monotonicity the event its channel acted on.
+    detail: str = ""
 
 
 #: Bytes of trial matrices a stacked axiom check holds at once. A chunk has
@@ -116,19 +119,20 @@ def check_unitary_invariance(
     """f_tr(U R U^dag) must equal f_tr(R) for Haar-random unitaries U.
 
     Trials are stacked in chunks of at most CHECK_STACK_BYTES, one eigenvalue
-    solve per chunk.
+    solve per chunk. ``detail`` names the trial of the largest deviation.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
     base = f_tr(R)
     dim = R.matrix.shape[0]
-    worst = -np.inf
+    devs = []
     for ks in _trial_chunks(trials, dim):
         Us = np.stack([haar_unitary(dim, np.random.default_rng(seed + k)) for k in ks])
-        # np.maximum keeps a NaN, so it fails the check.
-        worst = np.maximum(worst, np.max(np.abs(_f_tr_matrix(Us @ R.matrix @ dagger(Us)) - base)))
-    worst = float(worst)
-    return CheckReport(worst <= CHECK_ATOL, trials, worst)
+        devs.append(np.abs(_f_tr_matrix(Us @ R.matrix @ dagger(Us)) - base))
+    devs = np.concatenate(devs)
+    k = int(np.argmax(devs))
+    worst = float(devs[k])
+    return CheckReport(worst <= CHECK_ATOL, trials, worst, f"trial {k}")
 
 
 def check_local_monotonicity(
@@ -136,36 +140,70 @@ def check_local_monotonicity(
 ) -> CheckReport:
     """f_tr must not increase under a CPTP channel on a single event factor.
 
-    Trials are stacked in chunks of at most CHECK_STACK_BYTES, one eigenvalue
-    solve per chunk.
+    Each trial draws a random channel of Kraus rank 1-4 and the factor it
+    acts on. A chunk's channels are zero-padded into one (T, 4, 2, 2) Kraus
+    array (a zero operator adds nothing) and applied to R with one product
+    per event factor, over the trials on that factor. Chunks hold at most
+    CHECK_STACK_BYTES of embedded Kraus operators, and each is one eigenvalue
+    solve. ``detail`` names the trial of the largest rise and its event.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
     base = f_tr(R)
     n = R.event_count
-    worst = -np.inf
-    for ks in _trial_chunks(trials, R.matrix.shape[0]):
-        outs = []
-        for k in ks:
+    dim = R.matrix.shape[0]
+    rises, factors = [], []
+    # A trial holds 4 embedded Kraus operators: the entries of one matrix of twice the dimension.
+    for ks in _trial_chunks(trials, 2 * dim):
+        kraus = np.zeros((len(ks), 4, 2, 2), dtype=complex)
+        factor = np.empty(len(ks), dtype=int)
+        for row, k in enumerate(ks):
             rng = np.random.default_rng(seed + k)
-            ch = random_cptp(1, int(rng.integers(1, 5)), rng)
-            factor = int(rng.integers(0, n))
-            outs.append(apply_channel_to_matrix(ch, R.matrix, [factor], n))
-        worst = np.maximum(worst, np.max(_f_tr_matrix(np.stack(outs)) - base))
-    worst = float(worst)
-    return CheckReport(worst <= CHECK_ATOL, trials, max(0.0, worst))
+            ops = random_cptp(1, int(rng.integers(1, 5)), rng).kraus_ops
+            kraus[row, : len(ops)] = ops
+            factor[row] = rng.integers(0, n)
+        outs = np.empty((len(ks), dim, dim), dtype=complex)
+        for f in range(n):
+            on_f = factor == f
+            if not on_f.any():
+                continue
+            E = embed_operator(kraus[on_f], [f], n)
+            out = E[:, 0] @ R.matrix @ dagger(E[:, 0])
+            for j in range(1, 4):
+                out += E[:, j] @ R.matrix @ dagger(E[:, j])
+            outs[on_f] = out
+        rises.append(_f_tr_matrix(outs) - base)
+        factors.append(factor)
+    rises, factors = np.concatenate(rises), np.concatenate(factors)
+    k = int(np.argmax(rises))
+    worst = float(rises[k])
+    detail = f"trial {k} on event {factors[k] + 1}"
+    return CheckReport(worst <= CHECK_ATOL, trials, max(0.0, worst), detail)
 
 
 def check_convexity(Rs, weights) -> CheckReport:
-    """f_tr of a mixture must not exceed the mixture of f_tr values."""
+    """f_tr of a mixture must not exceed the mixture of f_tr values.
+
+    ``Rs`` is a sequence of m PDMs with m ``weights``: one mixture. Or it is
+    a (T, m, D, D) array holding T trials' m PDM matrices, with weights of
+    shape (T, m). Each row of weights is nonnegative and sums to 1. The f_tr
+    of all T*m matrices and T mixtures come from one eigenvalue solve.
+    ``detail`` names the trial of the largest gap.
+    """
     ws = np.asarray(weights, dtype=float)
-    if len(Rs) != len(ws) or len(Rs) == 0:
+    if not isinstance(Rs, np.ndarray):
+        if len({R.matrix.shape for R in Rs}) > 1:
+            raise UsageError("all PDMs must share one dimension")
+        Rs, ws = np.array([[R.matrix for R in Rs]]), ws[None]
+    if Rs.ndim != 4 or Rs.shape[:2] != ws.shape or Rs.size == 0:
         raise UsageError("need matching nonempty lists of PDMs and weights")
-    if np.any(ws < 0) or abs(ws.sum() - 1.0) > 1e-12:
+    # Written to pass only on numbers, so a NaN weight fails it.
+    if not (np.all(ws >= 0) and np.all(np.abs(ws.sum(axis=1) - 1.0) <= 1e-12)):
         raise UsageError("weights must be nonnegative and sum to 1")
-    dims = {R.matrix.shape for R in Rs}
-    if len(dims) != 1:
-        raise UsageError("all PDMs must share one dimension")
-    mix = sum(w * R.matrix for w, R in zip(ws, Rs))
-    gap = float(_f_tr_matrix(mix)) - sum(w * f_tr(R) for w, R in zip(ws, Rs))
-    return CheckReport(gap <= CHECK_ATOL, len(Rs), max(0.0, gap))
+    T, m, D, _ = Rs.shape
+    mixes = np.sum(ws[..., None, None] * Rs, axis=1)
+    values = _f_tr_matrix(np.concatenate([Rs.reshape(T * m, D, D), mixes]))
+    gaps = values[T * m :] - np.sum(ws * values[: T * m].reshape(T, m), axis=1)
+    k = int(np.argmax(gaps))
+    worst = float(gaps[k])
+    return CheckReport(worst <= CHECK_ATOL, T, max(0.0, worst), f"trial {k}")

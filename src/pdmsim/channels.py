@@ -8,7 +8,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation, UsageError
-from .linalg import HERM_ATOL, PSD_ATOL, I2, X, Y, Z, dagger, embed_operator, hermitian_eig
+from .linalg import (
+    HERM_ATOL,
+    PSD_ATOL,
+    I2,
+    X,
+    Y,
+    Z,
+    dagger,
+    embed_operator,
+    hermitian_eig,
+    is_hermitian,
+)
 
 TP_ATOL = 1e-10
 
@@ -25,9 +36,11 @@ class DensityState:
         d = 2**self.qubit_count
         if M.shape != (d, d):
             raise InvariantViolation(f"state shape {M.shape} does not match {self.qubit_count} qubits")
-        if np.max(np.abs(M - M.conj().T)) > HERM_ATOL:
+        # Written to pass only on a number, so a NaN fails them.
+        if not is_hermitian(M):
             raise InvariantViolation("density matrix is not Hermitian")
-        if abs(np.trace(M).real - 1.0) > HERM_ATOL or abs(np.trace(M).imag) > HERM_ATOL:
+        tr = np.trace(M)
+        if not (abs(tr.real - 1.0) <= HERM_ATOL and abs(tr.imag) <= HERM_ATOL):
             raise InvariantViolation("density matrix trace is not 1")
         w = hermitian_eig(M)
         if w[0] < -PSD_ATOL:

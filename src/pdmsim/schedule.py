@@ -111,24 +111,48 @@ def _event_projectors(qubit: int, qubit_count: int) -> np.ndarray:
     return _read_only(np.stack([(I + A) / 2.0, (I - A) / 2.0], axis=1))
 
 
+def _as_python(x):
+    """A numpy scalar as the Python value it holds, so messages read alike for arrays and lists."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
 def _pauli_labels(assignments, event_count: int) -> np.ndarray:
     """Validate a batch of Pauli assignments, each one integer label 0..3 per event.
 
-    Returns the labels as a (P, event_count) integer array. Every label is
-    checked before the batch is converted, so a bool or float label is
-    rejected, never cast.
+    Returns the labels as a (P, event_count) integer array. A 2-D integer
+    array is checked as a whole for its width, its row count and the label
+    range. Any other batch (a sequence, or a bool, float, object or 1-D
+    array) is checked label by label before it is converted, so a bool or
+    float label is rejected, never cast. Both paths give the same messages.
     """
+    if (
+        isinstance(assignments, np.ndarray)
+        and assignments.ndim == 2
+        and np.issubdtype(assignments.dtype, np.integer)
+    ):
+        if len(assignments) == 0:
+            raise UsageError("need at least one assignment")
+        if assignments.shape[1] != event_count:
+            raise UsageError(
+                f"assignment length {assignments.shape[1]} does not match {event_count} events"
+            )
+        bad = np.flatnonzero(((assignments < 0) | (assignments > 3)).any(axis=1))
+        if bad.size:
+            a = tuple(int(x) for x in assignments[bad[0]])
+            raise UsageError(f"assignment labels must be 0..3, got {a}")
+        return assignments.astype(np.intp)
     rows = []
     for a in assignments:
         try:
             a = tuple(a)
         except TypeError:
-            raise UsageError(f"an assignment must be a sequence of labels, got {a!r}") from None
+            msg = f"an assignment must be a sequence of labels, got {_as_python(a)!r}"
+            raise UsageError(msg) from None
         if len(a) != event_count:
             raise UsageError(f"assignment length {len(a)} does not match {event_count} events")
         for x in a:
             if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
-                raise UsageError(f"assignment labels must be integers 0..3, got {x!r}")
+                raise UsageError(f"assignment labels must be integers 0..3, got {_as_python(x)!r}")
         a = tuple(int(x) for x in a)
         if not all(0 <= x <= 3 for x in a):
             raise UsageError(f"assignment labels must be 0..3, got {a}")
@@ -224,11 +248,13 @@ def two_event_schedule(initial: DensityState, channel: KrausChannel | None) -> S
     )
 
 
-def two_event_pdm_stack(initial: DensityState, channels) -> np.ndarray:
+def two_event_pdm_stack(initial, channels) -> np.ndarray:
     """PDMs of the two-event schedules ``(initial, channels[k])`` as one (T, 4, 4) stack.
 
-    Row k equals ``build_pdm(two_event_schedule(initial, channels[k])).matrix``;
-    a None channel is the identity. Channels may differ in Kraus count. The
+    ``initial`` is one ``DensityState`` for every row, or a sequence of one
+    state per channel. Row k equals
+    ``build_pdm(two_event_schedule(state_k, channels[k])).matrix``; a None
+    channel is the identity. Channels may differ in Kraus count. The
     channels' Choi stack (``choi_matrices``) goes through
     ``two_event_pdm_from_choi``, the closed form that sweeps also use.
     """
@@ -241,21 +267,27 @@ def two_event_pdm_stack(initial: DensityState, channels) -> np.ndarray:
     return two_event_pdm_from_choi(initial, choi_matrices(chans))
 
 
-def two_event_pdm_from_choi(initial: DensityState, choi: np.ndarray) -> np.ndarray:
+def two_event_pdm_from_choi(initial, choi: np.ndarray) -> np.ndarray:
     """Two-event PDMs from a (T, 4, 4) stack of unnormalized single-qubit Choi matrices.
 
     Closed form (Horsman et al. 2017; Fullwood & Parzygnat 2022): the PDM of
     two consecutive measurement events on one qubit with gap channel E is the
     Jordan product R = {rho (x) I, J(E)}/2, where J(E) = sum_ij |i><j| (x) E(|j><i|)
-    is the Choi matrix partially transposed on its first factor. A channel
-    that is not trace preserving is a ``UsageError``; the stack is checked to
-    be Hermitian with unit trace.
+    is the Choi matrix partially transposed on its first factor. ``initial``
+    is one 1-qubit ``DensityState`` for every row or a sequence of one per
+    row; rho (x) I is broadcast over the rows. A channel that is not trace
+    preserving is a ``UsageError``; the stack is checked to be Hermitian with
+    unit trace.
     """
-    if initial.qubit_count != 1:
+    shared = isinstance(initial, DensityState)
+    states = (initial,) if shared else tuple(initial)
+    if any(st.qubit_count != 1 for st in states):
         raise UsageError("the two-event closed form needs a 1-qubit initial state")
     if choi.shape[1:] != (4, 4):
         n = int(round(math.log2(choi.shape[-1]))) // 2
         raise UsageError(f"gap channel acts on {n} qubits, not 1")
+    if not shared and len(states) != len(choi):
+        raise UsageError(f"got {len(states)} initial states for {len(choi)} gap channels")
     # C[k, i, a, j, b] is Choi entry ((i, a), (j, b)) of channel k.
     C = choi.reshape(-1, 2, 2, 2, 2)
     # Tracing out the output factor gives conj(sum K^dag K), the identity iff TP.
@@ -263,7 +295,9 @@ def two_event_pdm_from_choi(initial: DensityState, choi: np.ndarray) -> np.ndarr
     k = int(np.argmax(tp))
     _require_trace_preserving(k, tp[k])
     J = C.transpose(0, 3, 2, 1, 4).reshape(-1, 4, 4)
-    A = np.kron(initial.matrix, I2)
+    rho = initial.matrix if shared else np.stack([st.matrix for st in states])
+    # np.kron pairs I with one rho, or with each rho of a (T, 2, 2) stack.
+    A = np.kron(rho, I2)
     R = (A @ J + J @ A) / 2.0
     if not is_hermitian(R):
         raise InvariantViolation("a PDM of the stack is not Hermitian")
@@ -379,14 +413,15 @@ class PseudoDensityMatrix:
             raise InvariantViolation(f"PDM shape {M.shape} does not match {n} events")
         if c.shape != (4**n,):
             raise InvariantViolation(f"expected {4**n} coefficients, got {c.shape}")
-        if np.max(np.abs(M - M.conj().T)) > HERM_ATOL:
+        # Every check is written to pass only on a number, so a NaN fails it.
+        if not is_hermitian(M):
             raise InvariantViolation("PDM is not Hermitian")
         tr = np.trace(M)
-        if abs(tr.real - 1.0) > HERM_ATOL or abs(tr.imag) > HERM_ATOL:
+        if not (abs(tr.real - 1.0) <= HERM_ATOL and abs(tr.imag) <= HERM_ATOL):
             raise InvariantViolation(f"PDM trace {tr} is not 1")
-        if np.max(np.abs(c)) > 1 + 1e-12:
+        if not np.max(np.abs(c)) <= 1 + 1e-12:
             raise InvariantViolation("a stored expectation lies outside [-1, 1]")
-        if abs(c[0] - 1.0) > 1e-12:
+        if not abs(c[0] - 1.0) <= 1e-12:
             raise InvariantViolation("all-identity expectation must be 1")
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "coefficients", c)

@@ -136,23 +136,24 @@ def suite_engine_oracle(seed: int = 0, trials: int = 200) -> SuiteResult:
     all-identity one, and evaluates them as one batch on each side. ``detail``
     names the side and the assignment of the worst deviation.
     """
-    worst, detail = 0.0, ""
+    devs = np.empty((trials, _RANDOM_PICKS + 1, len(_SIDES)))
+    batches = []
     for k in range(trials):
         rng = np.random.default_rng(seed + k)
         s = random_schedule(rng)
         n = s.event_count
-        picks = [rng.integers(0, 4, size=n) for _ in range(_RANDOM_PICKS)]
-        picks.append(np.zeros(n, dtype=int))
-        labels = np.stack(picks)
+        # One draw of all picks: the same stream as one draw per pick.
+        picks = rng.integers(0, 4, size=(_RANDOM_PICKS, n))
+        labels = np.vstack([picks, np.zeros((1, n), dtype=picks.dtype)])
         R = build_pdm(s)
         want = oracle_expectations(s, labels)
         got = np.stack([expectations(s, labels), R.stored_expectations(labels)], axis=1)
-        devs = _deviations(got, want[:, None])
-        # Row-major over (pick, side): the first maximum is the one a per-pick loop would keep.
-        pick, side = divmod(int(np.argmax(devs)), 2)
-        if devs[pick, side] > worst:
-            worst = float(devs[pick, side])
-            detail = f"{_SIDES[side]}: trial {k} assignment {_plain(labels[pick])}"
+        devs[k] = _deviations(got, want[:, None])
+        batches.append(labels)
+    # Row-major over (trial, pick, side): the first maximum is the one a per-pick loop would keep.
+    k, pick, side = np.unravel_index(int(np.argmax(devs)), devs.shape)
+    detail = f"{_SIDES[side]}: trial {k} assignment {_plain(batches[k][pick])}"
+    worst = float(devs[k, pick, side])
     return SuiteResult("engine_vs_oracle", worst <= 1e-12, worst, detail)
 
 
@@ -207,33 +208,36 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
 
 
 def suite_unitary_invariance(seed: int = 0, trials: int = 200) -> SuiteResult:
+    """f_tr of the golden PDM under Haar-random unitaries; ``detail`` names the worst trial."""
     rep = check_unitary_invariance(build_pdm(golden_schedule()), trials, seed)
-    return SuiteResult("unitary_invariance", rep.passed, rep.max_deviation)
+    return SuiteResult("unitary_invariance", rep.passed, rep.max_deviation, rep.detail)
 
 
 def suite_local_monotonicity(seed: int = 0, trials: int = 200) -> SuiteResult:
+    """f_tr of the golden PDM under random one-event channels; ``detail`` names the worst trial."""
     rep = check_local_monotonicity(build_pdm(golden_schedule()), trials, seed)
-    return SuiteResult("local_monotonicity", rep.passed, rep.max_deviation)
+    return SuiteResult("local_monotonicity", rep.passed, rep.max_deviation, rep.detail)
 
 
 def suite_convexity(seed: int = 0, trials: int = 200) -> SuiteResult:
-    worst, ok = 0.0, True
+    """Convexity of f_tr on mixtures of two random two-event PDMs.
+
+    Each trial draws two (state, CPTP gap of Kraus rank 1-4) pairs and a
+    weight p. All 2T PDMs come from one closed-form stack, one state per row,
+    and ``check_convexity`` takes the f_tr of them and of the T mixtures from
+    one eigenvalue solve. ``detail`` names the trial of the largest gap.
+    """
+    states, channels, weights = [], [], []
     for k in range(trials):
         rng = np.random.default_rng(seed + k)
-        Rs = [
-            build_pdm(
-                two_event_schedule(
-                    state_from_bloch(random_bloch(rng)),
-                    random_cptp(1, int(rng.integers(1, 5)), rng),
-                )
-            )
-            for _ in range(2)
-        ]
+        for _ in range(2):
+            states.append(state_from_bloch(random_bloch(rng)))
+            channels.append(random_cptp(1, int(rng.integers(1, 5)), rng))
         p = float(rng.uniform(0, 1))
-        rep = check_convexity(Rs, [p, 1 - p])
-        worst = max(worst, rep.max_deviation)
-        ok = ok and rep.passed
-    return SuiteResult("convexity", ok, worst)
+        weights.append([p, 1 - p])
+    Rs = two_event_pdm_stack(states, channels).reshape(trials, 2, 4, 4)
+    rep = check_convexity(Rs, weights)
+    return SuiteResult("convexity", rep.passed, rep.max_deviation, rep.detail)
 
 
 def run_all(seed: int = 0, trials: int = 200) -> list[SuiteResult]:

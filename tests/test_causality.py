@@ -29,7 +29,7 @@ from pdmsim.causality import _f_tr_matrix, haar_unitary, random_cptp
 from pdmsim.channels import apply_channel_to_matrix
 from pdmsim.linalg import PAULIS, PSD_ATOL
 from pdmsim.schedule import Event, Schedule
-from pdmsim.verify import golden_schedule
+from pdmsim.verify import golden_schedule, random_bloch
 
 from conftest import random_density, random_pure
 
@@ -63,6 +63,29 @@ def local_monotonicity_loop(R, trials, seed):
         out = apply_channel_to_matrix(ch, R.matrix, [factor], R.event_count)
         worst = max(worst, float(_f_tr_matrix(out)) - base)
     return max(0.0, worst)
+
+
+def convexity_loop(seed, trials):
+    """Reference: ``suite_convexity``'s draws, one ``build_pdm`` per PDM and one gap per trial."""
+    gaps = []
+    for k in range(trials):
+        rng = np.random.default_rng(seed + k)
+        Rs = [
+            build_pdm(
+                two_event_schedule(
+                    state_from_bloch(random_bloch(rng)),
+                    random_cptp(1, int(rng.integers(1, 5)), rng),
+                )
+            )
+            for _ in range(2)
+        ]
+        p = float(rng.uniform(0, 1))
+        mix = p * Rs[0].matrix + (1 - p) * Rs[1].matrix
+        gaps.append(float(_f_tr_matrix(mix)) - p * f_tr(Rs[0]) - (1 - p) * f_tr(Rs[1]))
+        # The one-mixture form of check_convexity reports the same gap.
+        rep = check_convexity(Rs, [p, 1 - p])
+        assert rep.trials == 1 and abs(rep.max_deviation - max(0.0, gaps[-1])) <= 1e-15
+    return np.array(gaps)
 
 
 class TestFtr:
@@ -214,28 +237,34 @@ class TestMonotoneAxioms:
 
     @pytest.mark.parametrize("stack_bytes", [None, 3 * 16 * 4 * 4])
     def test_checks_see_the_first_and_last_trial(self, stack_bytes, monkeypatch):
-        # One trial's matrix is doubled, which raises its f_tr; the report must show it.
+        # One trial's unitary or channel is doubled, which raises its f_tr; the
+        # report must fail and name that trial.
         if stack_bytes is not None:
             monkeypatch.setattr(causality, "CHECK_STACK_BYTES", stack_bytes)
         R = build_pdm(golden_schedule())
-        for name, check in (
-            ("haar_unitary", check_unitary_invariance),
-            ("apply_channel_to_matrix", check_local_monotonicity),
+        for name, check, double in (
+            ("haar_unitary", check_unitary_invariance, lambda U: 2 * U),
+            (
+                "random_cptp",
+                check_local_monotonicity,
+                lambda ch: KrausChannel(tuple(2 * K for K in ch.kraus_ops), ch.acts_on),
+            ),
         ):
             real = getattr(causality, name)
             for distorted in (0, 39):
                 calls = []
 
-                def doubled(*args, real=real, calls=calls, distorted=distorted):
+                def doubled(*args, real=real, calls=calls, distorted=distorted, double=double):
                     calls.append(1)
                     out = real(*args)
-                    return 2 * out if len(calls) - 1 == distorted else out
+                    return double(out) if len(calls) - 1 == distorted else out
 
                 with monkeypatch.context() as m:
                     m.setattr(causality, name, doubled)
                     rep = check(R, trials=40, seed=3)
                 assert len(calls) == 40
                 assert not rep.passed and rep.max_deviation > 0.01
+                assert rep.detail.split()[:2] == ["trial", str(distorted)]
 
     def test_convexity_single_element(self):
         R = build_pdm(golden_schedule())
@@ -262,6 +291,63 @@ class TestMonotoneAxioms:
         R = build_pdm(golden_schedule())
         with pytest.raises(UsageError):
             check_convexity([R, R], [0.7, 0.7])
+        for bad in ([np.nan, 1.0], [-0.5, 1.5]):
+            with pytest.raises(UsageError, match="weights"):
+                check_convexity([R, R], bad)
+        with pytest.raises(UsageError, match="matching"):
+            check_convexity(np.stack([[R.matrix, R.matrix]] * 3), [[0.5, 0.5]] * 2)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_stacked_convexity_matches_per_trial_loop(self, seed):
+        from pdmsim.verify import suite_convexity
+
+        gaps = convexity_loop(seed, trials=30)
+        res = suite_convexity(seed=seed, trials=30)
+        assert res.passed == bool(np.all(gaps <= 1e-9))
+        assert abs(res.max_deviation - max(0.0, gaps.max())) <= 1e-12
+        assert res.detail == f"trial {int(np.argmax(gaps))}"
+
+    def test_convexity_names_the_distorted_trial(self, monkeypatch):
+        import pdmsim.verify as verify
+
+        exact = verify.two_event_pdm_stack
+
+        def distorted(states, channels):
+            # Trial 6's pair becomes diag(0, 0, 0, 5) (PSD, f_tr 0) and
+            # diag(1.5, -0.5, 0, 0) (f_tr 1): the mixture with weight p on the
+            # first has f_tr 1 + 3p against the weighted 1 - p, a gap of 4p.
+            R = exact(states, channels)
+            R[12] = np.diag([0, 0, 0, 5])
+            R[13] = np.diag([1.5, -0.5, 0, 0])
+            return R
+
+        monkeypatch.setattr(verify, "two_event_pdm_stack", distorted)
+        res = verify.suite_convexity(seed=0, trials=10)
+        rng = np.random.default_rng(6)
+        for _ in range(2):
+            random_bloch(rng)
+            random_cptp(1, int(rng.integers(1, 5)), rng)
+        p = float(rng.uniform(0, 1))
+        assert not res.passed and res.detail == "trial 6"
+        assert res.max_deviation == pytest.approx(4 * p, abs=1e-12)
+
+    def test_local_monotonicity_names_the_trial_and_event(self, monkeypatch):
+        import pdmsim.verify as verify
+
+        real = causality.random_cptp
+        calls = []
+
+        def doubled(*args):
+            calls.append(1)
+            ch = real(*args)
+            return KrausChannel(tuple(2 * K for K in ch.kraus_ops), 1) if len(calls) == 18 else ch
+
+        monkeypatch.setattr(causality, "random_cptp", doubled)
+        res = verify.suite_local_monotonicity(seed=5, trials=40)
+        rng = np.random.default_rng(5 + 17)
+        real(1, int(rng.integers(1, 5)), rng)
+        event = int(rng.integers(0, 2)) + 1
+        assert not res.passed and res.detail == f"trial 17 on event {event}"
 
 
 class TestTwoEventUniversality:

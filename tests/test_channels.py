@@ -80,6 +80,11 @@ class TestStateFromBloch:
         with pytest.raises(InvariantViolation):
             DensityState(np.diag([1.5, -0.5]).astype(complex), 1)
 
+    def test_nan_density_state_is_an_invariant_violation(self):
+        for M in (np.full((2, 2), np.nan), np.diag([np.nan, 0.5])):
+            with pytest.raises(InvariantViolation, match="not Hermitian"):
+                DensityState(M.astype(complex), 1)
+
 
 class TestMakeChannel:
     def test_dephasing_identity_limit(self, rng):

@@ -7,8 +7,10 @@ import pytest
 from pdmsim import (
     DensityState,
     Event,
+    InvariantViolation,
     KrausChannel,
     NoiseModel,
+    PseudoDensityMatrix,
     Schedule,
     UsageError,
     ancilla_expectation,
@@ -188,6 +190,19 @@ class TestBuildPdm:
     def test_golden_matrix(self):
         R = build_pdm(golden_schedule())
         assert np.max(np.abs(R.matrix - GOLDEN_TWO_EVENT)) <= 1e-12
+
+    def test_nan_pdm_rejected(self):
+        R = build_pdm(golden_schedule())
+        nan_matrix = np.full_like(R.matrix, np.nan)
+        nan_coeffs = np.full_like(R.coefficients, np.nan)
+        with pytest.raises(InvariantViolation, match="not Hermitian"):
+            PseudoDensityMatrix(nan_matrix, R.events, nan_coeffs)
+        with pytest.raises(InvariantViolation, match="outside"):
+            PseudoDensityMatrix(R.matrix, R.events, nan_coeffs)
+        c = R.coefficients.copy()
+        c[0] = np.nan
+        with pytest.raises(InvariantViolation):
+            PseudoDensityMatrix(R.matrix, R.events, c)
 
     def test_single_slice_reduces_to_state(self, rng):
         rho = random_density(2, rng)
@@ -514,6 +529,27 @@ class TestAssignmentLabels:
             with pytest.raises(UsageError):
                 read(bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([(1, 1), (1, 0)], dtype=bool),
+            np.array([(1.0, 1.0)]),
+            np.array([(1, 1), (1, 4)]),
+            np.array([(0, -1), (1, 4)], dtype=np.int8),
+            np.array([(1, 1, 1)]),
+            np.zeros((0, 2), dtype=int),
+            np.zeros((0, 3), dtype=int),
+            np.array([1, 1]),
+            np.array([], dtype=int),
+        ],
+    )
+    def test_array_and_sequence_messages_agree(self, bad):
+        with pytest.raises(UsageError) as from_array:
+            schedule._pauli_labels(bad, 2)
+        with pytest.raises(UsageError) as from_list:
+            schedule._pauli_labels(bad.tolist(), 2)
+        assert str(from_array.value) == str(from_list.value)
+
     def test_batch_forms_agree(self):
         s = _layout(2, [[0, 1], [1]], np.random.default_rng(5))
         picks = [(1, 2, 3), (0, 0, 0), (3, 0, 1)]
@@ -609,6 +645,24 @@ class TestTwoEventClosedForm:
         assert stack.shape == (len(chans), 4, 4)
         for ch, R in zip(chans, stack):
             assert np.max(np.abs(R - build_pdm(two_event_schedule(rho, ch)).matrix)) <= 1e-12
+
+    def test_one_state_per_row(self):
+        rng = np.random.default_rng(22)
+        states = [state_from_bloch(random_bloch(rng)) for _ in range(30)]
+        chans = [random_cptp(1, int(rng.integers(1, 5)), rng) for _ in range(30)]
+        chans[4] = None
+        stack = two_event_pdm_stack(states, chans)
+        assert stack.shape == (30, 4, 4)
+        for rho, ch, R in zip(states, chans, stack):
+            (want,) = two_event_pdm_stack(rho, [ch])
+            assert np.max(np.abs(R - want)) <= 1e-15
+
+    def test_per_row_states_checked(self, rng):
+        rho = state_from_bloch([0, 0, 1])
+        with pytest.raises(UsageError, match="got 2 initial states for 3 gap channels"):
+            two_event_pdm_stack([rho, rho], [None] * 3)
+        with pytest.raises(UsageError, match="1-qubit initial state"):
+            two_event_pdm_stack([rho, random_density(2, rng)], [None, None])
 
     def test_multi_qubit_channel_rejected(self, rng):
         U = haar_unitary(4, rng)
