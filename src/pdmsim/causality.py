@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, kraus_sum
 from .errors import UsageError
 from .linalg import PSD_ATOL, dagger, embed_operator, hermitian_eig
 from .schedule import PseudoDensityMatrix
@@ -142,10 +142,11 @@ def check_local_monotonicity(
 
     Each trial draws a random channel of Kraus rank 1-4 and the factor it
     acts on. A chunk's channels are zero-padded into one (T, 4, 2, 2) Kraus
-    array (a zero operator adds nothing) and applied to R with one product
-    per event factor, over the trials on that factor. Chunks hold at most
-    CHECK_STACK_BYTES of embedded Kraus operators, and each is one eigenvalue
-    solve. ``detail`` names the trial of the largest rise and its event.
+    array (a zero operator adds nothing) and applied to R with one
+    ``kraus_sum`` per event factor, over the trials on that factor and up to
+    their largest Kraus rank. Chunks hold at most CHECK_STACK_BYTES of
+    embedded Kraus operators, and each is one eigenvalue solve. ``detail``
+    names the trial of the largest rise and its event.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -156,22 +157,20 @@ def check_local_monotonicity(
     # A trial holds 4 embedded Kraus operators: the entries of one matrix of twice the dimension.
     for ks in _trial_chunks(trials, 2 * dim):
         kraus = np.zeros((len(ks), 4, 2, 2), dtype=complex)
+        rank = np.empty(len(ks), dtype=int)
         factor = np.empty(len(ks), dtype=int)
         for row, k in enumerate(ks):
             rng = np.random.default_rng(seed + k)
-            ops = random_cptp(1, int(rng.integers(1, 5)), rng).kraus_ops
-            kraus[row, : len(ops)] = ops
+            rank[row] = rng.integers(1, 5)
+            kraus[row, : rank[row]] = random_cptp(1, int(rank[row]), rng).kraus_ops
             factor[row] = rng.integers(0, n)
         outs = np.empty((len(ks), dim, dim), dtype=complex)
         for f in range(n):
             on_f = factor == f
-            if not on_f.any():
-                continue
-            E = embed_operator(kraus[on_f], [f], n)
-            out = E[:, 0] @ R.matrix @ dagger(E[:, 0])
-            for j in range(1, 4):
-                out += E[:, j] @ R.matrix @ dagger(E[:, j])
-            outs[on_f] = out
+            if on_f.any():
+                # Padding beyond the largest rank on this factor would only add zero products.
+                E = embed_operator(kraus[on_f, : rank[on_f].max()], [f], n)
+                outs[on_f] = kraus_sum(E, R.matrix)
         rises.append(_f_tr_matrix(outs) - base)
         factors.append(factor)
     rises, factors = np.concatenate(rises), np.concatenate(factors)
@@ -188,7 +187,8 @@ def check_convexity(Rs, weights) -> CheckReport:
     a (T, m, D, D) array holding T trials' m PDM matrices, with weights of
     shape (T, m). Each row of weights is nonnegative and sums to 1. The f_tr
     of all T*m matrices and T mixtures come from one eigenvalue solve.
-    ``detail`` names the trial of the largest gap.
+    ``trials`` counts the PDMs checked (m, or T*m), and ``detail`` names the
+    trial of the largest gap.
     """
     ws = np.asarray(weights, dtype=float)
     if not isinstance(Rs, np.ndarray):
@@ -206,4 +206,4 @@ def check_convexity(Rs, weights) -> CheckReport:
     gaps = values[T * m :] - np.sum(ws * values[: T * m].reshape(T, m), axis=1)
     k = int(np.argmax(gaps))
     worst = float(gaps[k])
-    return CheckReport(worst <= CHECK_ATOL, T, max(0.0, worst), f"trial {k}")
+    return CheckReport(worst <= CHECK_ATOL, T * m, max(0.0, worst), f"trial {k}")

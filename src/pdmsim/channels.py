@@ -171,17 +171,26 @@ def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
 def apply_channel_to_matrix(ch: KrausChannel, M: np.ndarray, targets, qubit_count: int) -> np.ndarray:
     """Linear action of the channel on an operator of the full system, or on each of a (..., D, D) stack.
 
-    The Kraus operators are embedded as one stack, and each term K_k M K_k^dag
-    is one product over the whole stack, added into the result as it is
-    made. So a call holds about three times the stack's memory, whatever the
-    Kraus count.
+    The Kraus operators are embedded as one stack and summed by ``kraus_sum``.
     """
     if ch.acts_on != len(targets):
         raise UsageError(f"channel acts on {ch.acts_on} qubits but {len(targets)} targets given")
     M = np.asarray(M, dtype=complex)
-    ks = embed_operator(np.asarray(ch.kraus_ops), targets, qubit_count)
-    out = ks[0] @ M @ dagger(ks[0])
-    for K in ks[1:]:
+    return kraus_sum(embed_operator(np.asarray(ch.kraus_ops), targets, qubit_count), M)
+
+
+def kraus_sum(E: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """sum_k E_k M E_k^dag for embedded Kraus operators E of shape (..., K, D, D).
+
+    M is one (D, D) operator or a stack that broadcasts against E's leading
+    axes. Each term is one product over the whole stack, added into the
+    result as it is made, so a call holds about three times the result's
+    memory, whatever the Kraus count. An all-zero operator adds nothing, so
+    rows with fewer operators may be padded with them.
+    """
+    out = E[..., 0, :, :] @ M @ dagger(E[..., 0, :, :])
+    for k in range(1, E.shape[-3]):
+        K = E[..., k, :, :]
         out += K @ M @ dagger(K)
     return out
 

@@ -111,48 +111,24 @@ def _event_projectors(qubit: int, qubit_count: int) -> np.ndarray:
     return _read_only(np.stack([(I + A) / 2.0, (I - A) / 2.0], axis=1))
 
 
-def _as_python(x):
-    """A numpy scalar as the Python value it holds, so messages read alike for arrays and lists."""
-    return x.item() if isinstance(x, np.generic) else x
-
-
 def _pauli_labels(assignments, event_count: int) -> np.ndarray:
     """Validate a batch of Pauli assignments, each one integer label 0..3 per event.
 
-    Returns the labels as a (P, event_count) integer array. A 2-D integer
-    array is checked as a whole for its width, its row count and the label
-    range. Any other batch (a sequence, or a bool, float, object or 1-D
-    array) is checked label by label before it is converted, so a bool or
-    float label is rejected, never cast. Both paths give the same messages.
+    Returns the labels as a (P, event_count) integer array. Every label is
+    checked before the batch is converted, so a bool or float label is
+    rejected, never cast.
     """
-    if (
-        isinstance(assignments, np.ndarray)
-        and assignments.ndim == 2
-        and np.issubdtype(assignments.dtype, np.integer)
-    ):
-        if len(assignments) == 0:
-            raise UsageError("need at least one assignment")
-        if assignments.shape[1] != event_count:
-            raise UsageError(
-                f"assignment length {assignments.shape[1]} does not match {event_count} events"
-            )
-        bad = np.flatnonzero(((assignments < 0) | (assignments > 3)).any(axis=1))
-        if bad.size:
-            a = tuple(int(x) for x in assignments[bad[0]])
-            raise UsageError(f"assignment labels must be 0..3, got {a}")
-        return assignments.astype(np.intp)
     rows = []
     for a in assignments:
         try:
             a = tuple(a)
         except TypeError:
-            msg = f"an assignment must be a sequence of labels, got {_as_python(a)!r}"
-            raise UsageError(msg) from None
+            raise UsageError(f"an assignment must be a sequence of labels, got {a!r}") from None
         if len(a) != event_count:
             raise UsageError(f"assignment length {len(a)} does not match {event_count} events")
         for x in a:
             if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
-                raise UsageError(f"assignment labels must be integers 0..3, got {_as_python(x)!r}")
+                raise UsageError(f"assignment labels must be integers 0..3, got {x!r}")
         a = tuple(int(x) for x in a)
         if not all(0 <= x <= 3 for x in a):
             raise UsageError(f"assignment labels must be 0..3, got {a}")

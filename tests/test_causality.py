@@ -84,7 +84,7 @@ def convexity_loop(seed, trials):
         gaps.append(float(_f_tr_matrix(mix)) - p * f_tr(Rs[0]) - (1 - p) * f_tr(Rs[1]))
         # The one-mixture form of check_convexity reports the same gap.
         rep = check_convexity(Rs, [p, 1 - p])
-        assert rep.trials == 1 and abs(rep.max_deviation - max(0.0, gaps[-1])) <= 1e-15
+        assert rep.trials == 2 and abs(rep.max_deviation - max(0.0, gaps[-1])) <= 1e-15
     return np.array(gaps)
 
 
@@ -270,6 +270,12 @@ class TestMonotoneAxioms:
         R = build_pdm(golden_schedule())
         rep = check_convexity([R], [1.0])
         assert rep.passed and rep.max_deviation <= 1e-12
+
+    def test_convexity_trials_count_the_pdms(self):
+        R = build_pdm(golden_schedule())
+        assert check_convexity([R, R, R], [0.2, 0.3, 0.5]).trials == 3
+        stack = np.stack([[R.matrix, R.matrix]] * 4)
+        assert check_convexity(stack, [[0.5, 0.5]] * 4).trials == 8
 
     def test_convexity_with_swapped_copy(self):
         R = build_pdm(golden_schedule())

@@ -22,7 +22,12 @@ from pdmsim import (
     validate_channel,
 )
 from pdmsim.causality import haar_unitary, random_cptp
-from pdmsim.channels import DensityState, apply_channel_to_matrix, dephasing_about_axis
+from pdmsim.channels import (
+    DensityState,
+    apply_channel_to_matrix,
+    dephasing_about_axis,
+    kraus_sum,
+)
 from pdmsim.linalg import I2, X, Y, Z, embed_operator
 from pdmsim.schedule import two_event_pdm_from_choi
 
@@ -166,6 +171,17 @@ class TestApplyChannel:
             for M, got in zip(stack, out):
                 assert np.max(np.abs(got - apply_channel_to_matrix(ch, M, targets, qubits))) <= 1e-14
                 assert np.max(np.abs(got - apply_loop(ch, M, targets, qubits))) <= 1e-14
+
+    def test_kraus_sum_of_padded_channels(self, rng):
+        # One (T, 4, 2, 2) array of channels of ranks 1-4, zero-padded, on one factor.
+        M = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        chans = [random_cptp(1, rank, rng) for rank in (1, 4, 2, 3)]
+        kraus = np.zeros((4, 4, 2, 2), dtype=complex)
+        for row, ch in enumerate(chans):
+            kraus[row, : len(ch.kraus_ops)] = ch.kraus_ops
+        out = kraus_sum(embed_operator(kraus, [1], 3), M)
+        for ch, got in zip(chans, out):
+            assert np.max(np.abs(got - apply_channel_to_matrix(ch, M, [1], 3))) <= 1e-14
 
     def test_target_mismatch(self, rng):
         with pytest.raises(UsageError):
