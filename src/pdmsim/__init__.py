@@ -25,11 +25,11 @@ from .channels import (
     NoiseModel,
     apply_channel,
     channel_at_time,
-    choi_matrices,
     choi_matrix,
     choi_stack,
     compose,
     identity_channel,
+    kraus_array,
     make_channel,
     noise_kraus,
     state_from_bloch,

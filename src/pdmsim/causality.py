@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, kraus_sum
+from .channels import KrausChannel, kraus_array, kraus_sum
 from .errors import UsageError
-from .linalg import PSD_ATOL, dagger, embed_operator, hermitian_eig
+from .linalg import PSD_ATOL, chunk_slices, dagger, embed_operator, hermitian_eig
 from .schedule import PseudoDensityMatrix
 
 CHECK_ATOL = 1e-9
@@ -46,8 +46,13 @@ def spectrum_verdict(w) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _f_tr_matrix(M: np.ndarray) -> np.ndarray:
-    """f_tr of a matrix (0-d result) or of each matrix of a stack, from one eigenvalue solve."""
-    return spectrum_verdict(hermitian_eig(M))[0]
+    """f_tr of a matrix (0-d result) or of each matrix of a stack, from one eigenvalue solve.
+
+    A matrix with a non-finite entry gets NaN, so one bad trial cannot stop a stacked check.
+    """
+    finite = np.all(np.isfinite(M), axis=(-2, -1))
+    w = hermitian_eig(np.where(finite[..., None, None], M, 0.0))
+    return np.where(finite, spectrum_verdict(w)[0], np.nan)
 
 
 def f_tr(R: PseudoDensityMatrix) -> float:
@@ -96,6 +101,7 @@ def random_cptp(qubits: int, kraus_rank: int, rng: np.random.Generator) -> Kraus
 class CheckReport:
     passed: bool
     trials: int
+    #: inf when the worst trial's matrix is not finite.
     max_deviation: float
     #: The worst trial by its index k (a seeded check's trial k draws from seed + k),
     #: and for local monotonicity the event its channel acted on.
@@ -107,10 +113,14 @@ class CheckReport:
 CHECK_STACK_BYTES = 2**20
 
 
-def _trial_chunks(trials: int, dim: int):
-    """Consecutive ranges of trials whose (dim, dim) complex matrices fit in CHECK_STACK_BYTES."""
-    size = max(1, CHECK_STACK_BYTES // (16 * dim * dim))
-    return (range(lo, min(lo + size, trials)) for lo in range(0, trials, size))
+def worst_deviation(devs: np.ndarray) -> tuple[int, float]:
+    """Flat index and value of the first largest deviation, a non-finite one counted as inf.
+
+    A NaN would lose every comparison and hide the other deviations; as inf it fails.
+    """
+    devs = np.where(np.isfinite(devs), devs, np.inf)
+    k = int(np.argmax(devs))
+    return k, float(devs.flat[k])
 
 
 def check_unitary_invariance(
@@ -126,12 +136,11 @@ def check_unitary_invariance(
     base = f_tr(R)
     dim = R.matrix.shape[0]
     devs = []
-    for ks in _trial_chunks(trials, dim):
+    for chunk in chunk_slices(trials, 16 * dim * dim, CHECK_STACK_BYTES):
+        ks = range(trials)[chunk]
         Us = np.stack([haar_unitary(dim, np.random.default_rng(seed + k)) for k in ks])
         devs.append(np.abs(_f_tr_matrix(Us @ R.matrix @ dagger(Us)) - base))
-    devs = np.concatenate(devs)
-    k = int(np.argmax(devs))
-    worst = float(devs[k])
+    k, worst = worst_deviation(np.concatenate(devs))
     return CheckReport(worst <= CHECK_ATOL, trials, worst, f"trial {k}")
 
 
@@ -141,12 +150,11 @@ def check_local_monotonicity(
     """f_tr must not increase under a CPTP channel on a single event factor.
 
     Each trial draws a random channel of Kraus rank 1-4 and the factor it
-    acts on. A chunk's channels are zero-padded into one (T, 4, 2, 2) Kraus
-    array (a zero operator adds nothing) and applied to R with one
-    ``kraus_sum`` per event factor, over the trials on that factor and up to
-    their largest Kraus rank. Chunks hold at most CHECK_STACK_BYTES of
-    embedded Kraus operators, and each is one eigenvalue solve. ``detail``
-    names the trial of the largest rise and its event.
+    acts on. A chunk's channels are zero-padded into one ``kraus_array`` (a
+    zero operator adds nothing) and applied to R with one ``kraus_sum`` per
+    event factor, over the trials on that factor. Chunks hold at most
+    CHECK_STACK_BYTES of embedded Kraus operators, and each is one eigenvalue
+    solve. ``detail`` names the trial of the largest rise and its event.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -154,29 +162,23 @@ def check_local_monotonicity(
     n = R.event_count
     dim = R.matrix.shape[0]
     rises, factors = [], []
-    # A trial holds 4 embedded Kraus operators: the entries of one matrix of twice the dimension.
-    for ks in _trial_chunks(trials, 2 * dim):
-        kraus = np.zeros((len(ks), 4, 2, 2), dtype=complex)
-        rank = np.empty(len(ks), dtype=int)
-        factor = np.empty(len(ks), dtype=int)
-        for row, k in enumerate(ks):
+    # A trial holds 4 embedded Kraus operators: 4 matrices of the PDM's dimension.
+    for chunk in chunk_slices(trials, 4 * 16 * dim * dim, CHECK_STACK_BYTES):
+        channels, factor = [], []
+        for k in range(trials)[chunk]:
             rng = np.random.default_rng(seed + k)
-            rank[row] = rng.integers(1, 5)
-            kraus[row, : rank[row]] = random_cptp(1, int(rank[row]), rng).kraus_ops
-            factor[row] = rng.integers(0, n)
-        outs = np.empty((len(ks), dim, dim), dtype=complex)
+            channels.append(random_cptp(1, int(rng.integers(1, 5)), rng))
+            factor.append(int(rng.integers(0, n)))
+        kraus, factor = kraus_array(channels), np.array(factor)
+        outs = np.empty((len(channels), dim, dim), dtype=complex)
         for f in range(n):
             on_f = factor == f
             if on_f.any():
-                # Padding beyond the largest rank on this factor would only add zero products.
-                E = embed_operator(kraus[on_f, : rank[on_f].max()], [f], n)
-                outs[on_f] = kraus_sum(E, R.matrix)
+                outs[on_f] = kraus_sum(embed_operator(kraus[on_f], [f], n), R.matrix)
         rises.append(_f_tr_matrix(outs) - base)
         factors.append(factor)
-    rises, factors = np.concatenate(rises), np.concatenate(factors)
-    k = int(np.argmax(rises))
-    worst = float(rises[k])
-    detail = f"trial {k} on event {factors[k] + 1}"
+    k, worst = worst_deviation(np.concatenate(rises))
+    detail = f"trial {k} on event {np.concatenate(factors)[k] + 1}"
     return CheckReport(worst <= CHECK_ATOL, trials, max(0.0, worst), detail)
 
 
@@ -204,6 +206,5 @@ def check_convexity(Rs, weights) -> CheckReport:
     mixes = np.sum(ws[..., None, None] * Rs, axis=1)
     values = _f_tr_matrix(np.concatenate([Rs.reshape(T * m, D, D), mixes]))
     gaps = values[T * m :] - np.sum(ws * values[: T * m].reshape(T, m), axis=1)
-    k = int(np.argmax(gaps))
-    worst = float(gaps[k])
+    k, worst = worst_deviation(gaps)
     return CheckReport(worst <= CHECK_ATOL, T * m, max(0.0, worst), f"trial {k}")

@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import InvariantViolation, UsageError
 from .linalg import (
-    HERM_ATOL,
     PSD_ATOL,
     I2,
     X,
@@ -18,7 +17,7 @@ from .linalg import (
     dagger,
     embed_operator,
     hermitian_eig,
-    is_hermitian,
+    require_hermitian_unit_trace,
 )
 
 TP_ATOL = 1e-10
@@ -36,12 +35,7 @@ class DensityState:
         d = 2**self.qubit_count
         if M.shape != (d, d):
             raise InvariantViolation(f"state shape {M.shape} does not match {self.qubit_count} qubits")
-        # Written to pass only on a number, so a NaN fails them.
-        if not is_hermitian(M):
-            raise InvariantViolation("density matrix is not Hermitian")
-        tr = np.trace(M)
-        if not (abs(tr.real - 1.0) <= HERM_ATOL and abs(tr.imag) <= HERM_ATOL):
-            raise InvariantViolation("density matrix trace is not 1")
+        require_hermitian_unit_trace(M, "density matrix")
         w = hermitian_eig(M)
         if w[0] < -PSD_ATOL:
             raise InvariantViolation(f"density matrix has eigenvalue {w[0]:.3e} < -{PSD_ATOL}")
@@ -215,26 +209,26 @@ def choi_stack(ks: np.ndarray) -> np.ndarray:
     return np.einsum("tkai,tkbj->tiajb", ks, ks.conj()).reshape(T, d * d, d * d)
 
 
-def choi_matrices(channels) -> np.ndarray:
-    """Choi matrices of channels of one dimension as a (T, d^2, d^2) stack; see ``choi_stack``.
+def kraus_array(channels) -> np.ndarray:
+    """Kraus operators of channels of one dimension as one (T, K, d, d) array, K the largest count.
 
-    The channels' Kraus operators are zero-padded to the largest Kraus count.
+    Fewer operators are padded with zero ones, which add nothing to ``kraus_sum`` or ``choi_stack``.
     """
     chans = list(channels)
     if not chans:
-        raise UsageError("choi_matrices needs at least one channel")
+        raise UsageError("kraus_array needs at least one channel")
     d = chans[0].dim
     if any(ch.dim != d for ch in chans):
-        raise UsageError("choi_matrices needs channels of one dimension")
+        raise UsageError("kraus_array needs channels of one dimension")
     ks = np.zeros((len(chans), max(len(ch.kraus_ops) for ch in chans), d, d), dtype=complex)
     for row, ch in zip(ks, chans):
         row[: len(ch.kraus_ops)] = ch.kraus_ops
-    return choi_stack(ks)
+    return ks
 
 
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
-    """Unnormalized Choi matrix of one channel; see ``choi_matrices``."""
-    return choi_matrices([ch])[0]
+    """Unnormalized Choi matrix of one channel; see ``choi_stack``."""
+    return choi_stack(kraus_array([ch]))[0]
 
 
 def tp_residual(ch: KrausChannel) -> float:

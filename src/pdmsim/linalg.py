@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import InvariantViolation, UsageError
 
 # Tolerances shared across the package.
 HERM_ATOL = 1e-12
@@ -25,7 +25,6 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: Single-qubit Pauli matrices indexed by label 0..3 (I, X, Y, Z).
 PAULIS = (I2, X, Y, Z)
-PAULI_NAMES = ("I", "X", "Y", "Z")
 
 
 def pauli_matrix(label: int) -> np.ndarray:
@@ -58,6 +57,30 @@ def dagger(M: np.ndarray) -> np.ndarray:
 def is_hermitian(M: np.ndarray) -> bool:
     """Whether a matrix, or every matrix of a ``(..., D, D)`` stack, is Hermitian to ``HERM_ATOL``."""
     return bool(np.max(np.abs(M - dagger(M))) <= HERM_ATOL)
+
+
+def require_hermitian_unit_trace(M: np.ndarray, name: str) -> None:
+    """Raise ``InvariantViolation`` unless M is Hermitian with trace 1, both to ``HERM_ATOL``.
+
+    M is one matrix, called ``name``, or a ``(T, D, D)`` stack whose first bad
+    matrix k is called "``name`` k of the stack". The trace's real and
+    imaginary parts are checked apart. Every check fails on a NaN.
+    """
+    tr = np.trace(M, axis1=-2, axis2=-1)
+    ok = (abs(tr.real - 1.0) <= HERM_ATOL) & (abs(tr.imag) <= HERM_ATOL)
+    if ok.all() and is_hermitian(M):
+        return
+    stack, tr, ok = M.reshape((-1,) + M.shape[-2:]), np.ravel(tr), np.ravel(ok)
+    k = next(k for k, A in enumerate(stack) if not (is_hermitian(A) and ok[k]))
+    what = f"{name} {k} of the stack" if M.ndim > 2 else name
+    problem = f"has trace {tr[k]}, not 1" if is_hermitian(stack[k]) else "is not Hermitian"
+    raise InvariantViolation(f"{what} {problem}")
+
+
+def chunk_slices(count: int, item_size: int, budget: int) -> list[slice]:
+    """Slices that cover ``range(count)`` in order, ``max(1, budget // item_size)`` items each."""
+    size = max(1, budget // item_size)
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
 def partial_trace(M: np.ndarray, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:

@@ -20,20 +20,22 @@ from .channels import (
     DensityState,
     KrausChannel,
     apply_channel_to_matrix,
-    choi_matrices,
+    choi_stack,
     identity_channel,
+    kraus_array,
+    kraus_sum,
     tp_residual,
 )
 from .errors import InvariantViolation, UsageError
 from .linalg import (
-    HERM_ATOL,
     I2,
     PAULIS,
+    chunk_slices,
     dagger,
     embed_operator,
-    is_hermitian,
-    kron,
     partial_trace,
+    pauli_string_matrix,
+    require_hermitian_unit_trace,
 )
 
 #: Bytes ``build_pdm`` may use for its largest working stack plus the output
@@ -231,7 +233,7 @@ def two_event_pdm_stack(initial, channels) -> np.ndarray:
     state per channel. Row k equals
     ``build_pdm(two_event_schedule(state_k, channels[k])).matrix``; a None
     channel is the identity. Channels may differ in Kraus count. The
-    channels' Choi stack (``choi_matrices``) goes through
+    channels' Choi stack (``choi_stack`` of their ``kraus_array``) goes through
     ``two_event_pdm_from_choi``, the closed form that sweeps also use.
     """
     chans = [identity_channel(1) if ch is None else ch for ch in channels]
@@ -240,7 +242,7 @@ def two_event_pdm_stack(initial, channels) -> np.ndarray:
     for k, ch in enumerate(chans):
         if ch.acts_on != 1:
             raise UsageError(f"gap channel {k} acts on {ch.acts_on} qubits, not 1")
-    return two_event_pdm_from_choi(initial, choi_matrices(chans))
+    return two_event_pdm_from_choi(initial, choi_stack(kraus_array(chans)))
 
 
 def two_event_pdm_from_choi(initial, choi: np.ndarray) -> np.ndarray:
@@ -275,12 +277,7 @@ def two_event_pdm_from_choi(initial, choi: np.ndarray) -> np.ndarray:
     # np.kron pairs I with one rho, or with each rho of a (T, 2, 2) stack.
     A = np.kron(rho, I2)
     R = (A @ J + J @ A) / 2.0
-    if not is_hermitian(R):
-        raise InvariantViolation("a PDM of the stack is not Hermitian")
-    tr = np.trace(R, axis1=1, axis2=2)
-    k = int(np.argmax(np.abs(tr - 1.0)))
-    if abs(tr[k] - 1.0) > HERM_ATOL:
-        raise InvariantViolation(f"PDM {k} of the stack has trace {tr[k]}, not 1")
+    require_hermitian_unit_trace(R, "PDM")
     return R
 
 
@@ -330,9 +327,9 @@ def oracle_expectations(s: Schedule, assignments) -> np.ndarray:
     k = int(np.count_nonzero(labels.any(axis=0)))
     if k > MAX_ORACLE_BRANCH_EVENTS:
         raise UsageError(f"{k} non-identity events exceeds the branch limit")
-    rows = max(1, ORACLE_STACK_BYTES // (16 * 2**k * 4**s.qubit_count))
-    chunks = [_oracle_chunk(s, labels[i : i + rows]) for i in range(0, len(labels), rows)]
-    return np.concatenate(chunks)
+    row_bytes = 16 * 2**k * 4**s.qubit_count
+    chunks = chunk_slices(len(labels), row_bytes, ORACLE_STACK_BYTES)
+    return np.concatenate([_oracle_chunk(s, labels[rows]) for rows in chunks])
 
 
 def _oracle_chunk(s: Schedule, labels: np.ndarray) -> np.ndarray:
@@ -390,11 +387,7 @@ class PseudoDensityMatrix:
         if c.shape != (4**n,):
             raise InvariantViolation(f"expected {4**n} coefficients, got {c.shape}")
         # Every check is written to pass only on a number, so a NaN fails it.
-        if not is_hermitian(M):
-            raise InvariantViolation("PDM is not Hermitian")
-        tr = np.trace(M)
-        if not (abs(tr.real - 1.0) <= HERM_ATOL and abs(tr.imag) <= HERM_ATOL):
-            raise InvariantViolation(f"PDM trace {tr} is not 1")
+        require_hermitian_unit_trace(M, "PDM")
         if not np.max(np.abs(c)) <= 1 + 1e-12:
             raise InvariantViolation("a stored expectation lies outside [-1, 1]")
         if not abs(c[0] - 1.0) <= 1e-12:
@@ -447,19 +440,17 @@ def _apply_gap(stack: np.ndarray, ch: KrausChannel) -> np.ndarray:
     ``stack`` must be the engine's own array: it is overwritten.
     """
     B, D = stack.shape[0], stack.shape[-1]
+    ks = np.asarray(ch.kraus_ops)
     if B >= D * D and D**4 <= _SINGLE_THREAD_MACS // 8:
-        ks = np.asarray(ch.kraus_ops)
-        # Row-major vec: vec(sum_k K M K^dag) = vec(M) @ S with S[(b,c),(a,d)] = sum_k K[a,b] conj(K[d,c]).
-        S = np.einsum("kab,kdc->bcad", ks, ks.conj()).reshape(D * D, D * D)
+        # Row-major vec: vec(sum_k K M K^dag) = vec(M) @ S with S[(b,c),(a,d)] =
+        # sum_k K[a,b] conj(K[d,c]), the Choi matrix with its two middle indices swapped.
+        S = choi_stack(ks[None])[0].reshape((D,) * 4).transpose(0, 2, 1, 3).reshape(D * D, D * D)
         flat = stack.reshape(B, D * D)
-        rows = _SINGLE_THREAD_MACS // D**4
-        for i in range(0, B, rows):
-            flat[i : i + rows] = flat[i : i + rows] @ S
+        for rows in chunk_slices(B, D**4, _SINGLE_THREAD_MACS):
+            flat[rows] = flat[rows] @ S
         return stack
-    rows = max(1, 4096 // (D * D))  # blocks of 64 KiB
-    for i in range(0, B, rows):
-        block = stack[i : i + rows]
-        stack[i : i + rows] = sum(K @ block @ K.conj().T for K in ch.kraus_ops)
+    for rows in chunk_slices(B, 16 * D * D, 2**16):  # blocks of 64 KiB
+        stack[rows] = kraus_sum(ks, stack[rows])
     return stack
 
 
@@ -486,8 +477,8 @@ def _assemble(coeffs: np.ndarray) -> np.ndarray:
     t = coeffs
     for _ in range(n):
         t = np.tensordot(t, _PAULI_STACK, axes=(0, 0))
-    # Axes are now (row_1, col_1, ..., row_n, col_n).
-    t = t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    # Axes are now (row_1, col_1, ..., row_n, col_n); move the rows first.
+    t = t.transpose(np.arange(2 * n).reshape(n, 2).T.reshape(-1))
     return t.reshape(2**n, 2**n)
 
 
@@ -532,7 +523,7 @@ def build_pdm(s: Schedule) -> PseudoDensityMatrix:
 def pdm_expectation(R: PseudoDensityMatrix, assignment) -> float:
     """Read an expectation back out of the matrix: Tr((tensor of Paulis) R)."""
     (a,) = _pauli_labels([assignment], R.event_count)
-    P = kron([PAULIS[l] for l in a])
+    P = pauli_string_matrix(a)
     return float(np.trace(P @ R.matrix).real)
 
 
@@ -567,25 +558,22 @@ def ancilla_expectations(s: Schedule, assignments) -> np.ndarray:
     Simulates the primary qubit with a |0> ancilla: each non-identity event
     rotates the measured Pauli onto Z, copies the outcome bit into the
     ancilla with a CNOT, and rotates back; the gap channel acts on the
-    primary only (a None gap has the Kraus stack I2[None]). Returns <Z> of the
-    ancilla, which equals ``expectations``. All assignments run as one
-    (P, 4, 4) stack; label 0's copy block is I.
+    primary only (a None gap is skipped). Returns <Z> of the ancilla, which
+    equals ``expectations``. All assignments run as one (P, 4, 4) stack;
+    label 0's copy block is I.
     """
     labels = _pauli_labels(assignments, s.event_count)
     if s.qubit_count != 1 or s.event_count != 2 or s.slice_count != 2:
         raise UsageError("ancilla protocol requires one qubit and exactly two slices of one event")
     # Primary is qubit 0 (left factor), ancilla qubit 1.
     rho = np.kron(s.initial_state.matrix, _ANCILLA_0)
+    (ch,) = s.inter_slice_channels
     for sl in range(2):
         (ev,) = s.events_in_slice(sl)
         block = _COPY_BLOCKS[labels[:, ev.id - 1]]
         rho = block @ rho @ dagger(block)
-        if sl == 0:
-            # The gap channel on the primary only: Kraus operators K (x) I.
-            ch = s.inter_slice_channels[0]
-            kraus = I2[None] if ch is None else np.asarray(ch.kraus_ops)
-            ks = np.kron(kraus, I2)[:, None]
-            rho = (ks @ rho @ dagger(ks)).sum(axis=0)
+        if sl == 0 and ch is not None:
+            rho = apply_channel_to_matrix(ch, rho, [0], 2)
     return np.trace(_ANCILLA_Z @ rho, axis1=1, axis2=2).real
 
 

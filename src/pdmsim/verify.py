@@ -18,6 +18,7 @@ from .causality import (
     f_tr,
     haar_unitary,
     random_cptp,
+    worst_deviation,
 )
 from .channels import (
     DensityState,
@@ -101,17 +102,6 @@ def _plain(labels) -> tuple:
     return tuple(int(x) for x in labels)
 
 
-def _deviations(got: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """|got - want|, with a non-finite value on either side counted as an infinite deviation.
-
-    A NaN would lose every comparison against the running worst and hide
-    the other deviations of its trial; as inf it is the worst and fails.
-    """
-    devs = np.abs(got - want)
-    devs[~np.isfinite(devs)] = np.inf
-    return devs
-
-
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
@@ -148,12 +138,12 @@ def suite_engine_oracle(seed: int = 0, trials: int = 200) -> SuiteResult:
         R = build_pdm(s)
         want = oracle_expectations(s, labels)
         got = np.stack([expectations(s, labels), R.stored_expectations(labels)], axis=1)
-        devs[k] = _deviations(got, want[:, None])
+        devs[k] = np.abs(got - want[:, None])
         batches.append(labels)
     # Row-major over (trial, pick, side): the first maximum is the one a per-pick loop would keep.
-    k, pick, side = np.unravel_index(int(np.argmax(devs)), devs.shape)
+    i, worst = worst_deviation(devs)
+    k, pick, side = np.unravel_index(i, devs.shape)
     detail = f"{_SIDES[side]}: trial {k} assignment {_plain(batches[k][pick])}"
-    worst = float(devs[k, pick, side])
     return SuiteResult("engine_vs_oracle", worst <= 1e-12, worst, detail)
 
 
@@ -165,10 +155,10 @@ def suite_ancilla(seed: int = 0, trials: int = 50) -> SuiteResult:
         s = two_event_schedule(
             state_from_bloch(random_bloch(rng)), random_cptp(1, int(rng.integers(1, 5)), rng)
         )
-        devs = _deviations(ancilla_expectations(s, _ALL_PAIRS), expectations(s, _ALL_PAIRS))
-        i = int(np.argmax(devs))
-        if devs[i] > worst:
-            worst, detail = float(devs[i]), f"trial {k} assignment {_plain(_ALL_PAIRS[i])}"
+        got = ancilla_expectations(s, _ALL_PAIRS)
+        i, dev = worst_deviation(np.abs(got - expectations(s, _ALL_PAIRS)))
+        if dev > worst:
+            worst, detail = dev, f"trial {k} assignment {_plain(_ALL_PAIRS[i])}"
     return SuiteResult("ancilla_protocol", worst <= 1e-10, worst, detail)
 
 

@@ -18,6 +18,7 @@ from pdmsim import (
     find_transition,
     hermitian_eig,
     make_channel,
+    reduce_pdm,
     spectrum_verdict,
     state_from_bloch,
     two_event_pdm_stack,
@@ -25,7 +26,7 @@ from pdmsim import (
     unitary_channel,
 )
 import pdmsim.causality as causality
-from pdmsim.causality import _f_tr_matrix, haar_unitary, random_cptp
+from pdmsim.causality import CHECK_ATOL, _f_tr_matrix, haar_unitary, random_cptp
 from pdmsim.channels import apply_channel_to_matrix
 from pdmsim.linalg import PAULIS, PSD_ATOL
 from pdmsim.schedule import Event, Schedule
@@ -266,6 +267,44 @@ class TestMonotoneAxioms:
                 assert not rep.passed and rep.max_deviation > 0.01
                 assert rep.detail.split()[:2] == ["trial", str(distorted)]
 
+    @pytest.mark.parametrize("stack_bytes", [None, 3 * 16 * 4 * 4])
+    @pytest.mark.parametrize("bad", [0, 17, 39])
+    def test_non_finite_trial_fails_its_check(self, bad, stack_bytes, monkeypatch):
+        # A NaN unitary or channel in one trial gives that trial deviation inf:
+        # the check fails and names it instead of raising a usage error.
+        if stack_bytes is not None:
+            monkeypatch.setattr(causality, "CHECK_STACK_BYTES", stack_bytes)
+        R = build_pdm(golden_schedule())
+        for name, check, poison in (
+            ("haar_unitary", check_unitary_invariance, lambda U: np.full_like(U, np.nan)),
+            (
+                "random_cptp",
+                check_local_monotonicity,
+                lambda ch: KrausChannel(tuple(np.full_like(K, np.nan) for K in ch.kraus_ops), 1),
+            ),
+        ):
+            real = getattr(causality, name)
+            calls = []
+
+            def poisoned(*args, real=real, calls=calls, poison=poison):
+                calls.append(1)
+                out = real(*args)
+                return poison(out) if len(calls) - 1 == bad else out
+
+            with monkeypatch.context() as m:
+                m.setattr(causality, name, poisoned)
+                rep = check(R, trials=40, seed=3)
+            assert len(calls) == 40
+            assert not rep.passed and rep.max_deviation == np.inf
+            assert rep.detail.split()[:2] == ["trial", str(bad)]
+
+    def test_non_finite_convexity_trial_fails(self):
+        R = build_pdm(golden_schedule()).matrix
+        Rs = np.stack([np.stack([R, R])] * 3)
+        Rs[1, 0, 0, 0] = np.nan
+        rep = check_convexity(Rs, np.full((3, 2), 0.5))
+        assert not rep.passed and rep.max_deviation == np.inf and rep.detail == "trial 1"
+
     def test_convexity_single_element(self):
         R = build_pdm(golden_schedule())
         rep = check_convexity([R], [1.0])
@@ -354,6 +393,30 @@ class TestMonotoneAxioms:
         real(1, int(rng.integers(1, 5)), rng)
         event = int(rng.integers(0, 2)) + 1
         assert not res.passed and res.detail == f"trial 17 on event {event}"
+
+
+class TestMultiEventMonotonicity:
+    def test_random_multi_qubit_schedules(self):
+        # Random schedules of 1-5 events on 1-3 qubits with random CPTP gaps:
+        # f_tr must not rise under a channel on one event, nor under
+        # tracing out events.
+        from pdmsim.verify import random_schedule
+
+        rng = np.random.default_rng(2024)
+        causal = 0
+        for k in range(60):
+            R = build_pdm(random_schedule(rng, max_events=5))
+            value = f_tr(R)
+            causal += value > 0
+            rep = check_local_monotonicity(R, trials=20, seed=100 * k)
+            assert rep.passed, (k, rep)
+            n = R.event_count
+            for _ in range(3):
+                keep = {i + 1 for i in np.flatnonzero(rng.random(n) < 0.5)}
+                keep = keep or {int(rng.integers(1, n + 1))}
+                assert f_tr(reduce_pdm(R, keep)) <= value + CHECK_ATOL, (k, keep)
+        # Most draws have a gap between two events, so the test sees causal PDMs.
+        assert causal >= 20
 
 
 class TestTwoEventUniversality:

@@ -10,11 +10,11 @@ from pdmsim import (
     UsageError,
     apply_channel,
     channel_at_time,
-    choi_matrices,
     choi_matrix,
     choi_stack,
     compose,
     identity_channel,
+    kraus_array,
     make_channel,
     noise_kraus,
     state_from_bloch,
@@ -176,9 +176,7 @@ class TestApplyChannel:
         # One (T, 4, 2, 2) array of channels of ranks 1-4, zero-padded, on one factor.
         M = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         chans = [random_cptp(1, rank, rng) for rank in (1, 4, 2, 3)]
-        kraus = np.zeros((4, 4, 2, 2), dtype=complex)
-        for row, ch in enumerate(chans):
-            kraus[row, : len(ch.kraus_ops)] = ch.kraus_ops
+        kraus = kraus_array(chans)
         out = kraus_sum(embed_operator(kraus, [1], 3), M)
         for ch, got in zip(chans, out):
             assert np.max(np.abs(got - apply_channel_to_matrix(ch, M, [1], 3))) <= 1e-14
@@ -220,16 +218,28 @@ class TestChoiMatrix:
     def test_stack_with_mixed_kraus_counts(self):
         rng = np.random.default_rng(5)
         chans = [random_cptp(1, rank, rng) for rank in (3, 1, 4, 2, 1)]
-        stack = choi_matrices(chans)
+        stack = choi_stack(kraus_array(chans))
         assert stack.shape == (5, 4, 4)
         for ch, C in zip(chans, stack):
             assert np.max(np.abs(C - choi_loop(ch))) <= 1e-14
 
     def test_stack_rejects_mixed_dimensions(self):
-        with pytest.raises(UsageError):
-            choi_matrices([identity_channel(1), identity_channel(2)])
-        with pytest.raises(UsageError):
-            choi_matrices([])
+        with pytest.raises(UsageError, match="one dimension"):
+            kraus_array([identity_channel(1), identity_channel(2)])
+        with pytest.raises(UsageError, match="at least one channel"):
+            kraus_array([])
+
+
+class TestKrausArray:
+    def test_mixed_ranks_are_padded_with_zero_operators(self):
+        rng = np.random.default_rng(11)
+        chans = [random_cptp(2, rank, rng) for rank in (2, 4, 1)]
+        ks = kraus_array(chans)
+        assert ks.shape == (3, 4, 4, 4) and ks.dtype == complex
+        for row, ch in zip(ks, chans):
+            rank = len(ch.kraus_ops)
+            assert np.array_equal(row[:rank], np.asarray(ch.kraus_ops))
+            assert not row[rank:].any()
 
 
 class TestChannelAtTime:
@@ -365,7 +375,7 @@ class TestNoiseKernel:
         assert ks.shape == (len(ts), len(refs[0].kraus_ops), 2, 2)
         for row, ref in zip(ks, refs):
             assert np.max(np.abs(row - np.asarray(ref.kraus_ops))) <= 1e-15
-        assert np.max(np.abs(choi_stack(ks) - choi_matrices(refs))) <= 1e-15
+        assert np.max(np.abs(choi_stack(ks) - choi_stack(kraus_array(refs)))) <= 1e-15
 
     @pytest.mark.parametrize("kind", ["dephasing", "depolarizing", "amplitude_damping"])
     def test_decay_rows_are_bit_exact(self, kind):

@@ -382,6 +382,23 @@ class TestVerify:
         assert res.max_deviation == np.inf
         assert "trial 0 assignment " in res.detail
 
+    def test_nan_unitary_fails_the_suite_not_the_run(self, monkeypatch, capsys):
+        import pdmsim.causality as causality
+
+        real = causality.haar_unitary
+        calls = []
+
+        def nan_at_trial_2(dim, rng):
+            calls.append(1)
+            U = real(dim, rng)
+            return np.full_like(U, np.nan) if len(calls) == 3 else U
+
+        monkeypatch.setattr(causality, "haar_unitary", nan_at_trial_2)
+        assert main(["verify", "--seed", "0", "--trials", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] unitary_invariance: max deviation inf (trial 2)" in out
+        assert out.count("[PASS]") == 6 and "verification FAILED" in out
+
     def test_seed_variation(self, capsys):
         for seed in range(3):
             assert main(["verify", "--seed", str(seed), "--trials", "3"]) == 0

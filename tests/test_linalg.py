@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdmsim import (
+    InvariantViolation,
     UsageError,
     hermitian_eig,
     kron,
@@ -11,7 +12,16 @@ from pdmsim import (
     trace_norm,
 )
 from pdmsim.causality import haar_unitary
-from pdmsim.linalg import I2, PAULIS, X, Y, Z, embed_operator
+from pdmsim.linalg import (
+    I2,
+    PAULIS,
+    X,
+    Y,
+    Z,
+    chunk_slices,
+    embed_operator,
+    require_hermitian_unit_trace,
+)
 from pdmsim.verify import GOLDEN_TWO_EVENT
 
 from conftest import random_hermitian
@@ -188,3 +198,75 @@ class TestTraceNorm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(UsageError):
             trace_norm(np.array([[0, 2], [0, 0]], dtype=complex))
+
+
+class TestChunkSlices:
+    def test_budget_below_one_item_gives_one_item_slices(self):
+        assert list(chunk_slices(3, 100, 10)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_exact_multiple(self):
+        assert list(chunk_slices(6, 16, 32)) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+
+    @pytest.mark.parametrize("count", [1, 5, 7, 64])
+    @pytest.mark.parametrize("budget", [1, 16, 48, 100, 10_000])
+    def test_every_index_once_in_order(self, count, budget):
+        slices = list(chunk_slices(count, 16, budget))
+        assert [i for sl in slices for i in range(count)[sl]] == list(range(count))
+        size = max(1, budget // 16)
+        assert all(1 <= len(range(count)[sl]) <= size for sl in slices)
+
+    def test_nothing_to_slice(self):
+        assert list(chunk_slices(0, 16, 64)) == []
+
+
+def mixed_with_trace_shift(shift) -> np.ndarray:
+    """The 8x8 maximally mixed state with its trace moved by ``shift``, kept Hermitian to 1e-12.
+
+    An imaginary shift is spread over the diagonal, 1/8 per entry, so each
+    entry's anti-Hermitian part stays below the tolerance.
+    """
+    M = np.eye(8, dtype=complex) / 8
+    if isinstance(shift, complex):
+        M += np.eye(8) * shift / 8
+    else:
+        M[0, 0] += shift
+    return M
+
+
+class TestRequireHermitianUnitTrace:
+    def test_accepts_a_state_and_a_stack(self):
+        rho = np.diag([0.25, 0.75]).astype(complex)
+        require_hermitian_unit_trace(rho, "density matrix")
+        require_hermitian_unit_trace(np.stack([rho, rho[::-1, ::-1]]), "PDM")
+
+    @pytest.mark.parametrize("shift", [0.5e-12, 0.5e-12j])
+    def test_trace_within_tolerance_passes(self, shift):
+        require_hermitian_unit_trace(mixed_with_trace_shift(shift), "PDM")
+
+    @pytest.mark.parametrize(
+        "shift,message",
+        [(2e-12, "has trace"), (2e-12j, "has trace"), (np.nan, "is not Hermitian")],
+    )
+    def test_one_matrix(self, shift, message):
+        with pytest.raises(InvariantViolation, match=f"^density matrix {message}"):
+            require_hermitian_unit_trace(mixed_with_trace_shift(shift), "density matrix")
+
+    def test_non_hermitian_matrix(self):
+        M = np.array([[0.5, 1e-6], [0, 0.5]], dtype=complex)
+        with pytest.raises(InvariantViolation, match="^PDM is not Hermitian$"):
+            require_hermitian_unit_trace(M, "PDM")
+
+    @pytest.mark.parametrize(
+        "shift,message",
+        [(2e-12, "has trace"), (2e-12j, "has trace"), (np.nan, "is not Hermitian")],
+    )
+    def test_stack_names_the_row(self, shift, message):
+        stack = np.stack([mixed_with_trace_shift(0.0)] * 2 + [mixed_with_trace_shift(shift)] * 2)
+        with pytest.raises(InvariantViolation, match=f"^PDM 2 of the stack {message}"):
+            require_hermitian_unit_trace(stack, "PDM")
+
+    def test_stack_names_a_non_hermitian_row(self):
+        stack = np.stack([mixed_with_trace_shift(0.0)] * 3)
+        stack[1, 0, 1] += 1e-6
+        with pytest.raises(InvariantViolation, match="^PDM 1 of the stack is not Hermitian$"):
+            require_hermitian_unit_trace(stack, "PDM")

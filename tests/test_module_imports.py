@@ -34,3 +34,63 @@ def test_no_module_imports_a_private_name():
     assert len(MODULES) >= 10
     offenders = {m.name: private_imports(m.read_text()) for m in MODULES}
     assert {name: names for name, names in offenders.items() if names} == {}
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+#: Where a package name counts as used.
+USE_DIRS = ("src", "tests", "demos", "benchmarks")
+
+
+def module_level_names(source: str) -> set[str]:
+    """Names a module binds at its top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                names |= {n.id for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def used_names(source: str) -> set[str]:
+    """Names the source reads, looks up as an attribute or imports; a definition is none."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_checker_sees_definitions_and_uses():
+    source = (
+        "A, B = 1, 2\n"
+        "C: int = 3\n"
+        "def f():\n"
+        "    return A + g.h\n"
+        "class K:\n"
+        "    D = 4\n"
+        "from m import E\n"
+    )
+    assert module_level_names(source) == {"A", "B", "C", "f", "K"}
+    assert used_names(source) >= {"A", "g", "h", "E"}
+    assert not used_names(source) & {"B", "C", "f", "K", "D"}
+
+
+def test_every_module_level_name_is_used():
+    used = set()
+    for d in USE_DIRS:
+        for path in (ROOT / d).rglob("*.py"):
+            used |= used_names(path.read_text())
+    dead = {
+        f"{m.stem}.{name}"
+        for m in MODULES
+        for name in module_level_names(m.read_text())
+        if name not in used
+    }
+    assert dead == set()
