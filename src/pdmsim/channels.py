@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import InvariantViolation, UsageError
 from .linalg import (
+    PAULI_STACK,
     PSD_ATOL,
     I2,
     X,
@@ -85,9 +86,12 @@ def identity_channel(qubit_count: int = 1) -> KrausChannel:
     return KrausChannel((np.eye(2**qubit_count, dtype=complex),), qubit_count)
 
 
-def _require_unitary(U: np.ndarray) -> None:
-    if np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) > TP_ATOL:
+def _require_unitary(U: np.ndarray) -> KrausChannel:
+    """The one-Kraus channel (U,); U is unitary exactly when that channel is trace preserving."""
+    ch = KrausChannel((U,), _qubits(U.shape[0]))
+    if tp_residual(ch) > TP_ATOL:
         raise UsageError("matrix is not unitary")
+    return ch
 
 
 def _qubits(d: int) -> int:
@@ -95,13 +99,10 @@ def _qubits(d: int) -> int:
 
 
 def unitary_channel(U: np.ndarray) -> KrausChannel:
-    U = np.asarray(U, dtype=complex)
-    _require_unitary(U)
-    return KrausChannel((U,), _qubits(U.shape[0]))
+    return _require_unitary(np.asarray(U, dtype=complex))
 
 
 _DEPHASING_BASIS = np.stack([I2, Z])
-_DEPOLARIZING_BASIS = np.stack([I2, X, Y, Z])
 
 
 def _dephasing_kraus(g: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -124,7 +125,7 @@ def _family_kraus(kind: str, s: np.ndarray) -> np.ndarray:
         w = np.empty((len(s), 4))
         w[:, 0] = (1 + 3 * s) / 4
         w[:, 1:] = ((1 - s) / 4)[:, None]
-        return np.sqrt(w)[..., None, None] * _DEPOLARIZING_BASIS
+        return np.sqrt(w)[..., None, None] * PAULI_STACK
     if kind == "amplitude_damping":
         ks = np.zeros((len(s), 2, 2, 2), dtype=complex)
         ks[:, 0, 0, 0] = 1.0

@@ -29,10 +29,11 @@ from .channels import (
 from .errors import InvariantViolation, UsageError
 from .linalg import (
     I2,
-    PAULIS,
+    PAULI_STACK,
     chunk_slices,
     dagger,
     embed_operator,
+    kron,
     partial_trace,
     pauli_string_matrix,
     require_hermitian_unit_trace,
@@ -64,23 +65,21 @@ _CNOT = np.array(
 # the ancilla's |0><0|, its Z readout, and per label the copy block
 # U^dag CNOT U with U the label's basis change on the primary (I4 for label 0).
 _ANCILLA_0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_ANCILLA_Z = np.kron(I2, PAULIS[3])
+_ANCILLA_Z = kron([I2, PAULI_STACK[3]])
 _COPY_BLOCKS = np.stack(
     [np.eye(4, dtype=complex)]
-    + [np.kron(U, I2).conj().T @ _CNOT @ np.kron(U, I2) for U in _BASIS_CHANGE]
+    + [dagger(kron([U, I2])) @ _CNOT @ kron([U, I2]) for U in _BASIS_CHANGE]
 )
 _COPY_BLOCKS.setflags(write=False)
 
-#: The Pauli matrices stacked by label, shape (4, 2, 2).
-_PAULI_STACK = np.stack(PAULIS)
-# Each Pauli P is a phased bit flip: (P M)[r] = row[r] M[r ^ flip] and
-# (M P)[:, c] = col[c] M[:, c ^ flip]. Per label X, Y, Z: (flip, row, col),
-# with the phases halved for the Jordan product (P M + M P)/2.
-_JORDAN_TABLE = (
-    (1, True, np.array([0.5, 0.5]), np.array([0.5, 0.5])),
-    (2, True, np.array([-0.5j, 0.5j]), np.array([0.5j, -0.5j])),
-    (3, False, np.array([0.5, -0.5]), np.array([0.5, -0.5])),
-)
+# The Jordan products (P m + m P)/2 of a 2x2 block m with the Paulis P of
+# labels 0..3, as one (4, 16) matrix: row (r, c) is m's entry, column
+# (l, r', c') the product's. (P m)[r', c'] takes P[r', r] m[r, c'] and
+# (m P)[r', c'] takes m[r', c] P[c, c'].
+_JORDAN = (
+    np.einsum("lpr,cd->rclpd", PAULI_STACK, I2) + np.einsum("rp,lcd->rclpd", I2, PAULI_STACK)
+).reshape(4, 16) / 2.0
+_JORDAN.setflags(write=False)
 
 
 #: The +-1 outcomes of a Lueders pair (P+, P-), in that order.
@@ -98,7 +97,7 @@ def _read_only(M: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=_EVENT_CACHE_SIZE)
 def _event_paulis(qubit: int, qubit_count: int) -> np.ndarray:
     """The Paulis of labels 0..3 on ``qubit``, embedded in the full register, as a read-only (4, D, D) stack."""
-    return _read_only(embed_operator(_PAULI_STACK, [qubit], qubit_count).copy())
+    return _read_only(embed_operator(PAULI_STACK, [qubit], qubit_count).copy())
 
 
 @functools.lru_cache(maxsize=_EVENT_CACHE_SIZE)
@@ -274,8 +273,8 @@ def two_event_pdm_from_choi(initial, choi: np.ndarray) -> np.ndarray:
     _require_trace_preserving(k, tp[k])
     J = C.transpose(0, 3, 2, 1, 4).reshape(-1, 4, 4)
     rho = initial.matrix if shared else np.stack([st.matrix for st in states])
-    # np.kron pairs I with one rho, or with each rho of a (T, 2, 2) stack.
-    A = np.kron(rho, I2)
+    # kron pairs I with one rho, or with each rho of a (T, 2, 2) stack.
+    A = kron([rho, I2])
     R = (A @ J + J @ A) / 2.0
     require_hermitian_unit_trace(R, "PDM")
     return R
@@ -411,37 +410,50 @@ class PseudoDensityMatrix:
 def _measure(stack: np.ndarray, qubit: int, qubit_count: int) -> np.ndarray:
     """Extend a (B, D, D) operator stack by one event's label axis, to (4B, D, D).
 
-    Entry 4b + l is M_b for l = 0 and the Jordan product (A M_b + M_b A)/2
-    for the Pauli A of label l on ``qubit``. Each product is written by
-    flipping that qubit's row and column bit and applying the phases.
+    Entry 4b + l is the Jordan product (A M_b + M_b A)/2 for the Pauli A of
+    label l on ``qubit``, which is M_b itself for l = 0. Each product mixes
+    only the four entries of M_b that differ in that qubit's row and column
+    bit, so the stack is read as an (N, 4) array of such 2x2 blocks and all
+    four labels are written by one 2-D product with ``_JORDAN``. Its nonzero
+    weights are +-1/2 and +-i/2, at most two per entry, so every entry is
+    exact up to one rounding of a sum of two exact terms. The product runs
+    in chunks of operators, none over ``_SINGLE_THREAD_MACS``.
     """
     B, D = stack.shape[0], stack.shape[-1]
     lo, hi = 2**qubit, 2 ** (qubit_count - qubit - 1)
-    m = stack.reshape(B, lo, 2, hi, lo, 2, hi)
-    out = np.empty((B, 4) + m.shape[1:], dtype=complex)
-    out[:, 0] = m
-    flipped_rows, flipped_cols = m[:, :, ::-1], m[..., ::-1, :]
-    for label, flip, row, col in _JORDAN_TABLE:
-        rows, cols = (flipped_rows, flipped_cols) if flip else (m, m)
-        np.multiply(rows, row.reshape(2, 1, 1, 1, 1), out=out[:, label])
-        out[:, label] += cols * col.reshape(2, 1)
+    # Axes (b, row high, row low, column high, column low, row bit, column bit).
+    blocks = stack.reshape(B, lo, 2, hi, lo, 2, hi).transpose(0, 1, 3, 4, 6, 2, 5)
+    out = np.empty((B, 4, lo, 2, hi, lo, 2, hi), dtype=complex)
+    for rows in chunk_slices(B, 16 * D * D, _SINGLE_THREAD_MACS):
+        part = blocks[rows]
+        products = part.reshape(-1, 4) @ _JORDAN
+        out[rows] = products.reshape(part.shape[:5] + (4, 2, 2)).transpose(0, 5, 1, 6, 2, 3, 7, 4)
     return out.reshape(4 * B, D, D)
 
 
 def _apply_gap(stack: np.ndarray, ch: KrausChannel) -> np.ndarray:
     """Apply the channel to every operator of the stack at once.
 
-    A stack of at least D^2 operators on up to 3 qubits is multiplied in
-    place, block by block, by the D^2 x D^2 superoperator, which is then no
-    larger than the stack. Any other stack (wide registers, early slices)
-    takes per-Kraus products, D x D each. Either way the largest stack is
-    never held twice, and up to 5 qubits no matrix product exceeds
-    ``_SINGLE_THREAD_MACS``, so BLAS does not wake its worker threads.
-    ``stack`` must be the engine's own array: it is overwritten.
+    Two ways, chosen by timing both on a 2-vCPU x86-64 host with OpenBLAS:
+
+    - The D^2 x D^2 superoperator, for a stack of at least D^2 operators on
+      up to 3 qubits whose channel has K Kraus operators with D < 8K. The
+      stack is multiplied in place, block by block. Per operator it costs D^4
+      multiply-adds against the Kraus products' 2KD^3, and its few large
+      products beat their many small ones unless that is 4x as many: a
+      unitary (K = 1) 3-qubit gap ran ~1.5x faster as Kraus products, a
+      rank-2 one and every 1- and 2-qubit gap faster as the superoperator.
+    - Per-Kraus products, D x D each (``kraus_sum``), for every other stack:
+      unitary 3-qubit gaps, wide registers and early slices.
+
+    Either way the largest stack is never held twice, and up to 5 qubits no
+    matrix product exceeds ``_SINGLE_THREAD_MACS``, so BLAS does not wake
+    its worker threads. ``stack`` must be the engine's own array: it is
+    overwritten.
     """
     B, D = stack.shape[0], stack.shape[-1]
     ks = np.asarray(ch.kraus_ops)
-    if B >= D * D and D**4 <= _SINGLE_THREAD_MACS // 8:
+    if B >= D * D and D**4 <= _SINGLE_THREAD_MACS // 8 and D < 8 * len(ks):
         # Row-major vec: vec(sum_k K M K^dag) = vec(M) @ S with S[(b,c),(a,d)] =
         # sum_k K[a,b] conj(K[d,c]), the Choi matrix with its two middle indices swapped.
         S = choi_stack(ks[None])[0].reshape((D,) * 4).transpose(0, 2, 1, 3).reshape(D * D, D * D)
@@ -454,31 +466,59 @@ def _apply_gap(stack: np.ndarray, ch: KrausChannel) -> np.ndarray:
     return stack
 
 
+#: Row l is the Pauli P_l flattened: (label, row bit, column bit).
+_PAULI_MAP = PAULI_STACK.reshape(4, 4)
+
+
+def _map_axes(t: np.ndarray, count: int, W: np.ndarray) -> np.ndarray:
+    """Map each of the first ``count`` axes of ``t``, 4 long each, through the 4x4 matrix W.
+
+    Each step is the 2-D product ``t.reshape(4, -1).T @ W``, which moves the
+    mapped axis to the end, so after ``count`` steps the axes are the rest
+    followed by the mapped ones in their old order. The result is returned
+    flat as (-1, 4). The products run in chunks of rows, none over
+    ``_SINGLE_THREAD_MACS``.
+    """
+    for _ in range(count):
+        rows = t.reshape(4, -1).T
+        t = np.empty(rows.shape, dtype=complex)
+        for part in chunk_slices(len(rows), 16, _SINGLE_THREAD_MACS):
+            np.matmul(rows[part], W, out=t[part])
+    return t
+
+
 def _readout(stack: np.ndarray, qubits: list, qubit_count: int) -> np.ndarray:
     """Tr(P_l M) for every Pauli string l on ``qubits`` and every M of the stack.
 
     Returns shape (B, 4^len(qubits)), labels in ``qubits`` order. Qubits not
-    listed are traced out.
+    listed are traced out first, each as the sum of its two diagonal blocks.
+    Then Tr(P M) = sum_ij P[i, j] M[j, i] takes each listed qubit's (column
+    bit, row bit) pair of M to its label through ``_map_axes``.
     """
-    n = qubit_count
-    rows = list(range(n))
-    cols = [n + q if q in qubits else q for q in range(n)]
-    args = [stack.reshape((-1,) + (2,) * (2 * n)), [3 * n] + rows + cols]
-    for q in qubits:
-        # Tr(P M) = sum_ij P[i, j] M[j, i]
-        args += [_PAULI_STACK, [2 * n + q, n + q, q]]
-    out = np.einsum(*args, [3 * n] + [2 * n + q for q in qubits])
-    return out.reshape(len(stack), -1)
+    B = len(stack)
+    kept = list(range(qubit_count))
+    for q in range(qubit_count):
+        if q not in qubits:
+            i = kept.index(q)
+            kept.remove(q)
+            m = stack.reshape(B, 2**i, 2, 2 ** (len(kept) - i), 2**i, 2, 2 ** (len(kept) - i))
+            stack = m[:, :, 0, :, :, 0] + m[:, :, 1, :, :, 1]
+    k = len(kept)
+    pairs = [axis for q in qubits for axis in (1 + k + kept.index(q), 1 + kept.index(q))]
+    t = stack.reshape((B,) + (2,) * (2 * k)).transpose(pairs + [0])
+    return _map_axes(t, k, _PAULI_MAP.T).reshape(B, -1)
 
 
 def _assemble(coeffs: np.ndarray) -> np.ndarray:
-    """sum_l c_l (P_l1 (x) ... (x) P_ln) for a coefficient tensor of shape (4,)*n."""
+    """sum_l c_l (P_l1 (x) ... (x) P_ln) for a coefficient tensor of shape (4,)*n.
+
+    ``_map_axes`` takes each event's label to its (row, column) entry with
+    the Pauli map, so the axes become (row_1, col_1, ..., row_n, col_n).
+    """
     n = coeffs.ndim
-    t = coeffs
-    for _ in range(n):
-        t = np.tensordot(t, _PAULI_STACK, axes=(0, 0))
-    # Axes are now (row_1, col_1, ..., row_n, col_n); move the rows first.
-    t = t.transpose(np.arange(2 * n).reshape(n, 2).T.reshape(-1))
+    t = _map_axes(coeffs, n, _PAULI_MAP)
+    # Move the rows first.
+    t = t.reshape((2,) * (2 * n)).transpose(np.arange(2 * n).reshape(n, 2).T.reshape(-1))
     return t.reshape(2**n, 2**n)
 
 
@@ -566,7 +606,7 @@ def ancilla_expectations(s: Schedule, assignments) -> np.ndarray:
     if s.qubit_count != 1 or s.event_count != 2 or s.slice_count != 2:
         raise UsageError("ancilla protocol requires one qubit and exactly two slices of one event")
     # Primary is qubit 0 (left factor), ancilla qubit 1.
-    rho = np.kron(s.initial_state.matrix, _ANCILLA_0)
+    rho = kron([s.initial_state.matrix, _ANCILLA_0])
     (ch,) = s.inter_slice_channels
     for sl in range(2):
         (ev,) = s.events_in_slice(sl)

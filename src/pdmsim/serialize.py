@@ -87,7 +87,11 @@ def _bloch(doc: dict, where: str) -> list:
 
 
 def parse_initial_state(doc, qubits: int) -> tuple[DensityState, dict]:
-    """Parse an initial-state descriptor; returns the state and its canonical form."""
+    """Parse an initial-state descriptor; returns the state and its canonical form.
+
+    A ``matrix`` stays an array in the canonical form; ``normalize_schedule_doc``
+    writes it out as ``[re, im]`` pairs.
+    """
     if isinstance(doc, dict) and "bloch" in doc:
         _reject_unknown(doc, ("bloch",), "initial_state")
         r = _bloch(doc, "initial_state")
@@ -99,12 +103,17 @@ def parse_initial_state(doc, qubits: int) -> tuple[DensityState, dict]:
         M = _matrix_from_pairs(doc["matrix"])
         if M.shape[0] != 2**qubits:
             raise UsageError(f"initial state dim {M.shape[0]} does not match {qubits} qubits")
-        return DensityState(M, qubits), {"matrix": _matrix_to_pairs(M)}
+        return DensityState(M, qubits), {"matrix": M}
     raise UsageError("initial_state must carry either 'bloch' or 'matrix'")
 
 
 def parse_channel_descriptor(doc, qubits: int) -> tuple[KrausChannel | None, dict | None]:
-    """Parse one inter-slice channel descriptor into a channel on the full system."""
+    """Parse one inter-slice channel descriptor into a channel on the full system.
+
+    Returns the channel (None for no or an identity gap) and the canonical
+    descriptor, whose unitary ``matrix`` stays an array as in
+    ``parse_initial_state``.
+    """
     if doc is None:
         return None, None
     kind = _require(doc, "kind", "channel descriptor")
@@ -129,7 +138,7 @@ def parse_channel_descriptor(doc, qubits: int) -> tuple[KrausChannel | None, dic
         U = _matrix_from_pairs(_require(doc, "matrix", "unitary descriptor"))
         if U.shape[0] != 2**qubits:
             raise UsageError("unitary dimension does not match the system")
-        return unitary_channel(U), {"kind": "unitary", "matrix": _matrix_to_pairs(U)}
+        return unitary_channel(U), {"kind": "unitary", "matrix": U}
     raise UsageError(f"unknown channel kind {kind!r}")
 
 
@@ -138,7 +147,16 @@ def schedule_from_dict(doc: dict) -> Schedule:
 
 
 def normalize_schedule_doc(doc: dict) -> dict:
-    return _parse_schedule(doc)[1]
+    """The canonical JSON form of a schedule document, matrices as ``[re, im]`` pairs.
+
+    Only this form converts the matrices; ``schedule_from_dict`` discards the
+    canonical parts and never pays for it.
+    """
+    canon = _parse_schedule(doc)[1]
+    for part in [canon["initial_state"], *canon["channels"]]:
+        if part is not None and "matrix" in part:
+            part["matrix"] = _matrix_to_pairs(part["matrix"])
+    return canon
 
 
 def _parse_schedule(doc: dict) -> tuple[Schedule, dict]:

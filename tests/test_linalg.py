@@ -73,6 +73,24 @@ class TestKron:
             right = kron([kron([A, B]), C])
             assert np.max(np.abs(left - right)) <= 1e-14
 
+    def test_bit_identical_to_numpy(self, rng):
+        for shape in ((2, 2), (4, 2), (3, 8)):
+            A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            B = rng.normal(size=shape[::-1]) + 1j * rng.normal(size=shape[::-1])
+            assert np.array_equal(kron([A, B]), np.kron(A, B))
+            assert np.array_equal(kron([A, B, A]), np.kron(np.kron(A, B), A))
+
+    def test_stacks_broadcast(self, rng):
+        # A stack pairs its operators with one factor, or with a stack's row by row.
+        K = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+        L = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        got = kron([K, X])
+        assert got.shape == (5, 4, 4)
+        assert all(np.array_equal(got[t], np.kron(K[t], X)) for t in range(5))
+        got = kron([K, L])
+        assert got.shape == (5, 8, 8)
+        assert all(np.array_equal(got[t], np.kron(K[t], L[t])) for t in range(5))
+
 
 class TestEmbedOperator:
     def test_matches_kron_reference(self):

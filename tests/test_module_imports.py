@@ -94,3 +94,45 @@ def test_every_module_level_name_is_used():
         if name not in used
     }
     assert dead == set()
+
+
+def numpy_kron_calls(source: str) -> list[str]:
+    """``function:line`` of every ``np.kron`` or ``numpy.kron`` the source names, by enclosing function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "kron"
+                and isinstance(child.value, ast.Name)
+                and child.value.id in ("np", "numpy")
+            ):
+                found.append(f"{where}:{child.lineno}")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_sees_numpy_kron():
+    source = (
+        "import numpy as np\n"
+        "A = np.kron(B, C)\n"
+        "def f(x):\n"
+        "    return np.kron(x, x) + kron([x])\n"
+    )
+    assert numpy_kron_calls(source) == ["<module>:2", "f:4"]
+
+
+def test_numpy_kron_only_behind_linalg_kron():
+    # Every Kronecker product goes through linalg.kron, the broadcast outer
+    # product: np.kron takes ~5x as long on a pair of 2x2 factors.
+    offenders = {
+        m.name: [c for c in numpy_kron_calls(m.read_text()) if not (m.stem == "linalg" and c.startswith("kron:"))]
+        for m in MODULES
+    }
+    assert {name: calls for name, calls in offenders.items() if calls} == {}

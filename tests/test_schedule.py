@@ -33,6 +33,7 @@ from pdmsim import (
 )
 import pdmsim.schedule as schedule
 from pdmsim.causality import haar_unitary, random_cptp
+from pdmsim.channels import kraus_sum
 from pdmsim.linalg import I2, PAULIS, X, embed_operator, kron
 from pdmsim.schedule import PDM_BYTE_BUDGET, _event_paulis, _event_projectors
 from pdmsim.verify import GOLDEN_TWO_EVENT, golden_schedule, random_bloch, random_schedule
@@ -235,10 +236,12 @@ class TestBuildPdm:
             build_pdm(s)
 
 
-def _layout(qubits, slices, rng, none_gaps=()):
+def _layout(qubits, slices, rng, none_gaps=(), ranks=()):
     """Events from ``slices`` (lists of qubits per slice), ids assigned in time order.
 
-    Gaps listed in ``none_gaps`` are identity; the others are random CPTP maps.
+    Gaps listed in ``none_gaps`` are identity; the others are random CPTP maps,
+    gap g of Kraus rank ``ranks[g % len(ranks)]`` if ranks are given and of a
+    random rank 1-3 if not.
     """
     events, eid = [], 1
     for si, sl in enumerate(slices):
@@ -246,7 +249,9 @@ def _layout(qubits, slices, rng, none_gaps=()):
             events.append(Event(eid, q, si))
             eid += 1
     channels = tuple(
-        None if g in none_gaps else random_cptp(qubits, int(rng.integers(1, 4)), rng)
+        None
+        if g in none_gaps
+        else random_cptp(qubits, ranks[g % len(ranks)] if ranks else int(rng.integers(1, 4)), rng)
         for g in range(len(slices) - 1)
     )
     return Schedule(qubits, random_density(qubits, rng), tuple(events), channels)
@@ -264,6 +269,15 @@ ENGINE_CASES = {
     "3q-5-events-all-none": lambda rng: _layout(3, [[2, 0], [1], [0, 1]], rng, none_gaps=(0, 1)),
     # 4^4 operators of 16 x 16 before the last gap: per-Kraus products in blocks.
     "4q-5-events-1-per-slice": lambda rng: _layout(4, [[0], [1], [2], [3], [0]], rng),
+    # Stacks of 4^3 and 4^4 operators of 8 x 8 reach the last two gaps. Unitary
+    # gaps take the per-Kraus products there, rank-2 and rank-4 gaps the
+    # superoperator.
+    "3q-5-events-unitary-gaps": lambda rng: _layout(3, [[0], [1], [2], [0], [1]], rng, ranks=(1,)),
+    "3q-5-events-rank-2-4-gaps": lambda rng: _layout(
+        3, [[0], [1], [2], [0], [1]], rng, ranks=(2, 4)
+    ),
+    # The fifth event's Pauli action sees 4^4 operators of 8 x 8: 8 chunks.
+    "3q-6-events-1-per-slice": lambda rng: _layout(3, [[0], [1], [2], [0], [1], [2]], rng),
     # Event 1 is the later measurement: the label axes must be permuted back.
     "2q-ids-out-of-time-order": lambda rng: Schedule(
         2,
@@ -310,6 +324,48 @@ class TestBatchedEngine:
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
+
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    def test_gap_paths_on_a_full_stack(self, rank, rng, monkeypatch):
+        # D^2 = 64 operators of 8 x 8: a one-Kraus gap takes the per-Kraus
+        # products (kraus_sum), a rank-2 or rank-4 gap the superoperator.
+        ch = random_cptp(3, rank, rng)
+        stack = rng.normal(size=(64, 8, 8)) + 1j * rng.normal(size=(64, 8, 8))
+        want = np.stack([sum(K @ M @ K.conj().T for K in ch.kraus_ops) for M in stack])
+        calls = []
+        monkeypatch.setattr(schedule, "kraus_sum", lambda E, M: calls.append(len(M)) or kraus_sum(E, M))
+        got = schedule._apply_gap(stack.copy(), ch)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert (sum(calls) == 64) if rank == 1 else not calls
+
+
+class TestPauliLayers:
+    """``_measure`` and ``_readout``, written as 2-D products, against their definitions."""
+
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+    def test_matches_jordan_products(self, qubits, rng):
+        # 40 operators: 2 chunks at 3 qubits and 5 at 4.
+        D = 2**qubits
+        stack = rng.normal(size=(40, D, D)) + 1j * rng.normal(size=(40, D, D))
+        for q in range(qubits):
+            got = schedule._measure(stack, q, qubits).reshape(40, 4, D, D)
+            for label in range(4):
+                A = embed_operator(PAULIS[label], [q], qubits)
+                want = (A @ stack + stack @ A) / 2.0
+                assert np.max(np.abs(got[:, label] - want)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "qubits, listed",
+        [(1, [0]), (2, [1]), (2, [1, 0]), (3, [1]), (3, [2, 0]), (3, [2, 0, 1]), (4, [3, 1]), (4, [0, 3, 2, 1])],
+    )
+    def test_readout_matches_traces(self, qubits, listed, rng):
+        D = 2**qubits
+        stack = rng.normal(size=(6, D, D)) + 1j * rng.normal(size=(6, D, D))
+        got = schedule._readout(stack, listed, qubits)
+        for idx, labels in enumerate(itertools.product(range(4), repeat=len(listed))):
+            P = embed_operator(kron([PAULIS[l] for l in labels]), listed, qubits)
+            want = np.trace(P @ stack, axis1=1, axis2=2)
+            assert np.max(np.abs(got[:, idx] - want)) <= 1e-13
 
 
 class TestBatchedReferencePaths:

@@ -71,6 +71,29 @@ def test_round_trip_is_value_identical():
         assert reparsed == canon
 
 
+def test_three_qubit_matrix_document_is_pinned():
+    # A matrix state and two unitary gaps: the canonical document writes every
+    # matrix entry back as the [re, im] pair it was read from.
+    r = 1 / math.sqrt(2)
+    state = np.diag([0.5, 0.25, 0.125, 0.0625, 0.0625, 0, 0, 0]).astype(complex)
+    state[0, 1], state[1, 0] = 0.1j, -0.1j
+    hadamard = np.kron(np.array([[r, r], [r, -r]]), np.eye(4))
+    phase = np.diag([1, 1j, -1, -1j, 1, 1j, -1, -1j])
+
+    def pairs(M):
+        return [[[float(v.real), float(v.imag)] for v in row] for row in M]
+
+    slices = [[{"id": 1, "qubit": 2}, {"id": 2, "qubit": 0}], [{"id": 3, "qubit": 1}], [{"id": 4, "qubit": 0}]]
+    doc = {
+        "qubits": 3,
+        "initial_state": {"matrix": pairs(state)},
+        "slices": slices,
+        "channels": [{"kind": "unitary", "matrix": pairs(hadamard)}, {"kind": "unitary", "matrix": pairs(phase)}],
+    }
+    want = json.dumps(doc, indent=2, sort_keys=True)
+    assert dumps_doc(normalize_schedule_doc(json.loads(want))) == want
+
+
 def test_parse_errors():
     with pytest.raises(UsageError):
         schedule_from_dict({"qubits": 1, "slices": []})
