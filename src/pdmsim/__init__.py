@@ -19,13 +19,11 @@ from .causality import (
     spectrum_verdict,
 )
 from .channels import (
-    ChannelReport,
     DensityState,
     KrausChannel,
     NoiseModel,
     apply_channel,
     channel_at_time,
-    choi_matrix,
     choi_stack,
     compose,
     identity_channel,
@@ -35,7 +33,6 @@ from .channels import (
     state_from_bloch,
     tp_residual,
     unitary_channel,
-    validate_channel,
 )
 from .errors import InvariantViolation, UsageError
 from .linalg import (

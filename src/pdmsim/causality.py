@@ -80,21 +80,61 @@ def classify(R: PseudoDensityMatrix) -> CausalityReport:
     )
 
 
+def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian matrix: all real parts are drawn first, then all imaginary parts."""
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def qr_isometries(gaussians, haar: bool = False) -> list[np.ndarray]:
+    """The Q factor of each Gaussian matrix's QR, in input order, from one ``np.linalg.qr`` per shape.
+
+    A stacked QR gives each matrix the Q and R of its own call, bit for bit.
+    A tall Q is an isometry, Q^dag Q = I. With ``haar``, each column of Q
+    takes the phase of R's diagonal entry, which makes the Q of a square
+    Ginibre matrix Haar-random.
+    """
+    out = [None] * len(gaussians)
+    by_shape = {}
+    for i, G in enumerate(gaussians):
+        by_shape.setdefault(G.shape, []).append(i)
+    for rows in by_shape.values():
+        Q, Rm = np.linalg.qr(np.stack([gaussians[i] for i in rows]))
+        if haar:
+            d = np.diagonal(Rm, axis1=-2, axis2=-1)
+            Q = Q * (d / np.abs(d))[:, None, :]
+        for i, q in zip(rows, Q):
+            out[i] = q
+    return out
+
+
+def stinespring_channels(gaussians) -> list[KrausChannel]:
+    """Random channels, one per Gaussian, from its Stinespring isometry Q (``qr_isometries``).
+
+    A (K D, D) Gaussian gives a channel of Kraus rank K on log2(D) qubits,
+    whose Kraus operators are Q's consecutive D x D row blocks.
+    """
+    channels = []
+    for V in qr_isometries(gaussians):
+        d = V.shape[1]  # 2**qubits
+        channels.append(KrausChannel(tuple(V.reshape(-1, d, d)), d.bit_length() - 1))
+    return channels
+
+
+def cptp_draw(qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """The draws of ``random_cptp`` with a random Kraus rank of 1-4: the rank, then its Gaussian."""
+    d = 2**qubits
+    return ginibre(d * int(rng.integers(1, 5)), d, rng)
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary: QR of a complex Ginibre matrix, phase-fixed."""
-    G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    Q, Rm = np.linalg.qr(G)
-    d = np.diagonal(Rm)
-    return Q * (d / np.abs(d))
+    return qr_isometries([ginibre(dim, dim, rng)], haar=True)[0]
 
 
 def random_cptp(qubits: int, kraus_rank: int, rng: np.random.Generator) -> KrausChannel:
     """Random CPTP channel from a random Stinespring isometry (QR of a Gaussian)."""
     d = 2**qubits
-    G = rng.normal(size=(d * kraus_rank, d)) + 1j * rng.normal(size=(d * kraus_rank, d))
-    Q, _ = np.linalg.qr(G)  # isometry: Q^dag Q = I_d
-    ops = tuple(Q[k * d : (k + 1) * d, :] for k in range(kraus_rank))
-    return KrausChannel(ops, qubits)
+    return stinespring_channels([ginibre(d * kraus_rank, d, rng)])[0]
 
 
 @dataclass(frozen=True)
@@ -128,8 +168,10 @@ def check_unitary_invariance(
 ) -> CheckReport:
     """f_tr(U R U^dag) must equal f_tr(R) for Haar-random unitaries U.
 
-    Trials are stacked in chunks of at most CHECK_STACK_BYTES, one eigenvalue
-    solve per chunk. ``detail`` names the trial of the largest deviation.
+    Trials are stacked in chunks of at most CHECK_STACK_BYTES: a chunk draws
+    its Ginibre matrices first, then takes its unitaries from one QR and its
+    f_tr values from one eigenvalue solve. ``detail`` names the trial of the
+    largest deviation.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -137,8 +179,8 @@ def check_unitary_invariance(
     dim = R.matrix.shape[0]
     devs = []
     for chunk in chunk_slices(trials, 16 * dim * dim, CHECK_STACK_BYTES):
-        ks = range(trials)[chunk]
-        Us = np.stack([haar_unitary(dim, np.random.default_rng(seed + k)) for k in ks])
+        gaussians = [ginibre(dim, dim, np.random.default_rng(seed + k)) for k in range(trials)[chunk]]
+        Us = np.stack(qr_isometries(gaussians, haar=True))
         devs.append(np.abs(_f_tr_matrix(Us @ R.matrix @ dagger(Us)) - base))
     k, worst = worst_deviation(np.concatenate(devs))
     return CheckReport(worst <= CHECK_ATOL, trials, worst, f"trial {k}")
@@ -150,11 +192,13 @@ def check_local_monotonicity(
     """f_tr must not increase under a CPTP channel on a single event factor.
 
     Each trial draws a random channel of Kraus rank 1-4 and the factor it
-    acts on. A chunk's channels are zero-padded into one ``kraus_array`` (a
-    zero operator adds nothing) and applied to R with one ``kraus_sum`` per
-    event factor, over the trials on that factor. Chunks hold at most
-    CHECK_STACK_BYTES of embedded Kraus operators, and each is one eigenvalue
-    solve. ``detail`` names the trial of the largest rise and its event.
+    acts on. A chunk draws all its trials first and takes their channels
+    from one QR per Kraus rank (``stinespring_channels``). They are
+    zero-padded into one ``kraus_array`` (a zero operator adds nothing) and
+    applied to R with one ``kraus_sum`` per event factor, over the trials on
+    that factor. Chunks hold at most CHECK_STACK_BYTES of embedded Kraus
+    operators, and each is one eigenvalue solve. ``detail`` names the trial
+    of the largest rise and its event.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -164,13 +208,13 @@ def check_local_monotonicity(
     rises, factors = [], []
     # A trial holds 4 embedded Kraus operators: 4 matrices of the PDM's dimension.
     for chunk in chunk_slices(trials, 4 * 16 * dim * dim, CHECK_STACK_BYTES):
-        channels, factor = [], []
+        gaussians, factor = [], []
         for k in range(trials)[chunk]:
             rng = np.random.default_rng(seed + k)
-            channels.append(random_cptp(1, int(rng.integers(1, 5)), rng))
+            gaussians.append(cptp_draw(1, rng))
             factor.append(int(rng.integers(0, n)))
-        kraus, factor = kraus_array(channels), np.array(factor)
-        outs = np.empty((len(channels), dim, dim), dtype=complex)
+        kraus, factor = kraus_array(stinespring_channels(gaussians)), np.array(factor)
+        outs = np.empty((len(kraus), dim, dim), dtype=complex)
         for f in range(n):
             on_f = factor == f
             if on_f.any():

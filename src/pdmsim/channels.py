@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -80,6 +81,12 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         return 2**self.acts_on
+
+    @functools.cached_property
+    def _tp_residual(self) -> float:
+        ks = np.asarray(self.kraus_ops)
+        acc = np.einsum("kba,kbc->ac", ks.conj(), ks)
+        return float(np.max(np.abs(acc - np.eye(self.dim))))
 
 
 def identity_channel(qubit_count: int = 1) -> KrausChannel:
@@ -227,31 +234,13 @@ def kraus_array(channels) -> np.ndarray:
     return ks
 
 
-def choi_matrix(ch: KrausChannel) -> np.ndarray:
-    """Unnormalized Choi matrix of one channel; see ``choi_stack``."""
-    return choi_stack(kraus_array([ch]))[0]
-
-
 def tp_residual(ch: KrausChannel) -> float:
-    """Trace-preservation residual max|sum_k K_k^dag K_k - I|."""
-    ks = np.asarray(ch.kraus_ops)
-    acc = np.einsum("kba,kbc->ac", ks.conj(), ks)
-    return float(np.max(np.abs(acc - np.eye(ch.dim))))
+    """Trace-preservation residual max|sum_k K_k^dag K_k - I|.
 
-
-@dataclass(frozen=True)
-class ChannelReport:
-    tp_residual: float
-    choi_min_eigenvalue: float
-    valid: bool
-
-
-def validate_channel(ch: KrausChannel) -> ChannelReport:
-    """Check trace preservation and complete positivity of a Kraus channel."""
-    tp = tp_residual(ch)
-    C = choi_matrix(ch)
-    cmin = float(hermitian_eig(C)[0])
-    return ChannelReport(tp, cmin, tp <= TP_ATOL and cmin >= -PSD_ATOL)
+    Computed once per channel and kept on it, so a unitary gap checked by
+    ``unitary_channel`` and again by its ``Schedule`` costs one computation.
+    """
+    return ch._tp_residual
 
 
 @dataclass(frozen=True)

@@ -163,10 +163,11 @@ def embed_operator(K: np.ndarray, targets: Sequence[int], qubit_count: int) -> n
         raise UsageError(f"targets {list(targets)} out of range for {qubit_count} qubits")
     if K.ndim < 2 or K.shape[-2:] != (2**m, 2**m):
         raise UsageError(f"operator shape {K.shape} does not act on {m} qubits")
-    if m == qubit_count and list(targets) == list(range(qubit_count)):
-        return K
     # kron pairs the identity with each operator of a stack.
-    full = kron([K, np.eye(2 ** (qubit_count - m), dtype=complex)])
+    full = K if m == qubit_count else kron([K, np.eye(2 ** (qubit_count - m), dtype=complex)])
+    if list(targets) == list(range(m)):
+        # The leading qubits in order: the permutation below is the identity.
+        return full
     # Factor i of `full` currently holds qubit order[i]; permute so factor q
     # holds qubit q.
     order = list(targets) + [q for q in range(qubit_count) if q not in targets]

@@ -115,9 +115,33 @@ def _event_projectors(qubit: int, qubit_count: int) -> np.ndarray:
 def _pauli_labels(assignments, event_count: int) -> np.ndarray:
     """Validate a batch of Pauli assignments, each one integer label 0..3 per event.
 
-    Returns the labels as a (P, event_count) integer array. Every label is
-    checked before the batch is converted, so a bool or float label is
-    rejected, never cast.
+    Returns the labels as a (P, event_count) integer array. A 2-D numeric
+    array is checked as a whole; any other batch is first turned into one
+    by ``_label_rows``. A bool or float label is rejected, never cast.
+    """
+    labels = assignments
+    if not (isinstance(labels, np.ndarray) and labels.ndim == 2 and labels.dtype.kind in "biufc"):
+        labels = _label_rows(assignments, event_count)
+    if len(labels) == 0:
+        raise UsageError("need at least one assignment")
+    if labels.shape[1] != event_count:
+        raise UsageError(f"assignment length {labels.shape[1]} does not match {event_count} events")
+    if labels.dtype.kind in "bfc":
+        raise UsageError(f"assignment labels must be integers 0..3, got {labels[0, 0]!r}")
+    bad = (labels < 0) | (labels > 3)
+    if bad.any():
+        row = labels[int(np.argmax(bad.any(axis=1)))]
+        raise UsageError(f"assignment labels must be 0..3, got {tuple(int(x) for x in row)}")
+    return labels.astype(np.intp, copy=False)
+
+
+def _label_rows(assignments, event_count: int) -> np.ndarray:
+    """A sequence of assignments as an integer array, checked label by label.
+
+    A Python bool is an int, and an int list may hide one, so each label's
+    type is checked here; ``_pauli_labels`` checks the values. Labels too
+    large for an integer array are kept as Python ints, so a range error
+    still prints them exactly.
     """
     rows = []
     for a in assignments:
@@ -130,13 +154,11 @@ def _pauli_labels(assignments, event_count: int) -> np.ndarray:
         for x in a:
             if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
                 raise UsageError(f"assignment labels must be integers 0..3, got {x!r}")
-        a = tuple(int(x) for x in a)
-        if not all(0 <= x <= 3 for x in a):
-            raise UsageError(f"assignment labels must be 0..3, got {a}")
-        rows.append(a)
-    if not rows:
-        raise UsageError("need at least one assignment")
-    return np.array(rows, dtype=np.intp)
+        rows.append(tuple(int(x) for x in a))
+    try:
+        return np.array(rows, dtype=np.intp)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,19 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .causality import (
+    CHECK_STACK_BYTES,
     check_convexity,
     check_local_monotonicity,
     check_unitary_invariance,
+    cptp_draw,
     f_tr,
     haar_unitary,
-    random_cptp,
+    stinespring_channels,
     worst_deviation,
 )
 from .channels import (
@@ -29,7 +32,7 @@ from .channels import (
     state_from_bloch,
 )
 from .errors import UsageError
-from .linalg import kron
+from .linalg import chunk_slices, kron
 from .schedule import (
     Event,
     Schedule,
@@ -67,11 +70,24 @@ def random_bloch(rng: np.random.Generator) -> np.ndarray:
 
 def random_product_state(qubits: int, rng: np.random.Generator) -> DensityState:
     """Product of random single-qubit states, validated once as a whole."""
-    return DensityState(kron([bloch_matrix(random_bloch(rng)) for _ in range(qubits)]), qubits)
+    return _product_state([random_bloch(rng) for _ in range(qubits)])
 
 
-def random_schedule(rng: np.random.Generator, max_events: int = 4) -> Schedule:
-    """Random schedule with <= max_events events on 1-3 qubits and random CPTP gaps."""
+def _product_state(blochs) -> DensityState:
+    return DensityState(kron([bloch_matrix(r) for r in blochs]), len(blochs))
+
+
+class _ScheduleDraw(NamedTuple):
+    """What ``random_schedule`` draws, before any matrix is built from it."""
+
+    qubits: int
+    events: tuple
+    #: One ``cptp_draw`` per gap channel.
+    gaussians: list
+    blochs: list
+
+
+def _draw_schedule(rng: np.random.Generator, max_events: int) -> _ScheduleDraw:
     qubits = int(rng.integers(1, 4))
     n_events = int(rng.integers(1, max_events + 1))
     events, slice_index, used = [], 0, set()
@@ -83,10 +99,31 @@ def random_schedule(rng: np.random.Generator, max_events: int = 4) -> Schedule:
             q = int(rng.integers(0, qubits))
         used.add(q)
         events.append(Event(eid, q, slice_index))
-    channels = tuple(
-        random_cptp(qubits, int(rng.integers(1, 5)), rng) for _ in range(slice_index)
-    )
-    return Schedule(qubits, random_product_state(qubits, rng), tuple(events), channels)
+    gaussians = [cptp_draw(qubits, rng) for _ in range(slice_index)]
+    blochs = [random_bloch(rng) for _ in range(qubits)]
+    return _ScheduleDraw(qubits, tuple(events), gaussians, blochs)
+
+
+def _build_schedules(draws) -> list[Schedule]:
+    """The schedules of a list of draws, their gap channels from one QR per Gaussian shape."""
+    channels = iter(stinespring_channels([G for d in draws for G in d.gaussians]))
+    return [
+        Schedule(d.qubits, _product_state(d.blochs), d.events, tuple(next(channels) for _ in d.gaussians))
+        for d in draws
+    ]
+
+
+def random_schedule(rng: np.random.Generator, max_events: int = 4) -> Schedule:
+    """Random schedule with <= max_events events on 1-3 qubits and random CPTP gaps."""
+    return _build_schedules([_draw_schedule(rng, max_events)])[0]
+
+
+#: Bytes of Gaussians a ``random_schedule`` trial of at most 4 events may
+#: draw: 3 gaps of Kraus rank 4 on 3 qubits, (32, 8) complex entries each.
+#: Suites draw their trials in chunks of at most CHECK_STACK_BYTES.
+_SCHEDULE_DRAW_BYTES = 3 * 16 * 32 * 8
+#: Bytes of the Gaussian of one ``cptp_draw(1, rng)`` at most: (8, 2) complex entries.
+_GAP_DRAW_BYTES = 16 * 8 * 2
 
 
 #: Random assignments ``suite_engine_oracle`` checks per trial, besides the all-identity one.
@@ -122,24 +159,28 @@ def suite_golden() -> SuiteResult:
 def suite_engine_oracle(seed: int = 0, trials: int = 200) -> SuiteResult:
     """The branch oracle vs ``expectations`` and vs ``build_pdm``'s coefficients.
 
-    Each trial draws ``_RANDOM_PICKS`` random assignments, adds the
-    all-identity one, and evaluates them as one batch on each side. ``detail``
+    Each trial draws a ``random_schedule`` and ``_RANDOM_PICKS`` random
+    assignments, adds the all-identity one, and evaluates them as one batch
+    on each side. A chunk of trials is drawn first and its schedules built
+    together, their gap channels from one QR per Gaussian shape. ``detail``
     names the side and the assignment of the worst deviation.
     """
     devs = np.empty((trials, _RANDOM_PICKS + 1, len(_SIDES)))
     batches = []
-    for k in range(trials):
-        rng = np.random.default_rng(seed + k)
-        s = random_schedule(rng)
-        n = s.event_count
-        # One draw of all picks: the same stream as one draw per pick.
-        picks = rng.integers(0, 4, size=(_RANDOM_PICKS, n))
-        labels = np.vstack([picks, np.zeros((1, n), dtype=picks.dtype)])
-        R = build_pdm(s)
-        want = oracle_expectations(s, labels)
-        got = np.stack([expectations(s, labels), R.stored_expectations(labels)], axis=1)
-        devs[k] = np.abs(got - want[:, None])
-        batches.append(labels)
+    for chunk in chunk_slices(trials, _SCHEDULE_DRAW_BYTES, CHECK_STACK_BYTES):
+        draws, picks = [], []
+        for k in range(trials)[chunk]:
+            rng = np.random.default_rng(seed + k)
+            draws.append(_draw_schedule(rng, 4))
+            # One draw of all picks: the same stream as one draw per pick.
+            picks.append(rng.integers(0, 4, size=(_RANDOM_PICKS, len(draws[-1].events))))
+        for k, s, p in zip(range(trials)[chunk], _build_schedules(draws), picks):
+            labels = np.vstack([p, np.zeros((1, s.event_count), dtype=p.dtype)])
+            R = build_pdm(s)
+            want = oracle_expectations(s, labels)
+            got = np.stack([expectations(s, labels), R.stored_expectations(labels)], axis=1)
+            devs[k] = np.abs(got - want[:, None])
+            batches.append(labels)
     # Row-major over (trial, pick, side): the first maximum is the one a per-pick loop would keep.
     i, worst = worst_deviation(devs)
     k, pick, side = np.unravel_index(i, devs.shape)
@@ -148,17 +189,23 @@ def suite_engine_oracle(seed: int = 0, trials: int = 200) -> SuiteResult:
 
 
 def suite_ancilla(seed: int = 0, trials: int = 50) -> SuiteResult:
-    """The ancilla protocol vs ``expectations`` on all 16 assignments of random two-event schedules."""
+    """The ancilla protocol vs ``expectations`` on all 16 assignments of random two-event schedules.
+
+    A chunk of trials is drawn first; its gap channels come from one QR per Kraus rank.
+    """
     worst, detail = 0.0, ""
-    for k in range(trials):
-        rng = np.random.default_rng(seed + k)
-        s = two_event_schedule(
-            state_from_bloch(random_bloch(rng)), random_cptp(1, int(rng.integers(1, 5)), rng)
-        )
-        got = ancilla_expectations(s, _ALL_PAIRS)
-        i, dev = worst_deviation(np.abs(got - expectations(s, _ALL_PAIRS)))
-        if dev > worst:
-            worst, detail = dev, f"trial {k} assignment {_plain(_ALL_PAIRS[i])}"
+    for chunk in chunk_slices(trials, _GAP_DRAW_BYTES, CHECK_STACK_BYTES):
+        blochs, gaussians = [], []
+        for k in range(trials)[chunk]:
+            rng = np.random.default_rng(seed + k)
+            blochs.append(random_bloch(rng))
+            gaussians.append(cptp_draw(1, rng))
+        for k, r, ch in zip(range(trials)[chunk], blochs, stinespring_channels(gaussians)):
+            s = two_event_schedule(state_from_bloch(r), ch)
+            got = ancilla_expectations(s, _ALL_PAIRS)
+            i, dev = worst_deviation(np.abs(got - expectations(s, _ALL_PAIRS)))
+            if dev > worst:
+                worst, detail = dev, f"trial {k} assignment {_plain(_ALL_PAIRS[i])}"
     return SuiteResult("ancilla_protocol", worst <= 1e-10, worst, detail)
 
 
@@ -176,7 +223,9 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
     rng = np.random.default_rng(seed)
     bloch = random_bloch(rng)
     state = state_from_bloch(bloch)
-    channels = [random_cptp(1, int(rng.integers(1, 5)), rng) for _ in range(trials)]
+    channels = []
+    for chunk in chunk_slices(trials, _GAP_DRAW_BYTES, CHECK_STACK_BYTES):
+        channels += stinespring_channels([cptp_draw(1, rng) for _ in range(trials)[chunk]])
     damping, dephasing = (float(tau) for tau in rng.uniform(0.5, 2.0, size=2))
     members = (
         NoiseModel("amplitude_damping", tau=damping),
@@ -218,13 +267,16 @@ def suite_convexity(seed: int = 0, trials: int = 200) -> SuiteResult:
     one eigenvalue solve. ``detail`` names the trial of the largest gap.
     """
     states, channels, weights = [], [], []
-    for k in range(trials):
-        rng = np.random.default_rng(seed + k)
-        for _ in range(2):
-            states.append(state_from_bloch(random_bloch(rng)))
-            channels.append(random_cptp(1, int(rng.integers(1, 5)), rng))
-        p = float(rng.uniform(0, 1))
-        weights.append([p, 1 - p])
+    for chunk in chunk_slices(trials, 2 * _GAP_DRAW_BYTES, CHECK_STACK_BYTES):
+        gaussians = []
+        for k in range(trials)[chunk]:
+            rng = np.random.default_rng(seed + k)
+            for _ in range(2):
+                states.append(state_from_bloch(random_bloch(rng)))
+                gaussians.append(cptp_draw(1, rng))
+            p = float(rng.uniform(0, 1))
+            weights.append([p, 1 - p])
+        channels += stinespring_channels(gaussians)
     Rs = two_event_pdm_stack(states, channels).reshape(trials, 2, 4, 4)
     rep = check_convexity(Rs, weights)
     return SuiteResult("convexity", rep.passed, rep.max_deviation, rep.detail)

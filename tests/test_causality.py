@@ -26,7 +26,14 @@ from pdmsim import (
     unitary_channel,
 )
 import pdmsim.causality as causality
-from pdmsim.causality import CHECK_ATOL, _f_tr_matrix, haar_unitary, random_cptp
+from pdmsim.causality import (
+    CHECK_ATOL,
+    _f_tr_matrix,
+    ginibre,
+    haar_unitary,
+    qr_isometries,
+    random_cptp,
+)
 from pdmsim.channels import apply_channel_to_matrix
 from pdmsim.linalg import PAULIS, PSD_ATOL
 from pdmsim.schedule import Event, Schedule
@@ -41,6 +48,26 @@ def dephasing_pdm(gamma):
 
 def depolarizing_pdm(lam):
     return build_pdm(two_event_schedule(state_from_bloch([0, 0, 0]), make_channel("depolarizing", lam)))
+
+
+def distort_trial(monkeypatch, trial, distort):
+    """Make ``causality.qr_isometries`` return ``distort(Q)`` for the isometry of one trial.
+
+    The axiom checks draw one Gaussian per trial, in trial order, so the
+    isometry's index over all calls is its trial. Returns the list of
+    isometries seen so far.
+    """
+    real = causality.qr_isometries
+    seen = []
+
+    def distorted(gaussians, haar=False):
+        out = real(gaussians, haar)
+        out = [distort(Q) if len(seen) + i == trial else Q for i, Q in enumerate(out)]
+        seen.extend(out)
+        return out
+
+    monkeypatch.setattr(causality, "qr_isometries", distorted)
+    return seen
 
 
 def unitary_invariance_loop(R, trials, seed):
@@ -238,32 +265,18 @@ class TestMonotoneAxioms:
 
     @pytest.mark.parametrize("stack_bytes", [None, 3 * 16 * 4 * 4])
     def test_checks_see_the_first_and_last_trial(self, stack_bytes, monkeypatch):
-        # One trial's unitary or channel is doubled, which raises its f_tr; the
-        # report must fail and name that trial.
+        # One trial's isometry is doubled, which doubles its unitary or its
+        # channel's Kraus operators and raises its f_tr; the report must fail
+        # and name that trial.
         if stack_bytes is not None:
             monkeypatch.setattr(causality, "CHECK_STACK_BYTES", stack_bytes)
         R = build_pdm(golden_schedule())
-        for name, check, double in (
-            ("haar_unitary", check_unitary_invariance, lambda U: 2 * U),
-            (
-                "random_cptp",
-                check_local_monotonicity,
-                lambda ch: KrausChannel(tuple(2 * K for K in ch.kraus_ops), ch.acts_on),
-            ),
-        ):
-            real = getattr(causality, name)
+        for check in (check_unitary_invariance, check_local_monotonicity):
             for distorted in (0, 39):
-                calls = []
-
-                def doubled(*args, real=real, calls=calls, distorted=distorted, double=double):
-                    calls.append(1)
-                    out = real(*args)
-                    return double(out) if len(calls) - 1 == distorted else out
-
                 with monkeypatch.context() as m:
-                    m.setattr(causality, name, doubled)
+                    seen = distort_trial(m, distorted, lambda Q: 2 * Q)
                     rep = check(R, trials=40, seed=3)
-                assert len(calls) == 40
+                assert len(seen) == 40
                 assert not rep.passed and rep.max_deviation > 0.01
                 assert rep.detail.split()[:2] == ["trial", str(distorted)]
 
@@ -275,26 +288,11 @@ class TestMonotoneAxioms:
         if stack_bytes is not None:
             monkeypatch.setattr(causality, "CHECK_STACK_BYTES", stack_bytes)
         R = build_pdm(golden_schedule())
-        for name, check, poison in (
-            ("haar_unitary", check_unitary_invariance, lambda U: np.full_like(U, np.nan)),
-            (
-                "random_cptp",
-                check_local_monotonicity,
-                lambda ch: KrausChannel(tuple(np.full_like(K, np.nan) for K in ch.kraus_ops), 1),
-            ),
-        ):
-            real = getattr(causality, name)
-            calls = []
-
-            def poisoned(*args, real=real, calls=calls, poison=poison):
-                calls.append(1)
-                out = real(*args)
-                return poison(out) if len(calls) - 1 == bad else out
-
+        for check in (check_unitary_invariance, check_local_monotonicity):
             with monkeypatch.context() as m:
-                m.setattr(causality, name, poisoned)
+                seen = distort_trial(m, bad, lambda Q: np.full_like(Q, np.nan))
                 rep = check(R, trials=40, seed=3)
-            assert len(calls) == 40
+            assert len(seen) == 40
             assert not rep.passed and rep.max_deviation == np.inf
             assert rep.detail.split()[:2] == ["trial", str(bad)]
 
@@ -379,20 +377,56 @@ class TestMonotoneAxioms:
     def test_local_monotonicity_names_the_trial_and_event(self, monkeypatch):
         import pdmsim.verify as verify
 
-        real = causality.random_cptp
-        calls = []
-
-        def doubled(*args):
-            calls.append(1)
-            ch = real(*args)
-            return KrausChannel(tuple(2 * K for K in ch.kraus_ops), 1) if len(calls) == 18 else ch
-
-        monkeypatch.setattr(causality, "random_cptp", doubled)
+        distort_trial(monkeypatch, 17, lambda Q: 2 * Q)
         res = verify.suite_local_monotonicity(seed=5, trials=40)
         rng = np.random.default_rng(5 + 17)
-        real(1, int(rng.integers(1, 5)), rng)
+        random_cptp(1, int(rng.integers(1, 5)), rng)
         event = int(rng.integers(0, 2)) + 1
         assert not res.passed and res.detail == f"trial 17 on event {event}"
+
+
+class TestStackedQR:
+    # Every shape the suites draw: Stinespring Gaussians (K d, d) of Kraus
+    # rank 1-4 on 1-3 qubits, and square Haar draws of the golden PDM (4x4)
+    # and of the closed-form suite's unitary (2x2).
+    TALL = [(d * k, d) for d in (2, 4, 8) for k in range(1, 5)]
+
+    def test_matches_per_matrix_qr_in_order(self):
+        rng = np.random.default_rng(9)
+        # Two of each shape, interleaved, so equal shapes are not neighbours.
+        shapes = [self.TALL[i] for i in rng.permutation(2 * len(self.TALL)) % len(self.TALL)]
+        gaussians = [ginibre(rows, cols, rng) for rows, cols in shapes]
+        got = qr_isometries(gaussians)
+        assert len(got) == len(gaussians)
+        for G, V in zip(gaussians, got):
+            assert np.array_equal(V, np.linalg.qr(G)[0])
+
+    def test_haar_matches_per_matrix_phase_fix(self):
+        rng = np.random.default_rng(10)
+        gaussians = [ginibre(d, d, rng) for d in (4, 2, 4, 8, 2, 4)]
+        for G, U in zip(gaussians, qr_isometries(gaussians, haar=True)):
+            Q, Rm = np.linalg.qr(G)
+            d = np.diagonal(Rm)
+            assert np.array_equal(U, Q * (d / np.abs(d)))
+            assert np.max(np.abs(U @ U.conj().T - np.eye(len(U)))) <= 1e-14
+
+    def test_one_matrix_case_keeps_the_random_stream(self):
+        # haar_unitary and random_cptp give what a QR of the same draws, one
+        # matrix at a time, gives, and leave the generator where it was left.
+        for dim in (2, 4, 8):
+            a, b = np.random.default_rng(dim), np.random.default_rng(dim)
+            Q, Rm = np.linalg.qr(b.normal(size=(dim, dim)) + 1j * b.normal(size=(dim, dim)))
+            d = np.diagonal(Rm)
+            assert np.array_equal(haar_unitary(dim, a), Q * (d / np.abs(d)))
+            assert a.normal() == b.normal()
+        for qubits, rank in ((1, 3), (2, 1), (3, 4)):
+            a, b = np.random.default_rng(rank), np.random.default_rng(rank)
+            D = 2**qubits
+            Q, _ = np.linalg.qr(b.normal(size=(D * rank, D)) + 1j * b.normal(size=(D * rank, D)))
+            ch = random_cptp(qubits, rank, a)
+            assert ch.acts_on == qubits and len(ch.kraus_ops) == rank
+            assert all(np.array_equal(K, Q[k * D : (k + 1) * D]) for k, K in enumerate(ch.kraus_ops))
+            assert a.normal() == b.normal()
 
 
 class TestMultiEventMonotonicity:

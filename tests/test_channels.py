@@ -10,7 +10,6 @@ from pdmsim import (
     UsageError,
     apply_channel,
     channel_at_time,
-    choi_matrix,
     choi_stack,
     compose,
     identity_channel,
@@ -19,10 +18,10 @@ from pdmsim import (
     noise_kraus,
     state_from_bloch,
     tp_residual,
-    validate_channel,
 )
 from pdmsim.causality import haar_unitary, random_cptp
 from pdmsim.channels import (
+    TP_ATOL,
     DensityState,
     apply_channel_to_matrix,
     dephasing_about_axis,
@@ -36,6 +35,11 @@ from conftest import random_density
 
 def bloch_of(state):
     return np.array([np.trace(P @ state.matrix).real for P in (X, Y, Z)])
+
+
+def choi_of(ch):
+    """Unnormalized Choi matrix of one channel, as a one-row ``choi_stack``."""
+    return choi_stack(kraus_array([ch]))[0]
 
 
 def choi_loop(ch):
@@ -120,7 +124,7 @@ class TestMakeChannel:
     def test_all_standard_channels_valid(self):
         for kind in ("dephasing", "depolarizing", "amplitude_damping"):
             for p in (0.0, 0.25, 0.99, 1.0):
-                assert validate_channel(make_channel(kind, p)).valid
+                assert tp_residual(make_channel(kind, p)) <= TP_ATOL
 
     def test_out_of_range(self):
         with pytest.raises(UsageError):
@@ -189,16 +193,15 @@ class TestApplyChannel:
 class TestValidateChannel:
     def test_valid_mixing(self):
         ch = KrausChannel((I2 / math.sqrt(2), X / math.sqrt(2)), 1)
-        rep = validate_channel(ch)
-        assert rep.valid and rep.tp_residual <= 1e-14
+        assert tp_residual(ch) <= TP_ATOL and tp_residual(ch) <= 1e-14
 
     def test_not_trace_preserving(self):
-        rep = validate_channel(KrausChannel((I2, X), 1))
-        assert not rep.valid
-        assert rep.tp_residual == pytest.approx(1.0, abs=1e-12)
+        residual = tp_residual(KrausChannel((I2, X), 1))
+        assert not residual <= TP_ATOL
+        assert residual == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_choi_rank_one(self):
-        C = choi_matrix(identity_channel(1))
+        C = choi_of(identity_channel(1))
         w = np.linalg.eigvalsh(C)
         assert np.allclose(w, [0, 0, 0, 2], atol=1e-12)
 
@@ -213,7 +216,7 @@ class TestChoiMatrix:
         rng = np.random.default_rng(77 + qubits)
         for _ in range(10):
             ch = random_cptp(qubits, int(rng.integers(1, 5)), rng)
-            assert np.max(np.abs(choi_matrix(ch) - choi_loop(ch))) <= 1e-14
+            assert np.max(np.abs(choi_of(ch) - choi_loop(ch))) <= 1e-14
 
     def test_stack_with_mixed_kraus_counts(self):
         rng = np.random.default_rng(5)
@@ -310,7 +313,7 @@ class TestComposition:
                 scales.append(bloch_of(out)[i])
             assert np.allclose(scales, [g**2, g**2, g**2], atol=1e-12)
             dep = make_channel("depolarizing", g**2)
-            assert np.max(np.abs(choi_matrix(comp) - choi_matrix(dep))) <= 1e-10
+            assert np.max(np.abs(choi_of(comp) - choi_of(dep))) <= 1e-10
 
 
 def family_reference(kind, s):

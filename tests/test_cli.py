@@ -26,6 +26,29 @@ GOLDEN_DOC = {
 }
 
 
+#: ``pdm verify`` output, pinned.
+VERIFY_SEED_0 = (
+    "[PASS] golden_two_event: max deviation 0.000e+00\n"
+    "[PASS] engine_vs_oracle: max deviation 2.220e-16\n"
+    "[PASS] ancilla_protocol: max deviation 6.661e-16\n"
+    "[PASS] closed_form_two_event: max deviation 3.103e-17\n"
+    "[PASS] unitary_invariance: max deviation 8.882e-16\n"
+    "[PASS] local_monotonicity: max deviation 0.000e+00\n"
+    "[PASS] convexity: max deviation 0.000e+00\n"
+    "all suites passed\n"
+)
+VERIFY_SEED_1E6 = (
+    "[PASS] golden_two_event: max deviation 0.000e+00\n"
+    "[PASS] engine_vs_oracle: max deviation 3.331e-16\n"
+    "[PASS] ancilla_protocol: max deviation 7.772e-16\n"
+    "[PASS] closed_form_two_event: max deviation 1.110e-16\n"
+    "[PASS] unitary_invariance: max deviation 1.110e-15\n"
+    "[PASS] local_monotonicity: max deviation 8.882e-16\n"
+    "[PASS] convexity: max deviation 0.000e+00\n"
+    "all suites passed\n"
+)
+
+
 def sweep_doc(bloch, kind, tau, t_min, t_max, points):
     return {
         "initial_state": {"bloch": list(bloch)},
@@ -289,6 +312,22 @@ class TestVerify:
         assert res.detail == "sweep path at t=1.0"
         assert res.max_deviation == pytest.approx(1e-9, rel=1e-6)
 
+    @pytest.mark.parametrize("seed, trials, want", [(0, 5, VERIFY_SEED_0), (1_000_000, 50, VERIFY_SEED_1E6)])
+    def test_output_is_pinned(self, capsys, seed, trials, want):
+        # Every suite's worst deviation and verdict, to the printed digit: the
+        # suites' random streams and arithmetic are fixed.
+        assert main(["verify", "--seed", str(seed), "--trials", str(trials)]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_draw_chunks_do_not_change_results(self, monkeypatch):
+        # The suites draw their trials in chunks of CHECK_STACK_BYTES; one
+        # trial per chunk gives the same results, to the bit.
+        import pdmsim.verify as verify
+
+        want = verify.run_all(4, 12)
+        monkeypatch.setattr(verify, "CHECK_STACK_BYTES", 1)
+        assert verify.run_all(4, 12) == want
+
     def test_small_run_passes(self, capsys):
         assert main(["verify", "--seed", "1", "--trials", "5"]) == 0
         out = capsys.readouterr().out
@@ -385,15 +424,21 @@ class TestVerify:
     def test_nan_unitary_fails_the_suite_not_the_run(self, monkeypatch, capsys):
         import pdmsim.causality as causality
 
-        real = causality.haar_unitary
+        real = causality.qr_isometries
         calls = []
 
-        def nan_at_trial_2(dim, rng):
-            calls.append(1)
-            U = real(dim, rng)
-            return np.full_like(U, np.nan) if len(calls) == 3 else U
+        def nan_at_trial_2(gaussians, haar=False):
+            # The unitary_invariance suite's Haar unitaries are 4x4, the
+            # golden PDM's size; the closed-form suite's one unitary is 2x2.
+            out = real(gaussians, haar)
+            for i, U in enumerate(out):
+                if haar and U.shape == (4, 4):
+                    calls.append(1)
+                    if len(calls) == 3:
+                        out[i] = np.full_like(U, np.nan)
+            return out
 
-        monkeypatch.setattr(causality, "haar_unitary", nan_at_trial_2)
+        monkeypatch.setattr(causality, "qr_isometries", nan_at_trial_2)
         assert main(["verify", "--seed", "0", "--trials", "5"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] unitary_invariance: max deviation inf (trial 2)" in out

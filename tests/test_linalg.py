@@ -92,6 +92,18 @@ class TestKron:
         assert all(np.array_equal(got[t], np.kron(K[t], L[t])) for t in range(5))
 
 
+def permuting_embedding(K, targets, n):
+    """``embed_operator``'s general path: kron with the identity, then move each factor to its qubit."""
+    m = len(targets)
+    full = kron([K, np.eye(2 ** (n - m), dtype=complex)])
+    perm = np.argsort(list(targets) + [q for q in range(n) if q not in targets])
+    lead = K.shape[:-2]
+    b = len(lead)
+    t = full.reshape(lead + (2,) * (2 * n))
+    axes = list(range(b)) + [b + p for p in perm] + [b + n + p for p in perm]
+    return t.transpose(axes).reshape(lead + (2**n, 2**n))
+
+
 class TestEmbedOperator:
     def test_matches_kron_reference(self):
         assert np.array_equal(embed_operator(X, [1], 2), np.kron(I2, X))
@@ -106,6 +118,20 @@ class TestEmbedOperator:
         assert out.shape == (2, 3, 2**qubits, 2**qubits)
         for idx in np.ndindex(2, 3):
             assert np.array_equal(out[idx], embed_operator(ks[idx], targets, qubits))
+
+    def test_leading_targets_skip_the_permutation(self, rng):
+        # Targets 0..m-1 in order take kron([K, I]) without the permutation;
+        # the result is bit-equal to the permuting path.
+        for n in range(1, 4):
+            for m in range(1, n + 1):
+                d = 2**m
+                K = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+                want = permuting_embedding(K, list(range(m)), n)
+                assert np.array_equal(embed_operator(K, list(range(m)), n), want)
+                assert np.array_equal(embed_operator(K[0], range(m), n), want[0])
+        # The reference is the general path: it agrees on permuted targets too.
+        K = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert np.array_equal(embed_operator(K, [2, 0], 3), permuting_embedding(K, [2, 0], 3))
 
     def test_shape_mismatch(self):
         with pytest.raises(UsageError):

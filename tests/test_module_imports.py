@@ -96,21 +96,27 @@ def test_every_module_level_name_is_used():
     assert dead == set()
 
 
-def numpy_kron_calls(source: str) -> list[str]:
-    """``function:line`` of every ``np.kron`` or ``numpy.kron`` the source names, by enclosing function."""
+def numpy_calls(source: str, path: str) -> list[str]:
+    """``function:line`` of every ``np.<path>`` or ``numpy.<path>`` the source names, by enclosing function.
+
+    ``path`` is a dotted attribute path below numpy, such as ``"kron"`` or ``"linalg.qr"``.
+    """
+    names = path.split(".")
     found = []
+
+    def names_path(node) -> bool:
+        for name in reversed(names):
+            if not (isinstance(node, ast.Attribute) and node.attr == name):
+                return False
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in ("np", "numpy")
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (
-                isinstance(child, ast.Attribute)
-                and child.attr == "kron"
-                and isinstance(child.value, ast.Name)
-                and child.value.id in ("np", "numpy")
-            ):
+            if names_path(child):
                 found.append(f"{where}:{child.lineno}")
             visit(child, where)
 
@@ -125,14 +131,38 @@ def test_checker_sees_numpy_kron():
         "def f(x):\n"
         "    return np.kron(x, x) + kron([x])\n"
     )
-    assert numpy_kron_calls(source) == ["<module>:2", "f:4"]
+    assert numpy_calls(source, "kron") == ["<module>:2", "f:4"]
+
+
+def test_checker_sees_numpy_attribute_paths():
+    source = (
+        "import numpy as np\n"
+        "def f(G):\n"
+        "    Q, R = np.linalg.qr(G)\n"
+        "    return numpy.linalg.qr(Q), linalg.qr(G), np.qr(G), np.linalg.eigh(G)\n"
+    )
+    assert numpy_calls(source, "linalg.qr") == ["f:3", "f:4"]
+    assert numpy_calls(source, "linalg") == ["f:3", "f:4", "f:4"]
+    assert numpy_calls(source, "qr") == ["f:4"]
+
+
+def calls_outside(path: str, module: str, function: str) -> dict:
+    """Each package module's uses of ``np.<path>`` other than in ``module.function``."""
+    offenders = {
+        m.name: [c for c in numpy_calls(m.read_text(), path) if not (m.stem == module and c.startswith(f"{function}:"))]
+        for m in MODULES
+    }
+    return {name: calls for name, calls in offenders.items() if calls}
 
 
 def test_numpy_kron_only_behind_linalg_kron():
     # Every Kronecker product goes through linalg.kron, the broadcast outer
     # product: np.kron takes ~5x as long on a pair of 2x2 factors.
-    offenders = {
-        m.name: [c for c in numpy_kron_calls(m.read_text()) if not (m.stem == "linalg" and c.startswith("kron:"))]
-        for m in MODULES
-    }
-    assert {name: calls for name, calls in offenders.items() if calls} == {}
+    assert calls_outside("kron", "linalg", "kron") == {}
+
+
+def test_numpy_qr_only_in_qr_isometries():
+    # Every random isometry comes from causality.qr_isometries, which stacks
+    # its matrices by shape: a single-matrix np.linalg.qr call costs ~25-45 us
+    # against ~2-11 us per matrix stacked.
+    assert calls_outside("linalg.qr", "causality", "qr_isometries") == {}

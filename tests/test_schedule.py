@@ -561,6 +561,8 @@ class TestAssignmentLabels:
             [(1, 1), (np.float64(2), 0)],
             [(0, 0), (0, 4)],
             [(0, 0), (-1, 0)],
+            [(0, 0), (-1, 2**63)],
+            [(2**70, 0)],
             [(1, 1), (1, 1, 1)],
             [(1, 1), 3],
             (1, 1),
@@ -587,6 +589,28 @@ class TestAssignmentLabels:
         ):
             with pytest.raises(UsageError):
                 read(bad)
+
+    @pytest.mark.parametrize(
+        "array, message",
+        [
+            (np.array([(1, 0), (1, 1)], dtype=bool), "integers 0..3, got np.True_"),
+            (np.array([(1.0, 0.0)]), "integers 0..3, got np.float64(1.0)"),
+            (np.array([(0, 0), (0, 4)]), "0..3, got (0, 4)"),
+            (np.array([(0, 0), (-1, 0)], dtype=np.int8), "0..3, got (-1, 0)"),
+            (np.array([(1, 1, 1)]), "length 3 does not match 2 events"),
+            (np.zeros((0, 2), dtype=int), "need at least one assignment"),
+        ],
+    )
+    def test_array_and_list_batches_fail_alike(self, array, message):
+        # An array batch is checked as a whole, a list label by label on its
+        # way to an array; holding the same labels, both fail with one message.
+        s = golden_schedule()
+        errors = []
+        for batch in (array, [tuple(row) for row in array]):
+            with pytest.raises(UsageError) as info:
+                expectations(s, batch)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and message in errors[0]
 
     def test_batch_forms_agree(self):
         s = _layout(2, [[0, 1], [1]], np.random.default_rng(5))

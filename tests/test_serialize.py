@@ -1,10 +1,11 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from pdmsim import UsageError, build_pdm, expectation
+from pdmsim import KrausChannel, Schedule, UsageError, build_pdm, expectation
 from pdmsim.serialize import (
     dumps_doc,
     normalize_schedule_doc,
@@ -92,6 +93,33 @@ def test_three_qubit_matrix_document_is_pinned():
     }
     want = json.dumps(doc, indent=2, sort_keys=True)
     assert dumps_doc(normalize_schedule_doc(json.loads(want))) == want
+
+
+def test_unitary_gap_is_checked_for_trace_preservation_once(monkeypatch):
+    # unitary_channel and the Schedule both check each unitary gap; the
+    # residual is computed once per gap.
+    real = KrausChannel._tp_residual.func
+    calls = []
+
+    def counted(ch):
+        calls.append(1)
+        return real(ch)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(KrausChannel, "_tp_residual")
+    monkeypatch.setattr(KrausChannel, "_tp_residual", prop)
+    r = 1 / math.sqrt(2)
+    H = [[[r, 0.0], [r, 0.0]], [[r, 0.0], [-r, 0.0]]]
+    slices = [[{"id": 1, "qubit": 0}], [{"id": 2, "qubit": 0}], [{"id": 3, "qubit": 0}]]
+    doc = dict(GOLDEN_DOC, slices=slices, channels=[{"kind": "unitary", "matrix": H}] * 2)
+    s = schedule_from_dict(doc)
+    assert len(calls) == 2
+    # Both checks still reject: the unitary's on parsing, the schedule's on a leaky gap.
+    with pytest.raises(UsageError, match="matrix is not unitary"):
+        schedule_from_dict(dict(doc, channels=[{"kind": "unitary", "matrix": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]}] * 2))
+    leaky = KrausChannel((2 * np.eye(2),), 1)
+    with pytest.raises(UsageError, match="gap channel 1 is not trace preserving"):
+        Schedule(1, s.initial_state, s.events, (s.inter_slice_channels[0], leaky))
 
 
 def test_parse_errors():
