@@ -231,16 +231,25 @@ def check_convexity(Rs, weights) -> CheckReport:
 
     ``Rs`` is a sequence of m PDMs with m ``weights``: one mixture. Or it is
     a (T, m, D, D) array holding T trials' m PDM matrices, with weights of
-    shape (T, m). Each row of weights is nonnegative and sums to 1. The f_tr
-    of all T*m matrices and T mixtures come from one eigenvalue solve.
-    ``trials`` counts the PDMs checked (m, or T*m), and ``detail`` names the
-    trial of the largest gap.
+    shape (T, m); see ``convexity_gaps``. ``trials`` counts the PDMs checked
+    (m, or T*m), and ``detail`` names the trial of the largest gap.
     """
-    ws = np.asarray(weights, dtype=float)
     if not isinstance(Rs, np.ndarray):
         if len({R.matrix.shape for R in Rs}) > 1:
             raise UsageError("all PDMs must share one dimension")
-        Rs, ws = np.array([[R.matrix for R in Rs]]), ws[None]
+        Rs, weights = np.array([[R.matrix for R in Rs]]), np.asarray(weights, dtype=float)[None]
+    k, worst = worst_deviation(convexity_gaps(Rs, weights))
+    return CheckReport(worst <= CHECK_ATOL, Rs.shape[0] * Rs.shape[1], max(0.0, worst), f"trial {k}")
+
+
+def convexity_gaps(Rs: np.ndarray, weights) -> np.ndarray:
+    """f_tr of each trial's mixture minus the mixture of its f_tr values, shape (T,).
+
+    ``Rs`` is a (T, m, D, D) array of T trials' m PDM matrices and ``weights``
+    has shape (T, m); each row is nonnegative and sums to 1. The f_tr of all
+    T*m matrices and T mixtures come from one eigenvalue solve.
+    """
+    ws = np.asarray(weights, dtype=float)
     if Rs.ndim != 4 or Rs.shape[:2] != ws.shape or Rs.size == 0:
         raise UsageError("need matching nonempty lists of PDMs and weights")
     # Written to pass only on numbers, so a NaN weight fails it.
@@ -249,6 +258,4 @@ def check_convexity(Rs, weights) -> CheckReport:
     T, m, D, _ = Rs.shape
     mixes = np.sum(ws[..., None, None] * Rs, axis=1)
     values = _f_tr_matrix(np.concatenate([Rs.reshape(T * m, D, D), mixes]))
-    gaps = values[T * m :] - np.sum(ws * values[: T * m].reshape(T, m), axis=1)
-    k, worst = worst_deviation(gaps)
-    return CheckReport(worst <= CHECK_ATOL, T * m, max(0.0, worst), f"trial {k}")
+    return values[T * m :] - np.sum(ws * values[: T * m].reshape(T, m), axis=1)

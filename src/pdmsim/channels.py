@@ -19,6 +19,7 @@ from .linalg import (
     dagger,
     embed_operator,
     hermitian_eig,
+    read_only,
     require_hermitian_unit_trace,
 )
 
@@ -109,7 +110,7 @@ def unitary_channel(U: np.ndarray) -> KrausChannel:
     return _require_unitary(np.asarray(U, dtype=complex))
 
 
-_DEPHASING_BASIS = np.stack([I2, Z])
+_DEPHASING_BASIS = read_only(np.stack([I2, Z]))
 
 
 def _dephasing_kraus(g: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -18,16 +18,22 @@ from .errors import InvariantViolation, UsageError
 HERM_ATOL = 1e-12
 PSD_ATOL = 1e-10
 
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-#: Single-qubit Pauli matrices indexed by label 0..3 (I, X, Y, Z).
+def read_only(M: np.ndarray) -> np.ndarray:
+    """M, made read-only: a constant every caller shares, which no caller may change."""
+    M.setflags(write=False)
+    return M
+
+
+I2 = read_only(np.eye(2, dtype=complex))
+X = read_only(np.array([[0, 1], [1, 0]], dtype=complex))
+Y = read_only(np.array([[0, -1j], [1j, 0]], dtype=complex))
+Z = read_only(np.array([[1, 0], [0, -1]], dtype=complex))
+
+#: Single-qubit Pauli matrices indexed by label 0..3 (I, X, Y, Z), read-only.
 PAULIS = (I2, X, Y, Z)
 #: The same Paulis stacked by label as one read-only (4, 2, 2) array.
-PAULI_STACK = np.stack(PAULIS)
-PAULI_STACK.setflags(write=False)
+PAULI_STACK = read_only(np.stack(PAULIS))
 
 
 def pauli_matrix(label: int) -> np.ndarray:

@@ -36,6 +36,7 @@ from .linalg import (
     kron,
     partial_trace,
     pauli_string_matrix,
+    read_only,
     require_hermitian_unit_trace,
 )
 
@@ -55,17 +56,17 @@ ORACLE_STACK_BYTES = 2**16
 _SINGLE_THREAD_MACS = 2**15
 
 # Basis-change unitaries U with U sigma U^dag = Z, for labels X, Y, Z.
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
-_BASIS_CHANGE = (_H, _H @ _SDG, I2)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+_H = read_only(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
+_SDG = read_only(np.array([[1, 0], [0, -1j]], dtype=complex))
+_BASIS_CHANGE = (_H, read_only(_H @ _SDG), I2)
+_CNOT = read_only(
+    np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 )
 # The ancilla protocol's fixed operators, primary qubit left and ancilla right:
 # the ancilla's |0><0|, its Z readout, and per label the copy block
 # U^dag CNOT U with U the label's basis change on the primary (I4 for label 0).
-_ANCILLA_0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_ANCILLA_Z = kron([I2, PAULI_STACK[3]])
+_ANCILLA_0 = read_only(np.array([[1, 0], [0, 0]], dtype=complex))
+_ANCILLA_Z = read_only(kron([I2, PAULI_STACK[3]]))
 _COPY_BLOCKS = np.stack(
     [np.eye(4, dtype=complex)]
     + [dagger(kron([U, I2])) @ _CNOT @ kron([U, I2]) for U in _BASIS_CHANGE]
@@ -83,21 +84,16 @@ _JORDAN.setflags(write=False)
 
 
 #: The +-1 outcomes of a Lueders pair (P+, P-), in that order.
-_OUTCOMES = np.array([1.0, -1.0])
+_OUTCOMES = read_only(np.array([1.0, -1.0]))
 #: Entries each of the cached event-operator tables below may hold; one entry
 #: is a (4, D, D) or (4, 2, D, D) stack, so this bounds the memory they keep.
 _EVENT_CACHE_SIZE = 64
 
 
-def _read_only(M: np.ndarray) -> np.ndarray:
-    M.setflags(write=False)
-    return M
-
-
 @functools.lru_cache(maxsize=_EVENT_CACHE_SIZE)
 def _event_paulis(qubit: int, qubit_count: int) -> np.ndarray:
     """The Paulis of labels 0..3 on ``qubit``, embedded in the full register, as a read-only (4, D, D) stack."""
-    return _read_only(embed_operator(PAULI_STACK, [qubit], qubit_count).copy())
+    return read_only(embed_operator(PAULI_STACK, [qubit], qubit_count).copy())
 
 
 @functools.lru_cache(maxsize=_EVENT_CACHE_SIZE)
@@ -109,7 +105,7 @@ def _event_projectors(qubit: int, qubit_count: int) -> np.ndarray:
     """
     A = _event_paulis(qubit, qubit_count)
     I = np.eye(2**qubit_count)
-    return _read_only(np.stack([(I + A) / 2.0, (I - A) / 2.0], axis=1))
+    return read_only(np.stack([(I + A) / 2.0, (I - A) / 2.0], axis=1))
 
 
 def _pauli_labels(assignments, event_count: int) -> np.ndarray:

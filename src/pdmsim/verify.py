@@ -13,8 +13,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .causality import (
+    CHECK_ATOL,
     CHECK_STACK_BYTES,
-    check_convexity,
+    convexity_gaps,
     check_local_monotonicity,
     check_unitary_invariance,
     cptp_draw,
@@ -32,7 +33,7 @@ from .channels import (
     state_from_bloch,
 )
 from .errors import UsageError
-from .linalg import chunk_slices, kron
+from .linalg import chunk_slices, kron, read_only
 from .schedule import (
     Event,
     Schedule,
@@ -46,14 +47,16 @@ from .schedule import (
 from .sweep import SweepConfig, pdm_stack
 
 #: Eq.-style golden PDM for |0>, two consecutive measurements, no noise.
-GOLDEN_TWO_EVENT = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.5, 0.0],
-        [0.0, 0.5, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ],
-    dtype=complex,
+GOLDEN_TWO_EVENT = read_only(
+    np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.5, 0.0],
+            [0.0, 0.5, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ],
+        dtype=complex,
+    )
 )
 GOLDEN_EIGENVALUES = (-0.5, 0.0, 0.5, 1.0)
 
@@ -122,8 +125,12 @@ def random_schedule(rng: np.random.Generator, max_events: int = 4) -> Schedule:
 #: draw: 3 gaps of Kraus rank 4 on 3 qubits, (32, 8) complex entries each.
 #: Suites draw their trials in chunks of at most CHECK_STACK_BYTES.
 _SCHEDULE_DRAW_BYTES = 3 * 16 * 32 * 8
-#: Bytes of the Gaussian of one ``cptp_draw(1, rng)`` at most: (8, 2) complex entries.
-_GAP_DRAW_BYTES = 16 * 8 * 2
+#: Bytes one PDM of a two-event trial holds until its chunk is checked: its
+#: Gaussian, state, channel and matrix as arrays and Python objects (tracemalloc
+#: put it at ~2-3 KB). The two-event suites check their trials in chunks of at
+#: most CHECK_STACK_BYTES of these and keep only the worst case, so their
+#: memory does not grow with the trial count.
+_TWO_EVENT_PDM_BYTES = 4096
 
 
 #: Random assignments ``suite_engine_oracle`` checks per trial, besides the all-identity one.
@@ -131,7 +138,7 @@ _RANDOM_PICKS = 8
 #: The sides ``suite_engine_oracle`` checks against the oracle, in column order.
 _SIDES = ("expectation", "build_pdm")
 #: All 16 Pauli assignments of two events, in ``itertools.product`` order.
-_ALL_PAIRS = np.array(list(itertools.product(range(4), repeat=2)))
+_ALL_PAIRS = read_only(np.array(list(itertools.product(range(4), repeat=2))))
 
 
 def _plain(labels) -> tuple:
@@ -163,10 +170,10 @@ def suite_engine_oracle(seed: int = 0, trials: int = 200) -> SuiteResult:
     assignments, adds the all-identity one, and evaluates them as one batch
     on each side. A chunk of trials is drawn first and its schedules built
     together, their gap channels from one QR per Gaussian shape. ``detail``
-    names the side and the assignment of the worst deviation.
+    names the side and the assignment of the worst deviation; only that worst
+    case is kept from chunk to chunk.
     """
-    devs = np.empty((trials, _RANDOM_PICKS + 1, len(_SIDES)))
-    batches = []
+    worst, detail = -np.inf, ""
     for chunk in chunk_slices(trials, _SCHEDULE_DRAW_BYTES, CHECK_STACK_BYTES):
         draws, picks = [], []
         for k in range(trials)[chunk]:
@@ -174,17 +181,21 @@ def suite_engine_oracle(seed: int = 0, trials: int = 200) -> SuiteResult:
             draws.append(_draw_schedule(rng, 4))
             # One draw of all picks: the same stream as one draw per pick.
             picks.append(rng.integers(0, 4, size=(_RANDOM_PICKS, len(draws[-1].events))))
-        for k, s, p in zip(range(trials)[chunk], _build_schedules(draws), picks):
+        devs, batches = [], []
+        for s, p in zip(_build_schedules(draws), picks):
             labels = np.vstack([p, np.zeros((1, s.event_count), dtype=p.dtype)])
             R = build_pdm(s)
             want = oracle_expectations(s, labels)
             got = np.stack([expectations(s, labels), R.stored_expectations(labels)], axis=1)
-            devs[k] = np.abs(got - want[:, None])
+            devs.append(np.abs(got - want[:, None]))
             batches.append(labels)
-    # Row-major over (trial, pick, side): the first maximum is the one a per-pick loop would keep.
-    i, worst = worst_deviation(devs)
-    k, pick, side = np.unravel_index(i, devs.shape)
-    detail = f"{_SIDES[side]}: trial {k} assignment {_plain(batches[k][pick])}"
+        # Row-major over (trial, pick, side), chunks in order: the first
+        # maximum is the one a per-pick loop would keep.
+        i, dev = worst_deviation(np.array(devs))
+        if dev > worst:
+            k, pick, side = np.unravel_index(i, (len(devs), _RANDOM_PICKS + 1, len(_SIDES)))
+            detail = f"{_SIDES[side]}: trial {chunk.start + k} assignment {_plain(batches[k][pick])}"
+            worst = dev
     return SuiteResult("engine_vs_oracle", worst <= 1e-12, worst, detail)
 
 
@@ -192,9 +203,10 @@ def suite_ancilla(seed: int = 0, trials: int = 50) -> SuiteResult:
     """The ancilla protocol vs ``expectations`` on all 16 assignments of random two-event schedules.
 
     A chunk of trials is drawn first; its gap channels come from one QR per Kraus rank.
+    Only the worst deviation is kept from chunk to chunk.
     """
     worst, detail = 0.0, ""
-    for chunk in chunk_slices(trials, _GAP_DRAW_BYTES, CHECK_STACK_BYTES):
+    for chunk in chunk_slices(trials, _TWO_EVENT_PDM_BYTES, CHECK_STACK_BYTES):
         blochs, gaussians = [], []
         for k in range(trials)[chunk]:
             rng = np.random.default_rng(seed + k)
@@ -210,12 +222,13 @@ def suite_ancilla(seed: int = 0, trials: int = 50) -> SuiteResult:
 
 
 def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
-    """One closed-form stack of random two-event schedules vs ``build_pdm`` on each.
+    """Closed-form stacks of random two-event schedules vs ``build_pdm`` on each.
 
     The schedules share one random input state and each has its own random
-    CPTP gap channel of Kraus rank 1-4. The same stack also holds per-time
-    channels of a random composite of amplitude damping, a unitary and
-    dephasing (members that do not commute) at t = 0, 1 and 2, each a
+    CPTP gap channel of Kraus rank 1-4; each chunk of them is one stack, and
+    only the worst deviation is kept from chunk to chunk. A last stack holds
+    per-time channels of a random composite of amplitude damping, a unitary
+    and dephasing (members that do not commute) at t = 0, 1 and 2, each a
     ``compose`` of its members' ``channel_at_time``. Those rows are checked
     against the batched sweep path, ``sweep.pdm_stack``, which evaluates the
     model at all times with one ``noise_kraus`` call.
@@ -223,9 +236,14 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
     rng = np.random.default_rng(seed)
     bloch = random_bloch(rng)
     state = state_from_bloch(bloch)
-    channels = []
-    for chunk in chunk_slices(trials, _GAP_DRAW_BYTES, CHECK_STACK_BYTES):
-        channels += stinespring_channels([cptp_draw(1, rng) for _ in range(trials)[chunk]])
+    worst, detail = -np.inf, ""
+    for chunk in chunk_slices(trials, _TWO_EVENT_PDM_BYTES, CHECK_STACK_BYTES):
+        channels = stinespring_channels([cptp_draw(1, rng) for _ in range(trials)[chunk]])
+        stack = two_event_pdm_stack(state, channels)
+        built = np.array([build_pdm(two_event_schedule(state, ch)).matrix for ch in channels])
+        i, dev = worst_deviation(np.max(np.abs(built - stack), axis=(1, 2)))
+        if dev > worst:
+            worst, detail = dev, f"trial {chunk.start + i}"
     damping, dephasing = (float(tau) for tau in rng.uniform(0.5, 2.0, size=2))
     members = (
         NoiseModel("amplitude_damping", tau=damping),
@@ -234,16 +252,12 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
     )
     ts = np.linspace(0.0, 2.0, 3)
     per_time = [functools.reduce(compose, [channel_at_time(m, t) for m in members]) for t in ts]
-    stack = two_event_pdm_stack(state, channels + per_time)
-    devs = [
-        float(np.max(np.abs(build_pdm(two_event_schedule(state, ch)).matrix - R)))
-        for ch, R in zip(channels, stack)
-    ]
     cfg = SweepConfig(tuple(bloch), NoiseModel("composite", members=members), 0.0, 2.0, len(ts))
-    devs += np.max(np.abs(pdm_stack(cfg, ts) - stack[trials:]), axis=(1, 2)).tolist()
-    k = int(np.argmax(devs))
-    detail = f"trial {k}" if k < trials else f"sweep path at t={float(ts[k - trials])!r}"
-    return SuiteResult("closed_form_two_event", devs[k] <= 1e-12, devs[k], detail)
+    devs = np.max(np.abs(pdm_stack(cfg, ts) - two_event_pdm_stack(state, per_time)), axis=(1, 2))
+    i, dev = worst_deviation(devs)
+    if dev > worst:
+        worst, detail = dev, f"sweep path at t={float(ts[i])!r}"
+    return SuiteResult("closed_form_two_event", worst <= 1e-12, worst, detail)
 
 
 def suite_unitary_invariance(seed: int = 0, trials: int = 200) -> SuiteResult:
@@ -262,13 +276,14 @@ def suite_convexity(seed: int = 0, trials: int = 200) -> SuiteResult:
     """Convexity of f_tr on mixtures of two random two-event PDMs.
 
     Each trial draws two (state, CPTP gap of Kraus rank 1-4) pairs and a
-    weight p. All 2T PDMs come from one closed-form stack, one state per row,
-    and ``check_convexity`` takes the f_tr of them and of the T mixtures from
-    one eigenvalue solve. ``detail`` names the trial of the largest gap.
+    weight p. A chunk's PDMs come from one closed-form stack, one state per
+    row, and ``convexity_gaps`` takes the f_tr of them and of the chunk's
+    mixtures from one eigenvalue solve. Only the largest gap is kept from
+    chunk to chunk; ``detail`` names its trial.
     """
-    states, channels, weights = [], [], []
-    for chunk in chunk_slices(trials, 2 * _GAP_DRAW_BYTES, CHECK_STACK_BYTES):
-        gaussians = []
+    worst, detail = -np.inf, ""
+    for chunk in chunk_slices(trials, 2 * _TWO_EVENT_PDM_BYTES, CHECK_STACK_BYTES):
+        states, gaussians, weights = [], [], []
         for k in range(trials)[chunk]:
             rng = np.random.default_rng(seed + k)
             for _ in range(2):
@@ -276,10 +291,11 @@ def suite_convexity(seed: int = 0, trials: int = 200) -> SuiteResult:
                 gaussians.append(cptp_draw(1, rng))
             p = float(rng.uniform(0, 1))
             weights.append([p, 1 - p])
-        channels += stinespring_channels(gaussians)
-    Rs = two_event_pdm_stack(states, channels).reshape(trials, 2, 4, 4)
-    rep = check_convexity(Rs, weights)
-    return SuiteResult("convexity", rep.passed, rep.max_deviation, rep.detail)
+        Rs = two_event_pdm_stack(states, stinespring_channels(gaussians)).reshape(-1, 2, 4, 4)
+        i, gap = worst_deviation(convexity_gaps(Rs, weights))
+        if gap > worst:
+            worst, detail = gap, f"trial {chunk.start + i}"
+    return SuiteResult("convexity", worst <= CHECK_ATOL, max(0.0, worst), detail)
 
 
 def run_all(seed: int = 0, trials: int = 200) -> list[SuiteResult]:

@@ -1,14 +1,20 @@
 import dataclasses
 import json
 import math
+import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pdmsim import NoiseModel, SweepConfig, emit_svg, find_transition, rows_from_csv, rows_to_csv, run_sweep
-from pdmsim import build_pdm, state_from_bloch
-from pdmsim.serialize import schedule_from_dict
+from pdmsim import build_pdm, classify, state_from_bloch
+from pdmsim.serialize import load_json, schedule_from_dict
+from pdmsim.verify import random_schedule
 from pdmsim.cli import format_matrix_rows, main
 from pdmsim.sweep import CSV_HEADER
 
@@ -259,9 +265,19 @@ def entrywise_rows(M):
     return ["  [" + "  ".join(f"{v.real:+.6f}{v.imag:+.6f}j" for v in row) + "]" for row in M]
 
 
+def complex_matrix(re, im):
+    """A complex matrix with these parts, set apart so that inf and NaN parts stay as given."""
+    M = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    M.real, M.imag = re, im
+    return M
+
+
 class TestMatrixFormat:
     EDGES = [0.0, -0.0, 2.5e-7, -2.5e-7, 4.9999995e-7, -4.9999995e-7, 5e-7, -5e-7]
     EDGES += [0.1234565, -0.1234565, 1e300, -1e300]
+    #: Parts the fast path leaves to the ``%`` fallback, or that sit at its bounds.
+    SPECIAL = [0.0, -0.0, 9.4999999, -9.4999999, 9.5, 9.9999995, -9.9999995, 1e300, -1e300]
+    SPECIAL += [np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.7976931348623157e308]
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 32])
     def test_random_matrices_match_entrywise_formula(self, dim):
@@ -277,11 +293,114 @@ class TestMatrixFormat:
         assert format_matrix_rows(M) == entrywise_rows(M)
         assert "-0.000000" in format_matrix_rows(M)[1]
 
+    def test_ties_and_their_neighbours(self):
+        # (k + 0.5) * 1e-6 lies just above or below the decimal tie, yet times
+        # 1e6 it often rounds to the half itself; k / 128 for odd k is an
+        # exact binary tie at the seventh decimal, which % rounds to even.
+        k = np.arange(0, 9_500_000, 7919)
+        near = (k + 0.5) * 1e-6
+        exact = np.arange(1, 1216, 2) / 128
+        for ties in (near, exact):
+            vals = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, 10)])
+            vals = np.concatenate([vals, -vals])
+            rng = np.random.default_rng(len(vals))
+            for re, im in ((vals, rng.normal(size=len(vals))), (rng.normal(size=len(vals)), vals)):
+                M = complex_matrix(re.reshape(-1, 6), im.reshape(-1, 6))
+                assert format_matrix_rows(M) == entrywise_rows(M)
+
+    def test_special_values_mix_fallback_and_fast_rows(self):
+        rng = np.random.default_rng(5)
+        re, im = rng.normal(size=(2, 40, 7))
+        for n, v in enumerate(self.SPECIAL):
+            # Row 2n holds v in one part; row 2n + 1 stays ordinary.
+            (re if n % 2 else im)[2 * n % 40, n % 7] = v
+        M = complex_matrix(re, im)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = format_matrix_rows(M)
+        assert rows == entrywise_rows(M)
+        assert all(any(word in r for r in rows) for word in ("nan", "-inf", "-0.000000", "+9.500000"))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 17), (17, 3), (512, 512)])
+    def test_shapes(self, shape):
+        rng = np.random.default_rng(shape)
+        M = complex_matrix(*rng.normal(size=(2,) + shape) / np.sqrt(shape[1]))
+        assert format_matrix_rows(M) == entrywise_rows(M)
+
+    def test_empty_shapes(self):
+        assert format_matrix_rows(np.zeros((0, 3))) == []
+        assert format_matrix_rows(np.zeros((2, 0))) == ["  []", "  []"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(2)),
+            elements=st.one_of(st.floats(-10, 10), st.floats(allow_nan=False, allow_infinity=False)),
+        )
+    )
+    def test_finite_floats_match_entrywise_formula(self, parts):
+        M = complex_matrix(parts[..., 0], parts[..., 1])
+        assert format_matrix_rows(M) == entrywise_rows(M)
+
     def test_report_matrix_lines(self, tmp_path, capsys):
         path = write(tmp_path / "golden.json", GOLDEN_DOC)
         assert main(["build", path]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[2:6] == entrywise_rows(build_pdm(schedule_from_dict(GOLDEN_DOC)).matrix)
+
+
+def reference_report(R) -> str:
+    """``pdm build``'s report of the PDM R, its matrix rows written by ``entrywise_rows``."""
+    rep = classify(R)
+    lines = [f"events: {R.event_count}", "matrix:", *entrywise_rows(R.matrix)]
+    lines.append("eigenvalues: " + ", ".join(repr(float(x)) for x in rep.eigenvalues))
+    lines += [f"f_tr: {float(rep.f_tr)!r}", f"classification: {rep.classification}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestBuildOutputPinned:
+    """``pdm build`` stdout equals the report with entry-by-entry matrix rows."""
+
+    @staticmethod
+    def build_stdout(path, capsys) -> str:
+        assert main(["build", path]) == 0
+        return capsys.readouterr().out
+
+    def test_random_schedules(self, tmp_path, capsys, monkeypatch):
+        import pdmsim.cli as cli
+
+        # Random CPTP gaps have no file form: the parse returns each drawn schedule.
+        path = write(tmp_path / "any.json", GOLDEN_DOC)
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            s = random_schedule(rng, max_events=6)
+            monkeypatch.setattr(cli, "schedule_from_dict", lambda doc: s)
+            assert self.build_stdout(path, capsys) == reference_report(build_pdm(s))
+
+    @pytest.mark.parametrize("seed", [1, 2, 11])
+    def test_benchmark_build_jobs(self, seed, tmp_path, capsys, monkeypatch):
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+        from workloads import MultiEventBuild
+
+        bench = MultiEventBuild(seed, str(tmp_path))
+        bench.generate()
+        for paths, _ in bench.jobs:
+            for path in paths:
+                want = reference_report(build_pdm(schedule_from_dict(load_json(path))))
+                assert self.build_stdout(path, capsys) == want
+
+    def test_nine_event_dephasing_chain(self, tmp_path, capsys):
+        doc = {
+            "qubits": 1,
+            "initial_state": {"bloch": [0.3, -0.2, 0.8]},
+            "slices": [[{"id": k + 1, "qubit": 0}] for k in range(9)],
+            "channels": [{"kind": "dephasing", "param": 0.1 * k} for k in range(1, 9)],
+        }
+        path = write(tmp_path / "chain.json", doc)
+        R = build_pdm(schedule_from_dict(doc))
+        assert R.matrix.shape == (512, 512)
+        assert self.build_stdout(path, capsys) == reference_report(R)
 
 
 class TestVerify:
@@ -328,6 +447,26 @@ class TestVerify:
         monkeypatch.setattr(verify, "CHECK_STACK_BYTES", 1)
         assert verify.run_all(4, 12) == want
 
+    @pytest.mark.parametrize("suite, trials", [("suite_convexity", 1000), ("suite_closed_form", 250)])
+    def test_two_event_suite_memory_does_not_grow_with_trials(self, suite, trials):
+        # Each chunk of trials is checked and dropped; only the worst case is
+        # kept, so four times the trials may not need much more memory.
+        import tracemalloc
+
+        import pdmsim.verify as verify
+
+        run = getattr(verify, suite)
+        run(0, 10)  # fill the caches first
+        peaks = []
+        for n in (trials, 4 * trials):
+            tracemalloc.start()
+            try:
+                run(0, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
     def test_small_run_passes(self, capsys):
         assert main(["verify", "--seed", "1", "--trials", "5"]) == 0
         out = capsys.readouterr().out
@@ -342,7 +481,8 @@ class TestVerify:
 
         def skewed(state, channels):
             R = exact(state, channels)
-            R[3, 0, 0] += 1e-9
+            if len(channels) == 5:  # the trials' stack, not the three per-time rows
+                R[3, 0, 0] += 1e-9
             return R
 
         monkeypatch.setattr(verify, "two_event_pdm_stack", skewed)

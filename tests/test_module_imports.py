@@ -1,7 +1,11 @@
 """Package modules import only each other's public names."""
 
 import ast
+import importlib
 import pathlib
+import types
+
+import numpy as np
 
 MODULES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "pdmsim").glob("*.py"))
 
@@ -166,3 +170,28 @@ def test_numpy_qr_only_in_qr_isometries():
     # its matrices by shape: a single-matrix np.linalg.qr call costs ~22-45 us
     # against ~1-11 us per matrix stacked (2-vCPU x86-64 host).
     assert calls_outside("linalg.qr", "causality", "qr_isometries") == {}
+
+
+def writable_arrays(module) -> list[str]:
+    """Names of a module's top-level ndarrays, alone or in a tuple or list, that can be written."""
+    found = []
+    for name, value in vars(module).items():
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        found += [name for v in items if isinstance(v, np.ndarray) and v.flags.writeable]
+    return found
+
+
+def test_checker_sees_writable_arrays():
+    module = types.ModuleType("fake")
+    frozen = np.zeros(2)
+    frozen.setflags(write=False)
+    module.A, module.B, module.C, module.D = np.zeros(2), frozen, (frozen, np.ones(1)), [frozen]
+    assert writable_arrays(module) == ["A", "C"]
+
+
+def test_module_level_arrays_are_read_only():
+    # One in-place write by a caller to a shared constant would change every
+    # later result that reads it.
+    names = ["pdmsim" if m.stem == "__init__" else f"pdmsim.{m.stem}" for m in MODULES]
+    offenders = {name: writable_arrays(importlib.import_module(name)) for name in names}
+    assert {name: arrays for name, arrays in offenders.items() if arrays} == {}

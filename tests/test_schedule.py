@@ -34,7 +34,7 @@ from pdmsim import (
 import pdmsim.schedule as schedule
 from pdmsim.causality import haar_unitary, random_cptp
 from pdmsim.channels import kraus_sum
-from pdmsim.linalg import I2, PAULIS, X, embed_operator, kron
+from pdmsim.linalg import I2, PAULI_STACK, PAULIS, X, embed_operator, kron
 from pdmsim.schedule import PDM_BYTE_BUDGET, _event_paulis, _event_projectors
 from pdmsim.verify import GOLDEN_TWO_EVENT, golden_schedule, random_bloch, random_schedule
 
@@ -183,8 +183,9 @@ class TestExpectationOracle:
                 A[1, 0, 0] = 7.0
             with pytest.raises(ValueError):
                 P[1, 0, 0, 0] = 7.0
-        # The 1-qubit table holds a copy, not the shared Pauli constant.
-        assert PAULIS[1].flags.writeable
+        # The 1-qubit table holds a copy, not the shared Pauli constants.
+        A = _event_paulis(0, 1)
+        assert not any(np.shares_memory(A, P) for P in (PAULI_STACK, *PAULIS))
 
 
 class TestBuildPdm:
