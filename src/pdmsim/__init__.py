@@ -8,21 +8,18 @@ parametric noise models to locate causal/spacelike transitions.
 
 from .causality import (
     CausalityReport,
-    CheckReport,
-    check_convexity,
+    SuiteResult,
     check_local_monotonicity,
     check_unitary_invariance,
     classify,
     f_tr,
     haar_unitary,
-    random_cptp,
     spectrum_verdict,
 )
 from .channels import (
     DensityState,
     KrausChannel,
     NoiseModel,
-    apply_channel,
     channel_at_time,
     choi_stack,
     compose,
@@ -40,9 +37,6 @@ from .linalg import (
     hermitian_eig,
     kron,
     partial_trace,
-    pauli_matrix,
-    pauli_string_matrix,
-    trace_norm,
 )
 from .schedule import (
     Event,
@@ -55,7 +49,6 @@ from .schedule import (
     expectation_oracle,
     expectations,
     oracle_expectations,
-    pdm_expectation,
     reduce_pdm,
     two_event_pdm_from_choi,
     two_event_pdm_stack,
@@ -67,7 +60,6 @@ from .sweep import (
     SweepRow,
     emit_svg,
     find_transition,
-    rows_from_csv,
     rows_to_csv,
     run_sweep,
 )

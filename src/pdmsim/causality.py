@@ -121,7 +121,7 @@ def stinespring_channels(gaussians) -> list[KrausChannel]:
 
 
 def cptp_draw(qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """The draws of ``random_cptp`` with a random Kraus rank of 1-4: the rank, then its Gaussian."""
+    """A random channel's draws: a Kraus rank of 1-4, then its Gaussian for ``stinespring_channels``."""
     d = 2**qubits
     return ginibre(d * int(rng.integers(1, 5)), d, rng)
 
@@ -131,20 +131,16 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return qr_isometries([ginibre(dim, dim, rng)], haar=True)[0]
 
 
-def random_cptp(qubits: int, kraus_rank: int, rng: np.random.Generator) -> KrausChannel:
-    """Random CPTP channel from a random Stinespring isometry (QR of a Gaussian)."""
-    d = 2**qubits
-    return stinespring_channels([ginibre(d * kraus_rank, d, rng)])[0]
-
-
 @dataclass(frozen=True)
-class CheckReport:
+class SuiteResult:
+    """The verdict of one randomized check, as ``pdm verify`` prints it."""
+
+    name: str
     passed: bool
-    trials: int
     #: inf when the worst trial's matrix is not finite.
     max_deviation: float
-    #: The worst trial by its index k (a seeded check's trial k draws from seed + k),
-    #: and for local monotonicity the event its channel acted on.
+    #: The worst case, such as trial k (a seeded check's trial k draws from
+    #: seed + k) and for local monotonicity the event its channel acted on.
     detail: str = ""
 
 
@@ -165,7 +161,7 @@ def worst_deviation(devs: np.ndarray) -> tuple[int, float]:
 
 def check_unitary_invariance(
     R: PseudoDensityMatrix, trials: int = 100, seed: int = 0
-) -> CheckReport:
+) -> SuiteResult:
     """f_tr(U R U^dag) must equal f_tr(R) for Haar-random unitaries U.
 
     Trials are stacked in chunks of at most CHECK_STACK_BYTES: a chunk draws
@@ -183,12 +179,12 @@ def check_unitary_invariance(
         Us = np.stack(qr_isometries(gaussians, haar=True))
         devs.append(np.abs(_f_tr_matrix(Us @ R.matrix @ dagger(Us)) - base))
     k, worst = worst_deviation(np.concatenate(devs))
-    return CheckReport(worst <= CHECK_ATOL, trials, worst, f"trial {k}")
+    return SuiteResult("unitary_invariance", worst <= CHECK_ATOL, worst, f"trial {k}")
 
 
 def check_local_monotonicity(
     R: PseudoDensityMatrix, trials: int = 100, seed: int = 0
-) -> CheckReport:
+) -> SuiteResult:
     """f_tr must not increase under a CPTP channel on a single event factor.
 
     Each trial draws a random channel of Kraus rank 1-4 and the factor it
@@ -223,23 +219,7 @@ def check_local_monotonicity(
         factors.append(factor)
     k, worst = worst_deviation(np.concatenate(rises))
     detail = f"trial {k} on event {np.concatenate(factors)[k] + 1}"
-    return CheckReport(worst <= CHECK_ATOL, trials, max(0.0, worst), detail)
-
-
-def check_convexity(Rs, weights) -> CheckReport:
-    """f_tr of a mixture must not exceed the mixture of f_tr values.
-
-    ``Rs`` is a sequence of m PDMs with m ``weights``: one mixture. Or it is
-    a (T, m, D, D) array holding T trials' m PDM matrices, with weights of
-    shape (T, m); see ``convexity_gaps``. ``trials`` counts the PDMs checked
-    (m, or T*m), and ``detail`` names the trial of the largest gap.
-    """
-    if not isinstance(Rs, np.ndarray):
-        if len({R.matrix.shape for R in Rs}) > 1:
-            raise UsageError("all PDMs must share one dimension")
-        Rs, weights = np.array([[R.matrix for R in Rs]]), np.asarray(weights, dtype=float)[None]
-    k, worst = worst_deviation(convexity_gaps(Rs, weights))
-    return CheckReport(worst <= CHECK_ATOL, Rs.shape[0] * Rs.shape[1], max(0.0, worst), f"trial {k}")
+    return SuiteResult("local_monotonicity", worst <= CHECK_ATOL, max(0.0, worst), detail)
 
 
 def convexity_gaps(Rs: np.ndarray, weights) -> np.ndarray:

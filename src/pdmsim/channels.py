@@ -19,7 +19,6 @@ from .linalg import (
     dagger,
     embed_operator,
     hermitian_eig,
-    read_only,
     require_hermitian_unit_trace,
 )
 
@@ -97,7 +96,8 @@ def identity_channel(qubit_count: int = 1) -> KrausChannel:
 def _require_unitary(U: np.ndarray) -> KrausChannel:
     """The one-Kraus channel (U,); U is unitary exactly when that channel is trace preserving."""
     ch = KrausChannel((U,), _qubits(U.shape[0]))
-    if tp_residual(ch) > TP_ATOL:
+    # Written to fail on NaN, which every comparison loses.
+    if not tp_residual(ch) <= TP_ATOL:
         raise UsageError("matrix is not unitary")
     return ch
 
@@ -110,17 +110,6 @@ def unitary_channel(U: np.ndarray) -> KrausChannel:
     return _require_unitary(np.asarray(U, dtype=complex))
 
 
-_DEPHASING_BASIS = read_only(np.stack([I2, Z]))
-
-
-def _dephasing_kraus(g: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Dephasing at strengths g with Kraus basis (I, axis), as a (T, 2, 2, 2) array."""
-    w = np.empty((len(g), 2))
-    w[:, 0] = (1 + g) / 2
-    w[:, 1] = (1 - g) / 2
-    return np.sqrt(w)[..., None, None] * basis
-
-
 def _family_kraus(kind: str, s: np.ndarray) -> np.ndarray:
     """Kraus operators of a single-qubit noise family at the strengths s, shape (T, K, 2, 2).
 
@@ -128,7 +117,10 @@ def _family_kraus(kind: str, s: np.ndarray) -> np.ndarray:
     ``noise_kraus`` both call it.
     """
     if kind == "dephasing":
-        return _dephasing_kraus(s, _DEPHASING_BASIS)
+        w = np.empty((len(s), 2))
+        w[:, 0] = (1 + s) / 2
+        w[:, 1] = (1 - s) / 2
+        return np.sqrt(w)[..., None, None] * PAULI_STACK[::3]  # I and Z
     if kind == "depolarizing":
         w = np.empty((len(s), 4))
         w[:, 0] = (1 + 3 * s) / 4
@@ -153,14 +145,6 @@ def make_channel(kind: str, param: float) -> KrausChannel:
     if not (0.0 <= param <= 1.0):
         raise UsageError(f"{kind} parameter must be in [0, 1], got {param}")
     return KrausChannel(tuple(_family_kraus(kind, np.array([param], dtype=float))[0]), 1)
-
-
-def dephasing_about_axis(axis: np.ndarray, g: float) -> KrausChannel:
-    """Dephasing that preserves the given Pauli axis and shrinks the other two by g."""
-    if not (0.0 <= g <= 1.0):
-        raise UsageError(f"dephasing parameter must be in [0, 1], got {g}")
-    basis = np.stack([I2, np.asarray(axis, dtype=complex)])
-    return KrausChannel(tuple(_dephasing_kraus(np.array([g], dtype=float), basis)[0]), 1)
 
 
 def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
@@ -196,15 +180,6 @@ def kraus_sum(E: np.ndarray, M: np.ndarray) -> np.ndarray:
         K = E[..., k, :, :]
         out += K @ M @ dagger(K)
     return out
-
-
-def apply_channel(ch: KrausChannel, rho: DensityState, targets=None) -> DensityState:
-    """Apply the channel to the given qubits of a density matrix."""
-    if targets is None:
-        targets = list(range(ch.acts_on))
-    M = apply_channel_to_matrix(ch, rho.matrix, targets, rho.qubit_count)
-    # Symmetrize away rounding dust before revalidation.
-    return DensityState((M + M.conj().T) / 2.0, rho.qubit_count)
 
 
 def choi_stack(ks: np.ndarray) -> np.ndarray:

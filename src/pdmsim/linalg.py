@@ -36,13 +36,6 @@ PAULIS = (I2, X, Y, Z)
 PAULI_STACK = read_only(np.stack(PAULIS))
 
 
-def pauli_matrix(label: int) -> np.ndarray:
-    """Return the 2x2 Pauli matrix for a label in {0: I, 1: X, 2: Y, 3: Z}."""
-    if label not in (0, 1, 2, 3):
-        raise UsageError(f"Pauli label must be 0..3, got {label!r}")
-    return PAULIS[label].copy()
-
-
 def kron(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of a nonempty list, leftmost factor most significant.
 
@@ -60,11 +53,6 @@ def kron(factors: Sequence[np.ndarray]) -> np.ndarray:
         out = out[..., :, None, :, None] * f[..., None, :, None, :]
         out = out.reshape(out.shape[:-4] + (m * p, n * q))
     return out
-
-
-def pauli_string_matrix(labels: Iterable[int]) -> np.ndarray:
-    """Matrix of a Pauli string: the Kronecker product of its labels, left to right."""
-    return kron([PAULIS[l] for l in labels])
 
 
 def dagger(M: np.ndarray) -> np.ndarray:
@@ -147,11 +135,6 @@ def hermitian_eig(M: np.ndarray) -> np.ndarray:
     if not is_hermitian(M):
         raise UsageError("hermitian_eig requires a Hermitian matrix")
     return np.linalg.eigvalsh((M + dagger(M)) / 2.0)
-
-
-def trace_norm(M: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix: the sum of absolute eigenvalues."""
-    return float(np.sum(np.abs(hermitian_eig(M))))
 
 
 def embed_operator(K: np.ndarray, targets: Sequence[int], qubit_count: int) -> np.ndarray:

@@ -35,7 +35,6 @@ from .linalg import (
     embed_operator,
     kron,
     partial_trace,
-    pauli_string_matrix,
     read_only,
     require_hermitian_unit_trace,
 )
@@ -226,11 +225,13 @@ class Schedule:
 
 
 def _require_trace_preserving(gap: int, residual: float) -> None:
-    if residual > TP_ATOL:
-        raise UsageError(
-            f"gap channel {gap} is not trace preserving: "
-            f"max|sum K^dag K - I| = {residual:.3e} > {TP_ATOL}"
-        )
+    # Written to fail on NaN, which every comparison loses.
+    if not residual <= TP_ATOL:
+        if math.isfinite(residual):
+            problem = f"max|sum K^dag K - I| = {residual:.3e} > {TP_ATOL}"
+        else:
+            problem = "a Kraus operator has a non-finite entry"
+        raise UsageError(f"gap channel {gap} is not trace preserving: {problem}")
 
 
 def two_event_schedule(initial: DensityState, channel: KrausChannel | None) -> Schedule:
@@ -421,9 +422,6 @@ class PseudoDensityMatrix:
         labels = _pauli_labels(assignments, self.event_count)
         return self.coefficients[labels @ 4 ** np.arange(self.event_count - 1, -1, -1)]
 
-    def stored_expectation(self, assignment) -> float:
-        return float(self.stored_expectations([assignment])[0])
-
 
 def _measure(stack: np.ndarray, qubit: int, qubit_count: int) -> np.ndarray:
     """Extend a (B, D, D) operator stack by one event's label axis, to (4B, D, D).
@@ -576,13 +574,6 @@ def build_pdm(s: Schedule) -> PseudoDensityMatrix:
     R *= 0.5 / 2**n
     events = tuple(sorted(s.events, key=lambda ev: ev.id))
     return PseudoDensityMatrix(R, events, coeffs.reshape(-1))
-
-
-def pdm_expectation(R: PseudoDensityMatrix, assignment) -> float:
-    """Read an expectation back out of the matrix: Tr((tensor of Paulis) R)."""
-    (a,) = _pauli_labels([assignment], R.event_count)
-    P = pauli_string_matrix(a)
-    return float(np.trace(P @ R.matrix).real)
 
 
 def reduce_pdm(R: PseudoDensityMatrix, keep) -> PseudoDensityMatrix:

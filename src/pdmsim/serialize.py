@@ -17,7 +17,6 @@ from .channels import (
     KrausChannel,
     NoiseModel,
     channel_at_time,
-    identity_channel,
     make_channel,
     state_from_bloch,
     unitary_channel,
@@ -35,13 +34,19 @@ def _matrix_to_pairs(M: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(M, dtype=complex)]
 
 
-def _matrix_from_pairs(rows) -> np.ndarray:
+def _matrix_field(doc: dict, where: str) -> np.ndarray:
+    """The required ``matrix`` field of ``[re, im]`` pairs as a square matrix, every entry finite."""
+    rows = _require(doc, "matrix", where)
     try:
         M = np.array([[complex(re, im) for re, im in row] for row in rows])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed matrix entry: {exc}") from None
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise UsageError(f"matrix must be square, got shape {M.shape}")
+    bad = ~np.isfinite(M)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise UsageError(f"{where} field 'matrix' entry [{i}][{j}] is not finite: {M[i, j]}")
     return M
 
 
@@ -100,7 +105,7 @@ def parse_initial_state(doc, qubits: int) -> tuple[DensityState, dict]:
         return state_from_bloch(r), {"bloch": r}
     if isinstance(doc, dict) and "matrix" in doc:
         _reject_unknown(doc, ("matrix",), "initial_state")
-        M = _matrix_from_pairs(doc["matrix"])
+        M = _matrix_field(doc, "initial_state")
         if M.shape[0] != 2**qubits:
             raise UsageError(f"initial state dim {M.shape[0]} does not match {qubits} qubits")
         return DensityState(M, qubits), {"matrix": M}
@@ -135,7 +140,7 @@ def parse_channel_descriptor(doc, qubits: int) -> tuple[KrausChannel | None, dic
         return channel_at_time(model, t), {"kind": kind, "tau": tau, "t": t}
     if kind == "unitary":
         _reject_unknown(doc, ("kind", "matrix"), "unitary descriptor")
-        U = _matrix_from_pairs(_require(doc, "matrix", "unitary descriptor"))
+        U = _matrix_field(doc, "unitary descriptor")
         if U.shape[0] != 2**qubits:
             raise UsageError("unitary dimension does not match the system")
         return unitary_channel(U), {"kind": "unitary", "matrix": U}
@@ -211,7 +216,7 @@ def noise_model_from_dict(doc: dict) -> tuple[NoiseModel, dict]:
         return NoiseModel(kind, tau=tau), {"kind": kind, "tau": tau}
     if kind == "unitary":
         _reject_unknown(doc, ("kind", "matrix"), "unitary noise descriptor")
-        U = _matrix_from_pairs(_require(doc, "matrix", "unitary noise descriptor"))
+        U = _matrix_field(doc, "unitary noise descriptor")
         if U.shape != (2, 2):
             raise UsageError(f"unitary noise matrix must be 2x2 (one qubit), got shape {U.shape}")
         return NoiseModel("unitary", unitary=U), {"kind": "unitary", "matrix": _matrix_to_pairs(U)}
@@ -246,9 +251,17 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
         t_max=_number(doc, "t_max", "sweep config"),
         points=points,
         grid=doc.get("grid", "linear"),
-        csv_path=doc.get("csv"),
-        svg_path=doc.get("svg"),
+        csv_path=_optional_path(doc, "csv"),
+        svg_path=_optional_path(doc, "svg"),
     )
+
+
+def _optional_path(doc: dict, key: str) -> str | None:
+    """An optional output-path field of a sweep config: a string, or null when absent."""
+    raw = doc.get(key)
+    if raw is not None and not isinstance(raw, str):
+        raise UsageError(f"sweep config field {key!r} must be a path string or null, got {raw!r}")
+    return raw
 
 
 def load_json(path: str) -> dict:

@@ -145,26 +145,6 @@ def rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_from_csv(text: str) -> list[SweepRow]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise UsageError("unexpected CSV header")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 7:
-            raise UsageError(f"malformed CSV row: {ln!r}")
-        rows.append(
-            SweepRow(
-                float(parts[0]),
-                tuple(float(p) for p in parts[1:5]),
-                float(parts[5]),
-                parts[6],
-            )
-        )
-    return rows
-
-
 # SVG layout constants.
 _W, _PANEL_H, _MARGIN, _GAP = 640, 210, 46, 28
 

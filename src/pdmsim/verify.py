@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -15,6 +14,7 @@ import numpy as np
 from .causality import (
     CHECK_ATOL,
     CHECK_STACK_BYTES,
+    SuiteResult,
     convexity_gaps,
     check_local_monotonicity,
     check_unitary_invariance,
@@ -71,17 +71,13 @@ def random_bloch(rng: np.random.Generator) -> np.ndarray:
     return v * rng.uniform(0, 1)
 
 
-def random_product_state(qubits: int, rng: np.random.Generator) -> DensityState:
-    """Product of random single-qubit states, validated once as a whole."""
-    return _product_state([random_bloch(rng) for _ in range(qubits)])
-
-
 def _product_state(blochs) -> DensityState:
+    """Product of single-qubit states from their Bloch vectors, validated once as a whole."""
     return DensityState(kron([bloch_matrix(r) for r in blochs]), len(blochs))
 
 
 class _ScheduleDraw(NamedTuple):
-    """What ``random_schedule`` draws, before any matrix is built from it."""
+    """What a random schedule draws, before any matrix is built from it."""
 
     qubits: int
     events: tuple
@@ -90,7 +86,8 @@ class _ScheduleDraw(NamedTuple):
     blochs: list
 
 
-def _draw_schedule(rng: np.random.Generator, max_events: int) -> _ScheduleDraw:
+def draw_schedule(rng: np.random.Generator, max_events: int) -> _ScheduleDraw:
+    """Draw a random schedule of 1 to ``max_events`` events on 1-3 qubits; ``build_schedules`` builds it."""
     qubits = int(rng.integers(1, 4))
     n_events = int(rng.integers(1, max_events + 1))
     events, slice_index, used = [], 0, set()
@@ -107,7 +104,7 @@ def _draw_schedule(rng: np.random.Generator, max_events: int) -> _ScheduleDraw:
     return _ScheduleDraw(qubits, tuple(events), gaussians, blochs)
 
 
-def _build_schedules(draws) -> list[Schedule]:
+def build_schedules(draws) -> list[Schedule]:
     """The schedules of a list of draws, their gap channels from one QR per Gaussian shape."""
     channels = iter(stinespring_channels([G for d in draws for G in d.gaussians]))
     return [
@@ -116,12 +113,7 @@ def _build_schedules(draws) -> list[Schedule]:
     ]
 
 
-def random_schedule(rng: np.random.Generator, max_events: int = 4) -> Schedule:
-    """Random schedule with <= max_events events on 1-3 qubits and random CPTP gaps."""
-    return _build_schedules([_draw_schedule(rng, max_events)])[0]
-
-
-#: Bytes of Gaussians a ``random_schedule`` trial of at most 4 events may
+#: Bytes of Gaussians a ``draw_schedule`` trial of at most 4 events may
 #: draw: 3 gaps of Kraus rank 4 on 3 qubits, (32, 8) complex entries each.
 #: Suites draw their trials in chunks of at most CHECK_STACK_BYTES.
 _SCHEDULE_DRAW_BYTES = 3 * 16 * 32 * 8
@@ -146,14 +138,6 @@ def _plain(labels) -> tuple:
     return tuple(int(x) for x in labels)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    max_deviation: float
-    detail: str = ""
-
-
 def suite_golden() -> SuiteResult:
     R = build_pdm(golden_schedule())
     dev = float(np.max(np.abs(R.matrix - GOLDEN_TWO_EVENT)))
@@ -166,7 +150,7 @@ def suite_golden() -> SuiteResult:
 def suite_engine_oracle(seed: int = 0, trials: int = 200) -> SuiteResult:
     """The branch oracle vs ``expectations`` and vs ``build_pdm``'s coefficients.
 
-    Each trial draws a ``random_schedule`` and ``_RANDOM_PICKS`` random
+    Each trial draws a schedule (``draw_schedule``) and ``_RANDOM_PICKS`` random
     assignments, adds the all-identity one, and evaluates them as one batch
     on each side. A chunk of trials is drawn first and its schedules built
     together, their gap channels from one QR per Gaussian shape. ``detail``
@@ -178,11 +162,11 @@ def suite_engine_oracle(seed: int = 0, trials: int = 200) -> SuiteResult:
         draws, picks = [], []
         for k in range(trials)[chunk]:
             rng = np.random.default_rng(seed + k)
-            draws.append(_draw_schedule(rng, 4))
+            draws.append(draw_schedule(rng, 4))
             # One draw of all picks: the same stream as one draw per pick.
             picks.append(rng.integers(0, 4, size=(_RANDOM_PICKS, len(draws[-1].events))))
         devs, batches = [], []
-        for s, p in zip(_build_schedules(draws), picks):
+        for s, p in zip(build_schedules(draws), picks):
             labels = np.vstack([p, np.zeros((1, s.event_count), dtype=p.dtype)])
             R = build_pdm(s)
             want = oracle_expectations(s, labels)
@@ -262,14 +246,12 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
 
 def suite_unitary_invariance(seed: int = 0, trials: int = 200) -> SuiteResult:
     """f_tr of the golden PDM under Haar-random unitaries; ``detail`` names the worst trial."""
-    rep = check_unitary_invariance(build_pdm(golden_schedule()), trials, seed)
-    return SuiteResult("unitary_invariance", rep.passed, rep.max_deviation, rep.detail)
+    return check_unitary_invariance(build_pdm(golden_schedule()), trials, seed)
 
 
 def suite_local_monotonicity(seed: int = 0, trials: int = 200) -> SuiteResult:
     """f_tr of the golden PDM under random one-event channels; ``detail`` names the worst trial."""
-    rep = check_local_monotonicity(build_pdm(golden_schedule()), trials, seed)
-    return SuiteResult("local_monotonicity", rep.passed, rep.max_deviation, rep.detail)
+    return check_local_monotonicity(build_pdm(golden_schedule()), trials, seed)
 
 
 def suite_convexity(seed: int = 0, trials: int = 200) -> SuiteResult:
@@ -301,6 +283,9 @@ def suite_convexity(seed: int = 0, trials: int = 200) -> SuiteResult:
 def run_all(seed: int = 0, trials: int = 200) -> list[SuiteResult]:
     if trials < 1:
         raise UsageError("trials must be >= 1")
+    # Trial k of a suite draws from numpy's generator seeded with seed + k, which takes no negative seed.
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     return [
         suite_golden(),
         suite_engine_oracle(seed, trials),

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from pdmsim import DensityState
+from pdmsim.causality import ginibre, stinespring_channels
+from pdmsim.linalg import PAULIS, kron
+from pdmsim.verify import build_schedules, draw_schedule
 
 
 def random_hermitian(dim, rng):
@@ -22,6 +25,22 @@ def random_pure(qubits, rng):
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     v /= np.linalg.norm(v)
     return DensityState(np.outer(v, v.conj()), qubits)
+
+
+def random_cptp(qubits, kraus_rank, rng):
+    """Random CPTP channel from a random Stinespring isometry (QR of a Gaussian)."""
+    d = 2**qubits
+    return stinespring_channels([ginibre(d * kraus_rank, d, rng)])[0]
+
+
+def random_schedule(rng, max_events=4):
+    """Random schedule with <= max_events events on 1-3 qubits and random CPTP gaps, drawn as ``pdm verify`` draws."""
+    return build_schedules([draw_schedule(rng, max_events)])[0]
+
+
+def pdm_expectation(R, assignment):
+    """Read an expectation back out of the PDM's matrix: Tr((tensor of Paulis) R)."""
+    return float(np.trace(kron([PAULIS[l] for l in assignment]) @ R.matrix).real)
 
 
 @pytest.fixture

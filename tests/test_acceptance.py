@@ -28,25 +28,23 @@ from pdmsim import (
     f_tr,
     find_transition,
     make_channel,
-    pdm_expectation,
     reduce_pdm,
     state_from_bloch,
     two_event_schedule,
     unitary_channel,
 )
-from pdmsim.causality import haar_unitary, random_cptp
+from pdmsim.causality import haar_unitary
 from pdmsim.verify import (
     GOLDEN_TWO_EVENT,
     GOLDEN_EIGENVALUES,
     golden_schedule,
     random_bloch,
-    random_schedule,
     suite_convexity,
     suite_local_monotonicity,
     suite_unitary_invariance,
 )
 
-from conftest import random_density, random_pure
+from conftest import pdm_expectation, random_cptp, random_density, random_pure, random_schedule
 
 
 def report(n, text):
@@ -179,7 +177,7 @@ def test_criterion_9_marginal_consistency():
             padded = [0] * 3
             for pos, label in zip(keep, a):
                 padded[pos - 1] = label
-            worst = max(worst, abs(pdm_expectation(red, a) - R.stored_expectation(padded)))
+            worst = max(worst, abs(pdm_expectation(red, a) - R.stored_expectations([padded])[0]))
     assert worst <= 1e-12
     report(9, f"100 reduced 3-event PDMs match identity-padded parents (max dev {worst:.2e})")
 

@@ -10,7 +10,6 @@ from pdmsim import (
     UsageError,
     build_pdm,
     channel_at_time,
-    check_convexity,
     check_local_monotonicity,
     check_unitary_invariance,
     classify,
@@ -29,17 +28,18 @@ import pdmsim.causality as causality
 from pdmsim.causality import (
     CHECK_ATOL,
     _f_tr_matrix,
+    convexity_gaps,
     ginibre,
     haar_unitary,
     qr_isometries,
-    random_cptp,
+    worst_deviation,
 )
 from pdmsim.channels import apply_channel_to_matrix
 from pdmsim.linalg import PAULIS, PSD_ATOL
 from pdmsim.schedule import Event, Schedule
 from pdmsim.verify import golden_schedule, random_bloch
 
-from conftest import random_density, random_pure
+from conftest import random_cptp, random_density, random_pure, random_schedule
 
 
 def dephasing_pdm(gamma):
@@ -110,9 +110,9 @@ def convexity_loop(seed, trials):
         p = float(rng.uniform(0, 1))
         mix = p * Rs[0].matrix + (1 - p) * Rs[1].matrix
         gaps.append(float(_f_tr_matrix(mix)) - p * f_tr(Rs[0]) - (1 - p) * f_tr(Rs[1]))
-        # The one-mixture form of check_convexity reports the same gap.
-        rep = check_convexity(Rs, [p, 1 - p])
-        assert rep.trials == 2 and abs(rep.max_deviation - max(0.0, gaps[-1])) <= 1e-15
+        # convexity_gaps on this one mixture reports the same gap.
+        (gap,) = convexity_gaps(np.array([[R.matrix for R in Rs]]), [[p, 1 - p]])
+        assert abs(gap - gaps[-1]) <= 1e-15
     return np.array(gaps)
 
 
@@ -247,8 +247,6 @@ class TestMonotoneAxioms:
     @pytest.mark.parametrize("stack_bytes", [None, 3 * 16 * 4 * 4])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_stacked_checks_match_per_trial_loops(self, seed, stack_bytes, monkeypatch):
-        from pdmsim.verify import random_schedule
-
         if stack_bytes is not None:
             # Chunks of 3 trials of a 4x4 PDM (40 = 13 * 3 + 1), one trial of a larger one.
             monkeypatch.setattr(causality, "CHECK_STACK_BYTES", stack_bytes)
@@ -260,7 +258,7 @@ class TestMonotoneAxioms:
             ):
                 rep = check(R, trials=40, seed=seed)
                 want = reference(R, trials=40, seed=seed)
-                assert rep.trials == 40 and rep.passed == (want <= 1e-9)
+                assert rep.passed == (want <= 1e-9)
                 assert abs(rep.max_deviation - want) <= 1e-12
 
     @pytest.mark.parametrize("stack_bytes", [None, 3 * 16 * 4 * 4])
@@ -300,19 +298,11 @@ class TestMonotoneAxioms:
         R = build_pdm(golden_schedule()).matrix
         Rs = np.stack([np.stack([R, R])] * 3)
         Rs[1, 0, 0, 0] = np.nan
-        rep = check_convexity(Rs, np.full((3, 2), 0.5))
-        assert not rep.passed and rep.max_deviation == np.inf and rep.detail == "trial 1"
+        assert worst_deviation(convexity_gaps(Rs, np.full((3, 2), 0.5))) == (1, np.inf)
 
     def test_convexity_single_element(self):
         R = build_pdm(golden_schedule())
-        rep = check_convexity([R], [1.0])
-        assert rep.passed and rep.max_deviation <= 1e-12
-
-    def test_convexity_trials_count_the_pdms(self):
-        R = build_pdm(golden_schedule())
-        assert check_convexity([R, R, R], [0.2, 0.3, 0.5]).trials == 3
-        stack = np.stack([[R.matrix, R.matrix]] * 4)
-        assert check_convexity(stack, [[0.5, 0.5]] * 4).trials == 8
+        assert abs(convexity_gaps(np.array([[R.matrix]]), [[1.0]])[0]) <= 1e-12
 
     def test_convexity_with_swapped_copy(self):
         R = build_pdm(golden_schedule())
@@ -331,14 +321,15 @@ class TestMonotoneAxioms:
         assert res.passed
 
     def test_convexity_bad_weights(self):
-        R = build_pdm(golden_schedule())
+        R = build_pdm(golden_schedule()).matrix
+        pair = np.array([[R, R]])
         with pytest.raises(UsageError):
-            check_convexity([R, R], [0.7, 0.7])
+            convexity_gaps(pair, [[0.7, 0.7]])
         for bad in ([np.nan, 1.0], [-0.5, 1.5]):
             with pytest.raises(UsageError, match="weights"):
-                check_convexity([R, R], bad)
+                convexity_gaps(pair, [bad])
         with pytest.raises(UsageError, match="matching"):
-            check_convexity(np.stack([[R.matrix, R.matrix]] * 3), [[0.5, 0.5]] * 2)
+            convexity_gaps(np.stack([[R, R]] * 3), [[0.5, 0.5]] * 2)
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_stacked_convexity_matches_per_trial_loop(self, seed):
@@ -434,8 +425,6 @@ class TestMultiEventMonotonicity:
         # Random schedules of 1-5 events on 1-3 qubits with random CPTP gaps:
         # f_tr must not rise under a channel on one event, nor under
         # tracing out events.
-        from pdmsim.verify import random_schedule
-
         rng = np.random.default_rng(2024)
         causal = 0
         for k in range(60):

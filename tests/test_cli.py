@@ -11,17 +11,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pdmsim import NoiseModel, SweepConfig, emit_svg, find_transition, rows_from_csv, rows_to_csv, run_sweep
+from pdmsim import NoiseModel, SweepConfig, SweepRow, emit_svg, find_transition, rows_to_csv, run_sweep
 from pdmsim import build_pdm, classify, state_from_bloch
 from pdmsim.serialize import load_json, schedule_from_dict
-from pdmsim.verify import random_schedule
 from pdmsim.cli import format_matrix_rows, main
 from pdmsim.sweep import CSV_HEADER
+
+from conftest import random_schedule
 
 
 def write(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def csv_rows(text):
+    """The rows of a sweep CSV under its header line."""
+    lines = text.splitlines()
+    assert lines[0] == CSV_HEADER
+    rows = []
+    for line in lines[1:]:
+        t, *eigenvalues, f_tr, classification = line.split(",")
+        rows.append(SweepRow(float(t), tuple(map(float, eigenvalues)), float(f_tr), classification))
+    return rows
 
 
 GOLDEN_DOC = {
@@ -157,6 +169,18 @@ class TestBuild:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["initial_state", "unitary descriptor"])
+    def test_non_finite_matrix_exit_2(self, tmp_path, capsys, field, value):
+        # A NaN entry fails every comparison, so it must be rejected by name
+        # before it reaches the unitarity or PDM checks.
+        if field == "initial_state":
+            change = {"initial_state": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [value, 0]]]}}
+        else:
+            change = {"channels": [{"kind": "unitary", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, value]]]}]}
+        assert main(["build", write(tmp_path / "s.json", dict(GOLDEN_DOC, **change))]) == 2
+        assert f"error: {field} field 'matrix' entry [1][1] is not finite" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_dephasing_csv_values(self, tmp_path, capsys):
@@ -176,7 +200,7 @@ class TestSweep:
         cfg = write(tmp_path / "cfg.json", sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 5.0, 101))
         csv = tmp_path / "out.csv"
         assert main(["sweep", cfg, "--csv", str(csv)]) == 0
-        for row in rows_from_csv(csv.read_text()):
+        for row in csv_rows(csv.read_text()):
             if row.t < math.log(3) - 1e-9:
                 assert row.classification == "causal"
             elif row.t > math.log(3) + 1e-9:
@@ -186,7 +210,7 @@ class TestSweep:
         cfg = write(tmp_path / "cfg.json", sweep_doc((0, 0, 1), "depolarizing", 1.0, 0.0, 1.0, 2))
         csv = tmp_path / "out.csv"
         assert main(["sweep", cfg, "--csv", str(csv)]) == 0
-        first = rows_from_csv(csv.read_text())[0]
+        first = csv_rows(csv.read_text())[0]
         assert first.f_tr == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(first.eigenvalues, [-0.5, 0, 0.5, 1], atol=1e-10)
 
@@ -194,7 +218,7 @@ class TestSweep:
         cfg = write(tmp_path / "cfg.json", sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 3.0, 40))
         csv = tmp_path / "out.csv"
         assert main(["sweep", cfg, "--csv", str(csv)]) == 0
-        for row in rows_from_csv(csv.read_text()):
+        for row in csv_rows(csv.read_text()):
             expected = "causal" if row.eigenvalues[0] < -1e-10 else "spacelike_compatible"
             assert row.classification == expected
 
@@ -214,6 +238,31 @@ class TestSweep:
     def test_bad_config_exit_2(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", sweep_doc((0, 0, 0), "depolarizing", 1.0, 4.0, 0.0, 5))
         assert main(["sweep", cfg, "--csv", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "transition"])
+    def test_non_finite_unitary_noise_exit_2(self, tmp_path, capsys, command):
+        doc = sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 1.0, 5)
+        unitary = {"kind": "unitary", "matrix": [[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        doc["noise"] = {"kind": "composite", "members": [doc["noise"], unitary]}
+        argv = [command, write(tmp_path / "cfg.json", doc)]
+        assert main(argv + (["--csv", str(tmp_path / "x.csv")] if command == "sweep" else [])) == 2
+        assert "unitary noise descriptor field 'matrix' entry [0][0] is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["csv", "svg"])
+    @pytest.mark.parametrize("value", [1, True, ["a"], {"path": "x.csv"}])
+    def test_non_string_output_path_exit_2(self, tmp_path, capsys, key, value):
+        # 1 and true once named file descriptor 1, which the sweep then closed.
+        doc = dict(sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 1.0, 5), **{key: value})
+        assert main(["sweep", write(tmp_path / "cfg.json", doc), "--csv", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"sweep config field {key!r} must be a path string or null" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_null_output_paths_are_absent(self, tmp_path, capsys):
+        doc = dict(sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 1.0, 5), csv=None, svg=None)
+        csv = tmp_path / "x.csv"
+        assert main(["sweep", write(tmp_path / "cfg.json", doc), "--csv", str(csv)]) == 0
+        assert len(csv_rows(csv.read_text())) == 5
 
     def test_overflowing_t_max_exit_2(self, tmp_path, capsys):
         # JSON 1e400 parses to inf; it must be rejected by name, not run.
@@ -405,15 +454,15 @@ class TestBuildOutputPinned:
 
 class TestVerify:
     def test_product_states_match_per_qubit_states(self):
+        # A drawn schedule's initial state, validated once as a whole, is the
+        # product of the states of its Bloch vectors, each validated alone.
         from pdmsim.linalg import kron
-        from pdmsim.verify import random_bloch, random_product_state
+        from pdmsim.verify import build_schedules, draw_schedule
 
-        for seed in range(6):
-            for qubits in (1, 2, 3):
-                old, new = np.random.default_rng(seed), np.random.default_rng(seed)
-                want = kron([state_from_bloch(random_bloch(old)).matrix for _ in range(qubits)])
-                assert np.array_equal(random_product_state(qubits, new).matrix, want)
-                assert old.random() == new.random()
+        for seed in range(18):
+            draw = draw_schedule(np.random.default_rng(seed), 4)
+            want = kron([state_from_bloch(r).matrix for r in draw.blochs])
+            assert np.array_equal(build_schedules([draw])[0].initial_state.matrix, want)
 
     def test_closed_form_suite_flags_a_wrong_sweep_path(self, monkeypatch):
         import pdmsim.verify as verify
@@ -590,6 +639,11 @@ class TestVerify:
 
     def test_zero_trials_exit_2(self):
         assert main(["verify", "--trials", "0"]) == 2
+
+    def test_negative_seed_exit_2(self, capsys):
+        # Exit 1 would read as a failed verification.
+        assert main(["verify", "--seed", "-1", "--trials", "3"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2

@@ -41,8 +41,22 @@ def test_no_module_imports_a_private_name():
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-#: Where a package name counts as used.
-USE_DIRS = ("src", "tests", "demos", "benchmarks")
+#: Module-level names that no program code calls yet, each kept for a caller
+#: ROADMAP.md plans: ``reduce_pdm`` for a pair-marginal engine or multi-event
+#: verify suites (items 5 and 7), and the canonical schedule document for a
+#: machine-readable run record (item 2). Once one gains a caller,
+#: ``test_every_module_level_name_is_used`` fails until it leaves this set.
+UNCALLED = {"schedule.reduce_pdm", "serialize.normalize_schedule_doc", "serialize.dumps_doc"}
+
+
+def package_modules(root: pathlib.Path) -> list[pathlib.Path]:
+    """The package's modules, without ``__init__``: its re-exports call nothing."""
+    return sorted(p for p in (root / "src" / "pdmsim").glob("*.py") if p.name != "__init__.py")
+
+
+def program_files(root: pathlib.Path) -> list[pathlib.Path]:
+    """The files whose reads count as calls: the package modules, the demos and the benchmark."""
+    return package_modules(root) + sorted((root / "demos").rglob("*.py")) + sorted((root / "benchmarks").rglob("*.py"))
 
 
 def module_level_names(source: str) -> set[str]:
@@ -58,17 +72,39 @@ def module_level_names(source: str) -> set[str]:
     return names
 
 
-def used_names(source: str) -> set[str]:
-    """Names the source reads, looks up as an attribute or imports; a definition is none."""
+def read_names(source: str) -> set[str]:
+    """Names the source reads or looks up as an attribute; neither a definition nor an import is one."""
     used = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
-        elif isinstance(node, ast.alias):
-            used.add(node.name)
     return used
+
+
+def uncalled_names(root: pathlib.Path) -> set[str]:
+    """``module.name`` of every module-level package name that no program file reads."""
+    used = set().union(*(read_names(p.read_text()) for p in program_files(root)))
+    return {
+        f"{m.stem}.{name}"
+        for m in package_modules(root)
+        for name in module_level_names(m.read_text())
+        if name not in used
+    }
+
+
+def unread_imports(source: str) -> list[str]:
+    """Every name the source binds by ``import`` that it never reads; ``__future__`` imports bind none."""
+    found = []
+    read = read_names(source)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            found += [name for name in bound if name not in read]
+    return found
 
 
 def test_checker_sees_definitions_and_uses():
@@ -82,22 +118,54 @@ def test_checker_sees_definitions_and_uses():
         "from m import E\n"
     )
     assert module_level_names(source) == {"A", "B", "C", "f", "K"}
-    assert used_names(source) >= {"A", "g", "h", "E"}
-    assert not used_names(source) & {"B", "C", "f", "K", "D"}
+    assert read_names(source) >= {"A", "g", "h"}
+    assert not read_names(source) & {"B", "C", "f", "K", "D", "E"}
+
+
+def test_checker_does_not_count_an_import():
+    source = "import F\nimport G.sub as H\nfrom m import E\nfrom n import J as L\n"
+    assert read_names(source) == set()
+    assert unread_imports("from __future__ import annotations\n" + source) == ["F", "H", "E", "L"]
+    assert unread_imports("import numpy as np\nfrom m import E\nx = np.zeros(E)\n") == []
+
+
+def fake_repo(root: pathlib.Path, files: dict) -> pathlib.Path:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_checker_counts_only_program_files(tmp_path):
+    # A re-export from __init__, a test and a bare import in a demo call nothing.
+    root = fake_repo(tmp_path, {
+        "src/pdmsim/__init__.py": "from .linalg import helper, kron\n",
+        "src/pdmsim/linalg.py": "def helper():\n    pass\n\ndef kron():\n    pass\n",
+        "tests/test_linalg.py": "from pdmsim.linalg import helper\n\ndef test_helper():\n    helper()\n",
+        "demos/demo.py": "from pdmsim import helper, kron\nkron()\n",
+        "benchmarks/bench.py": "import pdmsim.linalg\n",
+    })
+    assert uncalled_names(root) == {"linalg.helper"}
+
+
+def test_exempt_name_with_a_caller_fails(tmp_path):
+    root = fake_repo(tmp_path, {
+        "src/pdmsim/schedule.py": "def reduce_pdm():\n    pass\n",
+        "src/pdmsim/serialize.py": "def normalize_schedule_doc():\n    pass\n\ndef dumps_doc():\n    pass\n",
+    })
+    assert uncalled_names(root) == UNCALLED
+    fake_repo(root, {"demos/demo.py": "from pdmsim.schedule import reduce_pdm\nreduce_pdm()\n"})
+    assert uncalled_names(root) == UNCALLED - {"schedule.reduce_pdm"}
 
 
 def test_every_module_level_name_is_used():
-    used = set()
-    for d in USE_DIRS:
-        for path in (ROOT / d).rglob("*.py"):
-            used |= used_names(path.read_text())
-    dead = {
-        f"{m.stem}.{name}"
-        for m in MODULES
-        for name in module_level_names(m.read_text())
-        if name not in used
-    }
-    assert dead == set()
+    assert uncalled_names(ROOT) == UNCALLED
+
+
+def test_every_import_is_read():
+    offenders = {m.name: unread_imports(m.read_text()) for m in package_modules(ROOT)}
+    assert {name: names for name, names in offenders.items() if names} == {}
 
 
 def numpy_calls(source: str, path: str) -> list[str]:

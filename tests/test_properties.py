@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from pdmsim import NoiseModel, SweepConfig, build_pdm, classify, make_channel, run_sweep
 from pdmsim import state_from_bloch, two_event_schedule
-from pdmsim.verify import random_schedule
+
+from conftest import random_schedule
 
 KINDS = ("dephasing", "depolarizing", "amplitude_damping")
 

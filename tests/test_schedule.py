@@ -24,7 +24,6 @@ from pdmsim import (
     identity_channel,
     make_channel,
     oracle_expectations,
-    pdm_expectation,
     reduce_pdm,
     state_from_bloch,
     two_event_pdm_stack,
@@ -32,13 +31,13 @@ from pdmsim import (
     unitary_channel,
 )
 import pdmsim.schedule as schedule
-from pdmsim.causality import haar_unitary, random_cptp
+from pdmsim.causality import haar_unitary
 from pdmsim.channels import kraus_sum
 from pdmsim.linalg import I2, PAULI_STACK, PAULIS, X, embed_operator, kron
 from pdmsim.schedule import PDM_BYTE_BUDGET, _event_paulis, _event_projectors
-from pdmsim.verify import GOLDEN_TWO_EVENT, golden_schedule, random_bloch, random_schedule
+from pdmsim.verify import GOLDEN_TWO_EVENT, golden_schedule, random_bloch
 
-from conftest import random_density
+from conftest import pdm_expectation, random_cptp, random_density, random_schedule
 
 
 def mixed_two_event(channel):
@@ -226,7 +225,7 @@ class TestBuildPdm:
             assert np.max(np.abs(R.matrix - R.matrix.conj().T)) <= 1e-12
             assert np.trace(R.matrix).real == pytest.approx(1.0, abs=1e-12)
             assert np.max(np.abs(R.coefficients)) <= 1 + 1e-12
-            assert R.stored_expectation((0,) * R.event_count) == pytest.approx(1.0, abs=1e-12)
+            assert R.stored_expectations([(0,) * R.event_count])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_event_cap(self, rng):
         # A 10-event chain needs a 4^9 * 4 stack plus a 1024 x 1024 matrix: 32 MiB.
@@ -311,7 +310,7 @@ class TestBatchedEngine:
         R = build_pdm(s)
         for _ in range(12):
             a = tuple(rng.integers(0, 4, size=8))
-            assert abs(R.stored_expectation(a) - expectation_oracle(s, a)) <= 1e-12
+            assert abs(R.stored_expectations([a])[0] - expectation_oracle(s, a)) <= 1e-12
 
     def test_peak_allocation(self):
         # The largest working stack of this layout is 4^4 operators of 8 x 8:
@@ -475,7 +474,7 @@ class TestPdmExpectation:
             for a in itertools.product(range(4), repeat=s.event_count):
                 got = pdm_expectation(R, a)
                 assert abs(got - expectation(s, a)) <= 1e-12
-                assert abs(got - R.stored_expectation(a)) <= 1e-12
+                assert abs(got - R.stored_expectations([a])[0]) <= 1e-12
 
 
 class TestReducePdm:
@@ -503,7 +502,7 @@ class TestReducePdm:
                 padded = [0] * n
                 for pos, label in zip(keep, a):
                     padded[pos - 1] = label
-                assert abs(pdm_expectation(red, a) - R.stored_expectation(padded)) <= 1e-12
+                assert abs(pdm_expectation(red, a) - R.stored_expectations([padded])[0]) <= 1e-12
 
     def test_empty_keep(self):
         with pytest.raises(UsageError):
@@ -547,8 +546,7 @@ class TestAssignmentLabels:
         for read in (
             lambda a: expectation(s, a),
             lambda a: expectation_oracle(s, a),
-            R.stored_expectation,
-            lambda a: pdm_expectation(R, a),
+            lambda a: R.stored_expectations([a]),
         ):
             with pytest.raises(UsageError):
                 read(bad)
@@ -630,7 +628,7 @@ class TestAssignmentLabels:
         R = build_pdm(s)
         a = np.array([1, 1], dtype=np.int64)
         assert expectation(s, a) == pytest.approx(1.0, abs=1e-14)
-        assert R.stored_expectation((np.int32(3), np.uint8(0))) == pytest.approx(1.0, abs=1e-12)
+        assert R.stored_expectations([(np.int32(3), np.uint8(0))])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestScheduleValidation:
@@ -676,6 +674,15 @@ class TestScheduleValidation:
                 (Event(1, 0, 0), Event(2, 0, 1), Event(3, 0, 2)),
                 (None, KrausChannel((0.9 * I2,), 1)),
             )
+
+
+    def test_nan_gap_rejected(self, rng):
+        # A NaN residual fails every comparison, so it must not pass as trace preserving.
+        nan = KrausChannel((np.full((2, 2), np.nan),), 1)
+        with pytest.raises(UsageError, match="channel 0 is not trace preserving: a Kraus operator has a non-finite"):
+            two_event_schedule(random_density(1, rng), nan)
+        with pytest.raises(UsageError, match="not unitary"):
+            unitary_channel(np.array([[np.nan, 0], [0, 1]]))
 
 
 class TestTwoEventClosedForm:
@@ -739,3 +746,6 @@ class TestTwoEventClosedForm:
             two_event_pdm_stack(random_density(1, rng), [])
         with pytest.raises(UsageError, match="gap channel 2 is not trace preserving"):
             two_event_pdm_stack(random_density(1, rng), [None, None, KrausChannel((I2, X), 1)])
+        nan = KrausChannel((I2, np.diag([0, np.nan])), 1)
+        with pytest.raises(UsageError, match="gap channel 1 is not trace preserving: a Kraus operator has a non-finite"):
+            two_event_pdm_stack(random_density(1, rng), [None, nan, None])
