@@ -214,7 +214,7 @@ def check_local_monotonicity(
         for f in range(n):
             on_f = factor == f
             if on_f.any():
-                outs[on_f] = kraus_sum(embed_operator(kraus[on_f], [f], n), R.matrix)
+                outs[on_f] = kraus_sum(embed_operator(kraus[on_f], f, n), R.matrix)
         rises.append(_f_tr_matrix(outs) - base)
         factors.append(factor)
     k, worst = worst_deviation(np.concatenate(rises))

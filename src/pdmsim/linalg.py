@@ -137,32 +137,15 @@ def hermitian_eig(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((M + dagger(M)) / 2.0)
 
 
-def embed_operator(K: np.ndarray, targets: Sequence[int], qubit_count: int) -> np.ndarray:
-    """Embed an operator acting on ``targets`` into a ``qubit_count``-qubit system.
+def embed_operator(K: np.ndarray, qubit: int, qubit_count: int) -> np.ndarray:
+    """Embed a single-qubit operator acting on ``qubit`` into a ``qubit_count``-qubit system.
 
-    ``K`` acts on ``len(targets)`` qubits, or is a ``(..., 2^m, 2^m)`` stack of
-    such operators, each embedded; the targets are matched to K's factors in
-    the order given. Identity acts everywhere else.
+    ``K`` is one 2x2 operator or a ``(..., 2, 2)`` stack of them, each
+    embedded as ``kron([I, K, I])``; identity acts on every other qubit.
     """
     K = np.asarray(K, dtype=complex)
-    m = len(targets)
-    if len(set(targets)) != m:
-        raise UsageError(f"targets must be distinct, got {list(targets)}")
-    if any(q < 0 or q >= qubit_count for q in targets):
-        raise UsageError(f"targets {list(targets)} out of range for {qubit_count} qubits")
-    if K.ndim < 2 or K.shape[-2:] != (2**m, 2**m):
-        raise UsageError(f"operator shape {K.shape} does not act on {m} qubits")
-    # kron pairs the identity with each operator of a stack.
-    full = K if m == qubit_count else kron([K, np.eye(2 ** (qubit_count - m), dtype=complex)])
-    if list(targets) == list(range(m)):
-        # The leading qubits in order: the permutation below is the identity.
-        return full
-    # Factor i of `full` currently holds qubit order[i]; permute so factor q
-    # holds qubit q.
-    order = list(targets) + [q for q in range(qubit_count) if q not in targets]
-    perm = np.argsort(order)
-    lead = K.shape[:-2]
-    b = len(lead)
-    t = full.reshape(lead + (2,) * (2 * qubit_count))
-    axes = list(range(b)) + [b + p for p in perm] + [b + qubit_count + p for p in perm]
-    return t.transpose(axes).reshape(lead + (2**qubit_count, 2**qubit_count))
+    if not 0 <= qubit < qubit_count:
+        raise UsageError(f"qubit {qubit} out of range for {qubit_count} qubits")
+    if K.ndim < 2 or K.shape[-2:] != (2, 2):
+        raise UsageError(f"operator shape {K.shape} does not act on one qubit")
+    return kron([np.eye(2**qubit), K, np.eye(2 ** (qubit_count - qubit - 1))])

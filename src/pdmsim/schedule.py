@@ -19,7 +19,6 @@ from .channels import (
     TP_ATOL,
     DensityState,
     KrausChannel,
-    apply_channel_to_matrix,
     choi_stack,
     identity_channel,
     kraus_array,
@@ -92,7 +91,7 @@ _EVENT_CACHE_SIZE = 64
 @functools.lru_cache(maxsize=_EVENT_CACHE_SIZE)
 def _event_paulis(qubit: int, qubit_count: int) -> np.ndarray:
     """The Paulis of labels 0..3 on ``qubit``, embedded in the full register, as a read-only (4, D, D) stack."""
-    return read_only(embed_operator(PAULI_STACK, [qubit], qubit_count).copy())
+    return read_only(embed_operator(PAULI_STACK, qubit, qubit_count))
 
 
 @functools.lru_cache(maxsize=_EVENT_CACHE_SIZE)
@@ -322,7 +321,7 @@ def expectations(s: Schedule, assignments) -> np.ndarray:
                 A = _event_paulis(ev.qubit, n)[column]
                 M = (A @ M + M @ A) / 2.0
         if ch is not None:
-            M = apply_channel_to_matrix(ch, M, list(range(n)), n)
+            M = kraus_sum(np.asarray(ch.kraus_ops), M)
     return np.trace(M, axis1=1, axis2=2).real
 
 
@@ -374,7 +373,7 @@ def _oracle_chunk(s: Schedule, labels: np.ndarray) -> np.ndarray:
             branches = (pair @ branches[:, :, None] @ pair).reshape(P, -1, D, D)
             signs = (signs[:, :, None] * _OUTCOMES).reshape(P, -1)
         if ch is not None:
-            branches = apply_channel_to_matrix(ch, branches, list(range(n)), n)
+            branches = kraus_sum(np.asarray(ch.kraus_ops), branches)
     return np.einsum("pb,pb->p", signs, np.trace(branches, axis1=2, axis2=3).real)
 
 
@@ -622,7 +621,7 @@ def ancilla_expectations(s: Schedule, assignments) -> np.ndarray:
         block = _COPY_BLOCKS[labels[:, ev.id - 1]]
         rho = block @ rho @ dagger(block)
         if sl == 0 and ch is not None:
-            rho = apply_channel_to_matrix(ch, rho, [0], 2)
+            rho = kraus_sum(kron([np.asarray(ch.kraus_ops), I2]), rho)
     return np.trace(_ANCILLA_Z @ rho, axis1=1, axis2=2).real
 
 

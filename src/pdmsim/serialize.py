@@ -8,7 +8,9 @@ value-identical, so every parser returns a canonical dict.
 
 from __future__ import annotations
 
+import itertools
 import json
+import sys
 
 import numpy as np
 
@@ -35,14 +37,28 @@ def _matrix_to_pairs(M: np.ndarray) -> list:
 
 
 def _matrix_field(doc: dict, where: str) -> np.ndarray:
-    """The required ``matrix`` field of ``[re, im]`` pairs as a square matrix, every entry finite."""
+    """The required ``matrix`` field, a square array of ``[re, im]`` pairs, as a complex matrix.
+
+    Every part of every pair must be a finite number (``_is_number``). The
+    pairs and their parts are flattened, their shapes and types checked in
+    C-level passes, and numpy reads the parts as one float array.
+    """
     rows = _require(doc, "matrix", where)
     try:
-        M = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"malformed matrix entry: {exc}") from None
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise UsageError(f"matrix must be square, got shape {M.shape}")
+        pairs = list(itertools.chain.from_iterable(rows))
+        parts = list(itertools.chain.from_iterable(pairs))
+        square = set(map(len, rows)) == {len(rows)} and set(map(len, pairs)) == {2}
+    except TypeError:
+        square = False
+    if not square:
+        raise UsageError(f"{where} field 'matrix' must be a square array of [re, im] pairs")
+    kinds = set(map(type, parts)) - _NUMBER_TYPES
+    if kinds:
+        raise UsageError(f"{where} field 'matrix' holds a {min(t.__name__ for t in kinds)}, not a number")
+    try:
+        M = np.array(parts, dtype=float).view(complex).reshape(len(rows), len(rows))
+    except OverflowError:
+        raise UsageError(f"{where} field 'matrix' holds an integer too large for a float") from None
     bad = ~np.isfinite(M)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -62,33 +78,45 @@ def _reject_unknown(doc: dict, known, where: str) -> None:
         raise UsageError(f"{where} has unknown field(s) {', '.join(map(repr, unknown))}")
 
 
+#: The Python types of a JSON number. ``json`` reads a JSON number as an int
+#: or a float; a bool is an int subclass, and a type check keeps it out.
+_NUMBER_TYPES = {int, float}
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_number(x) -> bool:
+    """The rule for every numeric field: a finite JSON number, an int or a float but not a bool.
+
+    ``json`` reads ``Infinity``, ``NaN`` and ``1e400`` as non-finite floats;
+    an int too large for a float is not finite either.
+    """
+    return type(x) in _NUMBER_TYPES and -_FLOAT_MAX <= x <= _FLOAT_MAX
+
+
 def _number(doc: dict, key: str, where: str) -> float:
-    """A required field as a float; the consuming type checks its range."""
+    """A required numeric field as a float; the consuming type checks its range."""
     raw = _require(doc, key, where)
-    try:
-        return float(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{where} field {key!r} must be a number, got {raw!r}") from None
+    if not _is_number(raw):
+        raise UsageError(f"{where} field {key!r} must be a finite number, got {raw!r}")
+    return float(raw)
 
 
 def _integer(doc: dict, key: str, where: str) -> int:
-    """A required integral field; 2.0 is accepted as 2, booleans and 1.5 are not."""
-    x = _number(doc, key, where)
-    if isinstance(doc[key], bool) or not x.is_integer():
-        raise UsageError(f"{where} field {key!r} must be an integer, got {doc[key]!r}")
-    return int(x)
+    """A required integral numeric field; 2.0 is accepted as 2, booleans and 1.5 are not."""
+    raw = _require(doc, key, where)
+    if not (_is_number(raw) and raw % 1 == 0):
+        raise UsageError(f"{where} field {key!r} must be an integer, got {raw!r}")
+    return int(raw)
 
 
 def _bloch(doc: dict, where: str) -> list:
     """A required ``bloch`` field as a list of 3 floats."""
     raw = _require(doc, "bloch", where)
-    try:
-        r = [float(x) for x in raw]
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{where} field 'bloch' must be a list of 3 numbers, got {raw!r}") from None
-    if len(r) != 3:
+    if not (isinstance(raw, (list, tuple)) and all(map(_is_number, raw))):
+        raise UsageError(f"{where} field 'bloch' must be a list of 3 numbers, got {raw!r}")
+    if len(raw) != 3:
         raise UsageError("bloch vector must have 3 components")
-    return r
+    return [float(x) for x in raw]
 
 
 def parse_initial_state(doc, qubits: int) -> tuple[DensityState, dict]:
@@ -241,15 +269,12 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
     _reject_unknown(state_doc, ("bloch",), "sweep config initial_state")
     bloch = tuple(_bloch(state_doc, "sweep config initial_state"))
     noise, _ = noise_model_from_dict(_require(doc, "noise", "sweep config"))
-    points = _require(doc, "points", "sweep config")
-    if isinstance(points, float) and points.is_integer():
-        points = int(points)
     return SweepConfig(
         bloch=bloch,
         noise=noise,
         t_min=_number(doc, "t_min", "sweep config"),
         t_max=_number(doc, "t_max", "sweep config"),
-        points=points,
+        points=_integer(doc, "points", "sweep config"),
         grid=doc.get("grid", "linear"),
         csv_path=_optional_path(doc, "csv"),
         svg_path=_optional_path(doc, "svg"),

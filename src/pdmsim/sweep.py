@@ -18,6 +18,9 @@ CSV_HEADER = "t,lambda1,lambda2,lambda3,lambda4,f_tr,classification"
 _SCAN_POINTS = 256
 #: Interior points evaluated per refinement round of ``find_transition``.
 _REFINE_POINTS = 63
+#: The most grid points a sweep config may ask for. ``run_sweep`` holds the
+#: whole grid at once, ~1.3 KB per point, so this caps it near 130 MB.
+MAX_SWEEP_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,8 @@ class SweepConfig:
             raise UsageError(f"points must be an integer, got {self.points!r}")
         if self.points < 2:
             raise UsageError("points must be >= 2")
+        if self.points > MAX_SWEEP_POINTS:
+            raise UsageError(f"points must be at most {MAX_SWEEP_POINTS}, got {self.points}")
         if self.grid not in ("linear", "log"):
             raise UsageError(f"grid must be 'linear' or 'log', got {self.grid!r}")
         if self.grid == "log" and self.t_min <= 0:

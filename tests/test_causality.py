@@ -34,8 +34,8 @@ from pdmsim.causality import (
     qr_isometries,
     worst_deviation,
 )
-from pdmsim.channels import apply_channel_to_matrix
-from pdmsim.linalg import PAULIS, PSD_ATOL
+from pdmsim.channels import kraus_sum
+from pdmsim.linalg import PAULIS, PSD_ATOL, embed_operator
 from pdmsim.schedule import Event, Schedule
 from pdmsim.verify import golden_schedule, random_bloch
 
@@ -88,7 +88,7 @@ def local_monotonicity_loop(R, trials, seed):
         rng = np.random.default_rng(seed + k)
         ch = random_cptp(1, int(rng.integers(1, 5)), rng)
         factor = int(rng.integers(0, R.event_count))
-        out = apply_channel_to_matrix(ch, R.matrix, [factor], R.event_count)
+        out = kraus_sum(embed_operator(np.asarray(ch.kraus_ops), factor, R.event_count), R.matrix)
         worst = max(worst, float(_f_tr_matrix(out)) - base)
     return max(0.0, worst)
 

@@ -18,11 +18,11 @@ from pdmsim import (
     state_from_bloch,
     tp_residual,
 )
+from pdmsim import channels
 from pdmsim.causality import haar_unitary
 from pdmsim.channels import (
     TP_ATOL,
     DensityState,
-    apply_channel_to_matrix,
     kraus_sum,
 )
 from pdmsim.linalg import I2, X, Y, Z, embed_operator
@@ -35,10 +35,10 @@ def bloch_of(M):
     return np.array([np.trace(P @ M).real for P in (X, Y, Z)])
 
 
-def act(ch, rho, targets=None):
-    """The channel's action on a state's matrix, on the given qubits or on the leading ones."""
-    targets = list(range(ch.acts_on)) if targets is None else targets
-    return apply_channel_to_matrix(ch, rho.matrix, targets, rho.qubit_count)
+def act(ch, rho, qubit=None):
+    """The channel's action on a state's matrix: on the whole register, or on one qubit of it."""
+    ks = np.asarray(ch.kraus_ops)
+    return kraus_sum(ks if qubit is None else embed_operator(ks, qubit, rho.qubit_count), rho.matrix)
 
 
 def dephasing_about(axis, g):
@@ -65,11 +65,13 @@ def choi_loop(ch):
 
 
 def apply_loop(ch, M, targets, qubit_count):
-    """Reference channel action: one embedded Kraus operator at a time."""
+    """Reference channel action on the whole register or on one target qubit, one Kraus operator at a time."""
     out = np.zeros_like(M)
     for K in ch.kraus_ops:
-        Kf = embed_operator(K, targets, qubit_count)
-        out += Kf @ M @ Kf.conj().T
+        if len(targets) < qubit_count:
+            (q,) = targets
+            K = np.kron(np.eye(2**q), np.kron(K, np.eye(2 ** (qubit_count - q - 1))))
+        out += K @ M @ K.conj().T
     return out
 
 
@@ -145,7 +147,7 @@ class TestMakeChannel:
 class TestApplyChannel:
     def test_identity(self, rng):
         rho = random_density(2, rng)
-        out = act(identity_channel(2), rho, [0, 1])
+        out = act(identity_channel(2), rho)
         assert np.allclose(out, rho.matrix, atol=1e-14)
 
     def test_full_dephasing_on_plus(self):
@@ -157,7 +159,7 @@ class TestApplyChannel:
         a = state_from_bloch([0.3, 0.2, 0.4])
         b = state_from_bloch([0, 0, 0.9])
         rho = DensityState(np.kron(a.matrix, b.matrix), 2)
-        out = act(make_channel("depolarizing", 0.5), rho, [1])
+        out = act(make_channel("depolarizing", 0.5), rho, 1)
         b_out = act(make_channel("depolarizing", 0.5), b)
         assert np.allclose(out, np.kron(a.matrix, b_out), atol=1e-13)
 
@@ -171,17 +173,21 @@ class TestApplyChannel:
                 assert np.linalg.eigvalsh(M)[0] >= -1e-10
 
     @pytest.mark.parametrize(
-        "qubits, targets", [(1, [0]), (2, [0, 1]), (3, [0, 1, 2]), (2, [1]), (3, [2, 0]), (3, [1])]
+        "qubits, targets", [(1, [0]), (2, [0, 1]), (3, [0, 1, 2]), (2, [1]), (3, [0]), (3, [1])]
     )
     def test_stack_matches_per_matrix(self, qubits, targets, rng):
+        # A gap acts on the whole register, or on one qubit through embed_operator.
         D = 2**qubits
         for rank in (1, 2, 4):
             ch = random_cptp(len(targets), rank, rng)
+            ks = np.asarray(ch.kraus_ops)
+            if len(targets) < qubits:
+                ks = embed_operator(ks, targets[0], qubits)
             stack = rng.normal(size=(5, D, D)) + 1j * rng.normal(size=(5, D, D))
-            out = apply_channel_to_matrix(ch, stack, targets, qubits)
+            out = kraus_sum(ks, stack)
             assert out.shape == stack.shape
             for M, got in zip(stack, out):
-                assert np.max(np.abs(got - apply_channel_to_matrix(ch, M, targets, qubits))) <= 1e-14
+                assert np.max(np.abs(got - kraus_sum(ks, M))) <= 1e-14
                 assert np.max(np.abs(got - apply_loop(ch, M, targets, qubits))) <= 1e-14
 
     def test_kraus_sum_of_padded_channels(self, rng):
@@ -189,13 +195,9 @@ class TestApplyChannel:
         M = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         chans = [random_cptp(1, rank, rng) for rank in (1, 4, 2, 3)]
         kraus = kraus_array(chans)
-        out = kraus_sum(embed_operator(kraus, [1], 3), M)
+        out = kraus_sum(embed_operator(kraus, 1, 3), M)
         for ch, got in zip(chans, out):
-            assert np.max(np.abs(got - apply_channel_to_matrix(ch, M, [1], 3))) <= 1e-14
-
-    def test_target_mismatch(self, rng):
-        with pytest.raises(UsageError):
-            act(make_channel("dephasing", 0.5), random_density(2, rng), [0, 1])
+            assert np.max(np.abs(got - apply_loop(ch, M, [1], 3))) <= 1e-14
 
 
 class TestValidateChannel:
@@ -300,7 +302,7 @@ class TestComposition:
         ch2 = make_channel("amplitude_damping", 0.3)
         for _ in range(10):
             rho = random_density(1, rng)
-            seq = apply_channel_to_matrix(ch2, act(ch1, rho), [0], 1)
+            seq = kraus_sum(np.asarray(ch2.kraus_ops), act(ch1, rho))
             joint = act(compose(ch1, ch2), rho)
             assert np.max(np.abs(seq - joint)) <= 1e-12
 
@@ -426,6 +428,19 @@ class TestNoiseKernel:
         )
         with pytest.raises(UsageError, match="different dimension"):
             noise_kraus(model, [0.5])
+
+    def test_kraus_budget_checked_before_building(self, monkeypatch):
+        # The budget is worked out from the model: past it nothing is built.
+        monkeypatch.setattr(channels, "_kraus_at", lambda model, ts: "built")
+        twelve = NoiseModel("composite", members=(NoiseModel("depolarizing", tau=1.0),) * 12)
+        want = f"a composite of 12 members has {4**12} Kraus operators per time and needs {2**30} bytes"
+        with pytest.raises(UsageError, match=want):
+            noise_kraus(twelve, [0.5])
+        # composite2 holds 8 operators of 2x2, 512 bytes per time.
+        fits = channels.KRAUS_BYTE_BUDGET // 512
+        assert noise_kraus(KERNEL_MODELS["composite2"], np.zeros(fits)) == "built"
+        with pytest.raises(UsageError, match=f"at {fits + 1} times, over the"):
+            noise_kraus(KERNEL_MODELS["composite2"], np.zeros(fits + 1))
 
     def test_non_tp_stack_rejected_by_closed_form(self):
         good = noise_kraus(KERNEL_MODELS["composite2"], np.linspace(0, 2, 5))

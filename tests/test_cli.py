@@ -13,9 +13,10 @@ from hypothesis.extra import numpy as hnp
 
 from pdmsim import NoiseModel, SweepConfig, SweepRow, emit_svg, find_transition, rows_to_csv, run_sweep
 from pdmsim import build_pdm, classify, state_from_bloch
+from pdmsim import channels
 from pdmsim.serialize import load_json, schedule_from_dict
 from pdmsim.cli import format_matrix_rows, main
-from pdmsim.sweep import CSV_HEADER
+from pdmsim.sweep import CSV_HEADER, MAX_SWEEP_POINTS
 
 from conftest import random_schedule
 
@@ -270,7 +271,22 @@ class TestSweep:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text.replace('"t_max": 1.0', '"t_max": 1e400'))
         assert main(["sweep", str(cfg), "--csv", str(tmp_path / "x.csv")]) == 2
-        assert "t_max must be finite" in capsys.readouterr().err
+        assert "field 't_max' must be a finite number, got inf" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["sweep", "transition"])
+    def test_too_many_points_exit_2(self, tmp_path, capsys, command):
+        cfg = write(tmp_path / "cfg.json", sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 1.0, 2**62))
+        assert main([command, cfg]) == 2
+        assert f"points must be at most {MAX_SWEEP_POINTS}" in capsys.readouterr().err
+
+    def test_composite_over_kraus_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 4^9 operators at each of the scan's 256 times would be ~4.3 GB; nothing may be built.
+        monkeypatch.setattr(channels, "_kraus_at", lambda model, ts: pytest.fail("built past the budget"))
+        doc = sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 1.0, 5)
+        doc["noise"] = {"kind": "composite", "members": [{"kind": "depolarizing", "tau": 1.0}] * 9}
+        assert main(["transition", write(tmp_path / "cfg.json", doc)]) == 2
+        assert "a composite of 9 members" in capsys.readouterr().err
 
 
 class TestTransition:

@@ -90,52 +90,44 @@ class TestKron:
         assert all(np.array_equal(got[t], np.kron(K[t], L[t])) for t in range(5))
 
 
-def permuting_embedding(K, targets, n):
-    """``embed_operator``'s general path: kron with the identity, then move each factor to its qubit."""
-    m = len(targets)
-    full = kron([K, np.eye(2 ** (n - m), dtype=complex)])
-    perm = np.argsort(list(targets) + [q for q in range(n) if q not in targets])
-    lead = K.shape[:-2]
-    b = len(lead)
-    t = full.reshape(lead + (2,) * (2 * n))
-    axes = list(range(b)) + [b + p for p in perm] + [b + n + p for p in perm]
-    return t.transpose(axes).reshape(lead + (2**n, 2**n))
+def kron_embedding(K, q, n):
+    """The reference embedding of one 2x2 operator on qubit q of n: np.kron with identities."""
+    return np.kron(np.eye(2**q), np.kron(K, np.eye(2 ** (n - q - 1))))
 
 
 class TestEmbedOperator:
-    def test_matches_kron_reference(self):
-        assert np.array_equal(embed_operator(X, [1], 2), np.kron(I2, X))
-        # A on qubit 2 and Z on qubit 0 of three.
-        assert np.array_equal(embed_operator(np.kron(Y, Z), [2, 0], 3), kron([Z, I2, Y]))
+    def test_matches_kron_reference(self, rng):
+        # One operator and a (T, 4, 2, 2) Kraus stack on every qubit of 1- to 5-qubit registers.
+        K = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        ks = rng.normal(size=(3, 4, 2, 2)) + 1j * rng.normal(size=(3, 4, 2, 2))
+        for n in range(1, 6):
+            for q in range(n):
+                assert np.array_equal(embed_operator(K, q, n), kron_embedding(K, q, n))
+                out = embed_operator(ks, q, n)
+                assert out.shape == (3, 4, 2**n, 2**n)
+                for idx in np.ndindex(3, 4):
+                    assert np.array_equal(out[idx], kron_embedding(ks[idx], q, n))
 
     @pytest.mark.parametrize("qubits, targets", [(1, [0]), (3, [0, 1, 2]), (2, [1]), (3, [2, 0])])
     def test_stack_matches_per_operator(self, qubits, targets, rng):
-        d = 2 ** len(targets)
-        ks = rng.normal(size=(2, 3, d, d)) + 1j * rng.normal(size=(2, 3, d, d))
-        out = embed_operator(ks, targets, qubits)
-        assert out.shape == (2, 3, 2**qubits, 2**qubits)
-        for idx in np.ndindex(2, 3):
-            assert np.array_equal(out[idx], embed_operator(ks[idx], targets, qubits))
+        # A stack on each target qubit in turn equals its operators embedded one by one.
+        ks = rng.normal(size=(2, 3, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2))
+        for q in targets:
+            out = embed_operator(ks, q, qubits)
+            assert out.shape == (2, 3, 2**qubits, 2**qubits)
+            for idx in np.ndindex(2, 3):
+                assert np.array_equal(out[idx], embed_operator(ks[idx], q, qubits))
 
-    def test_leading_targets_skip_the_permutation(self, rng):
-        # Targets 0..m-1 in order take kron([K, I]) without the permutation;
-        # the result is bit-equal to the permuting path.
-        for n in range(1, 4):
-            for m in range(1, n + 1):
-                d = 2**m
-                K = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
-                want = permuting_embedding(K, list(range(m)), n)
-                assert np.array_equal(embed_operator(K, list(range(m)), n), want)
-                assert np.array_equal(embed_operator(K[0], range(m), n), want[0])
-        # The reference is the general path: it agrees on permuted targets too.
-        K = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.array_equal(embed_operator(K, [2, 0], 3), permuting_embedding(K, [2, 0], 3))
+    def test_qubit_out_of_range(self):
+        for q, n in ((-1, 2), (2, 2), (0, 0)):
+            with pytest.raises(UsageError, match="out of range"):
+                embed_operator(X, q, n)
 
     def test_shape_mismatch(self):
         with pytest.raises(UsageError):
-            embed_operator(np.eye(4), [0], 2)
+            embed_operator(np.eye(4), 0, 2)
         with pytest.raises(UsageError):
-            embed_operator(np.ones(2), [0], 1)
+            embed_operator(np.ones(2), 0, 1)
 
 
 class TestPartialTrace:

@@ -53,7 +53,7 @@ def oracle_branch_list(s, assignment):
             label = assignment[ev.id - 1]
             if label == 0:
                 continue
-            A = embed_operator(PAULIS[label], [ev.qubit], n)
+            A = embed_operator(PAULIS[label], ev.qubit, n)
             P_plus = (np.eye(2**n) + A) / 2.0
             P_minus = (np.eye(2**n) - A) / 2.0
             branches = [
@@ -78,7 +78,7 @@ def expectation_loop(s, assignment):
             label = assignment[ev.id - 1]
             if label == 0:
                 continue
-            A = embed_operator(PAULIS[label], [ev.qubit], n)
+            A = embed_operator(PAULIS[label], ev.qubit, n)
             M = (A @ M + M @ A) / 2.0
         if sl < s.slice_count - 1:
             ch = s.inter_slice_channels[sl] or identity_channel(n)
@@ -174,7 +174,7 @@ class TestExpectationOracle:
             P = _event_projectors(qubit, n)
             assert _event_paulis(qubit, n) is A
             for label in range(4):
-                assert np.array_equal(A[label], embed_operator(PAULIS[label], [qubit], n))
+                assert np.array_equal(A[label], embed_operator(PAULIS[label], qubit, n))
                 assert np.array_equal(P[label, 0] - P[label, 1], A[label])
             # Label 0 splits into (I, 0): the -1 branch is exactly zero.
             assert np.array_equal(P[0, 0], np.eye(2**n)) and not P[0, 1].any()
@@ -350,7 +350,7 @@ class TestPauliLayers:
         for q in range(qubits):
             got = schedule._measure(stack, q, qubits).reshape(40, 4, D, D)
             for label in range(4):
-                A = embed_operator(PAULIS[label], [q], qubits)
+                A = embed_operator(PAULIS[label], q, qubits)
                 want = (A @ stack + stack @ A) / 2.0
                 assert np.max(np.abs(got[:, label] - want)) <= 1e-14
 
@@ -363,7 +363,10 @@ class TestPauliLayers:
         stack = rng.normal(size=(6, D, D)) + 1j * rng.normal(size=(6, D, D))
         got = schedule._readout(stack, listed, qubits)
         for idx, labels in enumerate(itertools.product(range(4), repeat=len(listed))):
-            P = embed_operator(kron([PAULIS[l] for l in labels]), listed, qubits)
+            factors = [I2] * qubits
+            for q, l in zip(listed, labels):
+                factors[q] = PAULIS[l]
+            P = kron(factors)
             want = np.trace(P @ stack, axis1=1, axis2=2)
             assert np.max(np.abs(got[:, idx] - want)) <= 1e-13
 

@@ -167,3 +167,75 @@ def test_sweep_config_parsing():
                 "points": 6,
             }
         )
+
+
+SWEEP_DOC = {
+    "initial_state": {"bloch": [0, 0, 0]},
+    "noise": {"kind": "depolarizing", "tau": 1.0},
+    "t_min": 0.0,
+    "t_max": 5.0,
+    "points": 6,
+}
+
+
+def _gap(**fields):
+    return dict(GOLDEN_DOC, channels=[dict({"kind": "dephasing"}, **fields)])
+
+
+def _state_matrix(entry):
+    # |0><0| with its [0][0] entry replaced.
+    return dict(GOLDEN_DOC, initial_state={"matrix": [[entry, [0, 0]], [[0, 0], [0, 0]]]})
+
+
+@pytest.mark.parametrize(
+    "parse, make, good, bad, named",
+    [
+        (schedule_from_dict, lambda v: _gap(param=v), 0.5, [True, "0.5", math.inf], "'param'"),
+        (schedule_from_dict, lambda v: _gap(tau=1.0, t=v), 0.5, ["0.5", json.loads("Infinity"), False], "'t'"),
+        (schedule_from_dict, lambda v: _gap(tau=v, t=0.5), 1, ["1", True, math.nan], "'tau'"),
+        (schedule_from_dict, lambda v: dict(GOLDEN_DOC, qubits=v), 1.0, ["1", True], "'qubits'"),
+        (
+            schedule_from_dict,
+            lambda v: dict(GOLDEN_DOC, slices=[[{"id": v, "qubit": 0}], [{"id": 2, "qubit": 0}]]),
+            1,
+            ["1", True],
+            "'id'",
+        ),
+        (
+            schedule_from_dict,
+            lambda v: dict(GOLDEN_DOC, slices=[[{"id": 1, "qubit": v}], [{"id": 2, "qubit": 0}]]),
+            0,
+            ["0", False],
+            "'qubit'",
+        ),
+        (
+            schedule_from_dict,
+            lambda v: dict(GOLDEN_DOC, initial_state={"bloch": v}),
+            [0, 0.5, 0],
+            [["0", "0", "1"], [False, False, True]],
+            "'bloch'",
+        ),
+        (schedule_from_dict, _state_matrix, [1, 0], [[True, 0], [1, False], ["1", 0], [10**400, 0]], "'matrix' holds"),
+        (
+            sweep_config_from_dict,
+            lambda v: dict(SWEEP_DOC, initial_state={"bloch": v}),
+            [0, 0, 1.0],
+            [["0", "0", "0"], [0, False, 0]],
+            "'bloch'",
+        ),
+        (sweep_config_from_dict, lambda v: dict(SWEEP_DOC, noise={"kind": "dephasing", "tau": v}), 2, ["1", True], "'tau'"),
+        (sweep_config_from_dict, lambda v: dict(SWEEP_DOC, t_min=v), 1, ["0", False, -math.inf], "'t_min'"),
+        (sweep_config_from_dict, lambda v: dict(SWEEP_DOC, t_max=v), 1, [True, "5", math.inf], "'t_max'"),
+        (sweep_config_from_dict, lambda v: dict(SWEEP_DOC, points=v), 2.0, ["5", True, 5.5], "'points'"),
+    ],
+    ids=[
+        "param", "t", "tau", "qubits", "id", "qubit", "bloch", "matrix",
+        "sweep-bloch", "sweep-tau", "t_min", "t_max", "points",
+    ],
+)
+def test_numeric_fields_take_only_finite_numbers(parse, make, good, bad, named):
+    # A number is a finite JSON number: an int or a float, never a bool or a string.
+    for value in bad:
+        with pytest.raises(UsageError, match=named):
+            parse(make(value))
+    parse(make(good))

@@ -22,7 +22,7 @@ from pdmsim import (
 from pdmsim import sweep
 from pdmsim.causality import haar_unitary
 from pdmsim.linalg import PSD_ATOL
-from pdmsim.sweep import time_grid
+from pdmsim.sweep import MAX_SWEEP_POINTS, time_grid
 
 NOISES = {
     "dephasing": NoiseModel("dephasing", tau=1.1),
@@ -223,21 +223,21 @@ class TestSweepConfigHardening:
     def test_non_finite_times_rejected(self, field):
         doc = config_doc(**json.loads(f'{{"{field}": 1e400}}'))
         assert doc[field] == math.inf  # JSON 1e400 parses to inf
-        with pytest.raises(UsageError, match=f"{field} must be finite"):
+        with pytest.raises(UsageError, match=f"'{field}' must be a finite number"):
             sweep_config_from_dict(doc)
-        with pytest.raises(UsageError, match=f"{field} must be finite"):
+        with pytest.raises(UsageError, match=f"'{field}' must be a finite number"):
             sweep_config_from_dict(config_doc(**{field: float("nan")}))
 
     def test_non_finite_tau_rejected(self):
         for tau in (math.inf, math.nan):
-            with pytest.raises(UsageError, match="finite time constant tau"):
+            with pytest.raises(UsageError, match="'tau' must be a finite number"):
                 sweep_config_from_dict(config_doc(noise={"kind": "dephasing", "tau": tau}))
         members = [{"kind": "dephasing", "tau": 1.0}, {"kind": "depolarizing", "tau": math.inf}]
-        with pytest.raises(UsageError, match="finite time constant tau"):
+        with pytest.raises(UsageError, match="'tau' must be a finite number"):
             sweep_config_from_dict(config_doc(noise={"kind": "composite", "members": members}))
 
     def test_non_numeric_time_rejected(self):
-        with pytest.raises(UsageError, match="'t_max' must be a number"):
+        with pytest.raises(UsageError, match="'t_max' must be a finite number"):
             sweep_config_from_dict(config_doc(t_max=None))
 
     def test_non_numeric_bloch_rejected(self):
@@ -247,9 +247,16 @@ class TestSweepConfigHardening:
 
     def test_points_must_be_integral(self):
         for bad in (2.7, True, "6", None, math.inf):
-            with pytest.raises(UsageError, match="points must be an integer"):
+            with pytest.raises(UsageError, match="'points' must be an integer"):
                 sweep_config_from_dict(config_doc(points=bad))
         assert sweep_config_from_dict(config_doc(points=6.0)).points == 6
+
+    def test_points_capped(self):
+        # Only the config is made: no grid is allocated.
+        assert sweep_config_from_dict(config_doc(points=MAX_SWEEP_POINTS)).points == MAX_SWEEP_POINTS
+        for too_many in (MAX_SWEEP_POINTS + 1, 2**62):
+            with pytest.raises(UsageError, match=f"points must be at most {MAX_SWEEP_POINTS}, got {too_many}"):
+                sweep_config_from_dict(config_doc(points=too_many))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(UsageError, match="'tmax'"):
