@@ -26,6 +26,6 @@ print("causality monotone f_tr = ||R||_tr - 1 =", f_tr(R))
 # Compare with the same two measurements on two *separate* qubits in |00>:
 from pdmsim import DensityState, Event, Schedule
 
-rho = DensityState(np.kron(np.diag([1, 0]), np.diag([1, 0])).astype(complex), 2)
-spacelike = Schedule(2, rho, (Event(1, 0, 0), Event(2, 1, 0)))
+rho = DensityState(np.kron(np.diag([1, 0]), np.diag([1, 0])).astype(complex))
+spacelike = Schedule(rho, (Event(1, 0, 0), Event(2, 1, 0)))
 print("\nspacelike version:", classify(build_pdm(spacelike)).classification)

@@ -28,7 +28,6 @@ from .channels import (
     make_channel,
     noise_kraus,
     state_from_bloch,
-    tp_residual,
     unitary_channel,
 )
 from .errors import InvariantViolation, UsageError
@@ -36,7 +35,6 @@ from .linalg import (
     PAULIS,
     hermitian_eig,
     kron,
-    partial_trace,
 )
 from .schedule import (
     Event,

@@ -113,11 +113,7 @@ def stinespring_channels(gaussians) -> list[KrausChannel]:
     A (K D, D) Gaussian gives a channel of Kraus rank K on log2(D) qubits,
     whose Kraus operators are Q's consecutive D x D row blocks.
     """
-    channels = []
-    for V in qr_isometries(gaussians):
-        d = V.shape[1]  # 2**qubits
-        channels.append(KrausChannel(tuple(V.reshape(-1, d, d)), d.bit_length() - 1))
-    return channels
+    return [KrausChannel(V.reshape(-1, V.shape[1], V.shape[1])) for V in qr_isometries(gaussians)]
 
 
 def cptp_draw(qubits: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,6 +18,8 @@ from .linalg import (
     Z,
     dagger,
     hermitian_eig,
+    qubits_of_dim,
+    read_only,
     require_hermitian_unit_trace,
 )
 
@@ -31,21 +33,23 @@ KRAUS_BYTE_BUDGET = 32 * 2**20
 
 @dataclass(frozen=True)
 class DensityState:
-    """A validated n-qubit density matrix."""
+    """A validated n-qubit density matrix, held as a read-only copy; n is read from its dimension."""
 
     matrix: np.ndarray
-    qubit_count: int
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=complex)
-        d = 2**self.qubit_count
-        if M.shape != (d, d):
-            raise InvariantViolation(f"state shape {M.shape} does not match {self.qubit_count} qubits")
+        M = read_only(np.array(self.matrix, dtype=complex))
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or not qubits_of_dim(len(M)):
+            raise InvariantViolation(f"state shape {M.shape} is not 2^n x 2^n for any n >= 1")
         require_hermitian_unit_trace(M, "density matrix")
         w = hermitian_eig(M)
         if w[0] < -PSD_ATOL:
             raise InvariantViolation(f"density matrix has eigenvalue {w[0]:.3e} < -{PSD_ATOL}")
         object.__setattr__(self, "matrix", M)
+
+    @property
+    def qubit_count(self) -> int:
+        return qubits_of_dim(len(self.matrix))
 
 
 def state_from_bloch(r) -> DensityState:
@@ -57,7 +61,7 @@ def state_from_bloch(r) -> DensityState:
         raise UsageError(f"Bloch vector components must be finite, got {r.tolist()}")
     if np.linalg.norm(r) > 1 + 1e-12:
         raise UsageError(f"Bloch vector norm {np.linalg.norm(r):.6f} exceeds 1")
-    return DensityState(bloch_matrix(r), 1)
+    return DensityState(bloch_matrix(r))
 
 
 def bloch_matrix(r) -> np.ndarray:
@@ -67,51 +71,52 @@ def bloch_matrix(r) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A CPTP map given by its Kraus operators, all acting on ``acts_on`` qubits."""
+    """A map given by its Kraus operators, held as a read-only (K, d, d) copy, on log2(d) qubits.
 
-    kraus_ops: tuple
-    acts_on: int = 1
+    Completely positive by construction; ``tp_residual`` measures trace preservation.
+    """
+
+    kraus_ops: np.ndarray
 
     def __post_init__(self):
-        if len(self.kraus_ops) == 0:
-            raise UsageError("a channel needs at least one Kraus operator")
-        d = 2**self.acts_on
-        ops = tuple(np.asarray(K, dtype=complex) for K in self.kraus_ops)
-        for K in ops:
-            if K.shape != (d, d):
-                raise UsageError(f"Kraus operator shape {K.shape} does not act on {self.acts_on} qubits")
-        object.__setattr__(self, "kraus_ops", ops)
+        try:
+            ks = read_only(np.array(self.kraus_ops, dtype=complex))
+        except (TypeError, ValueError):
+            raise UsageError("Kraus operators must be square matrices of one shape") from None
+        if ks.ndim != 3 or len(ks) == 0 or ks.shape[1] != ks.shape[2] or not qubits_of_dim(ks.shape[1]):
+            raise UsageError(
+                f"Kraus operators must form a (K, d, d) array with K >= 1 and d a power of two >= 2, "
+                f"got shape {ks.shape}"
+            )
+        object.__setattr__(self, "kraus_ops", ks)
 
     @property
-    def dim(self) -> int:
-        return 2**self.acts_on
+    def qubits(self) -> int:
+        return qubits_of_dim(self.kraus_ops.shape[-1])
 
     @functools.cached_property
-    def _tp_residual(self) -> float:
-        ks = np.asarray(self.kraus_ops)
+    def tp_residual(self) -> float:
+        """Trace-preservation residual max|sum_k K_k^dag K_k - I|.
+
+        Computed once per channel and kept on it, so a unitary gap checked by
+        ``unitary_channel`` and again by its ``Schedule`` costs one computation.
+        """
+        ks = self.kraus_ops
         acc = np.einsum("kba,kbc->ac", ks.conj(), ks)
-        return float(np.max(np.abs(acc - np.eye(self.dim))))
+        return float(np.max(np.abs(acc - np.eye(ks.shape[-1]))))
 
 
 def identity_channel(qubit_count: int = 1) -> KrausChannel:
-    return KrausChannel((np.eye(2**qubit_count, dtype=complex),), qubit_count)
-
-
-def _require_unitary(U: np.ndarray) -> KrausChannel:
-    """The one-Kraus channel (U,); U is unitary exactly when that channel is trace preserving."""
-    ch = KrausChannel((U,), _qubits(U.shape[0]))
-    # Written to fail on NaN, which every comparison loses.
-    if not tp_residual(ch) <= TP_ATOL:
-        raise UsageError("matrix is not unitary")
-    return ch
-
-
-def _qubits(d: int) -> int:
-    return int(round(math.log2(d)))
+    return KrausChannel(np.eye(2**qubit_count, dtype=complex)[None])
 
 
 def unitary_channel(U: np.ndarray) -> KrausChannel:
-    return _require_unitary(np.asarray(U, dtype=complex))
+    """The one-Kraus channel U; U is unitary exactly when that channel is trace preserving."""
+    ch = KrausChannel(np.asarray(U, dtype=complex)[None])
+    # Written to fail on NaN, which every comparison loses.
+    if not ch.tp_residual <= TP_ATOL:
+        raise UsageError("matrix is not unitary")
+    return ch
 
 
 def _family_kraus(kind: str, s: np.ndarray) -> np.ndarray:
@@ -148,15 +153,14 @@ def make_channel(kind: str, param: float) -> KrausChannel:
     """
     if not (0.0 <= param <= 1.0):
         raise UsageError(f"{kind} parameter must be in [0, 1], got {param}")
-    return KrausChannel(tuple(_family_kraus(kind, np.array([param], dtype=float))[0]), 1)
+    return KrausChannel(_family_kraus(kind, np.array([param], dtype=float))[0])
 
 
 def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
     """Channel applying ``first`` and then ``then`` (pairwise Kraus products)."""
-    if first.acts_on != then.acts_on:
+    if first.qubits != then.qubits:
         raise UsageError("cannot compose channels of different dimension")
-    ops = tuple(B @ A for B in then.kraus_ops for A in first.kraus_ops)
-    return KrausChannel(ops, first.acts_on)
+    return KrausChannel(np.array([B @ A for B in then.kraus_ops for A in first.kraus_ops]))
 
 
 def kraus_sum(E: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -194,22 +198,13 @@ def kraus_array(channels) -> np.ndarray:
     chans = list(channels)
     if not chans:
         raise UsageError("kraus_array needs at least one channel")
-    d = chans[0].dim
-    if any(ch.dim != d for ch in chans):
+    d = chans[0].kraus_ops.shape[-1]
+    if any(ch.kraus_ops.shape[-1] != d for ch in chans):
         raise UsageError("kraus_array needs channels of one dimension")
     ks = np.zeros((len(chans), max(len(ch.kraus_ops) for ch in chans), d, d), dtype=complex)
     for row, ch in zip(ks, chans):
         row[: len(ch.kraus_ops)] = ch.kraus_ops
     return ks
-
-
-def tp_residual(ch: KrausChannel) -> float:
-    """Trace-preservation residual max|sum_k K_k^dag K_k - I|.
-
-    Computed once per channel and kept on it, so a unitary gap checked by
-    ``unitary_channel`` and again by its ``Schedule`` costs one computation.
-    """
-    return ch._tp_residual
 
 
 @dataclass(frozen=True)
@@ -286,8 +281,7 @@ def _kraus_shape(model: NoiseModel) -> tuple[int, int]:
 
 def _kraus_at(model: NoiseModel, ts: np.ndarray) -> np.ndarray:
     if model.kind == "unitary":
-        U = np.asarray(model.unitary, dtype=complex)
-        _require_unitary(U)
+        U = unitary_channel(model.unitary).kraus_ops[0]
         return np.where((ts == 0)[:, None, None, None], np.eye(len(U)), U)
     if model.kind == "composite":
         ks = _kraus_at(model.members[0], ts)
@@ -319,5 +313,4 @@ def _kraus_products(then: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 def channel_at_time(model: NoiseModel, t: float) -> KrausChannel:
     """Snapshot the noise model at waiting time t (seconds): ``noise_kraus`` at one time."""
-    ops = noise_kraus(model, [t])[0]
-    return KrausChannel(tuple(ops), _qubits(ops.shape[-1]))
+    return KrausChannel(noise_kraus(model, [t])[0])

@@ -124,12 +124,20 @@ def _build_report(path: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to the file at path; a failed write is a ``UsageError``, as a read is in ``load_json``."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
 def cmd_build(args) -> int:
     report = _build_report(args.schedule)
     sys.stdout.write(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
+        _write_text(args.out, report)
     return EXIT_OK
 
 
@@ -139,12 +147,10 @@ def cmd_sweep(args) -> int:
     if not csv_path:
         raise UsageError("no CSV output path given (use --csv or the config's 'csv' field)")
     rows = run_sweep(cfg)
-    with open(csv_path, "w") as fh:
-        fh.write(rows_to_csv(rows))
+    _write_text(csv_path, rows_to_csv(rows))
     svg_path = args.svg or cfg.svg_path
     if svg_path:
-        with open(svg_path, "w") as fh:
-            fh.write(emit_svg(rows))
+        _write_text(svg_path, emit_svg(rows))
     sys.stdout.write(f"wrote {len(rows)} rows to {csv_path}\n")
     return EXIT_OK
 

@@ -8,7 +8,7 @@ index, i.e. basis states are |b1 b2 ... bn> with b1 the high bit.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,39 +83,19 @@ def require_hermitian_unit_trace(M: np.ndarray, name: str) -> None:
     raise InvariantViolation(f"{what} {problem}")
 
 
+def qubits_of_dim(d: int) -> int | None:
+    """n with 2^n = d, or None when d is not a power of two.
+
+    The one map from a dimension to a qubit count. It never computes 2^n, so
+    a caller may compare the result with a count read from a file, however large.
+    """
+    return d.bit_length() - 1 if d >= 1 and d & (d - 1) == 0 else None
+
+
 def chunk_slices(count: int, item_size: int, budget: int) -> list[slice]:
     """Slices that cover ``range(count)`` in order, ``max(1, budget // item_size)`` items each."""
     size = max(1, budget // item_size)
     return [slice(lo, lo + size) for lo in range(0, count, size)]
-
-
-def partial_trace(M: np.ndarray, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Trace out the factors not listed in ``keep``.
-
-    Parameters
-    ----------
-    M : square array whose dimension is the product of ``factor_dims``.
-    factor_dims : dimension of each tensor factor, in order.
-    keep : indices of the factors to keep; their relative order is preserved.
-
-    The trace of the result equals the trace of ``M``.
-    """
-    M = np.asarray(M, dtype=complex)
-    dims = list(factor_dims)
-    d = int(np.prod(dims))
-    if M.shape != (d, d):
-        raise UsageError(f"matrix shape {M.shape} does not match factor dims {dims}")
-    keep = sorted(set(keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise UsageError(f"keep indices {keep} out of range for {len(dims)} factors")
-    n = len(dims)
-    t = M.reshape(dims + dims)
-    # Trace out dropped factors from highest index down so axis numbers stay valid.
-    dropped = [i for i in range(n) if i not in keep]
-    for i in sorted(dropped, reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
-    dk = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(dk, dk)
 
 
 def hermitian_eig(M: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from .channels import (
     identity_channel,
     kraus_array,
     kraus_sum,
-    tp_residual,
 )
 from .errors import InvariantViolation, UsageError
 from .linalg import (
@@ -33,7 +32,6 @@ from .linalg import (
     dagger,
     embed_operator,
     kron,
-    partial_trace,
     read_only,
     require_hermitian_unit_trace,
 )
@@ -166,7 +164,11 @@ class Event:
 
 @dataclass(frozen=True)
 class Schedule:
-    qubit_count: int
+    """An initial state, measurement events in time slices, and a channel (or None) in each gap.
+
+    The register is the initial state's: ``qubit_count`` is read from it.
+    """
+
     initial_state: DensityState
     events: tuple
     inter_slice_channels: tuple = ()
@@ -176,8 +178,6 @@ class Schedule:
         object.__setattr__(self, "events", events)
         if not events:
             raise UsageError("a schedule needs at least one event")
-        if self.initial_state.qubit_count != self.qubit_count:
-            raise UsageError("initial state does not match qubit count")
         ids = sorted(e.id for e in events)
         if ids != list(range(1, len(events) + 1)):
             raise UsageError(f"event ids must be contiguous 1..n, got {ids}")
@@ -205,10 +205,14 @@ class Schedule:
         for gap, ch in enumerate(channels):
             if ch is None:
                 continue
-            if ch.acts_on != self.qubit_count:
+            if ch.qubits != self.qubit_count:
                 raise UsageError("inter-slice channel dimension does not match system")
-            _require_trace_preserving(gap, tp_residual(ch))
+            _require_trace_preserving(gap, ch.tp_residual)
         object.__setattr__(self, "inter_slice_channels", channels)
+
+    @property
+    def qubit_count(self) -> int:
+        return self.initial_state.qubit_count
 
     @property
     def event_count(self) -> int:
@@ -235,8 +239,9 @@ def _require_trace_preserving(gap: int, residual: float) -> None:
 
 def two_event_schedule(initial: DensityState, channel: KrausChannel | None) -> Schedule:
     """Two consecutive measurement events on one qubit with a channel in the gap."""
+    if initial.qubit_count != 1:
+        raise UsageError(f"a two-event schedule needs a 1-qubit initial state, got {initial.qubit_count}")
     return Schedule(
-        qubit_count=1,
         initial_state=initial,
         events=(Event(1, 0, 0), Event(2, 0, 1)),
         inter_slice_channels=(channel,),
@@ -257,8 +262,8 @@ def two_event_pdm_stack(initial, channels) -> np.ndarray:
     if not chans:
         raise UsageError("the two-event closed form needs at least one channel")
     for k, ch in enumerate(chans):
-        if ch.acts_on != 1:
-            raise UsageError(f"gap channel {k} acts on {ch.acts_on} qubits, not 1")
+        if ch.qubits != 1:
+            raise UsageError(f"gap channel {k} acts on {ch.qubits} qubits, not 1")
     return two_event_pdm_from_choi(initial, choi_stack(kraus_array(chans)))
 
 
@@ -321,7 +326,7 @@ def expectations(s: Schedule, assignments) -> np.ndarray:
                 A = _event_paulis(ev.qubit, n)[column]
                 M = (A @ M + M @ A) / 2.0
         if ch is not None:
-            M = kraus_sum(np.asarray(ch.kraus_ops), M)
+            M = kraus_sum(ch.kraus_ops, M)
     return np.trace(M, axis1=1, axis2=2).real
 
 
@@ -373,7 +378,7 @@ def _oracle_chunk(s: Schedule, labels: np.ndarray) -> np.ndarray:
             branches = (pair @ branches[:, :, None] @ pair).reshape(P, -1, D, D)
             signs = (signs[:, :, None] * _OUTCOMES).reshape(P, -1)
         if ch is not None:
-            branches = kraus_sum(np.asarray(ch.kraus_ops), branches)
+            branches = kraus_sum(ch.kraus_ops, branches)
     return np.einsum("pb,pb->p", signs, np.trace(branches, axis1=2, axis2=3).real)
 
 
@@ -387,30 +392,28 @@ class PseudoDensityMatrix:
     """Hermitian unit-trace (possibly non-PSD) matrix over the event tensor space.
 
     ``coefficients`` stores the raw expectation of every Pauli assignment,
-    flat-indexed base 4 with event 1 the most significant digit; the 1/2^n
-    normalization lives only in the assembled matrix.
+    flat-indexed base 4 with event 1 the most significant digit, as a
+    read-only copy. The read-only matrix R = sum_l c_l P_l / 2^n is assembled
+    from them (``_assemble``); it is derived, not a field.
     """
 
-    matrix: np.ndarray
     events: tuple
     coefficients: np.ndarray
 
     def __post_init__(self):
         n = len(self.events)
-        M = np.asarray(self.matrix, dtype=complex)
-        c = np.asarray(self.coefficients, dtype=float)
-        if M.shape != (2**n, 2**n):
-            raise InvariantViolation(f"PDM shape {M.shape} does not match {n} events")
+        c = read_only(np.array(self.coefficients, dtype=float))
         if c.shape != (4**n,):
             raise InvariantViolation(f"expected {4**n} coefficients, got {c.shape}")
         # Every check is written to pass only on a number, so a NaN fails it.
-        require_hermitian_unit_trace(M, "PDM")
         if not np.max(np.abs(c)) <= 1 + 1e-12:
             raise InvariantViolation("a stored expectation lies outside [-1, 1]")
         if not abs(c[0] - 1.0) <= 1e-12:
             raise InvariantViolation("all-identity expectation must be 1")
-        object.__setattr__(self, "matrix", M)
+        R = _assemble(c.reshape((4,) * n))
+        require_hermitian_unit_trace(R, "PDM")
         object.__setattr__(self, "coefficients", c)
+        object.__setattr__(self, "matrix", read_only(R))
 
     @property
     def event_count(self) -> int:
@@ -467,7 +470,7 @@ def _apply_gap(stack: np.ndarray, ch: KrausChannel) -> np.ndarray:
     overwritten.
     """
     B, D = stack.shape[0], stack.shape[-1]
-    ks = np.asarray(ch.kraus_ops)
+    ks = ch.kraus_ops
     if B >= D * D and D**4 <= _SINGLE_THREAD_MACS // 8 and D < 8 * len(ks):
         # Row-major vec: vec(sum_k K M K^dag) = vec(M) @ S with S[(b,c),(a,d)] =
         # sum_k K[a,b] conj(K[d,c]), the Choi matrix with its two middle indices swapped.
@@ -525,16 +528,18 @@ def _readout(stack: np.ndarray, qubits: list, qubit_count: int) -> np.ndarray:
 
 
 def _assemble(coeffs: np.ndarray) -> np.ndarray:
-    """sum_l c_l (P_l1 (x) ... (x) P_ln) for a coefficient tensor of shape (4,)*n.
+    """sum_l c_l (P_l1 (x) ... (x) P_ln) / 2^n for a coefficient tensor of shape (4,)*n.
 
     ``_map_axes`` takes each event's label to its (row, column) entry with
-    the Pauli map, so the axes become (row_1, col_1, ..., row_n, col_n).
+    the Pauli map, so the axes become (row_1, col_1, ..., row_n, col_n). The
+    sum is then made exactly Hermitian, (A + A^dag)/2, to remove rounding dust.
     """
     n = coeffs.ndim
     t = _map_axes(coeffs, n, _PAULI_MAP)
     # Move the rows first.
     t = t.reshape((2,) * (2 * n)).transpose(np.arange(2 * n).reshape(n, 2).T.reshape(-1))
-    return t.reshape(2**n, 2**n)
+    A = t.reshape(2**n, 2**n)
+    return (A + A.conj().T) * (0.5 / 2**n)
 
 
 def build_pdm(s: Schedule) -> PseudoDensityMatrix:
@@ -568,18 +573,16 @@ def build_pdm(s: Schedule) -> PseudoDensityMatrix:
     coeffs = _readout(stack, [ev.qubit for ev in last], q).real
     order += [ev.id - 1 for ev in last]
     coeffs = coeffs.reshape((4,) * n).transpose(np.argsort(order))
-    R = _assemble(coeffs)
-    R += R.conj().T  # symmetrize away rounding dust
-    R *= 0.5 / 2**n
     events = tuple(sorted(s.events, key=lambda ev: ev.id))
-    return PseudoDensityMatrix(R, events, coeffs.reshape(-1))
+    return PseudoDensityMatrix(events, coeffs.reshape(-1))
 
 
 def reduce_pdm(R: PseudoDensityMatrix, keep) -> PseudoDensityMatrix:
     """Partial trace over the dropped event factors.
 
-    ``keep`` is a set of event ids. The reduced PDM's expectations equal the
-    parent's with the dropped events set to identity; kept events are
+    ``keep`` is a set of event ids. The reduced PDM's expectations are the
+    parent's with the dropped events set to identity, and its matrix is
+    assembled from them, which is the partial trace; kept events are
     renumbered 1..k in their original order.
     """
     keep_ids = sorted(set(keep))
@@ -589,7 +592,6 @@ def reduce_pdm(R: PseudoDensityMatrix, keep) -> PseudoDensityMatrix:
     if any(i < 1 or i > n for i in keep_ids):
         raise UsageError(f"keep ids {keep_ids} out of range 1..{n}")
     positions = [i - 1 for i in keep_ids]
-    M = partial_trace(R.matrix, [2] * n, positions)
     # Dropped events take the identity label 0.
     keep_axes = tuple(slice(None) if i in positions else 0 for i in range(n))
     coeffs = R.coefficients.reshape((4,) * n)[keep_axes].reshape(-1)
@@ -597,7 +599,7 @@ def reduce_pdm(R: PseudoDensityMatrix, keep) -> PseudoDensityMatrix:
         Event(i + 1, R.events[pos].qubit, R.events[pos].slice_index)
         for i, pos in enumerate(positions)
     )
-    return PseudoDensityMatrix(M, events, coeffs)
+    return PseudoDensityMatrix(events, coeffs)
 
 
 def ancilla_expectations(s: Schedule, assignments) -> np.ndarray:
@@ -621,7 +623,7 @@ def ancilla_expectations(s: Schedule, assignments) -> np.ndarray:
         block = _COPY_BLOCKS[labels[:, ev.id - 1]]
         rho = block @ rho @ dagger(block)
         if sl == 0 and ch is not None:
-            rho = kraus_sum(kron([np.asarray(ch.kraus_ops), I2]), rho)
+            rho = kraus_sum(kron([ch.kraus_ops, I2]), rho)
     return np.trace(_ANCILLA_Z @ rho, axis1=1, axis2=2).real
 
 

@@ -24,6 +24,7 @@ from .channels import (
     unitary_channel,
 )
 from .errors import UsageError
+from .linalg import qubits_of_dim
 from .schedule import Event, Schedule
 from .sweep import SweepConfig
 
@@ -134,9 +135,9 @@ def parse_initial_state(doc, qubits: int) -> tuple[DensityState, dict]:
     if isinstance(doc, dict) and "matrix" in doc:
         _reject_unknown(doc, ("matrix",), "initial_state")
         M = _matrix_field(doc, "initial_state")
-        if M.shape[0] != 2**qubits:
-            raise UsageError(f"initial state dim {M.shape[0]} does not match {qubits} qubits")
-        return DensityState(M, qubits), {"matrix": M}
+        if qubits_of_dim(len(M)) != qubits:
+            raise UsageError(f"initial state dim {len(M)} does not match {qubits} qubits")
+        return DensityState(M), {"matrix": M}
     raise UsageError("initial_state must carry either 'bloch' or 'matrix'")
 
 
@@ -169,7 +170,7 @@ def parse_channel_descriptor(doc, qubits: int) -> tuple[KrausChannel | None, dic
     if kind == "unitary":
         _reject_unknown(doc, ("kind", "matrix"), "unitary descriptor")
         U = _matrix_field(doc, "unitary descriptor")
-        if U.shape[0] != 2**qubits:
+        if qubits_of_dim(len(U)) != qubits:
             raise UsageError("unitary dimension does not match the system")
         return unitary_channel(U), {"kind": "unitary", "matrix": U}
     raise UsageError(f"unknown channel kind {kind!r}")
@@ -227,7 +228,7 @@ def _parse_schedule(doc: dict) -> tuple[Schedule, dict]:
         ch, canon = parse_channel_descriptor(ch_doc, qubits)
         channels.append(ch)
         canon_channels.append(canon)
-    schedule = Schedule(qubits, state, tuple(events), tuple(channels))
+    schedule = Schedule(state, tuple(events), tuple(channels))
     return schedule, {
         "qubits": qubits,
         "initial_state": state_doc,

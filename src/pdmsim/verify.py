@@ -73,13 +73,12 @@ def random_bloch(rng: np.random.Generator) -> np.ndarray:
 
 def _product_state(blochs) -> DensityState:
     """Product of single-qubit states from their Bloch vectors, validated once as a whole."""
-    return DensityState(kron([bloch_matrix(r) for r in blochs]), len(blochs))
+    return DensityState(kron([bloch_matrix(r) for r in blochs]))
 
 
 class _ScheduleDraw(NamedTuple):
-    """What a random schedule draws, before any matrix is built from it."""
+    """What a random schedule draws, before any matrix is built from it; one Bloch vector per qubit."""
 
-    qubits: int
     events: tuple
     #: One ``cptp_draw`` per gap channel.
     gaussians: list
@@ -101,14 +100,14 @@ def draw_schedule(rng: np.random.Generator, max_events: int) -> _ScheduleDraw:
         events.append(Event(eid, q, slice_index))
     gaussians = [cptp_draw(qubits, rng) for _ in range(slice_index)]
     blochs = [random_bloch(rng) for _ in range(qubits)]
-    return _ScheduleDraw(qubits, tuple(events), gaussians, blochs)
+    return _ScheduleDraw(tuple(events), gaussians, blochs)
 
 
 def build_schedules(draws) -> list[Schedule]:
     """The schedules of a list of draws, their gap channels from one QR per Gaussian shape."""
     channels = iter(stinespring_channels([G for d in draws for G in d.gaussians]))
     return [
-        Schedule(d.qubits, _product_state(d.blochs), d.events, tuple(next(channels) for _ in d.gaussians))
+        Schedule(_product_state(d.blochs), d.events, tuple(next(channels) for _ in d.gaussians))
         for d in draws
     ]
 

@@ -17,14 +17,14 @@ def random_density(qubits, rng):
     d = 2**qubits
     G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     M = G @ G.conj().T
-    return DensityState(M / np.trace(M).real, qubits)
+    return DensityState(M / np.trace(M).real)
 
 
 def random_pure(qubits, rng):
     d = 2**qubits
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     v /= np.linalg.norm(v)
-    return DensityState(np.outer(v, v.conj()), qubits)
+    return DensityState(np.outer(v, v.conj()))
 
 
 def random_cptp(qubits, kraus_rank, rng):

@@ -84,7 +84,7 @@ def test_criterion_3_spacelike_reduction():
         qubits = int(rng.integers(2, 4))
         rho = random_density(qubits, rng)
         events = tuple(Event(q + 1, q, 0) for q in range(qubits))
-        R = build_pdm(Schedule(qubits, rho, events))
+        R = build_pdm(Schedule(rho, events))
         worst = max(worst, float(np.max(np.abs(R.matrix - rho.matrix))))
         rep = classify(R)
         assert rep.classification == "spacelike_compatible"

@@ -88,7 +88,7 @@ def local_monotonicity_loop(R, trials, seed):
         rng = np.random.default_rng(seed + k)
         ch = random_cptp(1, int(rng.integers(1, 5)), rng)
         factor = int(rng.integers(0, R.event_count))
-        out = kraus_sum(embed_operator(np.asarray(ch.kraus_ops), factor, R.event_count), R.matrix)
+        out = kraus_sum(embed_operator(ch.kraus_ops, factor, R.event_count), R.matrix)
         worst = max(worst, float(_f_tr_matrix(out)) - base)
     return max(0.0, worst)
 
@@ -119,7 +119,7 @@ def convexity_loop(seed, trials):
 class TestFtr:
     def test_zero_for_density_matrices(self, rng):
         rho = random_density(2, rng)
-        s = Schedule(2, rho, (Event(1, 0, 0), Event(2, 1, 0)))
+        s = Schedule(rho, (Event(1, 0, 0), Event(2, 1, 0)))
         assert f_tr(build_pdm(s)) == pytest.approx(0.0, abs=1e-12)
 
     def test_golden_is_one(self):
@@ -141,7 +141,7 @@ class TestClassify:
 
     def test_single_slice_spacelike(self, rng):
         rho = random_density(2, rng)
-        s = Schedule(2, rho, (Event(1, 0, 0), Event(2, 1, 0)))
+        s = Schedule(rho, (Event(1, 0, 0), Event(2, 1, 0)))
         assert classify(build_pdm(s)).classification == "spacelike_compatible"
 
     def test_weak_dephasing_still_causal(self):
@@ -415,7 +415,7 @@ class TestStackedQR:
             D = 2**qubits
             Q, _ = np.linalg.qr(b.normal(size=(D * rank, D)) + 1j * b.normal(size=(D * rank, D)))
             ch = random_cptp(qubits, rank, a)
-            assert ch.acts_on == qubits and len(ch.kraus_ops) == rank
+            assert ch.qubits == qubits and len(ch.kraus_ops) == rank
             assert all(np.array_equal(K, Q[k * D : (k + 1) * D]) for k, K in enumerate(ch.kraus_ops))
             assert a.normal() == b.normal()
 
@@ -486,7 +486,7 @@ class TestPauliChannelSpectrum:
             axis=1,
         )
         rho = state_from_bloch([0, 0, 0])
-        channels = [KrausChannel(tuple(np.sqrt(w)[:, None, None] * np.stack(PAULIS)), 1) for w in p]
+        channels = [KrausChannel(np.sqrt(w)[:, None, None] * np.stack(PAULIS)) for w in p]
         stack = two_event_pdm_stack(rho, channels)
         built = np.stack([build_pdm(two_event_schedule(rho, ch)).matrix for ch in channels])
         for R in (stack, built):

@@ -8,6 +8,7 @@ from pdmsim import (
     KrausChannel,
     NoiseModel,
     UsageError,
+    build_pdm,
     channel_at_time,
     choi_stack,
     compose,
@@ -16,7 +17,8 @@ from pdmsim import (
     make_channel,
     noise_kraus,
     state_from_bloch,
-    tp_residual,
+    two_event_schedule,
+    unitary_channel,
 )
 from pdmsim import channels
 from pdmsim.causality import haar_unitary
@@ -27,6 +29,7 @@ from pdmsim.channels import (
 )
 from pdmsim.linalg import I2, X, Y, Z, embed_operator
 from pdmsim.schedule import two_event_pdm_from_choi
+from pdmsim.verify import GOLDEN_TWO_EVENT
 
 from conftest import random_cptp, random_density
 
@@ -37,13 +40,13 @@ def bloch_of(M):
 
 def act(ch, rho, qubit=None):
     """The channel's action on a state's matrix: on the whole register, or on one qubit of it."""
-    ks = np.asarray(ch.kraus_ops)
+    ks = ch.kraus_ops
     return kraus_sum(ks if qubit is None else embed_operator(ks, qubit, rho.qubit_count), rho.matrix)
 
 
 def dephasing_about(axis, g):
     """Dephasing that keeps the Bloch component along a Pauli axis and shrinks the other two by g."""
-    return KrausChannel((math.sqrt((1 + g) / 2) * I2, math.sqrt((1 - g) / 2) * axis), 1)
+    return KrausChannel([math.sqrt((1 + g) / 2) * I2, math.sqrt((1 - g) / 2) * axis])
 
 
 def choi_of(ch):
@@ -53,7 +56,7 @@ def choi_of(ch):
 
 def choi_loop(ch):
     """Reference Choi matrix: sum_ij |i><j| (x) E(|i><j|), one basis operator at a time."""
-    d = ch.dim
+    d = ch.kraus_ops.shape[-1]
     C = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
@@ -96,14 +99,70 @@ class TestStateFromBloch:
 
     def test_density_state_invariants_enforced(self):
         with pytest.raises(InvariantViolation):
-            DensityState(np.diag([0.5, 0.6]).astype(complex), 1)
+            DensityState(np.diag([0.5, 0.6]).astype(complex))
         with pytest.raises(InvariantViolation):
-            DensityState(np.diag([1.5, -0.5]).astype(complex), 1)
+            DensityState(np.diag([1.5, -0.5]).astype(complex))
 
     def test_nan_density_state_is_an_invariant_violation(self):
         for M in (np.full((2, 2), np.nan), np.diag([np.nan, 0.5])):
             with pytest.raises(InvariantViolation, match="not Hermitian"):
-                DensityState(M.astype(complex), 1)
+                DensityState(M.astype(complex))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 1), (2, 4), (4,), (1, 2, 2), (6, 6)])
+    def test_density_state_needs_a_qubit_register(self, shape):
+        M = np.zeros(shape, dtype=complex)
+        M.flat[0] = 1.0
+        with pytest.raises(InvariantViolation, match="is not 2\\^n x 2\\^n"):
+            DensityState(M)
+
+    def test_density_state_holds_a_read_only_copy(self, rng):
+        for qubits in (1, 2, 3):
+            M = random_density(qubits, rng).matrix.copy()
+            rho = DensityState(M)
+            assert rho.qubit_count == qubits
+            M[0, 0] = 3
+            assert rho.matrix[0, 0] != 3 and not rho.matrix.flags.writeable
+
+
+class TestKrausChannel:
+    def test_holds_a_read_only_copy(self):
+        # The channel once shared memory with U, and its residual was cached:
+        # a later write to U changed the channel but not its checked residual.
+        U = np.eye(2, dtype=complex)
+        ch = unitary_channel(U)
+        U[0, 0] = 3
+        assert np.array_equal(ch.kraus_ops, np.eye(2)[None]) and ch.tp_residual == 0.0
+        assert not ch.kraus_ops.flags.writeable
+        with pytest.raises(ValueError):
+            ch.kraus_ops[0, 0, 0] = 3
+        R = build_pdm(two_event_schedule(state_from_bloch([0, 0, 1]), ch))
+        assert np.max(np.abs(R.matrix - GOLDEN_TWO_EVENT)) <= 1e-12
+
+    def test_residual_is_of_the_copy(self):
+        ks = np.stack([I2, X]) / math.sqrt(2)
+        ch = KrausChannel(ks)
+        ks *= 2
+        assert ch.tp_residual <= 1e-15
+        assert np.array_equal(ch.kraus_ops * 2, ks)
+
+    def test_qubits_read_from_the_dimension(self, rng):
+        for qubits in (1, 2, 3):
+            ch = random_cptp(qubits, 2, rng)
+            assert ch.qubits == qubits and ch.kraus_ops.shape == (2, 2**qubits, 2**qubits)
+        assert identity_channel(2).qubits == 2
+
+    @pytest.mark.parametrize(
+        "ops",
+        [[], np.eye(2), [np.eye(3)], [np.eye(1)], [np.eye(6)], np.ones((1, 2, 4)), [I2, np.eye(4)], [["a"]]],
+    )
+    def test_rejects_what_is_not_a_kraus_stack(self, ops):
+        with pytest.raises(UsageError, match="Kraus operators must"):
+            KrausChannel(ops)
+
+    def test_non_unitary_shapes_rejected(self):
+        for U in (np.eye(3), np.ones((2, 4)), np.ones(2)):
+            with pytest.raises(UsageError):
+                unitary_channel(U)
 
 
 class TestMakeChannel:
@@ -135,7 +194,7 @@ class TestMakeChannel:
     def test_all_standard_channels_valid(self):
         for kind in ("dephasing", "depolarizing", "amplitude_damping"):
             for p in (0.0, 0.25, 0.99, 1.0):
-                assert tp_residual(make_channel(kind, p)) <= TP_ATOL
+                assert make_channel(kind, p).tp_residual <= TP_ATOL
 
     def test_out_of_range(self):
         with pytest.raises(UsageError):
@@ -158,7 +217,7 @@ class TestApplyChannel:
         # Noise on qubit 1 of a product state leaves qubit 0 untouched.
         a = state_from_bloch([0.3, 0.2, 0.4])
         b = state_from_bloch([0, 0, 0.9])
-        rho = DensityState(np.kron(a.matrix, b.matrix), 2)
+        rho = DensityState(np.kron(a.matrix, b.matrix))
         out = act(make_channel("depolarizing", 0.5), rho, 1)
         b_out = act(make_channel("depolarizing", 0.5), b)
         assert np.allclose(out, np.kron(a.matrix, b_out), atol=1e-13)
@@ -180,7 +239,7 @@ class TestApplyChannel:
         D = 2**qubits
         for rank in (1, 2, 4):
             ch = random_cptp(len(targets), rank, rng)
-            ks = np.asarray(ch.kraus_ops)
+            ks = ch.kraus_ops
             if len(targets) < qubits:
                 ks = embed_operator(ks, targets[0], qubits)
             stack = rng.normal(size=(5, D, D)) + 1j * rng.normal(size=(5, D, D))
@@ -202,11 +261,11 @@ class TestApplyChannel:
 
 class TestValidateChannel:
     def test_valid_mixing(self):
-        ch = KrausChannel((I2 / math.sqrt(2), X / math.sqrt(2)), 1)
-        assert tp_residual(ch) <= TP_ATOL and tp_residual(ch) <= 1e-14
+        ch = KrausChannel([I2 / math.sqrt(2), X / math.sqrt(2)])
+        assert ch.tp_residual <= TP_ATOL and ch.tp_residual <= 1e-14
 
     def test_not_trace_preserving(self):
-        residual = tp_residual(KrausChannel((I2, X), 1))
+        residual = KrausChannel([I2, X]).tp_residual
         assert not residual <= TP_ATOL
         assert residual == pytest.approx(1.0, abs=1e-12)
 
@@ -216,8 +275,8 @@ class TestValidateChannel:
         assert np.allclose(w, [0, 0, 0, 2], atol=1e-12)
 
     def test_tp_residual(self):
-        assert tp_residual(make_channel("depolarizing", 0.3)) <= 1e-15
-        assert tp_residual(KrausChannel((I2, X), 1)) == pytest.approx(1.0, abs=1e-15)
+        assert make_channel("depolarizing", 0.3).tp_residual <= 1e-15
+        assert KrausChannel([I2, X]).tp_residual == pytest.approx(1.0, abs=1e-15)
 
 
 class TestChoiMatrix:
@@ -251,7 +310,7 @@ class TestKrausArray:
         assert ks.shape == (3, 4, 4, 4) and ks.dtype == complex
         for row, ch in zip(ks, chans):
             rank = len(ch.kraus_ops)
-            assert np.array_equal(row[:rank], np.asarray(ch.kraus_ops))
+            assert np.array_equal(row[:rank], ch.kraus_ops)
             assert not row[rank:].any()
 
 
@@ -302,7 +361,7 @@ class TestComposition:
         ch2 = make_channel("amplitude_damping", 0.3)
         for _ in range(10):
             rho = random_density(1, rng)
-            seq = kraus_sum(np.asarray(ch2.kraus_ops), act(ch1, rho))
+            seq = kraus_sum(ch2.kraus_ops, act(ch1, rho))
             joint = act(compose(ch1, ch2), rho)
             assert np.max(np.abs(seq - joint)) <= 1e-12
 
@@ -343,7 +402,7 @@ def model_reference(model, t):
     """The channel of a noise model at time t: per-member formulas joined with ``compose``."""
     if model.kind == "unitary":
         U = np.asarray(model.unitary, dtype=complex)
-        return KrausChannel((np.eye(len(U)) if t == 0 else U,), int(math.log2(len(U))))
+        return KrausChannel([np.eye(len(U)) if t == 0 else U])
     if model.kind == "composite":
         ch = model_reference(model.members[0], t)
         for m in model.members[1:]:
@@ -351,7 +410,7 @@ def model_reference(model, t):
         return ch
     decay = math.exp(-t / model.tau)
     s = 1 - decay if model.kind == "amplitude_damping" else decay
-    return KrausChannel(family_reference(model.kind, s), 1)
+    return KrausChannel(family_reference(model.kind, s))
 
 
 _U = haar_unitary(2, np.random.default_rng(5))
@@ -387,7 +446,7 @@ class TestNoiseKernel:
         refs = [model_reference(model, float(t)) for t in ts]
         assert ks.shape == (len(ts), len(refs[0].kraus_ops), 2, 2)
         for row, ref in zip(ks, refs):
-            assert np.max(np.abs(row - np.asarray(ref.kraus_ops))) <= 1e-15
+            assert np.max(np.abs(row - ref.kraus_ops)) <= 1e-15
         assert np.max(np.abs(choi_stack(ks) - choi_stack(kraus_array(refs)))) <= 1e-15
 
     @pytest.mark.parametrize("kind", ["dephasing", "depolarizing", "amplitude_damping"])
@@ -397,12 +456,12 @@ class TestNoiseKernel:
         model = KERNEL_MODELS[kind]
         ts = np.concatenate([KERNEL_GRIDS["linear"], KERNEL_GRIDS["log"]])
         for t, row in zip(ts, noise_kraus(model, ts)):
-            assert np.array_equal(row, np.asarray(model_reference(model, float(t)).kraus_ops))
+            assert np.array_equal(row, model_reference(model, float(t)).kraus_ops)
 
     def test_make_channel_matches_written_formulas(self):
         for kind in ("dephasing", "depolarizing", "amplitude_damping"):
             for s in (0.0, 0.3, 1 / 3, 1.0):
-                got = np.asarray(make_channel(kind, s).kraus_ops)
+                got = make_channel(kind, s).kraus_ops
                 assert np.array_equal(got, np.asarray(family_reference(kind, s)))
 
     def test_unitary_is_identity_at_time_zero(self):

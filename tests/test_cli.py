@@ -183,6 +183,37 @@ class TestBuild:
         assert f"error: {field} field 'matrix' entry [1][1] is not finite" in capsys.readouterr().err
 
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        # Exit 1 is the verification-failure code; a bad output path is a usage error.
+        out_path = tmp_path / "missing" / "r.txt"
+        assert main(["build", write(tmp_path / "golden.json", GOLDEN_DOC), "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out_path}: ")
+
+    @pytest.mark.parametrize(
+        "qubits, field, dim, message",
+        [
+            (1, "initial_state", 4, "initial state dim 4 does not match 1 qubits"),
+            (1, "initial_state", 3, "initial state dim 3 does not match 1 qubits"),
+            (2, "initial_state", 3, "initial state dim 3 does not match 2 qubits"),
+            (2, "channels", 2, "unitary dimension does not match the system"),
+            (1, "channels", 3, "unitary dimension does not match the system"),
+            (10**10, "initial_state", 2, "initial state dim 2 does not match 10000000000 qubits"),
+        ],
+    )
+    def test_matrix_dimension_mismatch_exit_2(self, tmp_path, capsys, qubits, field, dim, message):
+        # The file's qubit count is compared with the matrix's, never raised to
+        # a power, so 10^10 qubits is an ordinary usage error.
+        def pairs(M):
+            return [[[v, 0.0] for v in row] for row in M.tolist()]
+
+        state_dim = dim if field == "initial_state" else 2**qubits
+        doc = dict(GOLDEN_DOC, qubits=qubits, initial_state={"matrix": pairs(np.eye(state_dim) / state_dim)})
+        if field == "channels":
+            doc["channels"] = [{"kind": "unitary", "matrix": pairs(np.eye(dim))}]
+        assert main(["build", write(tmp_path / "s.json", doc)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestSweep:
     def test_dephasing_csv_values(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.json", sweep_doc((0, 0, 1), "dephasing", 1.0, 0.0, 5.0, 6))
@@ -258,6 +289,23 @@ class TestSweep:
         err = capsys.readouterr().err
         assert f"sweep config field {key!r} must be a path string or null" in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("key", ["csv", "svg"])
+    def test_unwritable_output_path_exit_2(self, tmp_path, capsys, key, where):
+        # Exit 1 is the verification-failure code; a bad output path is a usage error.
+        bad = tmp_path / "missing" / f"x.{key}"
+        paths = {"csv": str(tmp_path / "x.csv"), key: str(bad)}
+        doc = sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 1.0, 5)
+        argv = ["sweep"]
+        if where == "flag":
+            argv += ["--csv", paths["csv"]] + (["--svg", paths["svg"]] if key == "svg" else [])
+        else:
+            doc.update(paths)
+        assert main(argv[:1] + [write(tmp_path / "cfg.json", doc)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {bad}: ")
+        assert captured.out == ""
 
     def test_null_output_paths_are_absent(self, tmp_path, capsys):
         doc = dict(sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 1.0, 5), csv=None, svg=None)

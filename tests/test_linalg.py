@@ -6,7 +6,6 @@ from pdmsim import (
     UsageError,
     hermitian_eig,
     kron,
-    partial_trace,
 )
 from pdmsim.causality import haar_unitary
 from pdmsim.linalg import (
@@ -17,6 +16,7 @@ from pdmsim.linalg import (
     Z,
     chunk_slices,
     embed_operator,
+    qubits_of_dim,
     require_hermitian_unit_trace,
 )
 from pdmsim.verify import GOLDEN_TWO_EVENT
@@ -130,31 +130,14 @@ class TestEmbedOperator:
             embed_operator(np.ones(2), 0, 1)
 
 
-class TestPartialTrace:
-    def test_identity_factor(self):
-        assert np.allclose(partial_trace(np.eye(4), [2, 2], {0}), 2 * np.eye(2))
+class TestQubitsOfDim:
+    def test_powers_of_two(self):
+        assert [qubits_of_dim(2**n) for n in range(12)] == list(range(12))
+        assert qubits_of_dim(2**10_000) == 10_000
 
-    def test_bell_state(self):
-        phi = np.zeros(4)
-        phi[0] = phi[3] = 1 / np.sqrt(2)
-        rho = np.outer(phi, phi)
-        assert np.allclose(partial_trace(rho, [2, 2], {0}), np.eye(2) / 2)
-
-    def test_golden_matrix_keep_second(self):
-        # Direct block sums of the two-event golden matrix give |0><0|.
-        out = partial_trace(GOLDEN_TWO_EVENT, [2, 2], {1})
-        assert np.allclose(out, np.array([[1, 0], [0, 0]]), atol=1e-14)
-
-    def test_trace_preserved(self, rng):
-        for _ in range(20):
-            M = random_hermitian(8, rng)
-            for keep in ({0}, {1}, {2}, {0, 2}):
-                out = partial_trace(M, [2, 2, 2], keep)
-                assert abs(np.trace(out) - np.trace(M)) <= 1e-12
-
-    def test_dim_mismatch(self):
-        with pytest.raises(UsageError):
-            partial_trace(np.eye(4), [2, 2, 2], {0})
+    def test_other_dimensions(self):
+        for d in (0, -2, -1, 3, 6, 12, 2**40 + 1):
+            assert qubits_of_dim(d) is None
 
 
 class TestHermitianEig:

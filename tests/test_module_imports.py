@@ -1,11 +1,14 @@
 """Package modules import only each other's public names."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 import types
 
 import numpy as np
+
+from pdmsim import DensityState, KrausChannel, PseudoDensityMatrix, Schedule
 
 MODULES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "pdmsim").glob("*.py"))
 
@@ -263,3 +266,16 @@ def test_module_level_arrays_are_read_only():
     names = ["pdmsim" if m.stem == "__init__" else f"pdmsim.{m.stem}" for m in MODULES]
     offenders = {name: writable_arrays(importlib.import_module(name)) for name in names}
     assert {name: arrays for name, arrays in offenders.items() if arrays} == {}
+
+
+def test_constructors_take_only_the_defining_array():
+    # Each type is fixed by one array; what follows from it (a qubit count,
+    # the PDM's matrix) is read from that array, never passed in beside it.
+    inputs = {t.__name__: tuple(f.name for f in dataclasses.fields(t))
+              for t in (DensityState, KrausChannel, Schedule, PseudoDensityMatrix)}
+    assert inputs == {
+        "DensityState": ("matrix",),
+        "KrausChannel": ("kraus_ops",),
+        "Schedule": ("initial_state", "events", "inter_slice_channels"),
+        "PseudoDensityMatrix": ("events", "coefficients"),
+    }

@@ -160,7 +160,7 @@ class TestExpectationOracle:
         for k in range(60):
             rng = np.random.default_rng(500 + k)
             noisy = random_schedule(rng, max_events=5)
-            noiseless = Schedule(noisy.qubit_count, noisy.initial_state, noisy.events)
+            noiseless = Schedule(noisy.initial_state, noisy.events)
             n = noisy.event_count
             picks = [tuple(rng.integers(0, 4, size=n)) for _ in range(6)]
             picks.append(tuple(rng.integers(1, 4, size=n)))  # every event splits: 2^n branches
@@ -194,20 +194,47 @@ class TestBuildPdm:
 
     def test_nan_pdm_rejected(self):
         R = build_pdm(golden_schedule())
-        nan_matrix = np.full_like(R.matrix, np.nan)
-        nan_coeffs = np.full_like(R.coefficients, np.nan)
-        with pytest.raises(InvariantViolation, match="not Hermitian"):
-            PseudoDensityMatrix(nan_matrix, R.events, nan_coeffs)
         with pytest.raises(InvariantViolation, match="outside"):
-            PseudoDensityMatrix(R.matrix, R.events, nan_coeffs)
+            PseudoDensityMatrix(R.events, np.full_like(R.coefficients, np.nan))
+        for k in (0, 5):
+            c = R.coefficients.copy()
+            c[k] = np.nan
+            with pytest.raises(InvariantViolation, match="outside"):
+                PseudoDensityMatrix(R.events, c)
+
+    def test_matrix_is_assembled_from_the_coefficients(self):
+        for k in range(10):
+            R = build_pdm(random_schedule(np.random.default_rng(k)))
+            again = PseudoDensityMatrix(R.events, R.coefficients)
+            assert np.array_equal(again.matrix, R.matrix)
+            want = sum(
+                c * kron([PAULIS[l] for l in a])
+                for c, a in zip(R.coefficients, itertools.product(range(4), repeat=R.event_count))
+            ) / 2**R.event_count
+            assert np.max(np.abs(R.matrix - want)) <= 1e-14
+            assert not R.matrix.flags.writeable and not R.coefficients.flags.writeable
+
+    def test_coefficients_are_checked(self):
+        R = build_pdm(golden_schedule())
+        with pytest.raises(InvariantViolation, match="expected 16 coefficients"):
+            PseudoDensityMatrix(R.events, R.coefficients[:4])
         c = R.coefficients.copy()
-        c[0] = np.nan
-        with pytest.raises(InvariantViolation):
-            PseudoDensityMatrix(R.matrix, R.events, c)
+        c[3] = 1.5
+        with pytest.raises(InvariantViolation, match="outside"):
+            PseudoDensityMatrix(R.events, c)
+        with pytest.raises(InvariantViolation, match="all-identity expectation must be 1"):
+            PseudoDensityMatrix(R.events, R.coefficients * 0.5)
+
+    def test_coefficients_are_copied(self):
+        R = build_pdm(golden_schedule())
+        c = R.coefficients.copy()
+        held = PseudoDensityMatrix(R.events, c)
+        c[5] = 0.5
+        assert np.array_equal(held.coefficients, R.coefficients)
 
     def test_single_slice_reduces_to_state(self, rng):
         rho = random_density(2, rng)
-        s = Schedule(2, rho, (Event(1, 0, 0), Event(2, 1, 0)))
+        s = Schedule(rho, (Event(1, 0, 0), Event(2, 1, 0)))
         R = build_pdm(s)
         assert np.max(np.abs(R.matrix - rho.matrix)) <= 1e-12
 
@@ -231,7 +258,7 @@ class TestBuildPdm:
         # A 10-event chain needs a 4^9 * 4 stack plus a 1024 x 1024 matrix: 32 MiB.
         rho = random_density(1, rng)
         events = tuple(Event(i + 1, 0, i) for i in range(10))
-        s = Schedule(1, rho, events)
+        s = Schedule(rho, events)
         with pytest.raises(UsageError, match=f"33554432 bytes, over the {PDM_BYTE_BUDGET}-byte"):
             build_pdm(s)
 
@@ -254,7 +281,7 @@ def _layout(qubits, slices, rng, none_gaps=(), ranks=()):
         else random_cptp(qubits, ranks[g % len(ranks)] if ranks else int(rng.integers(1, 4)), rng)
         for g in range(len(slices) - 1)
     )
-    return Schedule(qubits, random_density(qubits, rng), tuple(events), channels)
+    return Schedule(random_density(qubits, rng), tuple(events), channels)
 
 
 ENGINE_CASES = {
@@ -280,7 +307,6 @@ ENGINE_CASES = {
     "3q-6-events-1-per-slice": lambda rng: _layout(3, [[0], [1], [2], [0], [1], [2]], rng),
     # Event 1 is the later measurement: the label axes must be permuted back.
     "2q-ids-out-of-time-order": lambda rng: Schedule(
-        2,
         random_density(2, rng),
         (Event(1, 0, 1), Event(2, 1, 0), Event(3, 0, 0)),
         (random_cptp(2, 2, rng),),
@@ -378,7 +404,7 @@ class TestBatchedReferencePaths:
         for k in range(60):
             rng = np.random.default_rng(700 + k)
             noisy = random_schedule(rng, max_events=5)
-            noiseless = Schedule(noisy.qubit_count, noisy.initial_state, noisy.events)
+            noiseless = Schedule(noisy.initial_state, noisy.events)
             n = noisy.event_count
             labels = rng.integers(0, 4, size=(7, n))
             labels[0] = 0  # an all-identity row
@@ -507,6 +533,20 @@ class TestReducePdm:
                     padded[pos - 1] = label
                 assert abs(pdm_expectation(red, a) - R.stored_expectations([padded])[0]) <= 1e-12
 
+    def test_matrix_is_the_partial_trace(self):
+        # The reduced matrix is assembled from the sliced coefficients; it
+        # must equal the parent matrix with the dropped factors traced out.
+        for k in range(20):
+            rng = np.random.default_rng(400 + k)
+            R = build_pdm(random_schedule(rng, max_events=4))
+            n = R.event_count
+            keep = sorted(rng.choice(range(1, n + 1), size=int(rng.integers(1, n + 1)), replace=False))
+            t = R.matrix.reshape((2,) * (2 * n))
+            for i in sorted(set(range(n)) - {e - 1 for e in keep}, reverse=True):
+                t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
+            want = t.reshape(2 ** len(keep), 2 ** len(keep))
+            assert np.max(np.abs(reduce_pdm(R, keep).matrix - want)) <= 1e-14
+
     def test_empty_keep(self):
         with pytest.raises(UsageError):
             reduce_pdm(build_pdm(golden_schedule()), set())
@@ -536,7 +576,7 @@ class TestAncillaExpectation:
                 assert abs(ancilla_expectation(s, a) - expectation(s, a)) <= 1e-10
 
     def test_shape_violation(self, rng):
-        s = Schedule(2, random_density(2, rng), (Event(1, 0, 0), Event(2, 1, 0)))
+        s = Schedule(random_density(2, rng), (Event(1, 0, 0), Event(2, 1, 0)))
         with pytest.raises(UsageError):
             ancilla_expectation(s, (1, 1))
 
@@ -647,41 +687,50 @@ class TestScheduleValidation:
 
     def test_no_events(self, rng):
         with pytest.raises(UsageError, match="at least one event"):
-            Schedule(1, random_density(1, rng), ())
+            Schedule(random_density(1, rng), ())
 
     def test_non_contiguous_ids(self, rng):
         with pytest.raises(UsageError):
-            Schedule(1, random_density(1, rng), (Event(1, 0, 0), Event(3, 0, 1)))
+            Schedule(random_density(1, rng), (Event(1, 0, 0), Event(3, 0, 1)))
 
     def test_repeated_qubit_in_slice(self, rng):
         with pytest.raises(UsageError):
-            Schedule(1, random_density(1, rng), (Event(1, 0, 0), Event(2, 0, 0)))
+            Schedule(random_density(1, rng), (Event(1, 0, 0), Event(2, 0, 0)))
+
+    def test_qubit_count_is_read_from_the_state(self, rng):
+        for qubits in (1, 2, 3):
+            s = Schedule(random_density(qubits, rng), (Event(1, qubits - 1, 0),))
+            assert s.qubit_count == qubits
+        with pytest.raises(UsageError, match="out of range"):
+            Schedule(random_density(1, rng), (Event(1, 1, 0),))
+
+    def test_two_event_schedule_needs_one_qubit(self, rng):
+        with pytest.raises(UsageError, match="needs a 1-qubit initial state, got 2"):
+            two_event_schedule(random_density(2, rng), None)
 
     def test_channel_dim_mismatch(self, rng):
         with pytest.raises(UsageError):
             Schedule(
-                2,
                 random_density(2, rng),
                 (Event(1, 0, 0), Event(2, 0, 1)),
                 (make_channel("dephasing", 0.5),),
             )
 
     def test_non_trace_preserving_gap_rejected(self, rng):
-        leaky = KrausChannel((I2, X), 1)
+        leaky = KrausChannel([I2, X])
         with pytest.raises(UsageError, match=r"channel 0 is not trace preserving.*1\.000e\+00"):
             two_event_schedule(random_density(1, rng), leaky)
         with pytest.raises(UsageError, match="channel 1 is not trace preserving"):
             Schedule(
-                1,
                 random_density(1, rng),
                 (Event(1, 0, 0), Event(2, 0, 1), Event(3, 0, 2)),
-                (None, KrausChannel((0.9 * I2,), 1)),
+                (None, KrausChannel([0.9 * I2])),
             )
 
 
     def test_nan_gap_rejected(self, rng):
         # A NaN residual fails every comparison, so it must not pass as trace preserving.
-        nan = KrausChannel((np.full((2, 2), np.nan),), 1)
+        nan = KrausChannel([np.full((2, 2), np.nan)])
         with pytest.raises(UsageError, match="channel 0 is not trace preserving: a Kraus operator has a non-finite"):
             two_event_schedule(random_density(1, rng), nan)
         with pytest.raises(UsageError, match="not unitary"):
@@ -748,7 +797,7 @@ class TestTwoEventClosedForm:
         with pytest.raises(UsageError):
             two_event_pdm_stack(random_density(1, rng), [])
         with pytest.raises(UsageError, match="gap channel 2 is not trace preserving"):
-            two_event_pdm_stack(random_density(1, rng), [None, None, KrausChannel((I2, X), 1)])
-        nan = KrausChannel((I2, np.diag([0, np.nan])), 1)
+            two_event_pdm_stack(random_density(1, rng), [None, None, KrausChannel([I2, X])])
+        nan = KrausChannel([I2, np.diag([0, np.nan])])
         with pytest.raises(UsageError, match="gap channel 1 is not trace preserving: a Kraus operator has a non-finite"):
             two_event_pdm_stack(random_density(1, rng), [None, nan, None])

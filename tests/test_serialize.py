@@ -10,6 +10,8 @@ from pdmsim.serialize import (
     dumps_doc,
     normalize_schedule_doc,
     noise_model_from_dict,
+    parse_channel_descriptor,
+    parse_initial_state,
     schedule_from_dict,
     sweep_config_from_dict,
 )
@@ -98,7 +100,7 @@ def test_three_qubit_matrix_document_is_pinned():
 def test_unitary_gap_is_checked_for_trace_preservation_once(monkeypatch):
     # unitary_channel and the Schedule both check each unitary gap; the
     # residual is computed once per gap.
-    real = KrausChannel._tp_residual.func
+    real = KrausChannel.tp_residual.func
     calls = []
 
     def counted(ch):
@@ -106,8 +108,8 @@ def test_unitary_gap_is_checked_for_trace_preservation_once(monkeypatch):
         return real(ch)
 
     prop = functools.cached_property(counted)
-    prop.__set_name__(KrausChannel, "_tp_residual")
-    monkeypatch.setattr(KrausChannel, "_tp_residual", prop)
+    prop.__set_name__(KrausChannel, "tp_residual")
+    monkeypatch.setattr(KrausChannel, "tp_residual", prop)
     r = 1 / math.sqrt(2)
     H = [[[r, 0.0], [r, 0.0]], [[r, 0.0], [-r, 0.0]]]
     slices = [[{"id": 1, "qubit": 0}], [{"id": 2, "qubit": 0}], [{"id": 3, "qubit": 0}]]
@@ -117,9 +119,9 @@ def test_unitary_gap_is_checked_for_trace_preservation_once(monkeypatch):
     # Both checks still reject: the unitary's on parsing, the schedule's on a leaky gap.
     with pytest.raises(UsageError, match="matrix is not unitary"):
         schedule_from_dict(dict(doc, channels=[{"kind": "unitary", "matrix": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]}] * 2))
-    leaky = KrausChannel((2 * np.eye(2),), 1)
+    leaky = KrausChannel(2 * np.eye(2)[None])
     with pytest.raises(UsageError, match="gap channel 1 is not trace preserving"):
-        Schedule(1, s.initial_state, s.events, (s.inter_slice_channels[0], leaky))
+        Schedule(s.initial_state, s.events, (s.inter_slice_channels[0], leaky))
 
 
 def test_parse_errors():
@@ -132,6 +134,17 @@ def test_parse_errors():
     bad = dict(GOLDEN_DOC, initial_state={"bloch": [1, 1]})
     with pytest.raises(UsageError):
         schedule_from_dict(bad)
+
+
+def test_huge_qubit_count_is_a_usage_error():
+    # The file's qubit count is compared with the matrix's dimension; 2**qubits
+    # is never computed, so 10^10 qubits cannot build a 1.25 GB integer.
+    r = 1 / math.sqrt(2)
+    H = [[[r, 0.0], [r, 0.0]], [[r, 0.0], [-r, 0.0]]]
+    with pytest.raises(UsageError, match="unitary dimension does not match the system"):
+        parse_channel_descriptor({"kind": "unitary", "matrix": H}, 10**10)
+    with pytest.raises(UsageError, match="initial state dim 2 does not match 10000000000 qubits"):
+        parse_initial_state({"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}, 10**10)
 
 
 def test_noise_model_descriptors():
