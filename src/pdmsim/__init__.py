@@ -23,6 +23,7 @@ from .channels import (
     channel_at_time,
     choi_stack,
     compose,
+    density_states,
     identity_channel,
     kraus_array,
     make_channel,

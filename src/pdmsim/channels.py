@@ -12,10 +12,12 @@ from .errors import InvariantViolation, UsageError
 from .linalg import (
     PAULI_STACK,
     PSD_ATOL,
+    SINGLE_THREAD_MACS,
     I2,
     X,
     Y,
     Z,
+    chunk_slices,
     dagger,
     hermitian_eig,
     qubits_of_dim,
@@ -31,9 +33,12 @@ TP_ATOL = 1e-10
 KRAUS_BYTE_BUDGET = 32 * 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityState:
-    """A validated n-qubit density matrix, held as a read-only copy; n is read from its dimension."""
+    """A validated n-qubit density matrix, held as a read-only copy; n is read from its dimension.
+
+    Equality is identity, so a state hashes; compare ``matrix`` for equal entries.
+    """
 
     matrix: np.ndarray
 
@@ -41,15 +46,46 @@ class DensityState:
         M = read_only(np.array(self.matrix, dtype=complex))
         if M.ndim != 2 or M.shape[0] != M.shape[1] or not qubits_of_dim(len(M)):
             raise InvariantViolation(f"state shape {M.shape} is not 2^n x 2^n for any n >= 1")
-        require_hermitian_unit_trace(M, "density matrix")
-        w = hermitian_eig(M)
-        if w[0] < -PSD_ATOL:
-            raise InvariantViolation(f"density matrix has eigenvalue {w[0]:.3e} < -{PSD_ATOL}")
+        _require_density(M)
         object.__setattr__(self, "matrix", M)
 
     @property
     def qubit_count(self) -> int:
         return qubits_of_dim(len(self.matrix))
+
+
+def _require_density(M: np.ndarray) -> None:
+    """Raise ``InvariantViolation`` unless M is a density matrix: Hermitian, unit trace and PSD.
+
+    M is one matrix or a (T, D, D) stack, checked with one
+    ``require_hermitian_unit_trace`` and one ``hermitian_eig``; in a stack the
+    first bad matrix k is named "density matrix k of the stack".
+    """
+    require_hermitian_unit_trace(M, "density matrix")
+    w = hermitian_eig(M)
+    # Written to fail on NaN, which every comparison loses.
+    if w.min() >= -PSD_ATOL:
+        return
+    low = w.reshape(-1, w.shape[-1])[:, 0]
+    k = int(np.argmax(~(low >= -PSD_ATOL)))
+    what = f"density matrix {k} of the stack" if M.ndim > 2 else "density matrix"
+    raise InvariantViolation(f"{what} has eigenvalue {low[k]:.3e} < -{PSD_ATOL}")
+
+
+def density_states(stack) -> list[DensityState]:
+    """The density matrices of a (T, D, D) stack as T states, checked as one stack.
+
+    One ``require_hermitian_unit_trace`` and one eigenvalue solve check every
+    matrix; each state then holds its read-only row of one copy of the stack.
+    """
+    M = read_only(np.array(stack, dtype=complex))
+    if M.ndim != 3 or len(M) == 0 or M.shape[1] != M.shape[2] or not qubits_of_dim(M.shape[1]):
+        raise InvariantViolation(f"state stack shape {M.shape} is not (T, 2^n, 2^n) for any T, n >= 1")
+    _require_density(M)
+    states = [object.__new__(DensityState) for _ in range(len(M))]
+    for st, row in zip(states, M):
+        object.__setattr__(st, "matrix", row)
+    return states
 
 
 def state_from_bloch(r) -> DensityState:
@@ -69,11 +105,12 @@ def bloch_matrix(r) -> np.ndarray:
     return (I2 + r[0] * X + r[1] * Y + r[2] * Z) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A map given by its Kraus operators, held as a read-only (K, d, d) copy, on log2(d) qubits.
 
-    Completely positive by construction; ``tp_residual`` measures trace preservation.
+    Completely positive by construction; ``tp_residual`` measures trace
+    preservation. Equality is identity, so a channel hashes.
     """
 
     kraus_ops: np.ndarray
@@ -164,19 +201,43 @@ def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
 
 
 def kraus_sum(E: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """sum_k E_k M E_k^dag for embedded Kraus operators E of shape (..., K, D, D).
+    """sum_k E_k M E_k^dag, for one channel on a stack of operators or a stack of channels on one.
 
-    M is one (D, D) operator or a stack that broadcasts against E's leading
-    axes. Each term is one product over the whole stack, added into the
-    result as it is made, so a call holds about three times the result's
-    memory, whatever the Kraus count. An all-zero operator adds nothing, so
-    rows with fewer operators may be padded with them.
+    E is one channel's (K, D, D) Kraus operators and M a (..., D, D) stack, or
+    E is a (..., K, D, D) stack of channels and M one (D, D) operator; the
+    result has the stack's shape. For one channel, each chunk of N operators
+    is two 2-D products: (K D x D) @ (D x N D) makes every E_k M_n, and
+    (N D x K D) @ (K D x D) multiplies them by the E_k^dag stacked along its
+    inner axis, so the sum over k is made inside the product. For a stack of
+    T channels, the first product is (T K D x D) @ (D x D) and the second a
+    batch of T (D x K D) @ (K D x D) products. Chunks are cut so that no
+    product exceeds ``SINGLE_THREAD_MACS``, unless one operator alone does.
+    An all-zero operator adds nothing, so rows with fewer operators may be
+    padded with them.
     """
-    out = E[..., 0, :, :] @ M @ dagger(E[..., 0, :, :])
-    for k in range(1, E.shape[-3]):
-        K = E[..., k, :, :]
-        out += K @ M @ dagger(K)
-    return out
+    K, D = E.shape[-3], E.shape[-1]
+    Ed = dagger(E).reshape(E.shape[:-3] + (K * D, D))
+    if E.ndim == 3:
+        stack = M.reshape(-1, D, D)
+        Ef = E.reshape(K * D, D)
+        out = np.empty(stack.shape, dtype=complex)
+        for rows in chunk_slices(len(stack), K * D**3, SINGLE_THREAD_MACS):
+            m = stack[rows]
+            n = len(m)
+            A = Ef @ m.transpose(1, 0, 2).reshape(D, n * D)
+            A = A.reshape(K, D, n, D).transpose(2, 1, 0, 3).reshape(n * D, K * D)
+            np.matmul(A, Ed, out=out[rows].reshape(n * D, D))
+        return out.reshape(M.shape)
+    if M.ndim != 2:
+        raise UsageError("kraus_sum takes one channel on a stack or a stack of channels on one operator")
+    Es, Ed = E.reshape(-1, K * D, D), Ed.reshape(-1, K * D, D)
+    out = np.empty((len(Es), D, D), dtype=complex)
+    for rows in chunk_slices(len(Es), K * D**3, SINGLE_THREAD_MACS):
+        e = Es[rows]
+        t = len(e)
+        A = (e.reshape(t * K * D, D) @ M).reshape(t, K, D, D)
+        np.matmul(A.transpose(0, 2, 1, 3).reshape(t, D, K * D), Ed[rows], out=out[rows])
+    return out.reshape(E.shape[:-3] + (D, D))
 
 
 def choi_stack(ks: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 
 import numpy as np
@@ -124,12 +126,32 @@ def _build_report(path: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write text to the file at path; a failed write is a ``UsageError``, as a read is in ``load_json``."""
+def _write_texts(texts: dict) -> None:
+    """Write each text to the file at its path: all of them, or none that this call made.
+
+    Every file is opened before any is written, for appending, which creates
+    a file without emptying one that exists; a file is emptied only when all
+    are open. When one cannot be opened or written, every file is closed and
+    the ones this call created are removed. The failure is a ``UsageError``,
+    as a failed read is in ``load_json``.
+    """
+    opened = []
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        for path in texts:
+            new = not os.path.lexists(path)
+            opened.append((open(path, "a"), path, new))
+        for fh, path, _ in opened:
+            with fh:
+                if fh.seekable():
+                    fh.truncate(0)
+                fh.write(texts[path])
     except OSError as exc:
+        for fh, made, new in opened:
+            with contextlib.suppress(OSError):
+                fh.close()
+            if new:
+                with contextlib.suppress(OSError):
+                    os.remove(made)
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
@@ -137,7 +159,7 @@ def cmd_build(args) -> int:
     report = _build_report(args.schedule)
     sys.stdout.write(report)
     if args.out:
-        _write_text(args.out, report)
+        _write_texts({args.out: report})
     return EXIT_OK
 
 
@@ -147,10 +169,11 @@ def cmd_sweep(args) -> int:
     if not csv_path:
         raise UsageError("no CSV output path given (use --csv or the config's 'csv' field)")
     rows = run_sweep(cfg)
-    _write_text(csv_path, rows_to_csv(rows))
+    texts = {csv_path: rows_to_csv(rows)}
     svg_path = args.svg or cfg.svg_path
     if svg_path:
-        _write_text(svg_path, emit_svg(rows))
+        texts[svg_path] = emit_svg(rows)
+    _write_texts(texts)
     sys.stdout.write(f"wrote {len(rows)} rows to {csv_path}\n")
     return EXIT_OK
 

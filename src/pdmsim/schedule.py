@@ -28,6 +28,7 @@ from .errors import InvariantViolation, UsageError
 from .linalg import (
     I2,
     PAULI_STACK,
+    SINGLE_THREAD_MACS,
     chunk_slices,
     dagger,
     embed_operator,
@@ -45,11 +46,6 @@ MAX_ORACLE_BRANCH_EVENTS = 12
 #: Bytes of Lueders branches ``oracle_expectations`` holds for one chunk of
 #: rows; a chunk has at least one row.
 ORACLE_STACK_BYTES = 2**16
-#: Multiply-adds of the largest complex matrix product `_apply_gap` issues.
-#: OpenBLAS runs a product up to this size on the calling thread; a larger
-#: one wakes its worker threads, which on a busy 2-vCPU host took 5-15 ms
-#: per call and varied from call to call, against ~0.1 ms for the product.
-_SINGLE_THREAD_MACS = 2**15
 
 # Basis-change unitaries U with U sigma U^dag = Z, for labels X, Y, Z.
 _H = read_only(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
@@ -162,11 +158,12 @@ class Event:
     slice_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """An initial state, measurement events in time slices, and a channel (or None) in each gap.
 
     The register is the initial state's: ``qubit_count`` is read from it.
+    Equality is identity, so a schedule hashes.
     """
 
     initial_state: DensityState
@@ -194,7 +191,7 @@ class Schedule:
                 raise UsageError(f"slice {s} has repeated qubits {qubits}")
             if any(q < 0 or q >= self.qubit_count for q in qubits):
                 raise UsageError(f"slice {s} touches qubits {qubits} out of range")
-        # Not a field: derived from `events`, so equality and hashing ignore it.
+        # Not a field: derived from `events`.
         object.__setattr__(self, "_slices", slices)
         channels = tuple(self.inter_slice_channels)
         gaps = len(slices) - 1
@@ -387,14 +384,15 @@ def expectation_oracle(s: Schedule, assignment) -> float:
     return float(oracle_expectations(s, [assignment])[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoDensityMatrix:
     """Hermitian unit-trace (possibly non-PSD) matrix over the event tensor space.
 
     ``coefficients`` stores the raw expectation of every Pauli assignment,
     flat-indexed base 4 with event 1 the most significant digit, as a
     read-only copy. The read-only matrix R = sum_l c_l P_l / 2^n is assembled
-    from them (``_assemble``); it is derived, not a field.
+    from them (``_assemble``); it is derived, not a field. Equality is
+    identity, so a PDM hashes.
     """
 
     events: tuple
@@ -435,14 +433,14 @@ def _measure(stack: np.ndarray, qubit: int, qubit_count: int) -> np.ndarray:
     four labels are written by one 2-D product with ``_JORDAN``. Its nonzero
     weights are +-1/2 and +-i/2, at most two per entry, so every entry is
     exact up to one rounding of a sum of two exact terms. The product runs
-    in chunks of operators, none over ``_SINGLE_THREAD_MACS``.
+    in chunks of operators, none over ``SINGLE_THREAD_MACS``.
     """
     B, D = stack.shape[0], stack.shape[-1]
     lo, hi = 2**qubit, 2 ** (qubit_count - qubit - 1)
     # Axes (b, row high, row low, column high, column low, row bit, column bit).
     blocks = stack.reshape(B, lo, 2, hi, lo, 2, hi).transpose(0, 1, 3, 4, 6, 2, 5)
     out = np.empty((B, 4, lo, 2, hi, lo, 2, hi), dtype=complex)
-    for rows in chunk_slices(B, 16 * D * D, _SINGLE_THREAD_MACS):
+    for rows in chunk_slices(B, 16 * D * D, SINGLE_THREAD_MACS):
         part = blocks[rows]
         products = part.reshape(-1, 4) @ _JORDAN
         out[rows] = products.reshape(part.shape[:5] + (4, 2, 2)).transpose(0, 5, 1, 6, 2, 3, 7, 4)
@@ -461,22 +459,25 @@ def _apply_gap(stack: np.ndarray, ch: KrausChannel) -> np.ndarray:
       products beat their many small ones unless that is 4x as many: a
       unitary (K = 1) 3-qubit gap ran ~1.5x faster as Kraus products, a
       rank-2 one and every 1- and 2-qubit gap faster as the superoperator.
-    - Per-Kraus products, D x D each (``kraus_sum``), for every other stack:
-      unitary 3-qubit gaps, wide registers and early slices.
+      With ``kraus_sum`` as two 2-D products per chunk, the superoperator
+      still built three 9-event 1-qubit chains (dephasing, depolarizing,
+      amplitude damping) in ~97 ms against ~122 ms.
+    - Kraus products (``kraus_sum``), in blocks of 64 KiB of the stack, for
+      every other stack: unitary 3-qubit gaps, wide registers and early slices.
 
     Either way the largest stack is never held twice, and up to 5 qubits no
-    matrix product exceeds ``_SINGLE_THREAD_MACS``, so BLAS does not wake
+    matrix product exceeds ``SINGLE_THREAD_MACS``, so BLAS does not wake
     its worker threads. ``stack`` must be the engine's own array: it is
     overwritten.
     """
     B, D = stack.shape[0], stack.shape[-1]
     ks = ch.kraus_ops
-    if B >= D * D and D**4 <= _SINGLE_THREAD_MACS // 8 and D < 8 * len(ks):
+    if B >= D * D and D**4 <= SINGLE_THREAD_MACS // 8 and D < 8 * len(ks):
         # Row-major vec: vec(sum_k K M K^dag) = vec(M) @ S with S[(b,c),(a,d)] =
         # sum_k K[a,b] conj(K[d,c]), the Choi matrix with its two middle indices swapped.
         S = choi_stack(ks[None])[0].reshape((D,) * 4).transpose(0, 2, 1, 3).reshape(D * D, D * D)
         flat = stack.reshape(B, D * D)
-        for rows in chunk_slices(B, D**4, _SINGLE_THREAD_MACS):
+        for rows in chunk_slices(B, D**4, SINGLE_THREAD_MACS):
             flat[rows] = flat[rows] @ S
         return stack
     for rows in chunk_slices(B, 16 * D * D, 2**16):  # blocks of 64 KiB
@@ -495,12 +496,12 @@ def _map_axes(t: np.ndarray, count: int, W: np.ndarray) -> np.ndarray:
     mapped axis to the end, so after ``count`` steps the axes are the rest
     followed by the mapped ones in their old order. The result is returned
     flat as (-1, 4). The products run in chunks of rows, none over
-    ``_SINGLE_THREAD_MACS``.
+    ``SINGLE_THREAD_MACS``.
     """
     for _ in range(count):
         rows = t.reshape(4, -1).T
         t = np.empty(rows.shape, dtype=complex)
-        for part in chunk_slices(len(rows), 16, _SINGLE_THREAD_MACS):
+        for part in chunk_slices(len(rows), 16, SINGLE_THREAD_MACS):
             np.matmul(rows[part], W, out=t[part])
     return t
 

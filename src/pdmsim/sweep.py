@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causality import CAUSAL, SPACELIKE, causal_margin, spectrum_verdict
-from .channels import NoiseModel, choi_stack, noise_kraus, state_from_bloch
+from .channels import DensityState, NoiseModel, choi_stack, noise_kraus, state_from_bloch
 from .errors import UsageError
 from .linalg import hermitian_eig
 from .schedule import two_event_pdm_from_choi
@@ -70,25 +70,24 @@ def time_grid(cfg: SweepConfig) -> np.ndarray:
     return np.linspace(cfg.t_min, cfg.t_max, cfg.points)
 
 
-def pdm_stack(cfg: SweepConfig, ts) -> np.ndarray:
-    """Closed-form two-event PDMs at the waiting times ts, as one (T, 4, 4) stack.
+def pdm_stack(state: DensityState, noise: NoiseModel, ts) -> np.ndarray:
+    """Closed-form two-event PDMs of the state at the waiting times ts, as one (T, 4, 4) stack.
 
     The noise model is evaluated at all times by one ``noise_kraus`` call,
     and its Choi stack comes from one contraction; no channel object is
     made per time.
     """
-    choi = choi_stack(noise_kraus(cfg.noise, ts))
-    return two_event_pdm_from_choi(state_from_bloch(cfg.bloch), choi)
+    return two_event_pdm_from_choi(state, choi_stack(noise_kraus(noise, ts)))
 
 
-def _spectra(cfg: SweepConfig, ts) -> np.ndarray:
+def _spectra(state: DensityState, noise: NoiseModel, ts) -> np.ndarray:
     """Ascending PDM eigenvalues at each waiting time: one stack, one eigensolve."""
-    return hermitian_eig(pdm_stack(cfg, ts))
+    return hermitian_eig(pdm_stack(state, noise, ts))
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     ts = time_grid(cfg)
-    W = _spectra(cfg, ts)
+    W = _spectra(state_from_bloch(cfg.bloch), cfg.noise, ts)
     values, causal = spectrum_verdict(W)
     return [
         SweepRow(float(t), tuple(w.tolist()), float(v), CAUSAL if c else SPACELIKE)
@@ -117,11 +116,13 @@ def find_transition(cfg: SweepConfig) -> float | None:
     floating point. Returns the bracket's midpoint, or its left end when h
     is exactly 0 there. Later crossings are not reported. Returns None when
     the scan shows no sign change, so a pair of crossings closer together
-    than the scan step can be missed.
+    than the scan step can be missed. The initial state is built and checked
+    once per call; every round reuses it.
     """
+    state = state_from_bloch(cfg.bloch)
 
     def h(ts) -> np.ndarray:
-        return causal_margin(_spectra(cfg, ts))
+        return causal_margin(_spectra(state, cfg.noise, ts))
 
     ts = np.linspace(cfg.t_min, cfg.t_max, _SCAN_POINTS)
     vals = h(ts)

@@ -25,11 +25,11 @@ from .causality import (
     worst_deviation,
 )
 from .channels import (
-    DensityState,
     NoiseModel,
     bloch_matrix,
     channel_at_time,
     compose,
+    density_states,
     state_from_bloch,
 )
 from .errors import UsageError
@@ -44,7 +44,7 @@ from .schedule import (
     two_event_pdm_stack,
     two_event_schedule,
 )
-from .sweep import SweepConfig, pdm_stack
+from .sweep import pdm_stack
 
 #: Eq.-style golden PDM for |0>, two consecutive measurements, no noise.
 GOLDEN_TWO_EVENT = read_only(
@@ -69,11 +69,6 @@ def random_bloch(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
     return v * rng.uniform(0, 1)
-
-
-def _product_state(blochs) -> DensityState:
-    """Product of single-qubit states from their Bloch vectors, validated once as a whole."""
-    return DensityState(kron([bloch_matrix(r) for r in blochs]))
 
 
 class _ScheduleDraw(NamedTuple):
@@ -104,11 +99,22 @@ def draw_schedule(rng: np.random.Generator, max_events: int) -> _ScheduleDraw:
 
 
 def build_schedules(draws) -> list[Schedule]:
-    """The schedules of a list of draws, their gap channels from one QR per Gaussian shape."""
+    """The schedules of a list of draws, their gap channels from one QR per Gaussian shape.
+
+    Each initial state is the product of its qubits' Bloch states. The draws
+    of one qubit count make their products as one stack, checked by one
+    ``density_states`` call.
+    """
     channels = iter(stinespring_channels([G for d in draws for G in d.gaussians]))
+    states = {}
+    for q in {len(d.blochs) for d in draws}:
+        rows = [i for i, d in enumerate(draws) if len(d.blochs) == q]
+        # factors[j] stacks qubit j's Bloch states, one per draw of the group.
+        factors = np.array([[bloch_matrix(r) for r in draws[i].blochs] for i in rows]).swapaxes(0, 1)
+        states.update(zip(rows, density_states(kron(list(factors)))))
     return [
-        Schedule(_product_state(d.blochs), d.events, tuple(next(channels) for _ in d.gaussians))
-        for d in draws
+        Schedule(states[i], d.events, tuple(next(channels) for _ in d.gaussians))
+        for i, d in enumerate(draws)
     ]
 
 
@@ -195,8 +201,9 @@ def suite_ancilla(seed: int = 0, trials: int = 50) -> SuiteResult:
             rng = np.random.default_rng(seed + k)
             blochs.append(random_bloch(rng))
             gaussians.append(cptp_draw(1, rng))
-        for k, r, ch in zip(range(trials)[chunk], blochs, stinespring_channels(gaussians)):
-            s = two_event_schedule(state_from_bloch(r), ch)
+        states = density_states([bloch_matrix(r) for r in blochs])
+        for k, st, ch in zip(range(trials)[chunk], states, stinespring_channels(gaussians)):
+            s = two_event_schedule(st, ch)
             got = ancilla_expectations(s, _ALL_PAIRS)
             i, dev = worst_deviation(np.abs(got - expectations(s, _ALL_PAIRS)))
             if dev > worst:
@@ -217,8 +224,7 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
     model at all times with one ``noise_kraus`` call.
     """
     rng = np.random.default_rng(seed)
-    bloch = random_bloch(rng)
-    state = state_from_bloch(bloch)
+    state = state_from_bloch(random_bloch(rng))
     worst, detail = -np.inf, ""
     for chunk in chunk_slices(trials, _TWO_EVENT_PDM_BYTES, CHECK_STACK_BYTES):
         channels = stinespring_channels([cptp_draw(1, rng) for _ in range(trials)[chunk]])
@@ -235,8 +241,8 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
     )
     ts = np.linspace(0.0, 2.0, 3)
     per_time = [functools.reduce(compose, [channel_at_time(m, t) for m in members]) for t in ts]
-    cfg = SweepConfig(tuple(bloch), NoiseModel("composite", members=members), 0.0, 2.0, len(ts))
-    devs = np.max(np.abs(pdm_stack(cfg, ts) - two_event_pdm_stack(state, per_time)), axis=(1, 2))
+    swept = pdm_stack(state, NoiseModel("composite", members=members), ts)
+    devs = np.max(np.abs(swept - two_event_pdm_stack(state, per_time)), axis=(1, 2))
     i, dev = worst_deviation(devs)
     if dev > worst:
         worst, detail = dev, f"sweep path at t={float(ts[i])!r}"
@@ -264,14 +270,15 @@ def suite_convexity(seed: int = 0, trials: int = 200) -> SuiteResult:
     """
     worst, detail = -np.inf, ""
     for chunk in chunk_slices(trials, 2 * _TWO_EVENT_PDM_BYTES, CHECK_STACK_BYTES):
-        states, gaussians, weights = [], [], []
+        blochs, gaussians, weights = [], [], []
         for k in range(trials)[chunk]:
             rng = np.random.default_rng(seed + k)
             for _ in range(2):
-                states.append(state_from_bloch(random_bloch(rng)))
+                blochs.append(random_bloch(rng))
                 gaussians.append(cptp_draw(1, rng))
             p = float(rng.uniform(0, 1))
             weights.append([p, 1 - p])
+        states = density_states([bloch_matrix(r) for r in blochs])
         Rs = two_event_pdm_stack(states, stinespring_channels(gaussians)).reshape(-1, 2, 4, 4)
         i, gap = worst_deviation(convexity_gaps(Rs, weights))
         if gap > worst:

@@ -48,7 +48,7 @@ GOLDEN_DOC = {
 #: ``pdm verify`` output, pinned.
 VERIFY_SEED_0 = (
     "[PASS] golden_two_event: max deviation 0.000e+00\n"
-    "[PASS] engine_vs_oracle: max deviation 2.220e-16\n"
+    "[PASS] engine_vs_oracle: max deviation 1.180e-16\n"
     "[PASS] ancilla_protocol: max deviation 6.661e-16\n"
     "[PASS] closed_form_two_event: max deviation 3.103e-17\n"
     "[PASS] unitary_invariance: max deviation 8.882e-16\n"
@@ -306,6 +306,18 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot write {bad}: ")
         assert captured.out == ""
+        # Every file is opened before any is written: no CSV is left behind.
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unwritable_svg_path_keeps_an_existing_csv(self, tmp_path, capsys):
+        csv = tmp_path / "x.csv"
+        csv.write_text("old\n")
+        cfg = write(tmp_path / "cfg.json", sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 1.0, 5))
+        assert main(["sweep", cfg, "--csv", str(csv), "--svg", str(tmp_path / "missing" / "x.svg")]) == 2
+        assert csv.read_text() == "old\n"
+        # Written again with a good SVG path, it holds only the new rows.
+        assert main(["sweep", cfg, "--csv", str(csv), "--svg", str(tmp_path / "x.svg")]) == 0
+        assert len(csv_rows(csv.read_text())) == 5
 
     def test_null_output_paths_are_absent(self, tmp_path, capsys):
         doc = dict(sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 1.0, 5), csv=None, svg=None)
@@ -533,8 +545,8 @@ class TestVerify:
 
         exact = verify.pdm_stack
 
-        def skewed(cfg, ts):
-            R = exact(cfg, ts)
+        def skewed(state, noise, ts):
+            R = exact(state, noise, ts)
             R[1, 1, 1] += 1e-9
             return R
 

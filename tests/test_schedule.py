@@ -801,3 +801,18 @@ class TestTwoEventClosedForm:
         nan = KrausChannel([I2, np.diag([0, np.nan])])
         with pytest.raises(UsageError, match="gap channel 1 is not trace preserving: a Kraus operator has a non-finite"):
             two_event_pdm_stack(random_density(1, rng), [None, nan, None])
+
+
+def test_equality_is_identity_and_every_type_hashes():
+    # Each type holds arrays, whose == is elementwise: equality is identity.
+    s, twin = (two_event_schedule(state_from_bloch([0, 0, 1]), make_channel("dephasing", 0.5)) for _ in range(2))
+    for a, b in [
+        (s.initial_state, twin.initial_state),
+        (s.inter_slice_channels[0], twin.inter_slice_channels[0]),
+        (s, twin),
+        (build_pdm(s), build_pdm(twin)),
+    ]:
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2

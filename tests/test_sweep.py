@@ -148,7 +148,7 @@ class TestFindTransition:
         """Replace the PDM spectra with ones whose h(t) = lambda_min + PSD_ATOL is ``h``; count calls."""
         calls = []
 
-        def spectra(cfg, ts):
+        def spectra(state, noise, ts):
             ts = np.asarray(ts, dtype=float)
             calls.append(len(ts))
             return np.repeat((h(ts) - PSD_ATOL)[:, None], 4, axis=1)
@@ -186,14 +186,23 @@ class TestFindTransition:
         calls = []
         real = sweep._spectra
 
-        def counted(cfg, ts):
+        def counted(state, noise, ts):
             calls.append(len(ts))
-            return real(cfg, ts)
+            return real(state, noise, ts)
 
         monkeypatch.setattr(sweep, "_spectra", counted)
         assert find_transition(cfg) is not None
         assert len(calls) <= 6
         assert calls[0] == 256 and all(n == 63 for n in calls[1:])
+
+    def test_state_is_checked_once_per_call(self, monkeypatch):
+        cfg = SweepConfig((0.2, 0.1, -0.3), DECAY_COMPOSITE, 0.0, 4.0, 2)
+        want = find_transition(cfg)
+        made = []
+        real = sweep.state_from_bloch
+        monkeypatch.setattr(sweep, "state_from_bloch", lambda r: made.append(r) or real(r))
+        assert find_transition(cfg) == want is not None
+        assert len(made) == 1
 
     def test_stops_at_float_resolution(self, monkeypatch):
         # tol = 1e-9 is below the float spacing at 1e8 (~1.5e-8): the bracket
