@@ -14,9 +14,9 @@ cfg = SweepConfig(
     t_max=5.0,
     points=11,
 )
-rows = run_sweep(cfg)
-print(rows_to_csv(rows))
+sweep = run_sweep(cfg)
+print(rows_to_csv(sweep))
 
 with open("dephasing_sweep.svg", "w") as fh:
-    fh.write(emit_svg(rows))
+    fh.write(emit_svg(sweep))
 print("wrote dephasing_sweep.svg")

@@ -18,10 +18,11 @@ mixed = SweepConfig(
     t_max=5.0,
     points=11,
 )
-for row in run_sweep(mixed):
+sweep = run_sweep(mixed)
+for t, w, f, causal in zip(sweep.t, sweep.eigenvalues, sweep.f_tr, sweep.causal):
     print(
-        f"t = {row.t:5.2f}  min eig = {row.eigenvalues[0]:+.6f}  "
-        f"f_tr = {row.f_tr:.6f}  {row.classification}"
+        f"t = {t:5.2f}  min eig = {w[0]:+.6f}  "
+        f"f_tr = {f:.6f}  {'causal' if causal else 'spacelike_compatible'}"
     )
 
 t_star = find_transition(mixed)

@@ -55,8 +55,8 @@ from .schedule import (
 )
 from .serialize import sweep_config_from_dict
 from .sweep import (
+    Sweep,
     SweepConfig,
-    SweepRow,
     emit_svg,
     find_transition,
     rows_to_csv,

@@ -268,14 +268,16 @@ def kraus_array(channels) -> np.ndarray:
     return ks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Time-parametrized noise family.
 
     kind: dephasing | depolarizing | amplitude_damping | unitary | composite.
     tau: the exponential time constant (seconds) for the noise kinds.
-    unitary: fixed unitary for kind="unitary".
-    members: ordered submodels for kind="composite", applied left to right.
+    unitary: fixed unitary for kind="unitary", held as a read-only copy.
+    members: ordered submodels for kind="composite", applied left to right, held as a tuple.
+
+    Equality is identity, so a model hashes.
     """
 
     kind: str
@@ -292,7 +294,16 @@ class NoiseModel:
         elif self.kind == "unitary":
             if self.unitary is None:
                 raise UsageError("unitary model requires a matrix")
+            try:
+                U = read_only(np.array(self.unitary, dtype=complex))
+            except (TypeError, ValueError):
+                raise UsageError("unitary model requires a matrix of numbers") from None
+            object.__setattr__(self, "unitary", U)
         elif self.kind == "composite":
+            try:
+                object.__setattr__(self, "members", tuple(self.members))
+            except TypeError:
+                raise UsageError(f"composite members must be a sequence of models, got {self.members!r}") from None
             if len(self.members) == 0:
                 raise UsageError("composite model requires at least one member")
         else:

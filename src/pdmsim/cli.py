@@ -168,13 +168,13 @@ def cmd_sweep(args) -> int:
     csv_path = args.csv or cfg.csv_path
     if not csv_path:
         raise UsageError("no CSV output path given (use --csv or the config's 'csv' field)")
-    rows = run_sweep(cfg)
-    texts = {csv_path: rows_to_csv(rows)}
+    sweep = run_sweep(cfg)
+    texts = {csv_path: rows_to_csv(sweep)}
     svg_path = args.svg or cfg.svg_path
     if svg_path:
-        texts[svg_path] = emit_svg(rows)
+        texts[svg_path] = emit_svg(sweep)
     _write_texts(texts)
-    sys.stdout.write(f"wrote {len(rows)} rows to {csv_path}\n")
+    sys.stdout.write(f"wrote {len(sweep.t)} rows to {csv_path}\n")
     return EXIT_OK
 
 

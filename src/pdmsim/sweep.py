@@ -10,7 +10,7 @@ import numpy as np
 from .causality import CAUSAL, SPACELIKE, causal_margin, spectrum_verdict
 from .channels import DensityState, NoiseModel, choi_stack, noise_kraus, state_from_bloch
 from .errors import UsageError
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig, read_only
 from .schedule import two_event_pdm_from_choi
 
 CSV_HEADER = "t,lambda1,lambda2,lambda3,lambda4,f_tr,classification"
@@ -23,9 +23,12 @@ _REFINE_POINTS = 63
 MAX_SWEEP_POINTS = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepConfig:
-    """Two-event single-qubit sweep: PDM of {event, wait under noise, event} vs time."""
+    """Two-event single-qubit sweep: PDM of {event, wait under noise, event} vs time.
+
+    Equality is identity, so a config hashes.
+    """
 
     bloch: tuple
     noise: NoiseModel
@@ -56,12 +59,33 @@ class SweepConfig:
             raise UsageError("log grid requires t_min > 0")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    t: float
-    eigenvalues: tuple
-    f_tr: float
-    classification: str
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """A sweep as one record of arrays, one row per grid time.
+
+    ``t`` (T,), ``eigenvalues`` (T, k) ascending along each row, ``f_tr`` (T,)
+    and ``causal`` (T,) flags, each held as a read-only copy. Equality is
+    identity, so a sweep hashes.
+    """
+
+    t: np.ndarray
+    eigenvalues: np.ndarray
+    f_tr: np.ndarray
+    causal: np.ndarray
+
+    def __post_init__(self):
+        t = read_only(np.array(self.t, dtype=float))
+        fields = {
+            "t": t,
+            "eigenvalues": read_only(np.array(self.eigenvalues, dtype=float)),
+            "f_tr": read_only(np.array(self.f_tr, dtype=float)),
+            "causal": read_only(np.array(self.causal, dtype=bool)),
+        }
+        if t.ndim != 1 or any(len(a) != len(t) for a in fields.values()) or fields["eigenvalues"].ndim != 2:
+            shapes = ", ".join(f"{k} {a.shape}" for k, a in fields.items())
+            raise UsageError(f"a sweep needs arrays of shapes (T,), (T, k), (T,) and (T,), got {shapes}")
+        for name, a in fields.items():
+            object.__setattr__(self, name, a)
 
 
 def time_grid(cfg: SweepConfig) -> np.ndarray:
@@ -85,14 +109,12 @@ def _spectra(state: DensityState, noise: NoiseModel, ts) -> np.ndarray:
     return hermitian_eig(pdm_stack(state, noise, ts))
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
+def run_sweep(cfg: SweepConfig) -> Sweep:
+    """The PDM spectrum, f_tr and verdict at every grid time: one stack, one eigensolve."""
     ts = time_grid(cfg)
     W = _spectra(state_from_bloch(cfg.bloch), cfg.noise, ts)
     values, causal = spectrum_verdict(W)
-    return [
-        SweepRow(float(t), tuple(w.tolist()), float(v), CAUSAL if c else SPACELIKE)
-        for t, w, v, c in zip(ts, W, values, causal)
-    ]
+    return Sweep(ts, W, values, causal)
 
 
 def _first_crossing(vals: np.ndarray) -> int | None:
@@ -140,15 +162,17 @@ def find_transition(cfg: SweepConfig) -> float | None:
     return None
 
 
-def rows_to_csv(rows) -> str:
-    """CSV with shortest round-trip float formatting; eigenvalues ascending."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        if len(r.eigenvalues) != 4:
-            raise UsageError("CSV output expects two-event (4-eigenvalue) rows")
-        vals = [r.t, *r.eigenvalues, r.f_tr]
-        lines.append(",".join([*(repr(float(v)) for v in vals), r.classification]))
-    return "\n".join(lines) + "\n"
+def rows_to_csv(sweep: Sweep) -> str:
+    """CSV with shortest round-trip float formatting; eigenvalues ascending.
+
+    The body is one ``%`` format over the rows' Python floats and labels.
+    """
+    if sweep.eigenvalues.shape[1] != 4:
+        raise UsageError("CSV output expects two-event (4-eigenvalue) rows")
+    cells = np.empty((len(sweep.t), 7), dtype=object)
+    cells[:, 0], cells[:, 1:5], cells[:, 5] = sweep.t, sweep.eigenvalues, sweep.f_tr
+    cells[:, 6] = np.where(sweep.causal, CAUSAL, SPACELIKE)
+    return CSV_HEADER + "\n" + "%r,%r,%r,%r,%r,%r,%s\n" * len(sweep.t) % tuple(cells.ravel().tolist())
 
 
 # SVG layout constants.
@@ -159,14 +183,31 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}".rstrip("0").rstrip(".")
 
 
-def _panel(rows, series, colors, y0, title, causal_spans, t_span):
-    t_lo, t_hi = t_span
-    all_vals = [v for ys in series for v in ys]
-    v_lo, v_hi = min(all_vals), max(all_vals)
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """``x,y x,y ...`` with each coordinate written as ``_fmt`` writes it.
+
+    One ``%.3f`` format writes every coordinate with three decimals and a
+    separator after it; three replace passes then drop trailing zeros. Each
+    pass sees one token end per separator: "00" drops the last two decimals
+    when both are zero, "0" the last one left, and a bare "." goes.
+    """
+    coords = np.column_stack([xs, ys]).ravel().tolist()
+    text = "%.3f,%.3f " * len(xs) % tuple(coords)
+    for sep in ", ":
+        for tail in ("00", "0", "."):
+            text = text.replace(tail + sep, sep)
+    return text[:-1]
+
+
+def _panel(ts, series, colors, y0, title, causal_spans):
+    """One panel: the causal bands, a frame, a polyline per column of ``series`` and a title."""
+    t_lo, t_hi = float(ts[0]), float(ts[-1])
+    v_lo, v_hi = float(series.min()), float(series.max())
     if v_hi - v_lo < 1e-12:
         v_lo, v_hi = v_lo - 0.5, v_hi + 0.5
     pad = 0.05 * (v_hi - v_lo)
     v_lo, v_hi = v_lo - pad, v_hi + pad
+    # Both maps take a band edge's float or a whole column of the sweep.
     x_px = lambda t: _MARGIN + (t - t_lo) / (t_hi - t_lo) * (_W - 2 * _MARGIN)
     y_px = lambda v: y0 + _PANEL_H - (v - v_lo) / (v_hi - v_lo) * _PANEL_H
     out = []
@@ -179,9 +220,9 @@ def _panel(rows, series, colors, y0, title, causal_spans, t_span):
         f'<rect x="{_fmt(_MARGIN)}" y="{_fmt(y0)}" width="{_fmt(_W - 2 * _MARGIN)}" '
         f'height="{_fmt(_PANEL_H)}" fill="none" stroke="#333" stroke-width="1"/>'
     )
-    for ys, color in zip(series, colors):
-        pts = " ".join(f"{_fmt(x_px(r.t))},{_fmt(y_px(v))}" for r, v in zip(rows, ys))
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+    xs = x_px(ts)
+    for ys, color in zip(y_px(series).T, colors):
+        out.append(f'<polyline points="{_points(xs, ys)}" fill="none" stroke="{color}" stroke-width="1.5"/>')
     out.append(
         f'<text x="{_fmt(_MARGIN)}" y="{_fmt(y0 - 8)}" font-family="sans-serif" '
         f'font-size="13" fill="#000">{title}</text>'
@@ -189,23 +230,23 @@ def _panel(rows, series, colors, y0, title, causal_spans, t_span):
     return out
 
 
-def emit_svg(rows) -> str:
+def _causal_spans(sweep: Sweep) -> list[tuple[float, float]]:
+    """``(start, end)`` times of each run of causal rows.
+
+    A run starts at its first row's time and ends at the time of the next
+    row, or of the last row when it runs to the end of the grid.
+    """
+    edges = np.flatnonzero(np.diff(sweep.causal, prepend=False, append=False))
+    t = sweep.t[np.minimum(edges, len(sweep.t) - 1)].tolist()
+    return list(zip(t[0::2], t[1::2]))
+
+
+def emit_svg(sweep: Sweep) -> str:
     """Two stacked panels: eigenvalues vs t and f_tr vs t, causal region shaded."""
-    rows = list(rows)
-    if len(rows) < 2:
+    if len(sweep.t) < 2:
         raise UsageError("SVG output requires at least 2 rows")
-    t_span = (rows[0].t, rows[-1].t)
-    spans, start = [], None
-    for r in rows:
-        if r.classification == "causal" and start is None:
-            start = r.t
-        elif r.classification != "causal" and start is not None:
-            spans.append((start, r.t))
-            start = None
-    if start is not None:
-        spans.append((start, rows[-1].t))
-    k = len(rows[0].eigenvalues)
-    eig_series = [[r.eigenvalues[i] for r in rows] for i in range(k)]
+    spans = _causal_spans(sweep)
+    k = sweep.eigenvalues.shape[1]
     colors = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"][:k]
     height = 2 * (_PANEL_H + _GAP) + 2 * _MARGIN
     parts = [
@@ -215,8 +256,8 @@ def emit_svg(rows) -> str:
         f'<rect x="0" y="0" width="{_W}" height="{height}" fill="#fff"/>',
     ]
     y1 = _MARGIN
-    parts += _panel(rows, eig_series, colors, y1, "eigenvalues vs t", spans, t_span)
+    parts += _panel(sweep.t, sweep.eigenvalues, colors, y1, "eigenvalues vs t", spans)
     y2 = _MARGIN + _PANEL_H + 2 * _GAP
-    parts += _panel(rows, [[r.f_tr for r in rows]], ["#000"], y2, "f_tr vs t", spans, t_span)
+    parts += _panel(sweep.t, sweep.f_tr[:, None], ["#000"], y2, "f_tr vs t", spans)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import pathlib
@@ -11,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pdmsim import NoiseModel, SweepConfig, SweepRow, emit_svg, find_transition, rows_to_csv, run_sweep
+from pdmsim import NoiseModel, Sweep, SweepConfig, UsageError, emit_svg, find_transition, rows_to_csv, run_sweep
 from pdmsim import build_pdm, classify, state_from_bloch
 from pdmsim import channels
 from pdmsim.serialize import load_json, schedule_from_dict
 from pdmsim.cli import format_matrix_rows, main
-from pdmsim.sweep import CSV_HEADER, MAX_SWEEP_POINTS
+from pdmsim.sweep import CSV_HEADER, MAX_SWEEP_POINTS, _fmt, _points
 
 from conftest import random_schedule
 
@@ -27,14 +28,14 @@ def write(path, doc):
 
 
 def csv_rows(text):
-    """The rows of a sweep CSV under its header line."""
+    """The sweep a CSV holds under its header line; every row's label is one of the two."""
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
-    rows = []
-    for line in lines[1:]:
-        t, *eigenvalues, f_tr, classification = line.split(",")
-        rows.append(SweepRow(float(t), tuple(map(float, eigenvalues)), float(f_tr), classification))
-    return rows
+    cells = [line.split(",") for line in lines[1:]]
+    labels = [row[-1] for row in cells]
+    assert set(labels) <= {"causal", "spacelike_compatible"}
+    values = np.array([[float(v) for v in row[:-1]] for row in cells]).reshape(-1, 6)
+    return Sweep(values[:, 0], values[:, 1:5], values[:, 5], [label == "causal" for label in labels])
 
 
 GOLDEN_DOC = {
@@ -232,27 +233,28 @@ class TestSweep:
         cfg = write(tmp_path / "cfg.json", sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 5.0, 101))
         csv = tmp_path / "out.csv"
         assert main(["sweep", cfg, "--csv", str(csv)]) == 0
-        for row in csv_rows(csv.read_text()):
-            if row.t < math.log(3) - 1e-9:
-                assert row.classification == "causal"
-            elif row.t > math.log(3) + 1e-9:
-                assert row.classification == "spacelike_compatible"
+        sweep = csv_rows(csv.read_text())
+        for t, causal in zip(sweep.t, sweep.causal):
+            if t < math.log(3) - 1e-9:
+                assert causal
+            elif t > math.log(3) + 1e-9:
+                assert not causal
 
     def test_first_row_reproduces_closed_system(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", sweep_doc((0, 0, 1), "depolarizing", 1.0, 0.0, 1.0, 2))
         csv = tmp_path / "out.csv"
         assert main(["sweep", cfg, "--csv", str(csv)]) == 0
-        first = csv_rows(csv.read_text())[0]
-        assert first.f_tr == pytest.approx(1.0, abs=1e-10)
-        assert np.allclose(first.eigenvalues, [-0.5, 0, 0.5, 1], atol=1e-10)
+        sweep = csv_rows(csv.read_text())
+        assert sweep.f_tr[0] == pytest.approx(1.0, abs=1e-10)
+        assert np.allclose(sweep.eigenvalues[0], [-0.5, 0, 0.5, 1], atol=1e-10)
 
     def test_csv_round_trip_reclassification(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 3.0, 40))
         csv = tmp_path / "out.csv"
         assert main(["sweep", cfg, "--csv", str(csv)]) == 0
-        for row in csv_rows(csv.read_text()):
-            expected = "causal" if row.eigenvalues[0] < -1e-10 else "spacelike_compatible"
-            assert row.classification == expected
+        sweep = csv_rows(csv.read_text())
+        for w, causal in zip(sweep.eigenvalues, sweep.causal):
+            assert causal == (w[0] < -1e-10)
 
     def test_determinism(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 4.0, 25))
@@ -317,13 +319,13 @@ class TestSweep:
         assert csv.read_text() == "old\n"
         # Written again with a good SVG path, it holds only the new rows.
         assert main(["sweep", cfg, "--csv", str(csv), "--svg", str(tmp_path / "x.svg")]) == 0
-        assert len(csv_rows(csv.read_text())) == 5
+        assert len(csv_rows(csv.read_text()).t) == 5
 
     def test_null_output_paths_are_absent(self, tmp_path, capsys):
         doc = dict(sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 1.0, 5), csv=None, svg=None)
         csv = tmp_path / "x.csv"
         assert main(["sweep", write(tmp_path / "cfg.json", doc), "--csv", str(csv)]) == 0
-        assert len(csv_rows(csv.read_text())) == 5
+        assert len(csv_rows(csv.read_text()).t) == 5
 
     def test_overflowing_t_max_exit_2(self, tmp_path, capsys):
         # JSON 1e400 parses to inf; it must be rejected by name, not run.
@@ -379,9 +381,9 @@ class TestTransition:
             points=1000,
         )
         t_star = find_transition(cfg)
-        rows = run_sweep(cfg)
-        last_causal = max(r.t for r in rows if r.classification == "causal")
-        first_space = min(r.t for r in rows if r.classification == "spacelike_compatible")
+        sweep = run_sweep(cfg)
+        last_causal = max(sweep.t[sweep.causal])
+        first_space = min(sweep.t[~sweep.causal])
         assert last_causal <= t_star <= first_space
 
 
@@ -751,34 +753,144 @@ class TestParserReuse:
         assert cli._parser() is cli._parser()
 
 
+def sweep_of(flags, t_max=4.0):
+    """A hand-built sweep on an evenly spaced grid over [0, t_max] with these causal flags."""
+    T = len(flags)
+    W = np.tile([-0.1, 0.0, 0.2, 0.9], (T, 1))
+    return Sweep(np.linspace(0.0, t_max, T), W, np.linspace(0.2, 0.0, T), flags)
+
+
+def bands(svg):
+    """(x, width) of each causal band, per panel: the bands are drawn in both."""
+    found = re.findall(r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" height="210" fill="#fdd"', svg)
+    top = [(x, w) for x, y, w in found if y == "46"]
+    assert [(x, w) for x, y, w in found if y != "46"] == top
+    return top
+
+
 class TestSvg:
-    def sweep_rows(self, bloch, kind, points=12):
+    def sweep(self, bloch, kind, points=12):
         cfg = SweepConfig(
             bloch=bloch, noise=NoiseModel(kind, tau=1.0), t_min=0.0, t_max=5.0, points=points
         )
         return run_sweep(cfg)
 
     def test_five_polylines(self):
-        svg = emit_svg(self.sweep_rows((0, 0, 0), "depolarizing"))
+        svg = emit_svg(self.sweep((0, 0, 0), "depolarizing"))
         assert svg.count("<polyline") == 5
         assert svg.startswith('<?xml version="1.0"')
         assert "</svg>" in svg
 
     def test_dephasing_band_spans_axis(self):
-        rows = self.sweep_rows((0, 0, 1), "dephasing")
-        svg = emit_svg(rows)
+        svg = emit_svg(self.sweep((0, 0, 1), "dephasing"))
         # All rows causal: exactly one shaded band per panel.
         assert svg.count('fill="#fdd"') == 2
 
     def test_depolarizing_band_ends_near_ln3(self):
-        rows = self.sweep_rows((0, 0, 0), "depolarizing", points=51)
-        causal_ts = [r.t for r in rows if r.classification == "causal"]
-        grid_step = rows[1].t - rows[0].t
-        assert abs(max(causal_ts) - math.log(3)) <= grid_step + 1e-12
-        svg = emit_svg(rows)
+        sweep = self.sweep((0, 0, 0), "depolarizing", points=51)
+        grid_step = sweep.t[1] - sweep.t[0]
+        assert abs(max(sweep.t[sweep.causal]) - math.log(3)) <= grid_step + 1e-12
+        svg = emit_svg(sweep)
         assert svg.count('fill="#fdd"') == 2
 
     def test_too_few_rows(self):
-        rows = self.sweep_rows((0, 0, 0), "depolarizing")[:1]
-        with pytest.raises(Exception):
-            emit_svg(rows)
+        s = self.sweep((0, 0, 0), "depolarizing")
+        with pytest.raises(UsageError, match="at least 2 rows"):
+            emit_svg(Sweep(s.t[:1], s.eigenvalues[:1], s.f_tr[:1], s.causal[:1]))
+
+    # On a 0..4 grid of 9 rows each row is 548 / 8 = 68.5 px right of the last.
+    @pytest.mark.parametrize(
+        "flags,want",
+        [
+            ([0, 0, 0, 0, 0, 0, 0, 0, 0], []),
+            ([0, 0, 1, 1, 1, 0, 0, 0, 0], [("183", "205.5")]),
+            ([0, 0, 0, 0, 0, 0, 1, 1, 1], [("457", "137")]),
+            ([1, 1, 0, 0, 1, 1, 1, 0, 0], [("46", "137"), ("320", "205.5")]),
+            ([0, 0, 0, 0, 1, 0, 0, 0, 0], [("320", "68.5")]),
+            ([1, 1, 1, 1, 1, 1, 1, 1, 1], [("46", "548")]),
+        ],
+        ids=["none", "middle", "to-last-row", "two", "one-row", "all"],
+    )
+    def test_bands_of_hand_built_sweeps(self, flags, want):
+        # A band runs from its first causal row to the next row, or to the last row.
+        assert bands(emit_svg(sweep_of([bool(f) for f in flags]))) == want
+
+    def test_points_write_coordinates_as_fmt(self):
+        edge = [0.0, -0.0, -0.0004, 0.0004, 10.0, 100.5, 546.0005, 0.05, -7.25, 1e-9, 999.9999]
+        rng = np.random.default_rng(3)
+        n = 10_000
+        coords = np.concatenate([
+            rng.uniform(-600, 600, n // 4),
+            rng.integers(-600_000, 600_000, n // 4) / 1000.0,
+            rng.integers(-6_000, 6_000, n // 4) / 10.0,
+            rng.uniform(-0.002, 0.002, n // 4),
+        ])
+        for values in (np.array(edge), coords):
+            xs, ys = values, values[::-1]
+            want = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs.tolist(), ys.tolist()))
+            assert _points(xs, ys) == want
+
+
+#: Configs whose ``pdm sweep`` CSV and SVG and ``pdm transition`` output are
+#: pinned: every noise kind on a mixed and a polarised input, a log grid, a
+#: 2-point grid and a causal band that ends mid-grid.
+PINNED_NOISE = {
+    "dephasing": {"kind": "dephasing", "tau": 1.1},
+    "depolarizing": {"kind": "depolarizing", "tau": 0.9},
+    "amplitude_damping": {"kind": "amplitude_damping", "tau": 1.4},
+    "unitary": {"kind": "unitary", "matrix": [[[0.8, 0.0], [0.0, 0.6]], [[0.0, 0.6], [0.8, 0.0]]]},
+    "composite": {
+        "kind": "composite",
+        "members": [{"kind": "depolarizing", "tau": 1.0}, {"kind": "amplitude_damping", "tau": 2.5}],
+    },
+}
+MIXED, POLARISED = [0.0, 0.0, 0.0], [0.3, -0.2, 0.6]
+PINNED_SWEEPS = {
+    **{
+        f"{kind}-{name}": {"initial_state": {"bloch": bloch}, "noise": noise, "t_min": 0.0, "t_max": 5.0, "points": 41}
+        for kind, noise in PINNED_NOISE.items()
+        for name, bloch in (("mixed", MIXED), ("polarised", POLARISED))
+    },
+    "log-grid": {
+        "initial_state": {"bloch": MIXED}, "noise": PINNED_NOISE["depolarizing"],
+        "t_min": 0.01, "t_max": 5.0, "points": 57, "grid": "log",
+    },
+    "two-points": {
+        "initial_state": {"bloch": POLARISED}, "noise": PINNED_NOISE["amplitude_damping"],
+        "t_min": 0.0, "t_max": 3.0, "points": 2,
+    },
+    "band-ends-mid-grid": {
+        "initial_state": {"bloch": MIXED}, "noise": {"kind": "depolarizing", "tau": 1.0},
+        "t_min": 0.0, "t_max": 5.0, "points": 101,
+    },
+}
+#: sha256 of CSV, SVG and transition stdout joined by NUL bytes, recorded
+#: with numpy 2.4, OpenBLAS 0.3.31 and Python 3.11 on x86-64.
+PINNED_DIGESTS = {
+    "dephasing-mixed": "52b4ad509eb3f85e3d136b87e59041af081e8372cea8ae301d942a00b6bf8b82",
+    "dephasing-polarised": "a5d9b41ae5d88335cc1c368eae7a1f91a13658a62db62612f9ee36ea56cf1149",
+    "depolarizing-mixed": "e061d9c65ed63de8cd4c62781d59b1a2889d693ec514a288ca6e6df2111c6a13",
+    "depolarizing-polarised": "551fed3136109556f19c49be4c45d6f41e8030eb9299897eed8394cffb7099e1",
+    "amplitude_damping-mixed": "a988b58d4941e99435e34cef4d0eb12eca58708557fcb36e4f6eaa5e172d1c4d",
+    "amplitude_damping-polarised": "cda082049d46aa37c5129fbc0aaafc93f16464ae59c7e8fdd6bbf5f141953b7b",
+    "unitary-mixed": "0254e15b92fa63ae05b91798691d20338792aa50c35058a75ecee37dda04d124",
+    "unitary-polarised": "9c2312fb98f8635cc51585f7567df4656923e78b7b044af52ac013161789a938",
+    "composite-mixed": "cc8546895f1d809f46e24b87cd750391b6afca74b654936832805b7def7a750c",
+    "composite-polarised": "45aba235daf69217b83542818adf04f39999621d0a0ab330d8b16af60d628b0f",
+    "log-grid": "c5bfb3323ab60718241ff03325f1517a705dc2a35c5cc79c26b04a2a9755379b",
+    "two-points": "8758924786e0df92daf5db5bed38f53c0e4ffc6e877ba0e345af14a10d6cb69c",
+    "band-ends-mid-grid": "32280e21ba4b279fb25b4e19d62d85e7b9eefa579b2cfc85cc1c5ee0eead2d98",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_sweep_output_pinned(name, tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.json", PINNED_SWEEPS[name])
+    csv, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    assert main(["sweep", cfg, "--csv", str(csv), "--svg", str(svg)]) == 0
+    capsys.readouterr()
+    assert main(["transition", cfg]) == 0
+    texts = [csv.read_text(), svg.read_text(), capsys.readouterr().out]
+    # %r of a numpy scalar writes np.float64(...) under numpy 2.
+    assert "np.float64(" not in texts[0]
+    assert hashlib.sha256("\0".join(texts).encode()).hexdigest() == PINNED_DIGESTS[name]

@@ -45,8 +45,9 @@ def test_depolarizing_near_threshold(lam):
 def test_sweep_rows(kind, tau, r, theta, phi, points):
     bloch = (r * math.sin(theta) * math.cos(phi), r * math.sin(theta) * math.sin(phi), r * math.cos(theta))
     cfg = SweepConfig(bloch, NoiseModel(kind, tau=tau), 0.0, 5.0 * tau, points)
-    for row in run_sweep(cfg):
-        assert consistent(row.classification, row.f_tr)
+    sweep = run_sweep(cfg)
+    for causal, value in zip(sweep.causal.tolist(), sweep.f_tr.tolist()):
+        assert consistent("causal" if causal else "spacelike_compatible", value)
 
 
 @settings(max_examples=40, deadline=None)
@@ -55,5 +56,6 @@ def test_sweep_rows_around_the_depolarizing_transition(offset, width, points):
     # A mixed input under depolarizing noise (tau = 1) turns spacelike at t = ln 3.
     t_min = math.log(3) + offset
     cfg = SweepConfig((0, 0, 0), NoiseModel("depolarizing", tau=1.0), t_min, t_min + width, points)
-    for row in run_sweep(cfg):
-        assert consistent(row.classification, row.f_tr)
+    sweep = run_sweep(cfg)
+    for causal, value in zip(sweep.causal.tolist(), sweep.f_tr.tolist()):
+        assert consistent("causal" if causal else "spacelike_compatible", value)

@@ -8,6 +8,7 @@ import pytest
 
 from pdmsim import (
     NoiseModel,
+    Sweep,
     SweepConfig,
     UsageError,
     build_pdm,
@@ -86,14 +87,14 @@ class TestBatchedSweep:
     def test_rows_match_per_point_reference(self, kind, state, grid):
         t_min, t_max = GRIDS[grid]
         cfg = SweepConfig(INPUTS[state], NOISES[kind], t_min, t_max, 41, grid=grid)
-        rows = run_sweep(cfg)
+        sweep = run_sweep(cfg)
         ts = time_grid(cfg)
-        assert [r.t for r in rows] == [float(t) for t in ts]
-        for r in rows:
-            ref = reference_report(cfg, r.t)
-            assert np.max(np.abs(np.array(r.eigenvalues) - ref.eigenvalues)) <= 1e-12
-            assert abs(r.f_tr - ref.f_tr) <= 1e-12
-            assert r.classification == ref.classification
+        assert sweep.t.tolist() == ts.tolist()
+        for t, w, f, causal in zip(sweep.t.tolist(), sweep.eigenvalues, sweep.f_tr.tolist(), sweep.causal.tolist()):
+            ref = reference_report(cfg, t)
+            assert np.max(np.abs(w - ref.eigenvalues)) <= 1e-12
+            assert abs(f - ref.f_tr) <= 1e-12
+            assert ("causal" if causal else "spacelike_compatible") == ref.classification
 
     def test_multi_qubit_unitary_noise_rejected(self):
         cfg = SweepConfig(
@@ -288,3 +289,75 @@ class TestSweepConfigHardening:
             sweep_config_from_dict(config_doc(noise={"kind": "unitary", "matrix": U}))
         I = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         assert sweep_config_from_dict(config_doc(noise={"kind": "unitary", "matrix": I})).noise.kind == "unitary"
+
+
+class TestSweepRecord:
+    def test_arrays_are_read_only_copies(self):
+        record = run_sweep(SweepConfig((0, 0, 0), NOISES["depolarizing"], 0.0, 5.0, 7))
+        arrays = (record.t, record.eigenvalues, record.f_tr, record.causal)
+        assert [a.shape for a in arrays] == [(7,), (7, 4), (7,), (7,)]
+        assert [a.dtype for a in arrays] == [float, float, float, bool]
+        assert not any(a.flags.writeable for a in arrays)
+        t, W = np.linspace(0.0, 1.0, 3), np.zeros((3, 4))
+        built = Sweep(t, W, [0.1, 0.2, 0.3], [True, False, True])
+        t[0], W[0, 0] = 9.0, 9.0
+        assert built.t[0] == 0.0 and built.eigenvalues[0, 0] == 0.0
+
+    @pytest.mark.parametrize(
+        "t,W,f,c",
+        [
+            ([0.0, 1.0], np.zeros((3, 4)), [0, 0], [True, True]),
+            ([0.0, 1.0], np.zeros(2), [0, 0], [True, True]),
+            ([0.0, 1.0], np.zeros((2, 4)), [0], [True, True]),
+            ([[0.0, 1.0]], np.zeros((1, 4)), [0], [True]),
+        ],
+    )
+    def test_mismatched_shapes_rejected(self, t, W, f, c):
+        with pytest.raises(UsageError, match=r"arrays of shapes \(T,\), \(T, k\), \(T,\) and \(T,\)"):
+            Sweep(t, W, f, c)
+
+    def test_equality_is_identity(self):
+        cfg = SweepConfig((0, 0, 0), NOISES["dephasing"], 0.0, 1.0, 3)
+        a, b = run_sweep(cfg), run_sweep(cfg)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
+class TestModelsCompareAndKeep:
+    """NoiseModel and SweepConfig compare by identity, hash, and keep copies of their arrays."""
+
+    def test_unitary_model_compares_and_hashes(self):
+        U = haar_unitary(2, np.random.default_rng(4))
+        a, b = NoiseModel("unitary", unitary=U), NoiseModel("unitary", unitary=U)
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2
+
+    def test_config_holding_a_unitary_model_compares_and_hashes(self):
+        noise = NOISES["unitary"]
+        a, b = (SweepConfig((0, 0, 0), noise, 0.0, 1.0, 3) for _ in range(2))
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2
+
+    def test_unitary_is_a_read_only_copy(self):
+        U = haar_unitary(2, np.random.default_rng(5))
+        model = NoiseModel("unitary", unitary=U)
+        cfg = SweepConfig((0.1, 0.2, 0.3), model, 0.0, 1.0, 5)
+        before = run_sweep(cfg).eigenvalues
+        # Writing to the caller's matrix once made a later sweep fail with "matrix is not unitary".
+        U[0, 0] = 7.0
+        assert model.unitary[0, 0] != 7.0
+        assert np.array_equal(run_sweep(cfg).eigenvalues, before)
+        with pytest.raises(ValueError, match="read-only"):
+            model.unitary[0, 0] = 7.0
+
+    def test_composite_members_are_a_tuple(self):
+        members = [NoiseModel("dephasing", tau=1.0), NoiseModel("depolarizing", tau=2.0)]
+        model = NoiseModel("composite", members=members)
+        members.append(NoiseModel("amplitude_damping", tau=1.0))
+        assert isinstance(model.members, tuple) and len(model.members) == 2
+
+    def test_non_numeric_unitary_or_members_rejected(self):
+        with pytest.raises(UsageError, match="unitary model requires a matrix of numbers"):
+            NoiseModel("unitary", unitary=[["a", 0], [0, 1]])
+        with pytest.raises(UsageError, match="composite members must be a sequence of models, got 5"):
+            NoiseModel("composite", members=5)
