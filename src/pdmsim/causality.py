@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, kraus_array, kraus_sum
+from .channels import KrausChannel, kraus_array, kraus_sum, tp_residuals
 from .errors import UsageError
 from .linalg import PSD_ATOL, chunk_slices, dagger, embed_operator, hermitian_eig
 from .schedule import PseudoDensityMatrix
@@ -94,10 +94,7 @@ def qr_isometries(gaussians, haar: bool = False) -> list[np.ndarray]:
     Ginibre matrix Haar-random.
     """
     out = [None] * len(gaussians)
-    by_shape = {}
-    for i, G in enumerate(gaussians):
-        by_shape.setdefault(G.shape, []).append(i)
-    for rows in by_shape.values():
+    for rows in _shape_groups(gaussians):
         Q, Rm = np.linalg.qr(np.stack([gaussians[i] for i in rows]))
         if haar:
             d = np.diagonal(Rm, axis1=-2, axis2=-1)
@@ -107,13 +104,29 @@ def qr_isometries(gaussians, haar: bool = False) -> list[np.ndarray]:
     return out
 
 
+def _shape_groups(arrays) -> list[list[int]]:
+    """The indices of ``arrays`` grouped by shape, groups in order of first appearance."""
+    groups = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault(a.shape, []).append(i)
+    return list(groups.values())
+
+
 def stinespring_channels(gaussians) -> list[KrausChannel]:
     """Random channels, one per Gaussian, from its Stinespring isometry Q (``qr_isometries``).
 
     A (K D, D) Gaussian gives a channel of Kraus rank K on log2(D) qubits,
-    whose Kraus operators are Q's consecutive D x D row blocks.
+    whose Kraus operators are Q's consecutive D x D row blocks. Each shape's
+    trace-preservation residuals come from one ``tp_residuals`` contraction
+    and are stored on its channels, so a ``Schedule`` that checks them reads
+    a number instead of computing one per channel.
     """
-    return [KrausChannel(V.reshape(-1, V.shape[1], V.shape[1])) for V in qr_isometries(gaussians)]
+    channels = [KrausChannel(V.reshape(-1, V.shape[1], V.shape[1])) for V in qr_isometries(gaussians)]
+    for rows in _shape_groups(gaussians):
+        residuals = tp_residuals(np.stack([channels[i].kraus_ops for i in rows]))
+        for i, r in zip(rows, residuals):
+            object.__setattr__(channels[i], "tp_residual", float(r))
+    return channels
 
 
 def cptp_draw(qubits: int, rng: np.random.Generator) -> np.ndarray:

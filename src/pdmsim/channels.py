@@ -137,10 +137,18 @@ class KrausChannel:
 
         Computed once per channel and kept on it, so a unitary gap checked by
         ``unitary_channel`` and again by its ``Schedule`` costs one computation.
+        A maker of many channels may store it first (``stinespring_channels``).
         """
-        ks = self.kraus_ops
-        acc = np.einsum("kba,kbc->ac", ks.conj(), ks)
-        return float(np.max(np.abs(acc - np.eye(ks.shape[-1]))))
+        return float(tp_residuals(self.kraus_ops[None])[0])
+
+
+def tp_residuals(kraus: np.ndarray) -> np.ndarray:
+    """max|sum_k K_k^dag K_k - I| of each channel of a (T, K, d, d) Kraus array, shape (T,).
+
+    One contraction over the whole array, so a stack of channels costs one call.
+    """
+    acc = np.einsum("tkba,tkbc->tac", kraus.conj(), kraus)
+    return np.max(np.abs(acc - np.eye(kraus.shape[-1])), axis=(1, 2))
 
 
 def identity_channel(qubit_count: int = 1) -> KrausChannel:

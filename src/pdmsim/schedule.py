@@ -360,6 +360,13 @@ def _oracle_chunk(s: Schedule, labels: np.ndarray) -> np.ndarray:
     outcome o (0: +1, 1: -1). A row whose label is 0 at a splitting event
     takes the pair (I, 0), so its -1 branch is zero and adds nothing. A None
     gap is the identity and is skipped.
+
+    Each row's pair multiplies all of that row's B branches at once: the
+    pair stacked as (2D, D) times the branches side by side as (D, B D)
+    makes every P_o M_b, and each outcome's (B D, D) stack of those times
+    P_o makes every P_o M_b P_o. That is 3 products per row and event,
+    not 4B: numpy's batched complex matmul calls BLAS once per matrix,
+    which costs about as much for a 2x2 product as for an 8x8 one.
     """
     n = s.qubit_count
     D = 2**n
@@ -371,8 +378,13 @@ def _oracle_chunk(s: Schedule, labels: np.ndarray) -> np.ndarray:
             column = labels[:, ev.id - 1]
             if not column.any():
                 continue
-            pair = _event_projectors(ev.qubit, n)[column][:, None]
-            branches = (pair @ branches[:, :, None] @ pair).reshape(P, -1, D, D)
+            pair = _event_projectors(ev.qubit, n)[column]
+            B = branches.shape[1]
+            # left[p, o, r, b, c] = (P_o M_b)[r, c]
+            left = pair.reshape(P, 2 * D, D) @ branches.transpose(0, 2, 1, 3).reshape(P, D, B * D)
+            left = left.reshape(P, 2, D, B, D).transpose(0, 1, 3, 2, 4).reshape(P, 2, B * D, D)
+            # Back to branch order 2b + o.
+            branches = (left @ pair).reshape(P, 2, B, D, D).transpose(0, 2, 1, 3, 4).reshape(P, 2 * B, D, D)
             signs = (signs[:, :, None] * _OUTCOMES).reshape(P, -1)
         if ch is not None:
             branches = kraus_sum(ch.kraus_ops, branches)
@@ -391,8 +403,9 @@ class PseudoDensityMatrix:
     ``coefficients`` stores the raw expectation of every Pauli assignment,
     flat-indexed base 4 with event 1 the most significant digit, as a
     read-only copy. The read-only matrix R = sum_l c_l P_l / 2^n is assembled
-    from them (``_assemble``); it is derived, not a field. Equality is
-    identity, so a PDM hashes.
+    from them (``_assemble``) on its first read and kept; it is derived, not
+    a field, so a caller that reads only expectations never pays for it.
+    Equality is identity, so a PDM hashes.
     """
 
     events: tuple
@@ -408,10 +421,14 @@ class PseudoDensityMatrix:
             raise InvariantViolation("a stored expectation lies outside [-1, 1]")
         if not abs(c[0] - 1.0) <= 1e-12:
             raise InvariantViolation("all-identity expectation must be 1")
-        R = _assemble(c.reshape((4,) * n))
-        require_hermitian_unit_trace(R, "PDM")
         object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "matrix", read_only(R))
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The read-only matrix, assembled and checked Hermitian with unit trace on first read."""
+        R = _assemble(self.coefficients.reshape((4,) * self.event_count))
+        require_hermitian_unit_trace(R, "PDM")
+        return read_only(R)
 
     @property
     def event_count(self) -> int:

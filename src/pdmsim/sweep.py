@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ MAX_SWEEP_POINTS = 100_000
 class SweepConfig:
     """Two-event single-qubit sweep: PDM of {event, wait under noise, event} vs time.
 
+    ``bloch`` is kept as a tuple of floats, a copy of the caller's numbers.
     Equality is identity, so a config hashes.
     """
 
@@ -40,6 +42,16 @@ class SweepConfig:
     svg_path: str | None = None
 
     def __post_init__(self):
+        try:
+            bloch = tuple(self.bloch)
+        except TypeError:
+            bloch = None
+        if bloch is None or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in bloch):
+            raise UsageError(f"bloch must be a sequence of real numbers, got {self.bloch!r}")
+        try:
+            object.__setattr__(self, "bloch", tuple(float(x) for x in bloch))
+        except OverflowError:
+            raise UsageError("Bloch vector components must be finite, got an int too large for a float") from None
         for name in ("t_min", "t_max"):
             if not math.isfinite(getattr(self, name)):
                 raise UsageError(f"{name} must be finite, got {getattr(self, name)!r}")

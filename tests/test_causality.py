@@ -32,6 +32,7 @@ from pdmsim.causality import (
     ginibre,
     haar_unitary,
     qr_isometries,
+    stinespring_channels,
     worst_deviation,
 )
 from pdmsim.channels import kraus_sum
@@ -391,6 +392,20 @@ class TestStackedQR:
         assert len(got) == len(gaussians)
         for G, V in zip(gaussians, got):
             assert np.array_equal(V, np.linalg.qr(G)[0])
+
+    def test_stinespring_residuals_are_stored_per_shape(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        shapes = [self.TALL[i] for i in rng.permutation(2 * len(self.TALL)) % len(self.TALL)]
+        gaussians = [ginibre(rows, cols, rng) for rows, cols in shapes]
+        contractions = []
+        real = causality.tp_residuals
+        monkeypatch.setattr(causality, "tp_residuals", lambda ks: contractions.append(len(ks)) or real(ks))
+        channels = stinespring_channels(gaussians)
+        assert sorted(contractions) == [2] * len(self.TALL)
+        for ch in channels:
+            stored = ch.__dict__["tp_residual"]
+            assert type(stored) is float
+            assert abs(stored - KrausChannel(ch.kraus_ops).tp_residual) <= 1e-15
 
     def test_haar_matches_per_matrix_phase_fix(self):
         rng = np.random.default_rng(10)

@@ -35,7 +35,7 @@ from pdmsim.causality import haar_unitary
 from pdmsim.channels import kraus_sum
 from pdmsim.linalg import I2, PAULI_STACK, PAULIS, X, embed_operator, kron
 from pdmsim.schedule import PDM_BYTE_BUDGET, _event_paulis, _event_projectors
-from pdmsim.verify import GOLDEN_TWO_EVENT, golden_schedule, random_bloch
+from pdmsim.verify import GOLDEN_TWO_EVENT, golden_schedule, random_bloch, suite_engine_oracle
 
 from conftest import pdm_expectation, random_cptp, random_density, random_schedule
 
@@ -213,6 +213,28 @@ class TestBuildPdm:
             ) / 2**R.event_count
             assert np.max(np.abs(R.matrix - want)) <= 1e-14
             assert not R.matrix.flags.writeable and not R.coefficients.flags.writeable
+
+    def test_matrix_is_assembled_only_when_read(self, monkeypatch):
+        calls = []
+        real = schedule._assemble
+        monkeypatch.setattr(schedule, "_assemble", lambda c: calls.append(1) or real(c))
+        # engine_vs_oracle reads only stored expectations.
+        assert suite_engine_oracle(3, 20).passed
+        assert calls == []
+        R = build_pdm(random_schedule(np.random.default_rng(2)))
+        assert calls == []
+        first = R.matrix
+        assert R.matrix is first and calls == [1]
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 2.0
+
+    def test_matrix_is_checked_on_first_read(self, monkeypatch):
+        R = build_pdm(golden_schedule())
+        monkeypatch.setattr(schedule, "_assemble", lambda c: np.triu(np.ones((4, 4))) / 4)
+        lazy = PseudoDensityMatrix(R.events, R.coefficients)
+        with pytest.raises(InvariantViolation, match="PDM"):
+            lazy.matrix
 
     def test_coefficients_are_checked(self):
         R = build_pdm(golden_schedule())

@@ -356,6 +356,24 @@ class TestModelsCompareAndKeep:
         members.append(NoiseModel("amplitude_damping", tau=1.0))
         assert isinstance(model.members, tuple) and len(model.members) == 2
 
+    def test_bloch_is_a_tuple_of_floats(self):
+        b = np.zeros(3)
+        cfg = SweepConfig(b, NOISES["depolarizing"], 0.0, 1.0, 3)
+        before = run_sweep(cfg).eigenvalues
+        # Writing to the caller's array once made a later sweep fail with "Bloch vector norm".
+        b[0] = 5.0
+        assert cfg.bloch == (0.0, 0.0, 0.0) and all(type(x) is float for x in cfg.bloch)
+        assert np.array_equal(run_sweep(cfg).eigenvalues, before)
+
+    @pytest.mark.parametrize("bad", [5, None, "abc", (0, 0, "1"), (True, 0, 0), (1j, 0, 0), np.zeros((1, 3))])
+    def test_non_numeric_bloch_rejected(self, bad):
+        with pytest.raises(UsageError, match="bloch must be a sequence of real numbers"):
+            SweepConfig(bad, NOISES["depolarizing"], 0.0, 1.0, 3)
+
+    def test_huge_bloch_component_rejected(self):
+        with pytest.raises(UsageError, match="must be finite"):
+            SweepConfig((10**400, 0, 0), NOISES["depolarizing"], 0.0, 1.0, 3)
+
     def test_non_numeric_unitary_or_members_rejected(self):
         with pytest.raises(UsageError, match="unitary model requires a matrix of numbers"):
             NoiseModel("unitary", unitary=[["a", 0], [0, 1]])
