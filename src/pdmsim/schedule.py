@@ -356,8 +356,11 @@ def _oracle_chunk(s: Schedule, labels: np.ndarray) -> np.ndarray:
 
     The branches of all rows are held as one (P, 2^k, D, D) stack, k the
     number of events that are non-identity in any row, with their outcome
-    products as a (P, 2^k) sign array; branch 2b + o is branch b followed by
-    outcome o (0: +1, 1: -1). A row whose label is 0 at a splitting event
+    products as a (P, 2^k) sign array. Branch oB + b is branch b followed
+    by outcome o (0: +1, 1: -1). Each bit of a branch's index is one
+    outcome, so its outcome product is (-1)^popcount(index) in any bit
+    order, and the sign array, built in order 2b + o, fits the stack as it
+    is. A row whose label is 0 at a splitting event
     takes the pair (I, 0), so its -1 branch is zero and adds nothing. A None
     gap is the identity and is skipped.
 
@@ -383,8 +386,7 @@ def _oracle_chunk(s: Schedule, labels: np.ndarray) -> np.ndarray:
             # left[p, o, r, b, c] = (P_o M_b)[r, c]
             left = pair.reshape(P, 2 * D, D) @ branches.transpose(0, 2, 1, 3).reshape(P, D, B * D)
             left = left.reshape(P, 2, D, B, D).transpose(0, 1, 3, 2, 4).reshape(P, 2, B * D, D)
-            # Back to branch order 2b + o.
-            branches = (left @ pair).reshape(P, 2, B, D, D).transpose(0, 2, 1, 3, 4).reshape(P, 2 * B, D, D)
+            branches = (left @ pair).reshape(P, 2 * B, D, D)
             signs = (signs[:, :, None] * _OUTCOMES).reshape(P, -1)
         if ch is not None:
             branches = kraus_sum(ch.kraus_ops, branches)
