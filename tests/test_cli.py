@@ -894,3 +894,102 @@ def test_sweep_output_pinned(name, tmp_path, capsys):
     # %r of a numpy scalar writes np.float64(...) under numpy 2.
     assert "np.float64(" not in texts[0]
     assert hashlib.sha256("\0".join(texts).encode()).hexdigest() == PINNED_DIGESTS[name]
+
+
+def _pairs(M):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+
+
+def _pinned_state(dim, rng):
+    G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = G @ G.conj().T
+    return rho / np.trace(rho).real
+
+
+def _pinned_unitary(dim, rng):
+    """The Q factor of a complex Gaussian, its column phases fixed by R's diagonal."""
+    Q, R = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def _pinned_register(qubits, slices, seed):
+    """A matrix-state schedule document with a unitary in every gap.
+
+    ``slices`` lists (id, qubit) pairs per slice.
+    """
+    rng = np.random.default_rng(seed)
+    dim = 2**qubits
+    return {
+        "qubits": qubits,
+        "initial_state": {"matrix": _pairs(_pinned_state(dim, rng))},
+        "slices": [[{"id": i, "qubit": q} for i, q in sl] for sl in slices],
+        "channels": [{"kind": "unitary", "matrix": _pairs(_pinned_unitary(dim, rng))} for _ in slices[1:]],
+    }
+
+
+def _pinned_chain(bloch, channels):
+    return {
+        "qubits": 1,
+        "initial_state": {"bloch": bloch},
+        "slices": [[{"id": k + 1, "qubit": 0}] for k in range(len(channels) + 1)],
+        "channels": channels,
+    }
+
+
+#: Schedule documents whose ``pdm build`` stdout is pinned: 1-qubit 5-event
+#: noisy chains, 3-qubit unitary-gap schedules with multi-event slices (one
+#: with ids out of time order), a 2-qubit matrix-state schedule and a
+#: one-slice schedule.
+PINNED_BUILDS = {
+    "chain-params": _pinned_chain(
+        [0.3, -0.2, 0.8],
+        [
+            {"kind": "dephasing", "param": 0.3},
+            {"kind": "depolarizing", "param": 0.6},
+            {"kind": "amplitude_damping", "param": 0.25},
+            {"kind": "dephasing", "param": 0.8},
+        ],
+    ),
+    "chain-times": _pinned_chain(
+        [-0.5, 0.1, 0.4],
+        [
+            {"kind": "depolarizing", "tau": 1.3, "t": 0.4},
+            {"kind": "amplitude_damping", "tau": 0.7, "t": 0.9},
+            {"kind": "dephasing", "tau": 2.0, "t": 1.1},
+            {"kind": "amplitude_damping", "tau": 1.5, "t": 0.2},
+        ],
+    ),
+    "chain-identity-gap": _pinned_chain(
+        [0.0, 0.6, -0.3],
+        [
+            {"kind": "amplitude_damping", "param": 0.5},
+            {"kind": "identity"},
+            {"kind": "depolarizing", "param": 0.2},
+            {"kind": "dephasing", "tau": 0.9, "t": 0.6},
+        ],
+    ),
+    "3q-slices-3-2": _pinned_register(3, [[(1, 0), (2, 2), (3, 1)], [(4, 1), (5, 0)]], 31),
+    "3q-slices-1-2-2": _pinned_register(3, [[(1, 2)], [(2, 0), (3, 1)], [(4, 1), (5, 2)]], 32),
+    "3q-ids-out-of-time-order": _pinned_register(3, [[(4, 1), (2, 0)], [(5, 2)], [(1, 0), (3, 1)]], 33),
+    "2q-matrix-state": _pinned_register(2, [[(1, 0), (2, 1)], [(3, 1)], [(4, 0)]], 21),
+    "3q-one-slice": _pinned_register(3, [[(2, 0), (3, 1), (1, 2)]], 30),
+}
+#: sha256 of ``pdm build`` stdout, recorded with numpy 2.4, OpenBLAS 0.3.31
+#: and Python 3.11 on x86-64.
+PINNED_BUILD_DIGESTS = {
+    "2q-matrix-state": "70668f0e1b9ee8787a4696b7e07aa21a3ac2c82a8a4d7fd250430a23488a5fce",
+    "3q-ids-out-of-time-order": "0c4d625d1f85fbbd9e32fbc019ec641dd249fe5d5bd22c0f7c0bbd79414e67bc",
+    "3q-one-slice": "11d9600a709c04e03219d273fdd2ec164a3a238d9f9f8c32161afb934ca47c60",
+    "3q-slices-1-2-2": "e5bfc068bea676623685947345f2802b4b6c216cd6f767ef1fce2f83d8167c15",
+    "3q-slices-3-2": "a2c7955d8dad5cd2a7b78cdde459b7c3d4023f26927a20cc647e1463283c475f",
+    "chain-identity-gap": "b70450f319311eed1fecbb55a2e415c45bbb22e8741bae353b6f938bc4761e13",
+    "chain-params": "9ac165e23aa4a2c1607ac0b606f28e4e939491058475f693ac7449237fb15e62",
+    "chain-times": "223d49afe73e56d0419464c37c0032f6ebb4de3eb9512b67d46a8d4f84c0cc73",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BUILDS))
+def test_build_output_pinned(name, tmp_path, capsys):
+    path = write(tmp_path / "schedule.json", PINNED_BUILDS[name])
+    assert main(["build", path]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_BUILD_DIGESTS[name]
