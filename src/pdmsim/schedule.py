@@ -303,28 +303,14 @@ def two_event_pdm_from_choi(initial, choi: np.ndarray) -> np.ndarray:
 def expectations(s: Schedule, assignments) -> np.ndarray:
     """Expectations of the product of +-1 outcomes for a batch of Pauli assignments, shape (P,).
 
-    Uses the outcome-weighted superoperator: measuring a non-identity Pauli A
-    and weighting by the outcome maps the running operator M to (AM + MA)/2,
-    which equals P+ M P+ - P- M P-. Identity labels contribute outcome +1 and
-    leave the state untouched: their A is I, whose Jordan product returns M
-    exactly. The assignments share one (P, D, D) stack; each event maps it
-    through the rows' own Paulis (skipped when every row has label 0) and each
-    gap channel acts on the whole stack (skipped for a None gap, the identity).
-    Entry p is the trace of row p after all slices.
+    Measuring a non-identity Pauli A and weighting by the outcome maps the
+    running operator M to (AM + MA)/2 = P+ M P+ - P- M P-; an identity label
+    leaves M as it is. The rows run through ``build_pdm``'s pass, ``_forward``,
+    in chunks whose widest stack (4 operators a row) fits ``PDM_BYTE_BUDGET``, or of one row.
     """
     labels = _pauli_labels(assignments, s.event_count)
-    n = s.qubit_count
-    M = np.broadcast_to(s.initial_state.matrix, (len(labels),) + s.initial_state.matrix.shape)
-    # The last slice has no gap after it.
-    for sl, ch in enumerate(s.inter_slice_channels + (None,)):
-        for ev in s.events_in_slice(sl):
-            column = labels[:, ev.id - 1]
-            if column.any():
-                A = _event_paulis(ev.qubit, n)[column]
-                M = (A @ M + M @ A) / 2.0
-        if ch is not None:
-            M = kraus_sum(ch.kraus_ops, M)
-    return np.trace(M, axis1=1, axis2=2).real
+    chunks = chunk_slices(len(labels), 16 * 4 * 4**s.qubit_count, PDM_BYTE_BUDGET)
+    return np.concatenate([_forward(s, labels[rows]) for rows in chunks])
 
 
 def expectation(s: Schedule, assignment) -> float:
@@ -356,11 +342,10 @@ def _oracle_chunk(s: Schedule, labels: np.ndarray) -> np.ndarray:
 
     The branches of all rows are held as one (P, 2^k, D, D) stack, k the
     number of events that are non-identity in any row, with their outcome
-    products as a (P, 2^k) sign array. Branch oB + b is branch b followed
-    by outcome o (0: +1, 1: -1). Each bit of a branch's index is one
-    outcome, so its outcome product is (-1)^popcount(index) in any bit
-    order, and the sign array, built in order 2b + o, fits the stack as it
-    is. A row whose label is 0 at a splitting event
+    products as a (P, 2^k) sign array. Branch oB + b is branch b followed by
+    outcome o (0: +1, 1: -1): each index bit is one outcome, so the product
+    is (-1)^popcount(index) in any bit order and the signs, built in order
+    2b + o, fit the stack as it is. A row whose label is 0 at a splitting event
     takes the pair (I, 0), so its -1 branch is zero and adds nothing. A None
     gap is the identity and is skipped.
 
@@ -562,39 +547,51 @@ def _assemble(coeffs: np.ndarray) -> np.ndarray:
     return (A + A.conj().T) * (0.5 / 2**n)
 
 
-def build_pdm(s: Schedule) -> PseudoDensityMatrix:
-    """Assemble the PDM from all 4^n assignment expectations (n = event count).
+def _forward(s: Schedule, labels: np.ndarray | None = None) -> np.ndarray:
+    """Expectations by one forward pass: of all 4^n assignments, or of each row of ``labels``.
 
-    One forward pass over the slices carries the stack of every label-prefix
-    operator: each event multiplies the stack by 4 (``_measure``) and each gap
-    channel acts on the whole stack. The last slice is read out as traces
-    against its Pauli strings (distinct-qubit Paulis commute, so the nested
-    Jordan products have exactly that trace), so its stack is never built.
-    The result equals ``expectation`` on every assignment.
+    Events extend the operator stack (``_measure``), gaps act on all of it
+    (``_apply_gap``) and the last slice is read out as Pauli traces
+    (``_readout``; distinct-qubit Paulis commute, so the nested Jordan
+    products have exactly that trace). With ``labels`` None the stack holds
+    every label prefix, and the result is flat-indexed base 4 with event 1
+    the most significant digit. With a validated (P, events) label array it
+    holds one operator per row, keeps child 4 row + label at each event that
+    is not identity in every row, and the result has shape (P,).
     """
     n, q = s.event_count, s.qubit_count
     last = s.events_in_slice(s.slice_count - 1)
-    # complex128 entries: the stack entering the last slice, then the matrix.
-    needed = 16 * (4 ** (n - len(last) + q) + 4**n)
-    if needed > PDM_BYTE_BUDGET:
-        raise UsageError(
-            f"a schedule of {n} events on {q} qubit(s) needs {needed} bytes, "
-            f"over the {PDM_BYTE_BUDGET}-byte budget"
-        )
-    stack = s.initial_state.matrix[None]
-    order = []
+    if labels is None:
+        # complex128 entries: the stack entering the last slice, then the matrix.
+        needed = 16 * (4 ** (n - len(last) + q) + 4**n)
+        if needed > PDM_BYTE_BUDGET:
+            raise UsageError(
+                f"a schedule of {n} events on {q} qubit(s) needs {needed} bytes, "
+                f"over the {PDM_BYTE_BUDGET}-byte budget"
+            )
+        stack = s.initial_state.matrix[None]
+    else:
+        stack = np.repeat(s.initial_state.matrix[None], len(labels), axis=0)  # _apply_gap writes to it
     for sl in range(s.slice_count - 1):
         for ev in s.events_in_slice(sl):
-            stack = _measure(stack, ev.qubit, q)
-            order.append(ev.id - 1)
+            if labels is None:
+                stack = _measure(stack, ev.qubit, q)
+            elif labels[:, ev.id - 1].any():
+                stack = _measure(stack, ev.qubit, q)[4 * np.arange(len(labels)) + labels[:, ev.id - 1]]
         ch = s.inter_slice_channels[sl]
-        if ch is not None:  # the stack is _measure's output here, never the initial state
+        if ch is not None:  # the stack is _measure's output or the copy, never the state's own matrix
             stack = _apply_gap(stack, ch)
     coeffs = _readout(stack, [ev.qubit for ev in last], q).real
-    order += [ev.id - 1 for ev in last]
-    coeffs = coeffs.reshape((4,) * n).transpose(np.argsort(order))
-    events = tuple(sorted(s.events, key=lambda ev: ev.id))
-    return PseudoDensityMatrix(events, coeffs.reshape(-1))
+    if labels is not None:
+        column = labels[:, [ev.id - 1 for ev in last]] @ 4 ** np.arange(len(last) - 1, -1, -1)
+        return coeffs[np.arange(len(labels)), column]
+    order = [ev.id - 1 for sl in range(s.slice_count) for ev in s.events_in_slice(sl)]
+    return coeffs.reshape((4,) * n).transpose(np.argsort(order)).reshape(-1)
+
+
+def build_pdm(s: Schedule) -> PseudoDensityMatrix:
+    """Assemble the PDM from all 4^n assignment expectations (n = event count), by ``_forward``."""
+    return PseudoDensityMatrix(tuple(sorted(s.events, key=lambda ev: ev.id)), _forward(s))
 
 
 def reduce_pdm(R: PseudoDensityMatrix, keep) -> PseudoDensityMatrix:

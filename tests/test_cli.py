@@ -50,7 +50,7 @@ GOLDEN_DOC = {
 VERIFY_SEED_0 = (
     "[PASS] golden_two_event: max deviation 0.000e+00\n"
     "[PASS] engine_vs_oracle: max deviation 1.110e-16\n"
-    "[PASS] ancilla_protocol: max deviation 6.661e-16\n"
+    "[PASS] ancilla_protocol: max deviation 7.772e-16\n"
     "[PASS] closed_form_two_event: max deviation 3.103e-17\n"
     "[PASS] unitary_invariance: max deviation 8.882e-16\n"
     "[PASS] local_monotonicity: max deviation 0.000e+00\n"

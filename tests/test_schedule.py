@@ -337,7 +337,7 @@ ENGINE_CASES = {
 
 
 class TestBatchedEngine:
-    """``build_pdm``'s single forward pass against the per-assignment engine."""
+    """``build_pdm``'s single forward pass against the per-assignment reference loop."""
 
     @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
     def test_matches_expectation_on_every_assignment(self, case, rng):
@@ -347,7 +347,7 @@ class TestBatchedEngine:
         dim = 2**n
         ref = np.zeros((dim, dim), dtype=complex)
         for idx, a in enumerate(itertools.product(range(4), repeat=n)):
-            e = expectation(s, a)
+            e = expectation_loop(s, a)
             assert abs(R.coefficients[idx] - e) <= 1e-12
             ref += e * kron([PAULIS[l] for l in a])
         assert np.max(np.abs(R.matrix - ref / dim)) <= 1e-12
@@ -422,7 +422,9 @@ class TestPauliLayers:
 class TestBatchedReferencePaths:
     """The batched expectation, oracle and ancilla paths against per-assignment reference loops."""
 
-    def test_random_schedules_match_loops(self):
+    @staticmethod
+    def requests():
+        """(schedule, label array) pairs: random schedules with and without gaps, and the engine layouts."""
         for k in range(60):
             rng = np.random.default_rng(700 + k)
             noisy = random_schedule(rng, max_events=5)
@@ -432,16 +434,46 @@ class TestBatchedReferencePaths:
             labels[0] = 0  # an all-identity row
             labels[-1] = rng.integers(1, 4, size=n)  # a row that splits at every event
             labels[1:-1, rng.integers(0, n)] = 0  # an event that is identity in every row but the last
+            # Rows that are non-identity only in the last slice.
+            last_only = rng.integers(0, 4, size=(4, n))
+            last_only[:, [ev.id - 1 for sl in range(noisy.slice_count - 1) for ev in noisy.events_in_slice(sl)]] = 0
             for s in (noisy, noiseless):
-                for picks in (labels, labels[1:-1]):
-                    got_e = expectations(s, picks)
-                    got_o = oracle_expectations(s, picks)
-                    got_s = build_pdm(s).stored_expectations(picks)
-                    for p, a in enumerate(picks):
-                        assert abs(got_e[p] - expectation_loop(s, a)) <= 1e-14
-                        assert abs(got_o[p] - oracle_branch_list(s, a)) <= 1e-14
-                        assert abs(got_s[p] - expectation_loop(s, a)) <= 1e-12
-                    assert abs(got_e[0] - expectation(s, picks[0])) <= 1e-14
+                yield s, labels
+                yield s, labels[1:-1]
+                yield s, labels[[3, 1, 3, 3, -1, 1]]  # duplicate rows
+                yield s, last_only
+        for k, case in enumerate(sorted(ENGINE_CASES)):
+            rng = np.random.default_rng(780 + k)
+            s = ENGINE_CASES[case](rng)
+            yield s, rng.integers(0, 4, size=(6, s.event_count))
+
+    def test_random_schedules_match_loops(self):
+        for s, picks in self.requests():
+            got_e = expectations(s, picks)
+            got_o = oracle_expectations(s, picks)
+            got_s = build_pdm(s).stored_expectations(picks)
+            for p, a in enumerate(picks):
+                assert abs(got_e[p] - expectation_loop(s, a)) <= 1e-14
+                assert abs(got_o[p] - oracle_branch_list(s, a)) <= 1e-14
+                assert abs(got_s[p] - expectation_loop(s, a)) <= 1e-12
+            assert abs(got_e[0] - expectation(s, picks[0])) <= 1e-14
+
+    @pytest.mark.parametrize("rows_per_chunk, chunks", [(1, [1] * 20), (3, [3] * 6 + [2])])
+    def test_expectation_chunks_match_one_call(self, rows_per_chunk, chunks, monkeypatch):
+        # A row's widest stack is 4 operators of 8 x 8 at 3 qubits: 4096 bytes.
+        for k in range(10):
+            rng = np.random.default_rng(760 + k)
+            s = _layout(3, [[0], [1, 2], [0]], rng) if k % 2 else _layout(3, [[2], [0], [1], [2]], rng)
+            labels = rng.integers(0, 4, size=(20, 4))
+            want = expectations(s, labels)
+            calls = []
+            forward = schedule._forward
+            with monkeypatch.context() as m:
+                m.setattr(schedule, "PDM_BYTE_BUDGET", rows_per_chunk * 16 * 4 * 4**3)
+                m.setattr(schedule, "_forward", lambda s, rows: calls.append(len(rows)) or forward(s, rows))
+                got = expectations(s, labels)
+            assert calls == chunks
+            assert np.max(np.abs(got - want)) <= 1e-14
 
     @pytest.mark.parametrize("stack_bytes", [1, 3 * 16 * 2**4 * 4**3])
     def test_oracle_chunks_match_one_stack(self, stack_bytes, monkeypatch):
@@ -524,7 +556,7 @@ class TestPdmExpectation:
             R = build_pdm(s)
             for a in itertools.product(range(4), repeat=s.event_count):
                 got = pdm_expectation(R, a)
-                assert abs(got - expectation(s, a)) <= 1e-12
+                assert abs(got - expectation_loop(s, a)) <= 1e-12
                 assert abs(got - R.stored_expectations([a])[0]) <= 1e-12
 
 
