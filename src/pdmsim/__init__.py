@@ -24,7 +24,6 @@ from .channels import (
     choi_stack,
     compose,
     density_states,
-    identity_channel,
     kraus_array,
     make_channel,
     noise_kraus,
@@ -49,7 +48,6 @@ from .schedule import (
     expectations,
     oracle_expectations,
     reduce_pdm,
-    two_event_pdm_from_choi,
     two_event_pdm_stack,
     two_event_schedule,
 )

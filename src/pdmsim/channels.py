@@ -151,10 +151,6 @@ def tp_residuals(kraus: np.ndarray) -> np.ndarray:
     return np.max(np.abs(acc - np.eye(kraus.shape[-1])), axis=(1, 2))
 
 
-def identity_channel(qubit_count: int = 1) -> KrausChannel:
-    return KrausChannel(np.eye(2**qubit_count, dtype=complex)[None])
-
-
 def unitary_channel(U: np.ndarray) -> KrausChannel:
     """The one-Kraus channel U; U is unitary exactly when that channel is trace preserving."""
     ch = KrausChannel(np.asarray(U, dtype=complex)[None])

@@ -20,8 +20,6 @@ from .channels import (
     DensityState,
     KrausChannel,
     choi_stack,
-    identity_channel,
-    kraus_array,
     kraus_sum,
 )
 from .errors import InvariantViolation, UsageError
@@ -33,6 +31,7 @@ from .linalg import (
     dagger,
     embed_operator,
     kron,
+    qubits_of_dim,
     read_only,
     require_hermitian_unit_trace,
 )
@@ -73,6 +72,9 @@ _JORDAN = (
     np.einsum("lpr,cd->rclpd", PAULI_STACK, I2) + np.einsum("rp,lcd->rclpd", I2, PAULI_STACK)
 ).reshape(4, 16) / 2.0
 _JORDAN.setflags(write=False)
+#: The same products one label at a time: block l is the (4, 4) map from m's
+#: entries to those of (P_l m + m P_l)/2.
+_JORDAN_BY_LABEL = read_only(_JORDAN.reshape(4, 4, 4).transpose(1, 0, 2).copy())
 
 
 #: The +-1 outcomes of a Lueders pair (P+, P-), in that order.
@@ -245,27 +247,13 @@ def two_event_schedule(initial: DensityState, channel: KrausChannel | None) -> S
     )
 
 
-def two_event_pdm_stack(initial, channels) -> np.ndarray:
-    """PDMs of the two-event schedules ``(initial, channels[k])`` as one (T, 4, 4) stack.
+def two_event_pdm_stack(initial, kraus: np.ndarray) -> np.ndarray:
+    """PDMs of two consecutive events on one qubit, one per gap channel, as a (T, 4, 4) stack.
 
-    ``initial`` is one ``DensityState`` for every row, or a sequence of one
-    state per channel. Row k equals
-    ``build_pdm(two_event_schedule(state_k, channels[k])).matrix``; a None
-    channel is the identity. Channels may differ in Kraus count. The
-    channels' Choi stack (``choi_stack`` of their ``kraus_array``) goes through
-    ``two_event_pdm_from_choi``, the closed form that sweeps also use.
-    """
-    chans = [identity_channel(1) if ch is None else ch for ch in channels]
-    if not chans:
-        raise UsageError("the two-event closed form needs at least one channel")
-    for k, ch in enumerate(chans):
-        if ch.qubits != 1:
-            raise UsageError(f"gap channel {k} acts on {ch.qubits} qubits, not 1")
-    return two_event_pdm_from_choi(initial, choi_stack(kraus_array(chans)))
-
-
-def two_event_pdm_from_choi(initial, choi: np.ndarray) -> np.ndarray:
-    """Two-event PDMs from a (T, 4, 4) stack of unnormalized single-qubit Choi matrices.
+    ``kraus`` is the gap channels' (T, K, 2, 2) Kraus array, as ``noise_kraus``
+    and ``kraus_array`` return it; all-zero operators that pad a row add
+    nothing. Row k equals
+    ``build_pdm(two_event_schedule(state_k, KrausChannel(kraus[k]))).matrix``.
 
     Closed form (Horsman et al. 2017; Fullwood & Parzygnat 2022): the PDM of
     two consecutive measurement events on one qubit with gap channel E is the
@@ -280,13 +268,14 @@ def two_event_pdm_from_choi(initial, choi: np.ndarray) -> np.ndarray:
     states = (initial,) if shared else tuple(initial)
     if any(st.qubit_count != 1 for st in states):
         raise UsageError("the two-event closed form needs a 1-qubit initial state")
-    if choi.shape[1:] != (4, 4):
-        n = int(round(math.log2(choi.shape[-1]))) // 2
-        raise UsageError(f"gap channel acts on {n} qubits, not 1")
-    if not shared and len(states) != len(choi):
-        raise UsageError(f"got {len(states)} initial states for {len(choi)} gap channels")
+    if kraus.ndim != 4 or len(kraus) == 0:
+        raise UsageError(f"the two-event closed form needs a (T, K, 2, 2) Kraus array, got {kraus.shape}")
+    if kraus.shape[-1] != 2:
+        raise UsageError(f"gap channel acts on {qubits_of_dim(kraus.shape[-1])} qubits, not 1")
+    if not shared and len(states) != len(kraus):
+        raise UsageError(f"got {len(states)} initial states for {len(kraus)} gap channels")
     # C[k, i, a, j, b] is Choi entry ((i, a), (j, b)) of channel k.
-    C = choi.reshape(-1, 2, 2, 2, 2)
+    C = choi_stack(kraus).reshape(-1, 2, 2, 2, 2)
     # Tracing out the output factor gives conj(sum K^dag K), the identity iff TP.
     tp = np.max(np.abs(np.einsum("kiaja->kij", C) - I2), axis=(1, 2))
     k = int(np.argmax(tp))
@@ -306,10 +295,11 @@ def expectations(s: Schedule, assignments) -> np.ndarray:
     Measuring a non-identity Pauli A and weighting by the outcome maps the
     running operator M to (AM + MA)/2 = P+ M P+ - P- M P-; an identity label
     leaves M as it is. The rows run through ``build_pdm``'s pass, ``_forward``,
-    in chunks whose widest stack (4 operators a row) fits ``PDM_BYTE_BUDGET``, or of one row.
+    in chunks whose stacks fit ``PDM_BYTE_BUDGET``, or of one row: a row holds
+    one operator, and two while an event maps it to its product.
     """
     labels = _pauli_labels(assignments, s.event_count)
-    chunks = chunk_slices(len(labels), 16 * 4 * 4**s.qubit_count, PDM_BYTE_BUDGET)
+    chunks = chunk_slices(len(labels), 16 * 2 * 4**s.qubit_count, PDM_BYTE_BUDGET)
     return np.concatenate([_forward(s, labels[rows]) for rows in chunks])
 
 
@@ -427,8 +417,8 @@ class PseudoDensityMatrix:
         return self.coefficients[labels @ 4 ** np.arange(self.event_count - 1, -1, -1)]
 
 
-def _measure(stack: np.ndarray, qubit: int, qubit_count: int) -> np.ndarray:
-    """Extend a (B, D, D) operator stack by one event's label axis, to (4B, D, D).
+def _measure(stack: np.ndarray, qubit: int, qubit_count: int, labels: np.ndarray | None = None) -> np.ndarray:
+    """Extend a (B, D, D) operator stack by one event's label axis, to (4B, D, D), or by each one's own label.
 
     Entry 4b + l is the Jordan product (A M_b + M_b A)/2 for the Pauli A of
     label l on ``qubit``, which is M_b itself for l = 0. Each product mixes
@@ -436,19 +426,26 @@ def _measure(stack: np.ndarray, qubit: int, qubit_count: int) -> np.ndarray:
     bit, so the stack is read as an (N, 4) array of such 2x2 blocks and all
     four labels are written by one 2-D product with ``_JORDAN``. Its nonzero
     weights are +-1/2 and +-i/2, at most two per entry, so every entry is
-    exact up to one rounding of a sum of two exact terms. The product runs
-    in chunks of operators, none over ``SINGLE_THREAD_MACS``.
+    exact up to one rounding of a sum of two exact terms. With a (B,) array
+    of ``labels``, entry b is M_b's product for its own label only, by the
+    label's (4, 4) block of ``_JORDAN``, and the stack keeps its shape. The
+    product runs in chunks of operators, none over ``SINGLE_THREAD_MACS``.
     """
     B, D = stack.shape[0], stack.shape[-1]
     lo, hi = 2**qubit, 2 ** (qubit_count - qubit - 1)
+    width = 4 if labels is None else 1
     # Axes (b, row high, row low, column high, column low, row bit, column bit).
     blocks = stack.reshape(B, lo, 2, hi, lo, 2, hi).transpose(0, 1, 3, 4, 6, 2, 5)
-    out = np.empty((B, 4, lo, 2, hi, lo, 2, hi), dtype=complex)
-    for rows in chunk_slices(B, 16 * D * D, SINGLE_THREAD_MACS):
+    out = np.empty((B, width, lo, 2, hi, lo, 2, hi), dtype=complex)
+    # An operator's D^2/4 blocks take 4 x 4 width multiply-adds each.
+    for rows in chunk_slices(B, 4 * width * D * D, SINGLE_THREAD_MACS):
         part = blocks[rows]
-        products = part.reshape(-1, 4) @ _JORDAN
-        out[rows] = products.reshape(part.shape[:5] + (4, 2, 2)).transpose(0, 5, 1, 6, 2, 3, 7, 4)
-    return out.reshape(4 * B, D, D)
+        if labels is None:
+            products = part.reshape(-1, 4) @ _JORDAN
+        else:
+            products = part.reshape(len(part), -1, 4) @ _JORDAN_BY_LABEL[labels[rows]]
+        out[rows] = products.reshape(part.shape[:5] + (width, 2, 2)).transpose(0, 5, 1, 6, 2, 3, 7, 4)
+    return out.reshape(width * B, D, D)
 
 
 def _apply_gap(stack: np.ndarray, ch: KrausChannel) -> np.ndarray:
@@ -556,8 +553,8 @@ def _forward(s: Schedule, labels: np.ndarray | None = None) -> np.ndarray:
     products have exactly that trace). With ``labels`` None the stack holds
     every label prefix, and the result is flat-indexed base 4 with event 1
     the most significant digit. With a validated (P, events) label array it
-    holds one operator per row, keeps child 4 row + label at each event that
-    is not identity in every row, and the result has shape (P,).
+    holds one operator per row, which each event that is not identity in
+    every row maps by the row's own label, and the result has shape (P,).
     """
     n, q = s.event_count, s.qubit_count
     last = s.events_in_slice(s.slice_count - 1)
@@ -577,7 +574,7 @@ def _forward(s: Schedule, labels: np.ndarray | None = None) -> np.ndarray:
             if labels is None:
                 stack = _measure(stack, ev.qubit, q)
             elif labels[:, ev.id - 1].any():
-                stack = _measure(stack, ev.qubit, q)[4 * np.arange(len(labels)) + labels[:, ev.id - 1]]
+                stack = _measure(stack, ev.qubit, q, labels[:, ev.id - 1])
         ch = s.inter_slice_channels[sl]
         if ch is not None:  # the stack is _measure's output or the copy, never the state's own matrix
             stack = _apply_gap(stack, ch)
@@ -597,12 +594,17 @@ def build_pdm(s: Schedule) -> PseudoDensityMatrix:
 def reduce_pdm(R: PseudoDensityMatrix, keep) -> PseudoDensityMatrix:
     """Partial trace over the dropped event factors.
 
-    ``keep`` is a set of event ids. The reduced PDM's expectations are the
-    parent's with the dropped events set to identity, and its matrix is
-    assembled from them, which is the partial trace; kept events are
-    renumbered 1..k in their original order.
+    ``keep`` is a set of integer event ids; a bool is rejected, never read
+    as 0 or 1. The reduced PDM's expectations are the parent's with the
+    dropped events set to identity, and its matrix is assembled from them,
+    which is the partial trace; kept events are renumbered 1..k in their
+    original order.
     """
-    keep_ids = sorted(set(keep))
+    ids = tuple(keep)
+    for i in ids:
+        if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+            raise UsageError(f"keep ids must be integer event ids, got {i!r}")
+    keep_ids = sorted(set(ids))
     n = R.event_count
     if not keep_ids:
         raise UsageError("keep must be a nonempty set of event ids")

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causality import CAUSAL, SPACELIKE, causal_margin, spectrum_verdict
-from .channels import DensityState, NoiseModel, choi_stack, noise_kraus, state_from_bloch
+from .channels import DensityState, NoiseModel, noise_kraus, state_from_bloch
 from .errors import UsageError
 from .linalg import hermitian_eig, read_only
-from .schedule import two_event_pdm_from_choi
+from .schedule import two_event_pdm_stack
 
 CSV_HEADER = "t,lambda1,lambda2,lambda3,lambda4,f_tr,classification"
 #: Equally spaced times ``find_transition`` scans in [t_min, t_max].
@@ -106,19 +106,9 @@ def time_grid(cfg: SweepConfig) -> np.ndarray:
     return np.linspace(cfg.t_min, cfg.t_max, cfg.points)
 
 
-def pdm_stack(state: DensityState, noise: NoiseModel, ts) -> np.ndarray:
-    """Closed-form two-event PDMs of the state at the waiting times ts, as one (T, 4, 4) stack.
-
-    The noise model is evaluated at all times by one ``noise_kraus`` call,
-    and its Choi stack comes from one contraction; no channel object is
-    made per time.
-    """
-    return two_event_pdm_from_choi(state, choi_stack(noise_kraus(noise, ts)))
-
-
 def _spectra(state: DensityState, noise: NoiseModel, ts) -> np.ndarray:
-    """Ascending PDM eigenvalues at each waiting time: one stack, one eigensolve."""
-    return hermitian_eig(pdm_stack(state, noise, ts))
+    """Ascending PDM eigenvalues at each waiting time: one Kraus array, one stack, one eigensolve."""
+    return hermitian_eig(two_event_pdm_stack(state, noise_kraus(noise, ts)))
 
 
 def run_sweep(cfg: SweepConfig) -> Sweep:

@@ -30,6 +30,8 @@ from .channels import (
     channel_at_time,
     compose,
     density_states,
+    kraus_array,
+    noise_kraus,
     state_from_bloch,
 )
 from .errors import UsageError
@@ -44,7 +46,6 @@ from .schedule import (
     two_event_pdm_stack,
     two_event_schedule,
 )
-from .sweep import pdm_stack
 
 #: Eq.-style golden PDM for |0>, two consecutive measurements, no noise.
 GOLDEN_TWO_EVENT = read_only(
@@ -220,15 +221,15 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
     per-time channels of a random composite of amplitude damping, a unitary
     and dephasing (members that do not commute) at t = 0, 1 and 2, each a
     ``compose`` of its members' ``channel_at_time``. Those rows are checked
-    against the batched sweep path, ``sweep.pdm_stack``, which evaluates the
-    model at all times with one ``noise_kraus`` call.
+    against the sweep path, which evaluates the model at all times with one
+    ``noise_kraus`` call.
     """
     rng = np.random.default_rng(seed)
     state = state_from_bloch(random_bloch(rng))
     worst, detail = -np.inf, ""
     for chunk in chunk_slices(trials, _TWO_EVENT_PDM_BYTES, CHECK_STACK_BYTES):
         channels = stinespring_channels([cptp_draw(1, rng) for _ in range(trials)[chunk]])
-        stack = two_event_pdm_stack(state, channels)
+        stack = two_event_pdm_stack(state, kraus_array(channels))
         built = np.array([build_pdm(two_event_schedule(state, ch)).matrix for ch in channels])
         i, dev = worst_deviation(np.max(np.abs(built - stack), axis=(1, 2)))
         if dev > worst:
@@ -241,8 +242,8 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
     )
     ts = np.linspace(0.0, 2.0, 3)
     per_time = [functools.reduce(compose, [channel_at_time(m, t) for m in members]) for t in ts]
-    swept = pdm_stack(state, NoiseModel("composite", members=members), ts)
-    devs = np.max(np.abs(swept - two_event_pdm_stack(state, per_time)), axis=(1, 2))
+    swept = two_event_pdm_stack(state, noise_kraus(NoiseModel("composite", members=members), ts))
+    devs = np.max(np.abs(swept - two_event_pdm_stack(state, kraus_array(per_time))), axis=(1, 2))
     i, dev = worst_deviation(devs)
     if dev > worst:
         worst, detail = dev, f"sweep path at t={float(ts[i])!r}"
@@ -279,7 +280,7 @@ def suite_convexity(seed: int = 0, trials: int = 200) -> SuiteResult:
             p = float(rng.uniform(0, 1))
             weights.append([p, 1 - p])
         states = density_states([bloch_matrix(r) for r in blochs])
-        Rs = two_event_pdm_stack(states, stinespring_channels(gaussians)).reshape(-1, 2, 4, 4)
+        Rs = two_event_pdm_stack(states, kraus_array(stinespring_channels(gaussians))).reshape(-1, 2, 4, 4)
         i, gap = worst_deviation(convexity_gaps(Rs, weights))
         if gap > worst:
             worst, detail = gap, f"trial {chunk.start + i}"

@@ -16,6 +16,7 @@ from pdmsim import (
     f_tr,
     find_transition,
     hermitian_eig,
+    kraus_array,
     make_channel,
     reduce_pdm,
     spectrum_verdict,
@@ -347,11 +348,11 @@ class TestMonotoneAxioms:
 
         exact = verify.two_event_pdm_stack
 
-        def distorted(states, channels):
+        def distorted(states, kraus):
             # Trial 6's pair becomes diag(0, 0, 0, 5) (PSD, f_tr 0) and
             # diag(1.5, -0.5, 0, 0) (f_tr 1): the mixture with weight p on the
             # first has f_tr 1 + 3p against the weighted 1 - p, a gap of 4p.
-            R = exact(states, channels)
+            R = exact(states, kraus)
             R[12] = np.diag([0, 0, 0, 5])
             R[13] = np.diag([1.5, -0.5, 0, 0])
             return R
@@ -474,7 +475,7 @@ class TestTwoEventUniversality:
         for k in range(40):
             rho = random_pure(1, rng) if k % 2 else random_density(1, rng)
             channels = [random_cptp(1, int(rng.integers(1, 5)), rng) for _ in range(100)]
-            values = spectrum_verdict(hermitian_eig(two_event_pdm_stack(rho, channels)))[0]
+            values = spectrum_verdict(hermitian_eig(two_event_pdm_stack(rho, kraus_array(channels))))[0]
             assert np.all(values >= 0.0)
             assert np.max(values) <= 1.0 + 1e-12
 
@@ -502,7 +503,7 @@ class TestPauliChannelSpectrum:
         )
         rho = state_from_bloch([0, 0, 0])
         channels = [KrausChannel(np.sqrt(w)[:, None, None] * np.stack(PAULIS)) for w in p]
-        stack = two_event_pdm_stack(rho, channels)
+        stack = two_event_pdm_stack(rho, kraus_array(channels))
         built = np.stack([build_pdm(two_event_schedule(rho, ch)).matrix for ch in channels])
         for R in (stack, built):
             assert np.max(np.abs(hermitian_eig(R) - expected)) <= 1e-12

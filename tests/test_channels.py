@@ -13,11 +13,11 @@ from pdmsim import (
     choi_stack,
     compose,
     density_states,
-    identity_channel,
     kraus_array,
     make_channel,
     noise_kraus,
     state_from_bloch,
+    two_event_pdm_stack,
     two_event_schedule,
     unitary_channel,
 )
@@ -29,7 +29,6 @@ from pdmsim.channels import (
     kraus_sum,
 )
 from pdmsim.linalg import SINGLE_THREAD_MACS, I2, X, Y, Z, embed_operator
-from pdmsim.schedule import two_event_pdm_from_choi
 from pdmsim.verify import GOLDEN_TWO_EVENT
 
 from conftest import random_cptp, random_density
@@ -150,7 +149,7 @@ class TestKrausChannel:
         for qubits in (1, 2, 3):
             ch = random_cptp(qubits, 2, rng)
             assert ch.qubits == qubits and ch.kraus_ops.shape == (2, 2**qubits, 2**qubits)
-        assert identity_channel(2).qubits == 2
+        assert KrausChannel(np.eye(4)[None]).qubits == 2
 
     @pytest.mark.parametrize(
         "ops",
@@ -207,7 +206,7 @@ class TestMakeChannel:
 class TestApplyChannel:
     def test_identity(self, rng):
         rho = random_density(2, rng)
-        out = act(identity_channel(2), rho)
+        out = act(KrausChannel(np.eye(4)[None]), rho)
         assert np.allclose(out, rho.matrix, atol=1e-14)
 
     def test_full_dephasing_on_plus(self):
@@ -382,7 +381,7 @@ class TestValidateChannel:
         assert residual == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_choi_rank_one(self):
-        C = choi_of(identity_channel(1))
+        C = choi_of(KrausChannel(I2[None]))
         w = np.linalg.eigvalsh(C)
         assert np.allclose(w, [0, 0, 0, 2], atol=1e-12)
 
@@ -409,7 +408,7 @@ class TestChoiMatrix:
 
     def test_stack_rejects_mixed_dimensions(self):
         with pytest.raises(UsageError, match="one dimension"):
-            kraus_array([identity_channel(1), identity_channel(2)])
+            kraus_array([KrausChannel(I2[None]), KrausChannel(np.eye(4)[None])])
         with pytest.raises(UsageError, match="at least one channel"):
             kraus_array([])
 
@@ -618,6 +617,6 @@ class TestNoiseKernel:
         bad = good.copy()
         bad[3, 0] *= 1.01
         rho = state_from_bloch([0.1, 0.2, 0.3])
-        assert two_event_pdm_from_choi(rho, choi_stack(good)).shape == (5, 4, 4)
+        assert two_event_pdm_stack(rho, good).shape == (5, 4, 4)
         with pytest.raises(UsageError, match="gap channel 3 is not trace preserving"):
-            two_event_pdm_from_choi(rho, choi_stack(bad))
+            two_event_pdm_stack(rho, bad)

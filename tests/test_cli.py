@@ -545,20 +545,33 @@ class TestVerify:
     def test_closed_form_suite_flags_a_wrong_sweep_path(self, monkeypatch):
         import pdmsim.verify as verify
 
-        exact = verify.pdm_stack
+        exact = verify.noise_kraus
+        # A turn of 1e-9 about X after the channel at t = 1: still trace
+        # preserving, so only the comparison can see it.
+        turn = math.cos(1e-9) * np.eye(2) - 1j * math.sin(1e-9) * np.array([[0, 1], [1, 0]])
+        seen = {}
 
-        def skewed(state, noise, ts):
-            R = exact(state, noise, ts)
-            R[1, 1, 1] += 1e-9
-            return R
+        def skewed(noise, ts):
+            seen["exact"] = exact(noise, ts)
+            seen["skewed"] = seen["exact"].copy()
+            seen["skewed"][1] = turn @ seen["exact"][1]
+            return seen["skewed"]
 
-        monkeypatch.setattr(verify, "pdm_stack", skewed)
+        monkeypatch.setattr(verify, "noise_kraus", skewed)
         res = verify.suite_closed_form(seed=0, trials=5)
+        # The suite's state is the first draw of its seed.
+        state = state_from_bloch(verify.random_bloch(np.random.default_rng(0)))
+        closed_form = verify.two_event_pdm_stack
+        want = np.max(np.abs(closed_form(state, seen["skewed"]) - closed_form(state, seen["exact"])))
         assert not res.passed
         assert res.detail == "sweep path at t=1.0"
-        assert res.max_deviation == pytest.approx(1e-9, rel=1e-6)
+        assert res.max_deviation == pytest.approx(want, rel=1e-6)
 
-    @pytest.mark.parametrize("seed, trials, want", [(0, 5, VERIFY_SEED_0), (1_000_000, 50, VERIFY_SEED_1E6)])
+    @pytest.mark.parametrize(
+        "seed, trials, want",
+        [(0, 5, VERIFY_SEED_0), (1_000_000, 50, VERIFY_SEED_1E6)],
+        ids=["seed0-trials5", "seed1e6-trials50"],
+    )
     def test_output_is_pinned(self, capsys, seed, trials, want):
         # Every suite's worst deviation and verdict, to the printed digit: the
         # suites' random streams and arithmetic are fixed.
@@ -606,9 +619,9 @@ class TestVerify:
 
         exact = verify.two_event_pdm_stack
 
-        def skewed(state, channels):
-            R = exact(state, channels)
-            if len(channels) == 5:  # the trials' stack, not the three per-time rows
+        def skewed(state, kraus):
+            R = exact(state, kraus)
+            if len(kraus) == 5:  # the trials' stack, not the three per-time rows
                 R[3, 0, 0] += 1e-9
             return R
 

@@ -21,7 +21,7 @@ from pdmsim import (
     expectation,
     expectation_oracle,
     expectations,
-    identity_channel,
+    kraus_array,
     make_channel,
     oracle_expectations,
     reduce_pdm,
@@ -62,7 +62,7 @@ def oracle_branch_list(s, assignment):
                 for sign, P in ((1.0, P_plus), (-1.0, P_minus))
             ]
         if sl < s.slice_count - 1:
-            ch = s.inter_slice_channels[sl] or identity_channel(n)
+            ch = s.inter_slice_channels[sl] or KrausChannel(np.eye(2**n)[None])
             branches = [
                 (prod, sum(K @ M @ K.conj().T for K in ch.kraus_ops)) for prod, M in branches
             ]
@@ -81,7 +81,7 @@ def expectation_loop(s, assignment):
             A = embed_operator(PAULIS[label], ev.qubit, n)
             M = (A @ M + M @ A) / 2.0
         if sl < s.slice_count - 1:
-            ch = s.inter_slice_channels[sl] or identity_channel(n)
+            ch = s.inter_slice_channels[sl] or KrausChannel(np.eye(2**n)[None])
             M = sum(K @ M @ K.conj().T for K in ch.kraus_ops)
     return float(np.trace(M).real)
 
@@ -100,7 +100,7 @@ def ancilla_loop(s, assignment):
             block = U.conj().T @ cnot @ U
             rho = block @ rho @ block.conj().T
         if sl == 0:
-            ch = s.inter_slice_channels[0] or identity_channel(1)
+            ch = s.inter_slice_channels[0] or KrausChannel(I2[None])
             rho = sum(np.kron(K, I2) @ rho @ np.kron(K, I2).conj().T for K in ch.kraus_ops)
     return float(np.trace(np.kron(I2, PAULIS[3]) @ rho).real)
 
@@ -460,7 +460,7 @@ class TestBatchedReferencePaths:
 
     @pytest.mark.parametrize("rows_per_chunk, chunks", [(1, [1] * 20), (3, [3] * 6 + [2])])
     def test_expectation_chunks_match_one_call(self, rows_per_chunk, chunks, monkeypatch):
-        # A row's widest stack is 4 operators of 8 x 8 at 3 qubits: 4096 bytes.
+        # A row holds at most 2 operators of 8 x 8 at 3 qubits: 2048 bytes.
         for k in range(10):
             rng = np.random.default_rng(760 + k)
             s = _layout(3, [[0], [1, 2], [0]], rng) if k % 2 else _layout(3, [[2], [0], [1], [2]], rng)
@@ -469,11 +469,30 @@ class TestBatchedReferencePaths:
             calls = []
             forward = schedule._forward
             with monkeypatch.context() as m:
-                m.setattr(schedule, "PDM_BYTE_BUDGET", rows_per_chunk * 16 * 4 * 4**3)
+                m.setattr(schedule, "PDM_BYTE_BUDGET", rows_per_chunk * 16 * 2 * 4**3)
                 m.setattr(schedule, "_forward", lambda s, rows: calls.append(len(rows)) or forward(s, rows))
                 got = expectations(s, labels)
             assert calls == chunks
             assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_row_path_matches_four_label_products(self, monkeypatch):
+        # Each row's product with its own label is, to the bit, the four-label
+        # product of the row with that label's entry kept.
+        measure = schedule._measure
+
+        def four_labels(stack, qubit, qubit_count, labels=None):
+            out = measure(stack, qubit, qubit_count)
+            return out if labels is None else out[4 * np.arange(len(stack)) + labels]
+
+        for k in range(30):
+            rng = np.random.default_rng(820 + k)
+            s = random_schedule(rng, max_events=5)
+            labels = rng.integers(0, 4, size=(int(rng.integers(1, 200)), s.event_count))
+            got = expectations(s, labels)
+            with monkeypatch.context() as m:
+                m.setattr(schedule, "_measure", four_labels)
+                want = expectations(s, labels)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("stack_bytes", [1, 3 * 16 * 2**4 * 4**3])
     def test_oracle_chunks_match_one_stack(self, stack_bytes, monkeypatch):
@@ -604,6 +623,14 @@ class TestReducePdm:
     def test_empty_keep(self):
         with pytest.raises(UsageError):
             reduce_pdm(build_pdm(golden_schedule()), set())
+
+    @pytest.mark.parametrize(
+        "keep, bad", [({1.5}, "1.5"), ("12", "'1'"), ({True}, "True"), ([1, np.True_], "np.True_")]
+    )
+    def test_keep_ids_must_be_integers(self, keep, bad):
+        # A bool is an int in Python, and a string iterates as characters: neither is read as an id.
+        with pytest.raises(UsageError, match=f"keep ids must be integer event ids, got {bad}"):
+            reduce_pdm(build_pdm(golden_schedule()), keep)
 
 
 class TestAncillaExpectation:
@@ -798,7 +825,7 @@ class TestTwoEventClosedForm:
         for _ in range(200):
             rho = state_from_bloch(random_bloch(rng))
             ch = random_cptp(1, int(rng.integers(1, 5)), rng)
-            (R,) = two_event_pdm_stack(rho, [ch])
+            (R,) = two_event_pdm_stack(rho, ch.kraus_ops[None])
             worst = max(worst, np.max(np.abs(R - build_pdm(two_event_schedule(rho, ch)).matrix)))
         assert worst <= 1e-12
 
@@ -809,52 +836,56 @@ class TestTwoEventClosedForm:
             members=(NoiseModel("depolarizing", tau=1.0), NoiseModel("amplitude_damping", tau=2.0)),
         )
         chans = [
-            None,
-            identity_channel(1),
+            KrausChannel(I2[None]),
             unitary_channel(haar_unitary(2, rng)),
             make_channel("dephasing", 0.4),
             make_channel("depolarizing", 0.7),
             channel_at_time(model, 0.8),  # 8 Kraus operators
             compose(make_channel("dephasing", 0.5), random_cptp(1, 3, rng)),
         ]
-        stack = two_event_pdm_stack(rho, chans)
+        stack = two_event_pdm_stack(rho, kraus_array(chans))
         assert stack.shape == (len(chans), 4, 4)
         for ch, R in zip(chans, stack):
             assert np.max(np.abs(R - build_pdm(two_event_schedule(rho, ch)).matrix)) <= 1e-12
+        # A None gap is the identity channel of row 0.
+        assert np.max(np.abs(stack[0] - build_pdm(two_event_schedule(rho, None)).matrix)) <= 1e-12
 
     def test_one_state_per_row(self):
         rng = np.random.default_rng(22)
         states = [state_from_bloch(random_bloch(rng)) for _ in range(30)]
         chans = [random_cptp(1, int(rng.integers(1, 5)), rng) for _ in range(30)]
-        chans[4] = None
-        stack = two_event_pdm_stack(states, chans)
+        stack = two_event_pdm_stack(states, kraus_array(chans))
         assert stack.shape == (30, 4, 4)
         for rho, ch, R in zip(states, chans, stack):
-            (want,) = two_event_pdm_stack(rho, [ch])
+            (want,) = two_event_pdm_stack(rho, ch.kraus_ops[None])
             assert np.max(np.abs(R - want)) <= 1e-15
 
     def test_per_row_states_checked(self, rng):
         rho = state_from_bloch([0, 0, 1])
+        identity = I2[None, None]
         with pytest.raises(UsageError, match="got 2 initial states for 3 gap channels"):
-            two_event_pdm_stack([rho, rho], [None] * 3)
+            two_event_pdm_stack([rho, rho], np.repeat(identity, 3, axis=0))
         with pytest.raises(UsageError, match="1-qubit initial state"):
-            two_event_pdm_stack([rho, random_density(2, rng)], [None, None])
+            two_event_pdm_stack([rho, random_density(2, rng)], np.repeat(identity, 2, axis=0))
 
     def test_multi_qubit_channel_rejected(self, rng):
         U = haar_unitary(4, rng)
-        with pytest.raises(UsageError, match="gap channel 1 acts on 2 qubits"):
-            two_event_pdm_stack(state_from_bloch([0, 0, 1]), [None, unitary_channel(U)])
+        with pytest.raises(UsageError, match="gap channel acts on 2 qubits, not 1"):
+            two_event_pdm_stack(state_from_bloch([0, 0, 1]), unitary_channel(U).kraus_ops[None])
 
     def test_bad_inputs_rejected(self, rng):
-        with pytest.raises(UsageError):
-            two_event_pdm_stack(random_density(2, rng), [None])
-        with pytest.raises(UsageError):
-            two_event_pdm_stack(random_density(1, rng), [])
+        identity = I2[None, None]
+        with pytest.raises(UsageError, match="1-qubit initial state"):
+            two_event_pdm_stack(random_density(2, rng), identity)
+        for empty in (np.zeros((0, 1, 2, 2)), I2[None]):
+            with pytest.raises(UsageError, match=r"needs a \(T, K, 2, 2\) Kraus array"):
+                two_event_pdm_stack(random_density(1, rng), empty)
+        one = KrausChannel(I2[None])
         with pytest.raises(UsageError, match="gap channel 2 is not trace preserving"):
-            two_event_pdm_stack(random_density(1, rng), [None, None, KrausChannel([I2, X])])
+            two_event_pdm_stack(random_density(1, rng), kraus_array([one, one, KrausChannel([I2, X])]))
         nan = KrausChannel([I2, np.diag([0, np.nan])])
         with pytest.raises(UsageError, match="gap channel 1 is not trace preserving: a Kraus operator has a non-finite"):
-            two_event_pdm_stack(random_density(1, rng), [None, nan, None])
+            two_event_pdm_stack(random_density(1, rng), kraus_array([one, nan, one]))
 
 
 def test_equality_is_identity_and_every_type_hashes():
