@@ -268,6 +268,7 @@ def two_event_pdm_stack(initial, kraus: np.ndarray) -> np.ndarray:
     states = (initial,) if shared else tuple(initial)
     if any(st.qubit_count != 1 for st in states):
         raise UsageError("the two-event closed form needs a 1-qubit initial state")
+    kraus = np.asarray(kraus)
     if kraus.ndim != 4 or len(kraus) == 0:
         raise UsageError(f"the two-event closed form needs a (T, K, 2, 2) Kraus array, got {kraus.shape}")
     if kraus.shape[-1] != 2:
@@ -600,7 +601,10 @@ def reduce_pdm(R: PseudoDensityMatrix, keep) -> PseudoDensityMatrix:
     which is the partial trace; kept events are renumbered 1..k in their
     original order.
     """
-    ids = tuple(keep)
+    try:
+        ids = tuple(keep)
+    except TypeError:
+        raise UsageError(f"keep must be a set of event ids, got {keep!r}") from None
     for i in ids:
         if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
             raise UsageError(f"keep ids must be integer event ids, got {i!r}")

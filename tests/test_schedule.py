@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -625,11 +626,18 @@ class TestReducePdm:
             reduce_pdm(build_pdm(golden_schedule()), set())
 
     @pytest.mark.parametrize(
-        "keep, bad", [({1.5}, "1.5"), ("12", "'1'"), ({True}, "True"), ([1, np.True_], "np.True_")]
+        "keep, want",
+        [
+            ({1.5}, "keep ids must be integer event ids, got 1.5"),
+            ("12", "keep ids must be integer event ids, got '1'"),
+            ({True}, "keep ids must be integer event ids, got True"),
+            ([1, np.True_], "keep ids must be integer event ids, got np.True_"),
+            (2, "keep must be a set of event ids, got 2"),
+        ],
     )
-    def test_keep_ids_must_be_integers(self, keep, bad):
+    def test_keep_ids_must_be_integers(self, keep, want):
         # A bool is an int in Python, and a string iterates as characters: neither is read as an id.
-        with pytest.raises(UsageError, match=f"keep ids must be integer event ids, got {bad}"):
+        with pytest.raises(UsageError, match=re.escape(want)):
             reduce_pdm(build_pdm(golden_schedule()), keep)
 
 
@@ -877,9 +885,10 @@ class TestTwoEventClosedForm:
         identity = I2[None, None]
         with pytest.raises(UsageError, match="1-qubit initial state"):
             two_event_pdm_stack(random_density(2, rng), identity)
-        for empty in (np.zeros((0, 1, 2, 2)), I2[None]):
+        # No rows, one channel's (K, 2, 2) operators, and a list of channel objects.
+        for bad in (np.zeros((0, 1, 2, 2)), I2[None], [KrausChannel(I2[None])] * 2):
             with pytest.raises(UsageError, match=r"needs a \(T, K, 2, 2\) Kraus array"):
-                two_event_pdm_stack(random_density(1, rng), empty)
+                two_event_pdm_stack(random_density(1, rng), bad)
         one = KrausChannel(I2[None])
         with pytest.raises(UsageError, match="gap channel 2 is not trace preserving"):
             two_event_pdm_stack(random_density(1, rng), kraus_array([one, one, KrausChannel([I2, X])]))
