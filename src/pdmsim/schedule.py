@@ -269,10 +269,11 @@ def two_event_pdm_stack(initial, kraus: np.ndarray) -> np.ndarray:
     if any(st.qubit_count != 1 for st in states):
         raise UsageError("the two-event closed form needs a 1-qubit initial state")
     kraus = np.asarray(kraus)
-    if kraus.ndim != 4 or len(kraus) == 0:
-        raise UsageError(f"the two-event closed form needs a (T, K, 2, 2) Kraus array, got {kraus.shape}")
-    if kraus.shape[-1] != 2:
-        raise UsageError(f"gap channel acts on {qubits_of_dim(kraus.shape[-1])} qubits, not 1")
+    shape = kraus.shape
+    if kraus.ndim != 4 or len(kraus) == 0 or shape[2] != shape[3] or not qubits_of_dim(shape[3]):
+        raise UsageError(f"the two-event closed form needs a (T, K, 2, 2) Kraus array, got {shape}")
+    if shape[3] != 2:
+        raise UsageError(f"gap channel acts on {qubits_of_dim(shape[3])} qubits, not 1")
     if not shared and len(states) != len(kraus):
         raise UsageError(f"got {len(states)} initial states for {len(kraus)} gap channels")
     # C[k, i, a, j, b] is Choi entry ((i, a), (j, b)) of channel k.

@@ -885,8 +885,15 @@ class TestTwoEventClosedForm:
         identity = I2[None, None]
         with pytest.raises(UsageError, match="1-qubit initial state"):
             two_event_pdm_stack(random_density(2, rng), identity)
-        # No rows, one channel's (K, 2, 2) operators, and a list of channel objects.
-        for bad in (np.zeros((0, 1, 2, 2)), I2[None], [KrausChannel(I2[None])] * 2):
+        # No rows, one channel's (K, 2, 2) operators, a list of channel objects,
+        # and operators that are not square or not 2^n wide.
+        for bad in (
+            np.zeros((0, 1, 2, 2)),
+            I2[None],
+            [KrausChannel(I2[None])] * 2,
+            np.zeros((2, 1, 4, 2)),
+            np.zeros((2, 1, 3, 3)),
+        ):
             with pytest.raises(UsageError, match=r"needs a \(T, K, 2, 2\) Kraus array"):
                 two_event_pdm_stack(random_density(1, rng), bad)
         one = KrausChannel(I2[None])
