@@ -148,8 +148,10 @@ class SuiteResult:
     passed: bool
     #: inf when the worst trial's matrix is not finite.
     max_deviation: float
-    #: The worst case, such as trial k (a seeded check's trial k draws from
-    #: seed + k) and for local monotonicity the event its channel acted on.
+    #: The worst case, such as trial k and for local monotonicity the event
+    #: its channel acted on. Trial k of a ``worst_trial`` check draws from
+    #: seed + k; closed_form_two_event's trial k is the k-th channel drawn
+    #: from one generator seeded with seed.
     detail: str = ""
 
 
@@ -168,26 +170,50 @@ def worst_deviation(devs: np.ndarray) -> tuple[int, float]:
     return k, float(devs.flat[k])
 
 
+def worst_trial(seed: int, trials: int, trial_bytes: int, evaluate):
+    """The first largest deviation of seeded trials, its index and its trial's context.
+
+    Trial k draws from ``np.random.default_rng(seed + k)``. The trials run in
+    chunks of at most CHECK_STACK_BYTES, ``trial_bytes`` a trial (at least one
+    trial a chunk): ``evaluate(rngs)`` takes a chunk's generators and returns
+    its deviations, trial axis first, and one context per trial (or None).
+    As each trial has its own generator, ``evaluate`` may draw a chunk's
+    trials one kind of draw at a time: each generator's draws keep their
+    order. Only the worst case is kept from chunk to chunk, so memory does
+    not grow with ``trials``. Returns ``(deviation, index, context)``:
+    ``index`` is the deviation's index over all trials, its first entry the
+    trial.
+    """
+    if trials < 1:
+        raise UsageError("trials must be >= 1")
+    worst = (-np.inf, None, None)
+    for chunk in chunk_slices(trials, trial_bytes, CHECK_STACK_BYTES):
+        devs, context = evaluate([np.random.default_rng(seed + k) for k in range(trials)[chunk]])
+        i, dev = worst_deviation(devs)
+        if dev > worst[0]:
+            k, *rest = np.unravel_index(i, np.shape(devs))
+            index = (chunk.start + int(k), *map(int, rest))
+            worst = (dev, index, None if context is None else context[k])
+    return worst
+
+
 def check_unitary_invariance(
     R: PseudoDensityMatrix, trials: int = 100, seed: int = 0
 ) -> SuiteResult:
     """f_tr(U R U^dag) must equal f_tr(R) for Haar-random unitaries U.
 
-    Trials are stacked in chunks of at most CHECK_STACK_BYTES: a chunk draws
-    its Ginibre matrices first, then takes its unitaries from one QR and its
-    f_tr values from one eigenvalue solve. ``detail`` names the trial of the
-    largest deviation.
+    A chunk of trials draws its Ginibre matrices first, then takes its
+    unitaries from one QR and its f_tr values from one eigenvalue solve.
+    ``detail`` names the trial of the largest deviation.
     """
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
     base = f_tr(R)
     dim = R.matrix.shape[0]
-    devs = []
-    for chunk in chunk_slices(trials, 16 * dim * dim, CHECK_STACK_BYTES):
-        gaussians = [ginibre(dim, dim, np.random.default_rng(seed + k)) for k in range(trials)[chunk]]
-        Us = np.stack(qr_isometries(gaussians, haar=True))
-        devs.append(np.abs(_f_tr_matrix(Us @ R.matrix @ dagger(Us)) - base))
-    k, worst = worst_deviation(np.concatenate(devs))
+
+    def deviations(rngs):
+        Us = np.stack(qr_isometries([ginibre(dim, dim, rng) for rng in rngs], haar=True))
+        return np.abs(_f_tr_matrix(Us @ R.matrix @ dagger(Us)) - base), None
+
+    worst, (k,), _ = worst_trial(seed, trials, 16 * dim * dim, deviations)
     return SuiteResult("unitary_invariance", worst <= CHECK_ATOL, worst, f"trial {k}")
 
 
@@ -201,33 +227,26 @@ def check_local_monotonicity(
     from one QR per Kraus rank (``stinespring_channels``). They are
     zero-padded into one ``kraus_array`` (a zero operator adds nothing) and
     applied to R with one ``kraus_sum`` per event factor, over the trials on
-    that factor. Chunks hold at most CHECK_STACK_BYTES of embedded Kraus
-    operators, and each is one eigenvalue solve. ``detail`` names the trial
-    of the largest rise and its event.
+    that factor, and the chunk is one eigenvalue solve. ``detail`` names the
+    trial of the largest rise and its event.
     """
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
     base = f_tr(R)
     n = R.event_count
     dim = R.matrix.shape[0]
-    rises, factors = [], []
-    # A trial holds 4 embedded Kraus operators: 4 matrices of the PDM's dimension.
-    for chunk in chunk_slices(trials, 4 * 16 * dim * dim, CHECK_STACK_BYTES):
-        gaussians, factor = [], []
-        for k in range(trials)[chunk]:
-            rng = np.random.default_rng(seed + k)
-            gaussians.append(cptp_draw(1, rng))
-            factor.append(int(rng.integers(0, n)))
-        kraus, factor = kraus_array(stinespring_channels(gaussians)), np.array(factor)
+
+    def rises(rngs):
+        kraus = kraus_array(stinespring_channels([cptp_draw(1, rng) for rng in rngs]))
+        factor = np.array([rng.integers(0, n) for rng in rngs])
         outs = np.empty((len(kraus), dim, dim), dtype=complex)
         for f in range(n):
             on_f = factor == f
             if on_f.any():
                 outs[on_f] = kraus_sum(embed_operator(kraus[on_f], f, n), R.matrix)
-        rises.append(_f_tr_matrix(outs) - base)
-        factors.append(factor)
-    k, worst = worst_deviation(np.concatenate(rises))
-    detail = f"trial {k} on event {np.concatenate(factors)[k] + 1}"
+        return _f_tr_matrix(outs) - base, factor
+
+    # A trial holds 4 embedded Kraus operators: 4 matrices of the PDM's dimension.
+    worst, (k,), factor = worst_trial(seed, trials, 4 * 16 * dim * dim, rises)
+    detail = f"trial {k} on event {factor + 1}"
     return SuiteResult("local_monotonicity", worst <= CHECK_ATOL, max(0.0, worst), detail)
 
 

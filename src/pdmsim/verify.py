@@ -23,6 +23,7 @@ from .causality import (
     haar_unitary,
     stinespring_channels,
     worst_deviation,
+    worst_trial,
 )
 from .channels import (
     NoiseModel,
@@ -121,13 +122,10 @@ def build_schedules(draws) -> list[Schedule]:
 
 #: Bytes of Gaussians a ``draw_schedule`` trial of at most 4 events may
 #: draw: 3 gaps of Kraus rank 4 on 3 qubits, (32, 8) complex entries each.
-#: Suites draw their trials in chunks of at most CHECK_STACK_BYTES.
 _SCHEDULE_DRAW_BYTES = 3 * 16 * 32 * 8
 #: Bytes one PDM of a two-event trial holds until its chunk is checked: its
 #: Gaussian, state, channel and matrix as arrays and Python objects (tracemalloc
-#: put it at ~2-3 KB). The two-event suites check their trials in chunks of at
-#: most CHECK_STACK_BYTES of these and keep only the worst case, so their
-#: memory does not grow with the trial count.
+#: put it at ~2-3 KB).
 _TWO_EVENT_PDM_BYTES = 4096
 
 
@@ -160,32 +158,24 @@ def suite_engine_oracle(seed: int = 0, trials: int = 200) -> SuiteResult:
     assignments, adds the all-identity one, and evaluates them as one batch
     on each side. A chunk of trials is drawn first and its schedules built
     together, their gap channels from one QR per Gaussian shape. ``detail``
-    names the side and the assignment of the worst deviation; only that worst
-    case is kept from chunk to chunk.
+    names the side and the assignment of the worst deviation.
     """
-    worst, detail = -np.inf, ""
-    for chunk in chunk_slices(trials, _SCHEDULE_DRAW_BYTES, CHECK_STACK_BYTES):
-        draws, picks = [], []
-        for k in range(trials)[chunk]:
-            rng = np.random.default_rng(seed + k)
-            draws.append(draw_schedule(rng, 4))
-            # One draw of all picks: the same stream as one draw per pick.
-            picks.append(rng.integers(0, 4, size=(_RANDOM_PICKS, len(draws[-1].events))))
-        devs, batches = [], []
-        for s, p in zip(build_schedules(draws), picks):
-            labels = np.vstack([p, np.zeros((1, s.event_count), dtype=p.dtype)])
-            R = build_pdm(s)
+
+    def deviations(rngs):
+        draws = [draw_schedule(rng, 4) for rng in rngs]
+        # Each trial's picks in one draw (the same stream as one draw per pick), then the all-identity one.
+        picks = [rng.integers(0, 4, size=(_RANDOM_PICKS, len(d.events))) for rng, d in zip(rngs, draws)]
+        batches = [np.vstack([p, np.zeros_like(p[:1])]) for p in picks]
+        devs = []
+        for s, labels in zip(build_schedules(draws), batches):
             want = oracle_expectations(s, labels)
-            got = np.stack([expectations(s, labels), R.stored_expectations(labels)], axis=1)
+            got = np.stack([expectations(s, labels), build_pdm(s).stored_expectations(labels)], axis=1)
             devs.append(np.abs(got - want[:, None]))
-            batches.append(labels)
-        # Row-major over (trial, pick, side), chunks in order: the first
-        # maximum is the one a per-pick loop would keep.
-        i, dev = worst_deviation(np.array(devs))
-        if dev > worst:
-            k, pick, side = np.unravel_index(i, (len(devs), _RANDOM_PICKS + 1, len(_SIDES)))
-            detail = f"{_SIDES[side]}: trial {chunk.start + k} assignment {_plain(batches[k][pick])}"
-            worst = dev
+        # Axes (trial, pick, side), row-major: the first maximum is the one a per-pick loop would keep.
+        return np.array(devs), batches
+
+    worst, (k, pick, side), labels = worst_trial(seed, trials, _SCHEDULE_DRAW_BYTES, deviations)
+    detail = f"{_SIDES[side]}: trial {k} assignment {_plain(labels[pick])}"
     return SuiteResult("engine_vs_oracle", worst <= 1e-12, worst, detail)
 
 
@@ -193,22 +183,18 @@ def suite_ancilla(seed: int = 0, trials: int = 50) -> SuiteResult:
     """The ancilla protocol vs ``expectations`` on all 16 assignments of random two-event schedules.
 
     A chunk of trials is drawn first; its gap channels come from one QR per Kraus rank.
-    Only the worst deviation is kept from chunk to chunk.
     """
-    worst, detail = 0.0, ""
-    for chunk in chunk_slices(trials, _TWO_EVENT_PDM_BYTES, CHECK_STACK_BYTES):
-        blochs, gaussians = [], []
-        for k in range(trials)[chunk]:
-            rng = np.random.default_rng(seed + k)
-            blochs.append(random_bloch(rng))
-            gaussians.append(cptp_draw(1, rng))
-        states = density_states([bloch_matrix(r) for r in blochs])
-        for k, st, ch in zip(range(trials)[chunk], states, stinespring_channels(gaussians)):
+
+    def deviations(rngs):
+        states = density_states([bloch_matrix(random_bloch(rng)) for rng in rngs])
+        devs = []
+        for st, ch in zip(states, stinespring_channels([cptp_draw(1, rng) for rng in rngs])):
             s = two_event_schedule(st, ch)
-            got = ancilla_expectations(s, _ALL_PAIRS)
-            i, dev = worst_deviation(np.abs(got - expectations(s, _ALL_PAIRS)))
-            if dev > worst:
-                worst, detail = dev, f"trial {k} assignment {_plain(_ALL_PAIRS[i])}"
+            devs.append(np.abs(ancilla_expectations(s, _ALL_PAIRS) - expectations(s, _ALL_PAIRS)))
+        return np.array(devs), None
+
+    worst, (k, i), _ = worst_trial(seed, trials, _TWO_EVENT_PDM_BYTES, deviations)
+    detail = f"trial {k} assignment {_plain(_ALL_PAIRS[i])}"
     return SuiteResult("ancilla_protocol", worst <= 1e-10, worst, detail)
 
 
@@ -266,31 +252,27 @@ def suite_convexity(seed: int = 0, trials: int = 200) -> SuiteResult:
     Each trial draws two (state, CPTP gap of Kraus rank 1-4) pairs and a
     weight p. A chunk's PDMs come from one closed-form stack, one state per
     row, and ``convexity_gaps`` takes the f_tr of them and of the chunk's
-    mixtures from one eigenvalue solve. Only the largest gap is kept from
-    chunk to chunk; ``detail`` names its trial.
+    mixtures from one eigenvalue solve. ``detail`` names the trial of the
+    largest gap.
     """
-    worst, detail = -np.inf, ""
-    for chunk in chunk_slices(trials, 2 * _TWO_EVENT_PDM_BYTES, CHECK_STACK_BYTES):
-        blochs, gaussians, weights = [], [], []
-        for k in range(trials)[chunk]:
-            rng = np.random.default_rng(seed + k)
-            for _ in range(2):
-                blochs.append(random_bloch(rng))
-                gaussians.append(cptp_draw(1, rng))
-            p = float(rng.uniform(0, 1))
-            weights.append([p, 1 - p])
+
+    def gaps(rngs):
+        blochs, gaussians = zip(*[(random_bloch(rng), cptp_draw(1, rng)) for rng in rngs for _ in range(2)])
+        weights = [[p, 1 - p] for p in (float(rng.uniform(0, 1)) for rng in rngs)]
         states = density_states([bloch_matrix(r) for r in blochs])
         Rs = two_event_pdm_stack(states, kraus_array(stinespring_channels(gaussians))).reshape(-1, 2, 4, 4)
-        i, gap = worst_deviation(convexity_gaps(Rs, weights))
-        if gap > worst:
-            worst, detail = gap, f"trial {chunk.start + i}"
-    return SuiteResult("convexity", worst <= CHECK_ATOL, max(0.0, worst), detail)
+        return convexity_gaps(Rs, weights), None
+
+    worst, (k,), _ = worst_trial(seed, trials, 2 * _TWO_EVENT_PDM_BYTES, gaps)
+    return SuiteResult("convexity", worst <= CHECK_ATOL, max(0.0, worst), f"trial {k}")
 
 
 def run_all(seed: int = 0, trials: int = 200) -> list[SuiteResult]:
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    # Trial k of a suite draws from numpy's generator seeded with seed + k, which takes no negative seed.
+    # Trial k of a ``worst_trial`` suite draws from numpy's generator seeded with seed + k, and
+    # closed_form_two_event draws all its trials from one generator seeded with seed; numpy
+    # takes no negative seed.
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     return [

@@ -35,6 +35,7 @@ from pdmsim.causality import (
     qr_isometries,
     stinespring_channels,
     worst_deviation,
+    worst_trial,
 )
 from pdmsim.channels import kraus_sum
 from pdmsim.linalg import PAULIS, PSD_ATOL, embed_operator
@@ -376,6 +377,75 @@ class TestMonotoneAxioms:
         random_cptp(1, int(rng.integers(1, 5)), rng)
         event = int(rng.integers(0, 2)) + 1
         assert not res.passed and res.detail == f"trial 17 on event {event}"
+
+
+def trial_of(rng: np.random.Generator, seed: int) -> int:
+    """The trial k whose generator ``worst_trial`` seeded with seed + k."""
+    return int(rng.bit_generator.seed_seq.entropy) - seed
+
+
+class TestWorstTrial:
+    # Budgets of one trial a chunk (every comparison crosses chunks) and of 3 trials of 8 bytes.
+    @pytest.fixture(autouse=True, params=[1, 24], ids=["one-trial-chunks", "three-trial-chunks"])
+    def stack_bytes(self, request, monkeypatch):
+        monkeypatch.setattr(causality, "CHECK_STACK_BYTES", request.param)
+
+    def test_trial_k_draws_from_seed_plus_k(self):
+        seen = []
+
+        def first_draws(rngs):
+            seen.extend(rng.random() for rng in rngs)
+            return np.zeros(len(rngs)), None
+
+        worst_trial(9, 7, 8, first_draws)
+        assert seen == [np.random.default_rng(9 + k).random() for k in range(7)]
+
+    def test_tie_across_chunks_keeps_the_earlier_trial(self):
+        def devs(rngs):
+            out = np.zeros((len(rngs), 3))
+            for j, rng in enumerate(rngs):
+                k = trial_of(rng, 4)
+                if k in (2, 5):
+                    out[j, 1 if k == 2 else 0] = 1.0
+            return out, None
+
+        assert worst_trial(4, 8, 8, devs) == (1.0, (2, 1), None)
+
+    def test_nan_reads_as_inf_and_wins(self):
+        def devs(rngs):
+            trials = np.array([trial_of(rng, 0) for rng in rngs])
+            return np.select([trials == 1, trials == 4], [1e300, np.nan], 0.0), None
+
+        assert worst_trial(0, 6, 8, devs) == (np.inf, (4,), None)
+
+    def test_context_belongs_to_the_worst_trial(self):
+        def devs(rngs):
+            trials = [trial_of(rng, 3) for rng in rngs]
+            return np.array([-abs(k - 5) for k in trials], dtype=float), [f"context of {k}" for k in trials]
+
+        assert worst_trial(3, 10, 8, devs) == (0.0, (5,), "context of 5")
+
+    def test_no_trials_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="trials must be >= 1"):
+            worst_trial(0, 0, 8, lambda rngs: (np.zeros(len(rngs)), None))
+
+    def test_memory_does_not_grow_with_trials(self):
+        # Only the worst case is kept from chunk to chunk.
+        import tracemalloc
+
+        def devs(rngs):
+            return np.zeros(len(rngs)), None
+
+        worst_trial(0, 10, 8, devs)  # warm up
+        peaks = []
+        for trials in (10, 10_000):
+            tracemalloc.start()
+            try:
+                worst_trial(0, trials, 8, devs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 4096, peaks
 
 
 class TestStackedQR:

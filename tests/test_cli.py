@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pdmsim import NoiseModel, Sweep, SweepConfig, UsageError, emit_svg, find_transition, rows_to_csv, run_sweep
-from pdmsim import build_pdm, classify, state_from_bloch
+from pdmsim import build_pdm, classify, make_channel, reduce_pdm, state_from_bloch, two_event_schedule
 from pdmsim import channels
+from pdmsim.schedule import Event, Schedule
 from pdmsim.serialize import load_json, schedule_from_dict
 from pdmsim.cli import format_matrix_rows, main
 from pdmsim.sweep import CSV_HEADER, MAX_SWEEP_POINTS, _fmt, _points
@@ -387,6 +388,90 @@ class TestTransition:
         assert last_causal <= t_star <= first_space
 
 
+_MIXED_2Q = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+_SWEEP = sweep_doc((0, 0, 1), "dephasing", 1.0, 0.0, 2.0, 5)
+
+
+def _golden_state():
+    return state_from_bloch([0, 0, 1])
+
+
+#: One input error a line: what runs it (a CLI command on a document, or a
+#: library call) and the message that names the problem.
+INPUT_ERRORS = {
+    "matrix-not-pairs": (
+        "build",
+        dict(GOLDEN_DOC, initial_state={"matrix": [[1, 0], [0, 1]]}),
+        "initial_state field 'matrix' must be a square array of [re, im] pairs",
+    ),
+    "empty-slices": ("build", dict(GOLDEN_DOC, slices=[]), "slices must be a nonempty list of event lists"),
+    "slice-not-a-list": (
+        "build",
+        dict(GOLDEN_DOC, slices=[{"id": 1, "qubit": 0}], channels=[]),
+        "slice 0 must be a nonempty event list",
+    ),
+    "no-qubits": ("build", dict(GOLDEN_DOC, qubits=0), "qubits must be >= 1"),
+    "bloch-on-2-qubits": ("build", dict(GOLDEN_DOC, qubits=2), "a bloch-vector initial state requires a 1-qubit system"),
+    "state-without-bloch-or-matrix": (
+        "build",
+        dict(GOLDEN_DOC, initial_state={}),
+        "initial_state must carry either 'bloch' or 'matrix'",
+    ),
+    "noise-gap-on-2-qubits": (
+        "build",
+        dict(
+            GOLDEN_DOC,
+            qubits=2,
+            initial_state={"matrix": _MIXED_2Q},
+            channels=[{"kind": "dephasing", "param": 0.1}],
+        ),
+        "dephasing gap channel requires a 1-qubit schedule",
+    ),
+    "top-level-array": ("build", [GOLDEN_DOC], "must contain a JSON object"),
+    "negative-t-min": ("transition", dict(_SWEEP, t_min=-1.0), "t_min must be >= 0"),
+    "unknown-grid": ("transition", dict(_SWEEP, grid="cubic"), "grid must be 'linear' or 'log', got 'cubic'"),
+    "log-grid-from-0": ("transition", dict(_SWEEP, grid="log"), "log grid requires t_min > 0"),
+    "one-point": ("transition", dict(_SWEEP, points=1), "points must be >= 2"),
+    "unknown-noise-kind": (
+        "transition",
+        dict(_SWEEP, noise={"kind": "bitflip", "tau": 1.0}),
+        "unknown noise kind 'bitflip'",
+    ),
+    "non-bloch-sweep-state": (
+        "transition",
+        dict(_SWEEP, initial_state={"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+        "sweep config initial_state must carry a bloch vector",
+    ),
+    "slice-indices-0-and-2": (
+        lambda: Schedule(_golden_state(), (Event(1, 0, 0), Event(2, 0, 2))),
+        None,
+        "slice indices must be contiguous 0..S-1, got [0, 2]",
+    ),
+    "two-channels-for-one-gap": (
+        lambda: Schedule(_golden_state(), (Event(1, 0, 0), Event(2, 0, 1)), (None, make_channel("dephasing", 0.5))),
+        None,
+        "expected 1 inter-slice channels, got 2",
+    ),
+    "reduce-to-a-missing-event": (
+        lambda: reduce_pdm(build_pdm(two_event_schedule(_golden_state(), None)), {5}),
+        None,
+        "keep ids [5] out of range 1..2",
+    ),
+}
+
+
+@pytest.mark.parametrize("run, doc, message", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
+def test_input_error_names_the_problem(tmp_path, capsys, run, doc, message):
+    # A document error exits 2 at the CLI; a library call raises UsageError. Both name the problem.
+    if callable(run):
+        with pytest.raises(UsageError, match=re.escape(message)):
+            run()
+    else:
+        assert main([run, write(tmp_path / "doc.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+
+
 def entrywise_rows(M):
     """The per-entry report formula that ``format_matrix_rows`` replaces."""
     return ["  [" + "  ".join(f"{v.real:+.6f}{v.imag:+.6f}j" for v in row) + "]" for row in M]
@@ -585,6 +670,17 @@ class TestVerify:
 
         want = verify.run_all(4, 12)
         monkeypatch.setattr(verify, "CHECK_STACK_BYTES", 1)
+        assert verify.run_all(4, 12) == want
+
+    def test_trial_loop_chunks_do_not_change_results(self, monkeypatch):
+        # The other suites run their trials through causality.worst_trial, in
+        # chunks of causality's CHECK_STACK_BYTES; one trial per chunk gives
+        # the same results, to the bit.
+        import pdmsim.causality as causality
+        import pdmsim.verify as verify
+
+        want = verify.run_all(4, 12)
+        monkeypatch.setattr(causality, "CHECK_STACK_BYTES", 1)
         assert verify.run_all(4, 12) == want
 
     @pytest.mark.parametrize("suite, trials", [("suite_convexity", 1000), ("suite_closed_form", 250)])

@@ -171,13 +171,29 @@ def test_every_import_is_read():
     assert {name: names for name, names in offenders.items() if names} == {}
 
 
+def matches_by_function(source: str, match) -> list[str]:
+    """``function:line`` of every AST node for which ``match`` holds, by innermost enclosing function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if match(child):
+                found.append(f"{where}:{child.lineno}")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
 def numpy_calls(source: str, path: str) -> list[str]:
     """``function:line`` of every ``np.<path>`` or ``numpy.<path>`` the source names, by enclosing function.
 
     ``path`` is a dotted attribute path below numpy, such as ``"kron"`` or ``"linalg.qr"``.
     """
     names = path.split(".")
-    found = []
 
     def names_path(node) -> bool:
         for name in reversed(names):
@@ -186,17 +202,19 @@ def numpy_calls(source: str, path: str) -> list[str]:
             node = node.value
         return isinstance(node, ast.Name) and node.id in ("np", "numpy")
 
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if names_path(child):
-                found.append(f"{where}:{child.lineno}")
-            visit(child, where)
+    return matches_by_function(source, names_path)
 
-    visit(ast.parse(source), "<module>")
-    return found
+
+def name_uses(source: str, name: str) -> list[str]:
+    """``function:line`` of every read of ``name`` or of ``<anything>.name``, by enclosing function.
+
+    An import or a definition of ``name`` is not a read.
+    """
+    return matches_by_function(
+        source,
+        lambda node: (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name),
+    )
 
 
 def test_checker_sees_numpy_kron():
@@ -241,6 +259,31 @@ def test_numpy_qr_only_in_qr_isometries():
     # its matrices by shape: a single-matrix np.linalg.qr call costs ~22-45 us
     # against ~1-11 us per matrix stacked (2-vCPU x86-64 host).
     assert calls_outside("linalg.qr", "causality", "qr_isometries") == {}
+
+
+def test_checker_sees_name_uses():
+    source = (
+        "from .causality import worst_deviation\n"
+        "def worst_deviation(d):\n"
+        "    return d\n"
+        "def f(d):\n"
+        "    def g():\n"
+        "        return causality.worst_deviation(d)\n"
+        "    return worst_deviation(d), max(d, key=worst_deviation), worst_deviations(d)\n"
+    )
+    assert name_uses(source, "worst_deviation") == ["g:6", "f:7", "f:7"]
+
+
+def test_worst_deviation_only_in_the_trial_loops():
+    # A randomized check keeps its worst case through causality.worst_trial.
+    # suite_closed_form keeps its own loop: its trials share one input state
+    # and draw from one generator.
+    allowed = {("causality", "worst_trial"), ("verify", "suite_closed_form")}
+    offenders = {
+        m.name: [u for u in name_uses(m.read_text(), "worst_deviation") if (m.stem, u.split(":")[0]) not in allowed]
+        for m in MODULES
+    }
+    assert {name: uses for name, uses in offenders.items() if uses} == {}
 
 
 def writable_arrays(module) -> list[str]:
