@@ -12,17 +12,16 @@ from .errors import InvariantViolation, UsageError
 from .linalg import (
     PAULI_STACK,
     PSD_ATOL,
-    SINGLE_THREAD_MACS,
     I2,
     X,
     Y,
     Z,
-    chunk_slices,
     dagger,
     hermitian_eig,
     qubits_of_dim,
     read_only,
     require_hermitian_unit_trace,
+    single_threaded,
 )
 
 TP_ATOL = 1e-10
@@ -204,44 +203,36 @@ def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
     return KrausChannel(np.array([B @ A for B in then.kraus_ops for A in first.kraus_ops]))
 
 
+@single_threaded
 def kraus_sum(E: np.ndarray, M: np.ndarray) -> np.ndarray:
     """sum_k E_k M E_k^dag, for one channel on a stack of operators or a stack of channels on one.
 
     E is one channel's (K, D, D) Kraus operators and M a (..., D, D) stack, or
     E is a (..., K, D, D) stack of channels and M one (D, D) operator; the
-    result has the stack's shape. For one channel, each chunk of N operators
-    is two 2-D products: (K D x D) @ (D x N D) makes every E_k M_n, and
+    result has the stack's shape. For one channel on N operators, the sum is
+    two 2-D products: (K D x D) @ (D x N D) makes every E_k M_n, and
     (N D x K D) @ (K D x D) multiplies them by the E_k^dag stacked along its
     inner axis, so the sum over k is made inside the product. For a stack of
     T channels, the first product is (T K D x D) @ (D x D) and the second a
-    batch of T (D x K D) @ (K D x D) products. Chunks are cut so that no
-    product exceeds ``SINGLE_THREAD_MACS``, unless one operator alone does.
-    An all-zero operator adds nothing, so rows with fewer operators may be
+    batch of T (D x K D) @ (K D x D) products. Both run under
+    ``single_threaded``, so OpenBLAS keeps them on the calling thread. An
+    all-zero operator adds nothing, so rows with fewer operators may be
     padded with them.
     """
     K, D = E.shape[-3], E.shape[-1]
     Ed = dagger(E).reshape(E.shape[:-3] + (K * D, D))
     if E.ndim == 3:
         stack = M.reshape(-1, D, D)
-        Ef = E.reshape(K * D, D)
-        out = np.empty(stack.shape, dtype=complex)
-        for rows in chunk_slices(len(stack), K * D**3, SINGLE_THREAD_MACS):
-            m = stack[rows]
-            n = len(m)
-            A = Ef @ m.transpose(1, 0, 2).reshape(D, n * D)
-            A = A.reshape(K, D, n, D).transpose(2, 1, 0, 3).reshape(n * D, K * D)
-            np.matmul(A, Ed, out=out[rows].reshape(n * D, D))
-        return out.reshape(M.shape)
+        n = len(stack)
+        A = E.reshape(K * D, D) @ stack.transpose(1, 0, 2).reshape(D, n * D)
+        A = A.reshape(K, D, n, D).transpose(2, 1, 0, 3).reshape(n * D, K * D)
+        return (A @ Ed).reshape(M.shape)
     if M.ndim != 2:
         raise UsageError("kraus_sum takes one channel on a stack or a stack of channels on one operator")
     Es, Ed = E.reshape(-1, K * D, D), Ed.reshape(-1, K * D, D)
-    out = np.empty((len(Es), D, D), dtype=complex)
-    for rows in chunk_slices(len(Es), K * D**3, SINGLE_THREAD_MACS):
-        e = Es[rows]
-        t = len(e)
-        A = (e.reshape(t * K * D, D) @ M).reshape(t, K, D, D)
-        np.matmul(A.transpose(0, 2, 1, 3).reshape(t, D, K * D), Ed[rows], out=out[rows])
-    return out.reshape(E.shape[:-3] + (D, D))
+    t = len(Es)
+    A = (Es.reshape(t * K * D, D) @ M).reshape(t, K, D, D)
+    return (A.transpose(0, 2, 1, 3).reshape(t, D, K * D) @ Ed).reshape(E.shape[:-3] + (D, D))
 
 
 def choi_stack(ks: np.ndarray) -> np.ndarray:

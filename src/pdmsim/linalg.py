@@ -8,6 +8,9 @@ index, i.e. basis states are |b1 b2 ... bn> with b1 the high bit.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import pathlib
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -17,12 +20,57 @@ from .errors import InvariantViolation, UsageError
 # Tolerances shared across the package.
 HERM_ATOL = 1e-12
 PSD_ATOL = 1e-10
-#: Multiply-adds of the largest complex matrix product the package issues
-#: (``kraus_sum`` and the layers of ``build_pdm``). OpenBLAS runs a product up
-#: to this size on the calling thread; a larger one wakes its worker threads,
-#: which on a busy 2-vCPU host took 5-15 ms per call and varied from call to
-#: call, against ~0.1 ms for the product.
-SINGLE_THREAD_MACS = 2**15
+
+
+def _blas_thread_calls():
+    """OpenBLAS's calls that get and set its thread count, from the copy numpy bundles, or None.
+
+    numpy's wheels ship OpenBLAS as ``numpy.libs/libscipy_openblas64_-*.so``
+    (``numpy/.dylibs`` on macOS); loading it again returns the copy numpy
+    already uses. A numpy built against another BLAS has neither call.
+    """
+    root = pathlib.Path(np.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/*scipy_openblas*"), *root.glob(".dylibs/*scipy_openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+#: The (get, set) pair of OpenBLAS thread-count calls, or None when numpy's BLAS has none.
+_BLAS_THREADS = _blas_thread_calls()
+
+
+def single_threaded(f):
+    """f, run with OpenBLAS's thread count set to 1 and the count it found restored after.
+
+    A product or eigensolve large enough for OpenBLAS to split wakes its
+    worker threads, which on a busy 2-vCPU host took 5-15 ms per call and
+    varied from call to call, against ~0.1 ms for the work. The count is
+    restored in a ``finally``, so a raise restores it too, and a guarded call
+    inside another restores the outer call's 1. Without the calls (numpy on
+    another BLAS) f is returned unchanged. The count is process-wide: pdmsim
+    calls from two Python threads at once may leave it at 1.
+    """
+    if _BLAS_THREADS is None:
+        return f
+    get, set_ = _BLAS_THREADS
+
+    @functools.wraps(f)
+    def guarded(*args, **kwargs):
+        threads = get()
+        set_(1)
+        try:
+            return f(*args, **kwargs)
+        finally:
+            set_(threads)
+
+    return guarded
 
 
 def read_only(M: np.ndarray) -> np.ndarray:
@@ -107,6 +155,7 @@ def chunk_slices(count: int, item_size: int, budget: int) -> Iterator[slice]:
     return (slice(lo, lo + size) for lo in range(0, count, size))
 
 
+@single_threaded
 def hermitian_eig(M: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix or of each matrix of a ``(..., D, D)`` stack.
 
@@ -115,12 +164,10 @@ def hermitian_eig(M: np.ndarray) -> np.ndarray:
     inputs farther than ``HERM_ATOL`` from Hermitian are rejected (for a
     stack, one such matrix rejects the whole stack).
 
-    No eigenvectors are solved for: from 32x32 up, their back-transformation
-    is a matrix product large enough to wake OpenBLAS's worker threads, which
-    costs milliseconds per call on a busy host. The eigenvalues alone stay on
-    the calling thread only up to 48x48. From 64x64 (a 6-event PDM) up,
-    OpenBLAS's worker thread ran as long as the calling thread (2-vCPU
-    x86-64 host, OpenBLAS 0.3.31).
+    No eigenvectors are solved for: the eigenvalues alone cost less. The
+    solve runs under ``single_threaded``: unguarded, from 64x64 (a 6-event
+    PDM) up, OpenBLAS's worker thread ran as long as the calling thread
+    (2-vCPU x86-64 host, OpenBLAS 0.3.31).
     """
     M = np.asarray(M, dtype=complex)
     if not is_hermitian(M):

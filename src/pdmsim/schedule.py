@@ -26,7 +26,6 @@ from .errors import InvariantViolation, UsageError
 from .linalg import (
     I2,
     PAULI_STACK,
-    SINGLE_THREAD_MACS,
     chunk_slices,
     dagger,
     embed_operator,
@@ -34,6 +33,7 @@ from .linalg import (
     qubits_of_dim,
     read_only,
     require_hermitian_unit_trace,
+    single_threaded,
 )
 
 #: Bytes ``build_pdm`` may use for its largest working stack plus the output
@@ -298,10 +298,12 @@ def expectations(s: Schedule, assignments) -> np.ndarray:
     running operator M to (AM + MA)/2 = P+ M P+ - P- M P-; an identity label
     leaves M as it is. The rows run through ``build_pdm``'s pass, ``_forward``,
     in chunks whose stacks fit ``PDM_BYTE_BUDGET``, or of one row: a row holds
-    one operator, and two while an event maps it to its product.
+    one operator, and while an event maps it (``_measure``) three more (its
+    2x2 blocks, their product and the product reordered) and its label's
+    4x4 block of ``_JORDAN``.
     """
     labels = _pauli_labels(assignments, s.event_count)
-    chunks = chunk_slices(len(labels), 16 * 2 * 4**s.qubit_count, PDM_BYTE_BUDGET)
+    chunks = chunk_slices(len(labels), 16 * (4 * 4**s.qubit_count + 16), PDM_BYTE_BUDGET)
     return np.concatenate([_forward(s, labels[rows]) for rows in chunks])
 
 
@@ -431,23 +433,19 @@ def _measure(stack: np.ndarray, qubit: int, qubit_count: int, labels: np.ndarray
     exact up to one rounding of a sum of two exact terms. With a (B,) array
     of ``labels``, entry b is M_b's product for its own label only, by the
     label's (4, 4) block of ``_JORDAN``, and the stack keeps its shape. The
-    product runs in chunks of operators, none over ``SINGLE_THREAD_MACS``.
+    product runs under ``_forward``'s ``single_threaded`` guard.
     """
     B, D = stack.shape[0], stack.shape[-1]
     lo, hi = 2**qubit, 2 ** (qubit_count - qubit - 1)
     width = 4 if labels is None else 1
     # Axes (b, row high, row low, column high, column low, row bit, column bit).
     blocks = stack.reshape(B, lo, 2, hi, lo, 2, hi).transpose(0, 1, 3, 4, 6, 2, 5)
-    out = np.empty((B, width, lo, 2, hi, lo, 2, hi), dtype=complex)
-    # An operator's D^2/4 blocks take 4 x 4 width multiply-adds each.
-    for rows in chunk_slices(B, 4 * width * D * D, SINGLE_THREAD_MACS):
-        part = blocks[rows]
-        if labels is None:
-            products = part.reshape(-1, 4) @ _JORDAN
-        else:
-            products = part.reshape(len(part), -1, 4) @ _JORDAN_BY_LABEL[labels[rows]]
-        out[rows] = products.reshape(part.shape[:5] + (width, 2, 2)).transpose(0, 5, 1, 6, 2, 3, 7, 4)
-    return out.reshape(width * B, D, D)
+    if labels is None:
+        products = blocks.reshape(-1, 4) @ _JORDAN
+    else:
+        products = blocks.reshape(B, -1, 4) @ _JORDAN_BY_LABEL[labels]
+    products = products.reshape(blocks.shape[:5] + (width, 2, 2)).transpose(0, 5, 1, 6, 2, 3, 7, 4)
+    return products.reshape(width * B, D, D)
 
 
 def _apply_gap(stack: np.ndarray, ch: KrausChannel) -> np.ndarray:
@@ -456,8 +454,8 @@ def _apply_gap(stack: np.ndarray, ch: KrausChannel) -> np.ndarray:
     Two ways, chosen by timing both on a 2-vCPU x86-64 host with OpenBLAS:
 
     - The D^2 x D^2 superoperator, for a stack of at least D^2 operators on
-      up to 3 qubits whose channel has K Kraus operators with D < 8K. The
-      stack is multiplied in place, block by block. Per operator it costs D^4
+      up to 3 qubits whose channel has K Kraus operators with D < 8K, as one
+      (B x D^2) @ (D^2 x D^2) product. Per operator it costs D^4
       multiply-adds against the Kraus products' 2KD^3, and its few large
       products beat their many small ones unless that is 4x as many: a
       unitary (K = 1) 3-qubit gap ran ~1.5x faster as Kraus products, a
@@ -467,22 +465,19 @@ def _apply_gap(stack: np.ndarray, ch: KrausChannel) -> np.ndarray:
       amplitude damping) in ~97 ms against ~122 ms.
     - Kraus products (``kraus_sum``), in blocks of 64 KiB of the stack, for
       every other stack: unitary 3-qubit gaps, wide registers and early slices.
+      The blocks are overwritten in place, so this way the stack is never
+      held twice. ``stack`` must be the engine's own array.
 
-    Either way the largest stack is never held twice, and up to 5 qubits no
-    matrix product exceeds ``SINGLE_THREAD_MACS``, so BLAS does not wake
-    its worker threads. ``stack`` must be the engine's own array: it is
-    overwritten.
+    Either way the products run under ``_forward``'s ``single_threaded``
+    guard, so OpenBLAS keeps them on the calling thread.
     """
     B, D = stack.shape[0], stack.shape[-1]
     ks = ch.kraus_ops
-    if B >= D * D and D**4 <= SINGLE_THREAD_MACS // 8 and D < 8 * len(ks):
+    if B >= D * D and D <= 8 and D < 8 * len(ks):
         # Row-major vec: vec(sum_k K M K^dag) = vec(M) @ S with S[(b,c),(a,d)] =
         # sum_k K[a,b] conj(K[d,c]), the Choi matrix with its two middle indices swapped.
         S = choi_stack(ks[None])[0].reshape((D,) * 4).transpose(0, 2, 1, 3).reshape(D * D, D * D)
-        flat = stack.reshape(B, D * D)
-        for rows in chunk_slices(B, D**4, SINGLE_THREAD_MACS):
-            flat[rows] = flat[rows] @ S
-        return stack
+        return (stack.reshape(B, D * D) @ S).reshape(B, D, D)
     for rows in chunk_slices(B, 16 * D * D, 2**16):  # blocks of 64 KiB
         stack[rows] = kraus_sum(ks, stack[rows])
     return stack
@@ -498,14 +493,11 @@ def _map_axes(t: np.ndarray, count: int, W: np.ndarray) -> np.ndarray:
     Each step is the 2-D product ``t.reshape(4, -1).T @ W``, which moves the
     mapped axis to the end, so after ``count`` steps the axes are the rest
     followed by the mapped ones in their old order. The result is returned
-    flat as (-1, 4). The products run in chunks of rows, none over
-    ``SINGLE_THREAD_MACS``.
+    flat as (-1, 4). Its callers, ``_forward`` and ``_assemble``, run it under
+    ``single_threaded``.
     """
     for _ in range(count):
-        rows = t.reshape(4, -1).T
-        t = np.empty(rows.shape, dtype=complex)
-        for part in chunk_slices(len(rows), 16, SINGLE_THREAD_MACS):
-            np.matmul(rows[part], W, out=t[part])
+        t = t.reshape(4, -1).T @ W
     return t
 
 
@@ -531,6 +523,7 @@ def _readout(stack: np.ndarray, qubits: list, qubit_count: int) -> np.ndarray:
     return _map_axes(t, k, _PAULI_MAP.T).reshape(B, -1)
 
 
+@single_threaded
 def _assemble(coeffs: np.ndarray) -> np.ndarray:
     """sum_l c_l (P_l1 (x) ... (x) P_ln) / 2^n for a coefficient tensor of shape (4,)*n.
 
@@ -546,6 +539,7 @@ def _assemble(coeffs: np.ndarray) -> np.ndarray:
     return (A + A.conj().T) * (0.5 / 2**n)
 
 
+@single_threaded
 def _forward(s: Schedule, labels: np.ndarray | None = None) -> np.ndarray:
     """Expectations by one forward pass: of all 4^n assignments, or of each row of ``labels``.
 

@@ -244,9 +244,19 @@ def _causal_spans(sweep: Sweep) -> list[tuple[float, float]]:
 
 
 def emit_svg(sweep: Sweep) -> str:
-    """Two stacked panels: eigenvalues vs t and f_tr vs t, causal region shaded."""
+    """Two stacked panels: eigenvalues vs t and f_tr vs t, causal region shaded.
+
+    The x axis runs from the first time to the last, so the sweep needs at
+    least 2 rows, finite entries and a last time after the first; ``run_sweep``
+    output always has them.
+    """
     if len(sweep.t) < 2:
         raise UsageError("SVG output requires at least 2 rows")
+    if not all(np.isfinite(a).all() for a in (sweep.t, sweep.eigenvalues, sweep.f_tr)):
+        raise UsageError("SVG output requires finite times, eigenvalues and f_tr values")
+    t_first, t_last = float(sweep.t[0]), float(sweep.t[-1])
+    if not t_last > t_first:
+        raise UsageError(f"SVG output requires the last time after the first, got {t_first!r} and {t_last!r}")
     spans = _causal_spans(sweep)
     k = sweep.eigenvalues.shape[1]
     colors = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"][:k]

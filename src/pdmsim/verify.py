@@ -11,9 +11,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import causality
 from .causality import (
     CHECK_ATOL,
-    CHECK_STACK_BYTES,
     SuiteResult,
     convexity_gaps,
     check_local_monotonicity,
@@ -213,7 +213,7 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
     rng = np.random.default_rng(seed)
     state = state_from_bloch(random_bloch(rng))
     worst, detail = -np.inf, ""
-    for chunk in chunk_slices(trials, _TWO_EVENT_PDM_BYTES, CHECK_STACK_BYTES):
+    for chunk in chunk_slices(trials, _TWO_EVENT_PDM_BYTES, causality.CHECK_STACK_BYTES):
         channels = stinespring_channels([cptp_draw(1, rng) for _ in range(trials)[chunk]])
         stack = two_event_pdm_stack(state, kraus_array(channels))
         built = np.array([build_pdm(two_event_schedule(state, ch)).matrix for ch in channels])

@@ -28,7 +28,7 @@ from pdmsim.channels import (
     DensityState,
     kraus_sum,
 )
-from pdmsim.linalg import SINGLE_THREAD_MACS, I2, X, Y, Z, embed_operator
+from pdmsim.linalg import I2, X, Y, Z, embed_operator
 from pdmsim.verify import GOLDEN_TWO_EVENT
 
 from conftest import random_cptp, random_density
@@ -259,25 +259,9 @@ class TestApplyChannel:
             assert np.max(np.abs(got - apply_loop(ch, M, [1], 3))) <= 1e-14
 
 
-class _Products(np.ndarray):
-    """An array that records the multiply-adds of each matrix product made from it.
-
-    Every product's result is one too, so a kernel's later products are
-    recorded as well; ``macs`` is the list they go to.
-    """
-
-    macs: list = []
-
-    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        plain = [x.view(np.ndarray) if isinstance(x, _Products) else x for x in inputs]
-        if ufunc is np.matmul:
-            a, b = plain
-            batch = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
-            _Products.macs.append(batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
-        if out is not None:
-            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, _Products) else o for o in out)
-        result = getattr(ufunc, method)(*plain, **kwargs)
-        return result if out is not None else result.view(_Products)
+def long_stack(rank, D):
+    """3 floor(2^15 / (rank D^3)) + 1: a stack length that once split ``kraus_sum`` into four chunks."""
+    return 3 * (2**15 // (rank * D**3)) + 1
 
 
 class TestKrausSum:
@@ -288,44 +272,25 @@ class TestKrausSum:
     def test_one_channel_on_a_stack(self, qubits, rank, rng):
         D = 2**qubits
         ch = random_cptp(qubits, rank, rng)
-        stack = rng.normal(size=(3, 5, D, D)) + 1j * rng.normal(size=(3, 5, D, D))
-        out = kraus_sum(ch.kraus_ops, stack)
-        assert out.shape == stack.shape
-        for M, got in zip(stack.reshape(-1, D, D), out.reshape(-1, D, D)):
-            assert np.max(np.abs(got - apply_loop(ch, M, range(qubits), qubits))) <= 1e-14
+        for shape in ((3, 5), (long_stack(rank, D),)):
+            stack = rng.normal(size=shape + (D, D)) + 1j * rng.normal(size=shape + (D, D))
+            out = kraus_sum(ch.kraus_ops, stack)
+            assert out.shape == stack.shape
+            for M, got in zip(stack.reshape(-1, D, D), out.reshape(-1, D, D)):
+                assert np.max(np.abs(got - apply_loop(ch, M, range(qubits), qubits))) <= 1e-14
 
     @pytest.mark.parametrize("qubits", [1, 2, 3])
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_stack_of_channels_on_one_operand(self, qubits, rank, rng):
         D = 2**qubits
-        chans = [random_cptp(qubits, rank, rng) for _ in range(15)]
-        E = np.stack([ch.kraus_ops for ch in chans]).reshape(3, 5, rank, D, D)
-        M = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
-        out = kraus_sum(E, M)
-        assert out.shape == (3, 5, D, D)
-        for ch, got in zip(chans, out.reshape(-1, D, D)):
-            assert np.max(np.abs(got - apply_loop(ch, M, range(qubits), qubits))) <= 1e-14
-
-    @pytest.mark.parametrize("qubits", [1, 2, 3])
-    @pytest.mark.parametrize("rank", [1, 3, 4])
-    def test_chunks_keep_every_product_single_threaded(self, qubits, rank, rng, monkeypatch):
-        # Four chunks of each call shape: every product stays at or under
-        # SINGLE_THREAD_MACS, and together they make each term once.
-        D = 2**qubits
-        per_chunk = SINGLE_THREAD_MACS // (rank * D**3)
-        count = 3 * per_chunk + 1
-        ch = random_cptp(qubits, rank, rng)
-        stack = rng.normal(size=(count, D, D)) + 1j * rng.normal(size=(count, D, D))
-        chans = kraus_array([random_cptp(qubits, rank, rng) for _ in range(count)])
-        for E, M in ((ch.kraus_ops, stack), (chans, stack[0])):
-            macs = []
-            monkeypatch.setattr(_Products, "macs", macs)
-            got = kraus_sum(E, M.view(_Products)).view(np.ndarray)
-            assert len(macs) == 8 and max(macs) <= SINGLE_THREAD_MACS
-            assert sum(macs) == 2 * count * rank * D**3
-            assert np.max(np.abs(got - kraus_sum(E, M))) == 0.0
-        for M, got in zip(stack[::per_chunk], kraus_sum(ch.kraus_ops, stack)[::per_chunk]):
-            assert np.max(np.abs(got - apply_loop(ch, M, range(qubits), qubits))) <= 1e-14
+        for shape in ((3, 5), (long_stack(rank, D),)):
+            chans = [random_cptp(qubits, rank, rng) for _ in range(math.prod(shape))]
+            E = np.stack([ch.kraus_ops for ch in chans]).reshape(shape + (rank, D, D))
+            M = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+            out = kraus_sum(E, M)
+            assert out.shape == shape + (D, D)
+            for ch, got in zip(chans, out.reshape(-1, D, D)):
+                assert np.max(np.abs(got - apply_loop(ch, M, range(qubits), qubits))) <= 1e-14
 
     def test_one_side_must_be_one_matrix(self, rng):
         E = random_cptp(1, 2, rng).kraus_ops

@@ -663,24 +663,28 @@ class TestVerify:
         assert main(["verify", "--seed", str(seed), "--trials", str(trials)]) == 0
         assert capsys.readouterr().out == want
 
-    def test_draw_chunks_do_not_change_results(self, monkeypatch):
-        # The suites draw their trials in chunks of CHECK_STACK_BYTES; one
-        # trial per chunk gives the same results, to the bit.
-        import pdmsim.verify as verify
-
-        want = verify.run_all(4, 12)
-        monkeypatch.setattr(verify, "CHECK_STACK_BYTES", 1)
-        assert verify.run_all(4, 12) == want
-
-    def test_trial_loop_chunks_do_not_change_results(self, monkeypatch):
-        # The other suites run their trials through causality.worst_trial, in
-        # chunks of causality's CHECK_STACK_BYTES; one trial per chunk gives
-        # the same results, to the bit.
+    def test_trial_chunks_do_not_change_results(self, monkeypatch):
+        # Every suite draws its trials in chunks of causality.CHECK_STACK_BYTES,
+        # read when it runs; one trial per chunk gives the same results, to the bit.
         import pdmsim.causality as causality
         import pdmsim.verify as verify
 
+        calls = []
+
+        def counted(state, kraus):
+            calls.append(len(kraus))
+            return closed_form(state, kraus)
+
+        closed_form = verify.two_event_pdm_stack
+        monkeypatch.setattr(verify, "two_event_pdm_stack", counted)
+        # Three trials make one stack by default, then the sweep path's two.
+        verify.suite_closed_form(0, 3)
+        assert calls == [3, 3, 3]
         want = verify.run_all(4, 12)
         monkeypatch.setattr(causality, "CHECK_STACK_BYTES", 1)
+        calls.clear()
+        verify.suite_closed_form(0, 3)
+        assert calls == [1, 1, 1, 3, 3]
         assert verify.run_all(4, 12) == want
 
     @pytest.mark.parametrize("suite, trials", [("suite_convexity", 1000), ("suite_closed_form", 250)])
@@ -906,6 +910,20 @@ class TestSvg:
         s = self.sweep((0, 0, 0), "depolarizing")
         with pytest.raises(UsageError, match="at least 2 rows"):
             emit_svg(Sweep(s.t[:1], s.eigenvalues[:1], s.f_tr[:1], s.causal[:1]))
+
+    def test_last_time_not_after_the_first(self):
+        with pytest.raises(UsageError, match=r"last time after the first, got 1\.0 and 1\.0"):
+            emit_svg(Sweep([1.0, 1.0], [[1, 2, 3, 4]] * 2, [0, 0], [False, True]))
+        with pytest.raises(UsageError, match=r"last time after the first, got 2\.0 and 1\.0"):
+            emit_svg(Sweep([2.0, 1.0], [[1, 2, 3, 4]] * 2, [0, 0], [False, True]))
+
+    @pytest.mark.parametrize("bad", ["t", "eigenvalues", "f_tr"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_times_or_values(self, bad, value):
+        fields = {"t": np.array([0.0, 1.0]), "eigenvalues": np.ones((2, 4)), "f_tr": np.array([0.0, 0.5])}
+        fields[bad].flat[0] = value
+        with pytest.raises(UsageError, match="finite times, eigenvalues and f_tr values"):
+            emit_svg(Sweep(fields["t"], fields["eigenvalues"], fields["f_tr"], [False, True]))
 
     # On a 0..4 grid of 9 rows each row is 548 / 8 = 68.5 px right of the last.
     @pytest.mark.parametrize(

@@ -3,10 +3,16 @@ import pytest
 
 from pdmsim import (
     InvariantViolation,
+    PseudoDensityMatrix,
     UsageError,
+    build_pdm,
     hermitian_eig,
     kron,
+    make_channel,
+    state_from_bloch,
+    two_event_schedule,
 )
+from pdmsim import channels, linalg, schedule
 from pdmsim.causality import haar_unitary
 from pdmsim.linalg import (
     I2,
@@ -180,6 +186,110 @@ class TestHermitianEig:
         stack[1, 0, 1] += 1e-6
         with pytest.raises(UsageError):
             hermitian_eig(stack)
+
+
+def numpy_blas() -> str:
+    """The name of the BLAS numpy was built with, or "unknown" where numpy cannot say."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return "unknown"
+
+
+class FakeThreads:
+    """A thread count held in Python, read and written by a get/set pair like OpenBLAS's."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+
+
+class TestSingleThreaded:
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        fake = FakeThreads(3)
+        monkeypatch.setattr(linalg, "_BLAS_THREADS", (fake.get, fake.set))
+        return fake
+
+    def test_call_sees_one_thread_and_restores_the_count(self, threads):
+        seen = []
+
+        @linalg.single_threaded
+        def f(x):
+            seen.append(threads.count)
+            return x + 1
+
+        assert f(1) == 2
+        assert seen == [1]
+        assert threads.count == 3
+
+    def test_count_is_restored_after_a_raise(self, threads):
+        @linalg.single_threaded
+        def f():
+            raise ValueError("inside")
+
+        with pytest.raises(ValueError, match="inside"):
+            f()
+        assert threads.count == 3
+
+    def test_nested_calls_restore_the_outer_count(self, threads):
+        seen = []
+        inner = linalg.single_threaded(lambda: seen.append(threads.count))
+
+        @linalg.single_threaded
+        def outer():
+            inner()
+            seen.append(threads.count)
+
+        outer()
+        assert seen == [1, 1]
+        assert threads.count == 3
+
+    def test_without_the_calls_f_is_returned(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_BLAS_THREADS", None)
+
+        def f():
+            pass
+
+        assert linalg.single_threaded(f) is f
+
+    @pytest.mark.skipif(numpy_blas() != "scipy-openblas", reason="numpy is not built with scipy-openblas")
+    def test_guarded_functions_run_on_one_thread(self, monkeypatch):
+        # Each guarded function calls the spied name inside its guard: the
+        # spy reads OpenBLAS's own count there.
+        assert linalg._BLAS_THREADS is not None
+        get, set_ = linalg._BLAS_THREADS
+        s = two_event_schedule(state_from_bloch([0.1, 0.2, 0.3]), make_channel("depolarizing", 0.5))
+        coefficients = build_pdm(s).coefficients
+        calls = {
+            "hermitian_eig": (linalg, "is_hermitian", lambda: hermitian_eig(GOLDEN_TWO_EVENT)),
+            "kraus_sum": (channels, "dagger", lambda: channels.kraus_sum(np.stack([X, Z]) / np.sqrt(2), np.eye(2))),
+            "_forward": (schedule, "_readout", lambda: build_pdm(s)),
+            "_assemble": (schedule, "_map_axes", lambda: PseudoDensityMatrix(s.events, coefficients).matrix),
+        }
+        before = get()
+        try:
+            for name, (module, callee, call) in calls.items():
+                seen = []
+                real = getattr(module, callee)
+
+                def spy(*args, real=real, seen=seen):
+                    seen.append(get())
+                    return real(*args)
+
+                monkeypatch.setattr(module, callee, spy)
+                set_(2)
+                call()
+                assert seen and set(seen) == {1}, name
+                assert get() == 2, name
+                monkeypatch.undo()
+        finally:
+            set_(before)
 
 
 class TestTraceNorm:

@@ -248,6 +248,34 @@ def calls_outside(path: str, module: str, function: str) -> dict:
     return {name: calls for name, calls in offenders.items() if calls}
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules the source imports, absolute imports only."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_checker_sees_imported_modules():
+    source = (
+        "import ctypes\n"
+        "import os.path as p\n"
+        "from ctypes import util\n"
+        "from .linalg import kron\n"
+        "def f():\n"
+        "    import json\n"
+    )
+    assert imported_modules(source) == {"ctypes", "os", "json"}
+
+
+def test_only_linalg_imports_ctypes():
+    # linalg.single_threaded is the one place that calls into a C library.
+    assert [m.stem for m in MODULES if "ctypes" in imported_modules(m.read_text())] == ["linalg"]
+
+
 def test_numpy_kron_only_behind_linalg_kron():
     # Every Kronecker product goes through linalg.kron, the broadcast outer
     # product: np.kron takes ~5x as long on a pair of 2x2 factors.

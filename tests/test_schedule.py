@@ -461,7 +461,7 @@ class TestBatchedReferencePaths:
 
     @pytest.mark.parametrize("rows_per_chunk, chunks", [(1, [1] * 20), (3, [3] * 6 + [2])])
     def test_expectation_chunks_match_one_call(self, rows_per_chunk, chunks, monkeypatch):
-        # A row holds at most 2 operators of 8 x 8 at 3 qubits: 2048 bytes.
+        # A row holds at most 4 operators of 8 x 8 and one 4 x 4 block at 3 qubits: 4352 bytes.
         for k in range(10):
             rng = np.random.default_rng(760 + k)
             s = _layout(3, [[0], [1, 2], [0]], rng) if k % 2 else _layout(3, [[2], [0], [1], [2]], rng)
@@ -470,7 +470,7 @@ class TestBatchedReferencePaths:
             calls = []
             forward = schedule._forward
             with monkeypatch.context() as m:
-                m.setattr(schedule, "PDM_BYTE_BUDGET", rows_per_chunk * 16 * 2 * 4**3)
+                m.setattr(schedule, "PDM_BYTE_BUDGET", rows_per_chunk * 16 * (4 * 4**3 + 16))
                 m.setattr(schedule, "_forward", lambda s, rows: calls.append(len(rows)) or forward(s, rows))
                 got = expectations(s, labels)
             assert calls == chunks
