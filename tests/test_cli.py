@@ -663,9 +663,10 @@ class TestVerify:
         assert main(["verify", "--seed", str(seed), "--trials", str(trials)]) == 0
         assert capsys.readouterr().out == want
 
-    def test_trial_chunks_do_not_change_results(self, monkeypatch):
-        # Every suite draws its trials in chunks of causality.CHECK_STACK_BYTES,
-        # read when it runs; one trial per chunk gives the same results, to the bit.
+    def test_draw_chunks_do_not_change_results(self, monkeypatch):
+        # suite_closed_form draws its trials in chunks of
+        # causality.CHECK_STACK_BYTES, read when it runs; one trial per chunk
+        # gives one stack per trial and the same results, to the bit.
         import pdmsim.causality as causality
         import pdmsim.verify as verify
 
@@ -678,13 +679,21 @@ class TestVerify:
         closed_form = verify.two_event_pdm_stack
         monkeypatch.setattr(verify, "two_event_pdm_stack", counted)
         # Three trials make one stack by default, then the sweep path's two.
-        verify.suite_closed_form(0, 3)
+        want = verify.suite_closed_form(0, 3)
         assert calls == [3, 3, 3]
-        want = verify.run_all(4, 12)
         monkeypatch.setattr(causality, "CHECK_STACK_BYTES", 1)
         calls.clear()
-        verify.suite_closed_form(0, 3)
+        assert verify.suite_closed_form(0, 3) == want
         assert calls == [1, 1, 1, 3, 3]
+
+    def test_trial_loop_chunks_do_not_change_results(self, monkeypatch):
+        # Every suite runs its trials in chunks of causality.CHECK_STACK_BYTES;
+        # one trial per chunk gives the same results, to the bit.
+        import pdmsim.causality as causality
+        import pdmsim.verify as verify
+
+        want = verify.run_all(4, 12)
+        monkeypatch.setattr(causality, "CHECK_STACK_BYTES", 1)
         assert verify.run_all(4, 12) == want
 
     @pytest.mark.parametrize("suite, trials", [("suite_convexity", 1000), ("suite_closed_form", 250)])
