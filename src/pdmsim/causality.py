@@ -149,9 +149,7 @@ class SuiteResult:
     #: inf when the worst trial's matrix is not finite.
     max_deviation: float
     #: The worst case, such as trial k and for local monotonicity the event
-    #: its channel acted on. Trial k of a ``worst_trial`` check draws from
-    #: seed + k; closed_form_two_event's trial k is the k-th channel drawn
-    #: from one generator seeded with seed.
+    #: its channel acted on. Trial k draws from seed + k (``worst_trial``).
     detail: str = ""
 
 

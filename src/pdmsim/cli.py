@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import functools
 import os
+import stat
 import sys
 
 import numpy as np
@@ -126,32 +127,43 @@ def _build_report(path: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_texts(texts: dict) -> None:
-    """Write each text to the file at its path: all of them, or none that this call made.
+def _write_texts(texts: list[tuple[str, str]]) -> None:
+    """Write each ``(path, text)`` pair's text to its file: all of them, or none that this call made.
 
     Every file is opened before any is written, for appending, which creates
     a file without emptying one that exists; a file is emptied only when all
-    are open. When one cannot be opened or written, every file is closed and
-    the ones this call created are removed. The failure is a ``UsageError``,
-    as a failed read is in ``load_json``.
+    are open, and only when no two paths name the same regular file (one
+    text would overwrite the other). When one cannot be opened or written, or
+    two name one file, every file is closed and the ones this call created
+    are removed. The failure is a ``UsageError``, as a failed read is in
+    ``load_json``.
     """
     opened = []
     try:
-        for path in texts:
+        for path, _ in texts:
             new = not os.path.lexists(path)
             opened.append((open(path, "a"), path, new))
+        seen = {}
         for fh, path, _ in opened:
+            st = os.fstat(fh.fileno())
+            key = (st.st_dev, st.st_ino)
+            if stat.S_ISREG(st.st_mode) and key in seen:
+                raise UsageError(f"{seen[key]} and {path} name the same file")
+            seen[key] = path
+        for (fh, path, _), (_, text) in zip(opened, texts):
             with fh:
                 if fh.seekable():
                     fh.truncate(0)
-                fh.write(texts[path])
-    except OSError as exc:
+                fh.write(text)
+    except (OSError, UsageError) as exc:
         for fh, made, new in opened:
             with contextlib.suppress(OSError):
                 fh.close()
             if new:
                 with contextlib.suppress(OSError):
                     os.remove(made)
+        if isinstance(exc, UsageError):
+            raise
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
@@ -159,7 +171,7 @@ def cmd_build(args) -> int:
     report = _build_report(args.schedule)
     sys.stdout.write(report)
     if args.out:
-        _write_texts({args.out: report})
+        _write_texts([(args.out, report)])
     return EXIT_OK
 
 
@@ -169,10 +181,10 @@ def cmd_sweep(args) -> int:
     if not csv_path:
         raise UsageError("no CSV output path given (use --csv or the config's 'csv' field)")
     sweep = run_sweep(cfg)
-    texts = {csv_path: rows_to_csv(sweep)}
+    texts = [(csv_path, rows_to_csv(sweep))]
     svg_path = args.svg or cfg.svg_path
     if svg_path:
-        texts[svg_path] = emit_svg(sweep)
+        texts.append((svg_path, emit_svg(sweep)))
     _write_texts(texts)
     sys.stdout.write(f"wrote {len(sweep.t)} rows to {csv_path}\n")
     return EXIT_OK

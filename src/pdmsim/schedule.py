@@ -21,6 +21,7 @@ from .channels import (
     KrausChannel,
     choi_stack,
     kraus_sum,
+    tp_residuals,
 )
 from .errors import InvariantViolation, UsageError
 from .linalg import (
@@ -276,12 +277,11 @@ def two_event_pdm_stack(initial, kraus: np.ndarray) -> np.ndarray:
         raise UsageError(f"gap channel acts on {qubits_of_dim(shape[3])} qubits, not 1")
     if not shared and len(states) != len(kraus):
         raise UsageError(f"got {len(states)} initial states for {len(kraus)} gap channels")
-    # C[k, i, a, j, b] is Choi entry ((i, a), (j, b)) of channel k.
-    C = choi_stack(kraus).reshape(-1, 2, 2, 2, 2)
-    # Tracing out the output factor gives conj(sum K^dag K), the identity iff TP.
-    tp = np.max(np.abs(np.einsum("kiaja->kij", C) - I2), axis=(1, 2))
+    tp = tp_residuals(kraus)
     k = int(np.argmax(tp))
     _require_trace_preserving(k, tp[k])
+    # C[k, i, a, j, b] is Choi entry ((i, a), (j, b)) of channel k.
+    C = choi_stack(kraus).reshape(-1, 2, 2, 2, 2)
     J = C.transpose(0, 3, 2, 1, 4).reshape(-1, 4, 4)
     rho = initial.matrix if shared else np.stack([st.matrix for st in states])
     # kron pairs I with one rho, or with each rho of a (T, 2, 2) stack.

@@ -291,12 +291,27 @@ def _optional_path(doc: dict, key: str) -> str | None:
 
 
 def load_json(path: str) -> dict:
+    """The JSON object a UTF-8 file holds; every failure to read one is a ``UsageError`` naming ``path``.
+
+    A file that is not UTF-8, or nests deeper than the parser's recursion
+    allows, is not valid JSON. A key repeated in one object is refused,
+    rather than letting its last copy silently win.
+    """
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise UsageError(f"{path} repeats the key {repeated!r} in one object")
+        return obj
+
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError(f"{path} must contain a JSON object")

@@ -11,7 +11,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import causality
 from .causality import (
     CHECK_ATOL,
     SuiteResult,
@@ -22,7 +21,6 @@ from .causality import (
     f_tr,
     haar_unitary,
     stinespring_channels,
-    worst_deviation,
     worst_trial,
 )
 from .channels import (
@@ -36,7 +34,7 @@ from .channels import (
     state_from_bloch,
 )
 from .errors import UsageError
-from .linalg import chunk_slices, kron, read_only
+from .linalg import hermitian_eig, kron, read_only
 from .schedule import (
     Event,
     Schedule,
@@ -71,6 +69,16 @@ def random_bloch(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
     return v * rng.uniform(0, 1)
+
+
+def two_event_draws(rngs) -> tuple[list, list]:
+    """One random two-event input per generator: a Bloch state, then a CPTP gap of Kraus rank 1-4.
+
+    The states are checked as one ``density_states`` stack, and the gap
+    channels come from one QR per Kraus rank (``stinespring_channels``).
+    """
+    blochs, gaussians = zip(*[(random_bloch(rng), cptp_draw(1, rng)) for rng in rngs])
+    return density_states([bloch_matrix(r) for r in blochs]), stinespring_channels(gaussians)
 
 
 class _ScheduleDraw(NamedTuple):
@@ -145,7 +153,7 @@ def _plain(labels) -> tuple:
 def suite_golden() -> SuiteResult:
     R = build_pdm(golden_schedule())
     dev = float(np.max(np.abs(R.matrix - GOLDEN_TWO_EVENT)))
-    w = np.linalg.eigvalsh(R.matrix)
+    w = hermitian_eig(R.matrix)
     dev = max(dev, float(np.max(np.abs(w - np.array(GOLDEN_EIGENVALUES)))))
     dev = max(dev, abs(f_tr(R) - 1.0))
     return SuiteResult("golden_two_event", dev <= 1e-10, dev)
@@ -182,13 +190,12 @@ def suite_engine_oracle(seed: int = 0, trials: int = 200) -> SuiteResult:
 def suite_ancilla(seed: int = 0, trials: int = 50) -> SuiteResult:
     """The ancilla protocol vs ``expectations`` on all 16 assignments of random two-event schedules.
 
-    A chunk of trials is drawn first; its gap channels come from one QR per Kraus rank.
+    A chunk of trials is drawn first (``two_event_draws``).
     """
 
     def deviations(rngs):
-        states = density_states([bloch_matrix(random_bloch(rng)) for rng in rngs])
         devs = []
-        for st, ch in zip(states, stinespring_channels([cptp_draw(1, rng) for rng in rngs])):
+        for st, ch in zip(*two_event_draws(rngs)):
             s = two_event_schedule(st, ch)
             devs.append(np.abs(ancilla_expectations(s, _ALL_PAIRS) - expectations(s, _ALL_PAIRS)))
         return np.array(devs), None
@@ -199,40 +206,43 @@ def suite_ancilla(seed: int = 0, trials: int = 50) -> SuiteResult:
 
 
 def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
-    """Closed-form stacks of random two-event schedules vs ``build_pdm`` on each.
+    """Both input forms of ``two_event_pdm_stack`` vs ``build_pdm`` on random two-event schedules.
 
-    The schedules share one random input state and each has its own random
-    CPTP gap channel of Kraus rank 1-4; each chunk of them is one stack, and
-    only the worst deviation is kept from chunk to chunk. A last stack holds
-    per-time channels of a random composite of amplitude damping, a unitary
-    and dephasing (members that do not commute) at t = 0, 1 and 2, each a
-    ``compose`` of its members' ``channel_at_time``. Those rows are checked
-    against the sweep path, which evaluates the model at all times with one
-    ``noise_kraus`` call.
+    Trial k draws its input state and its CPTP gap of Kraus rank 1-4
+    (``two_event_draws``); a chunk of trials is one stack with one state per
+    row. One more trial, drawn from seed + trials, checks the sweep path: one
+    state and a random composite of amplitude damping, a unitary and
+    dephasing (members that do not commute), evaluated at t = 0, 1 and 2 by
+    one ``noise_kraus`` call into a stack on that one state. Each row is
+    checked against ``build_pdm`` of the ``compose`` of the members'
+    ``channel_at_time`` at its time.
     """
-    rng = np.random.default_rng(seed)
-    state = state_from_bloch(random_bloch(rng))
-    worst, detail = -np.inf, ""
-    for chunk in chunk_slices(trials, _TWO_EVENT_PDM_BYTES, causality.CHECK_STACK_BYTES):
-        channels = stinespring_channels([cptp_draw(1, rng) for _ in range(trials)[chunk]])
-        stack = two_event_pdm_stack(state, kraus_array(channels))
-        built = np.array([build_pdm(two_event_schedule(state, ch)).matrix for ch in channels])
-        i, dev = worst_deviation(np.max(np.abs(built - stack), axis=(1, 2)))
-        if dev > worst:
-            worst, detail = dev, f"trial {chunk.start + i}"
-    damping, dephasing = (float(tau) for tau in rng.uniform(0.5, 2.0, size=2))
-    members = (
-        NoiseModel("amplitude_damping", tau=damping),
-        NoiseModel("unitary", unitary=haar_unitary(2, rng)),
-        NoiseModel("dephasing", tau=dephasing),
-    )
     ts = np.linspace(0.0, 2.0, 3)
-    per_time = [functools.reduce(compose, [channel_at_time(m, t) for m in members]) for t in ts]
-    swept = two_event_pdm_stack(state, noise_kraus(NoiseModel("composite", members=members), ts))
-    devs = np.max(np.abs(swept - two_event_pdm_stack(state, kraus_array(per_time))), axis=(1, 2))
-    i, dev = worst_deviation(devs)
-    if dev > worst:
-        worst, detail = dev, f"sweep path at t={float(ts[i])!r}"
+
+    def deviations(rngs):
+        states, channels = two_event_draws(rngs)
+        stack = two_event_pdm_stack(states, kraus_array(channels))
+        built = np.array([build_pdm(two_event_schedule(st, ch)).matrix for st, ch in zip(states, channels)])
+        return np.max(np.abs(built - stack), axis=(1, 2)), None
+
+    def sweep_deviations(rngs):
+        (rng,) = rngs
+        state = state_from_bloch(random_bloch(rng))
+        damping, dephasing = (float(tau) for tau in rng.uniform(0.5, 2.0, size=2))
+        members = (
+            NoiseModel("amplitude_damping", tau=damping),
+            NoiseModel("unitary", unitary=haar_unitary(2, rng)),
+            NoiseModel("dephasing", tau=dephasing),
+        )
+        swept = two_event_pdm_stack(state, noise_kraus(NoiseModel("composite", members=members), ts))
+        per_time = [functools.reduce(compose, [channel_at_time(m, t) for m in members]) for t in ts]
+        built = np.array([build_pdm(two_event_schedule(state, ch)).matrix for ch in per_time])
+        return np.max(np.abs(built - swept), axis=(1, 2))[None], None
+
+    worst, (k,), _ = worst_trial(seed, trials, _TWO_EVENT_PDM_BYTES, deviations)
+    swept, (_, i), _ = worst_trial(seed + trials, 1, _TWO_EVENT_PDM_BYTES, sweep_deviations)
+    detail = f"trial {k}" if worst >= swept else f"sweep path at t={float(ts[i])!r}"
+    worst = max(worst, swept)
     return SuiteResult("closed_form_two_event", worst <= 1e-12, worst, detail)
 
 
@@ -257,10 +267,9 @@ def suite_convexity(seed: int = 0, trials: int = 200) -> SuiteResult:
     """
 
     def gaps(rngs):
-        blochs, gaussians = zip(*[(random_bloch(rng), cptp_draw(1, rng)) for rng in rngs for _ in range(2)])
+        states, channels = two_event_draws([rng for rng in rngs for _ in range(2)])
         weights = [[p, 1 - p] for p in (float(rng.uniform(0, 1)) for rng in rngs)]
-        states = density_states([bloch_matrix(r) for r in blochs])
-        Rs = two_event_pdm_stack(states, kraus_array(stinespring_channels(gaussians))).reshape(-1, 2, 4, 4)
+        Rs = two_event_pdm_stack(states, kraus_array(channels)).reshape(-1, 2, 4, 4)
         return convexity_gaps(Rs, weights), None
 
     worst, (k,), _ = worst_trial(seed, trials, 2 * _TWO_EVENT_PDM_BYTES, gaps)
@@ -270,9 +279,8 @@ def suite_convexity(seed: int = 0, trials: int = 200) -> SuiteResult:
 def run_all(seed: int = 0, trials: int = 200) -> list[SuiteResult]:
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    # Trial k of a ``worst_trial`` suite draws from numpy's generator seeded with seed + k, and
-    # closed_form_two_event draws all its trials from one generator seeded with seed; numpy
-    # takes no negative seed.
+    # Trial k of every randomized suite draws from numpy's generator seeded with seed + k
+    # (``worst_trial``), and numpy takes no negative seed.
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     return [

@@ -52,7 +52,7 @@ VERIFY_SEED_0 = (
     "[PASS] golden_two_event: max deviation 0.000e+00\n"
     "[PASS] engine_vs_oracle: max deviation 1.110e-16\n"
     "[PASS] ancilla_protocol: max deviation 7.772e-16\n"
-    "[PASS] closed_form_two_event: max deviation 3.103e-17\n"
+    "[PASS] closed_form_two_event: max deviation 5.551e-17\n"
     "[PASS] unitary_invariance: max deviation 8.882e-16\n"
     "[PASS] local_monotonicity: max deviation 0.000e+00\n"
     "[PASS] convexity: max deviation 0.000e+00\n"
@@ -68,6 +68,14 @@ VERIFY_SEED_1E6 = (
     "[PASS] convexity: max deviation 0.000e+00\n"
     "all suites passed\n"
 )
+
+
+def nested_composite_config(depth):
+    """A sweep config's bytes whose noise nests ``depth`` composites; ``json.dumps`` cannot write that deep."""
+    noise = '{"kind": "dephasing", "tau": 1.0}'
+    for _ in range(depth):
+        noise = '{"kind": "composite", "members": [' + noise + "]}"
+    return ('{"initial_state": {"bloch": [0, 0, 1]}, "noise": ' + noise + ', "t_min": 0, "t_max": 1, "points": 5}').encode()
 
 
 def sweep_doc(bloch, kind, tau, t_min, t_max, points):
@@ -125,6 +133,45 @@ class TestBuild:
         bad.write_text("not json {")
         assert main(["build", str(bad)]) == 2
         assert main(["build", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("build", b'{"qubits": "\xff"}'),
+            ("build", b"[" * 100_000),
+            ("transition", nested_composite_config(700)),
+        ],
+        ids=["not-utf8", "nested-arrays", "nested-composites"],
+    )
+    def test_undecodable_or_over_nested_input_exit_2(self, tmp_path, capsys, command, text):
+        # Exit 1 is the verification-failure code; a file the parser cannot
+        # decode or nest is a usage error that names the file.
+        path = tmp_path / "doc.json"
+        path.write_bytes(text)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not valid JSON: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            (
+                "build",
+                json.dumps(GOLDEN_DOC)[:-1] + ', "channels": [{"kind": "depolarizing", "param": 0.0}]}',
+                "channels",
+            ),
+            ("build", json.dumps(GOLDEN_DOC).replace('"bloch": [0, 0, 1]', '"bloch": [0, 0, 1], "bloch": [1, 0, 0]'), "bloch"),
+            ("transition", '{"noise": {"kind": "dephasing", "tau": 1.0, "tau": 2.0}}', "tau"),
+        ],
+        ids=["top-level", "initial-state", "sweep-noise"],
+    )
+    def test_repeated_key_exit_2(self, tmp_path, capsys, command, text, key):
+        # Letting the last copy win would read a file other than as written;
+        # a schedule that lists its channels twice once dropped a gap unseen.
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path} repeats the key {key!r} in one object\n"
 
     def test_invariant_violation_exit_3(self, tmp_path):
         doc = dict(GOLDEN_DOC, initial_state={"matrix": [[[0.9, 0], [0, 0]], [[0, 0], [0.5, 0]]]})
@@ -311,6 +358,23 @@ class TestSweep:
         assert captured.out == ""
         # Every file is opened before any is written: no CSV is left behind.
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("svg", ["./out.txt", "out.txt"])
+    def test_two_names_for_one_file_exit_2(self, tmp_path, monkeypatch, capsys, svg, existing):
+        # Written one after the other, the SVG would replace the CSV that the
+        # sweep reports having written.
+        monkeypatch.chdir(tmp_path)
+        cfg = write(tmp_path / "cfg.json", sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 1.0, 5))
+        if existing:
+            (tmp_path / "out.txt").write_text("old\n")
+        assert main(["sweep", cfg, "--csv", "out.txt", "--svg", svg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: out.txt and {svg} name the same file\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] + ["out.txt"] * existing
+        if existing:
+            assert (tmp_path / "out.txt").read_text() == "old\n"
 
     def test_unwritable_svg_path_keeps_an_existing_csv(self, tmp_path, capsys):
         csv = tmp_path / "x.csv"
@@ -644,8 +708,8 @@ class TestVerify:
 
         monkeypatch.setattr(verify, "noise_kraus", skewed)
         res = verify.suite_closed_form(seed=0, trials=5)
-        # The suite's state is the first draw of its seed.
-        state = state_from_bloch(verify.random_bloch(np.random.default_rng(0)))
+        # The sweep path is one more trial, drawn from seed + trials; its state is that generator's first draw.
+        state = state_from_bloch(verify.random_bloch(np.random.default_rng(0 + 5)))
         closed_form = verify.two_event_pdm_stack
         want = np.max(np.abs(closed_form(state, seen["skewed"]) - closed_form(state, seen["exact"])))
         assert not res.passed
@@ -664,9 +728,9 @@ class TestVerify:
         assert capsys.readouterr().out == want
 
     def test_draw_chunks_do_not_change_results(self, monkeypatch):
-        # suite_closed_form draws its trials in chunks of
-        # causality.CHECK_STACK_BYTES, read when it runs; one trial per chunk
-        # gives one stack per trial and the same results, to the bit.
+        # suite_closed_form runs its trials through causality.worst_trial, in
+        # chunks of causality.CHECK_STACK_BYTES, read when it runs; one trial
+        # per chunk gives one stack per trial and the same results, to the bit.
         import pdmsim.causality as causality
         import pdmsim.verify as verify
 
@@ -678,13 +742,13 @@ class TestVerify:
 
         closed_form = verify.two_event_pdm_stack
         monkeypatch.setattr(verify, "two_event_pdm_stack", counted)
-        # Three trials make one stack by default, then the sweep path's two.
+        # Three trials make one stack by default, then the sweep path's one.
         want = verify.suite_closed_form(0, 3)
-        assert calls == [3, 3, 3]
+        assert calls == [3, 3]
         monkeypatch.setattr(causality, "CHECK_STACK_BYTES", 1)
         calls.clear()
         assert verify.suite_closed_form(0, 3) == want
-        assert calls == [1, 1, 1, 3, 3]
+        assert calls == [1, 1, 1, 3]
 
     def test_trial_loop_chunks_do_not_change_results(self, monkeypatch):
         # Every suite runs its trials in chunks of causality.CHECK_STACK_BYTES;
@@ -738,6 +802,25 @@ class TestVerify:
         res = verify.suite_closed_form(seed=0, trials=5)
         assert not res.passed
         assert res.detail == "trial 3"
+        assert res.max_deviation == pytest.approx(1e-9, rel=1e-6)
+
+    def test_closed_form_suite_checks_the_one_state_form_against_build_pdm(self, monkeypatch):
+        # The sweep path's stack on one shared state is compared with
+        # build_pdm, so a fault of that form alone cannot cancel out.
+        import pdmsim.verify as verify
+
+        exact = verify.two_event_pdm_stack
+
+        def skewed(state, kraus):
+            R = exact(state, kraus)
+            if isinstance(state, channels.DensityState):
+                R[2, 0, 0] += 1e-9
+            return R
+
+        monkeypatch.setattr(verify, "two_event_pdm_stack", skewed)
+        res = verify.suite_closed_form(seed=0, trials=5)
+        assert not res.passed
+        assert res.detail == "sweep path at t=2.0"
         assert res.max_deviation == pytest.approx(1e-9, rel=1e-6)
 
     def test_engine_oracle_suite_checks_build_pdm(self, monkeypatch):

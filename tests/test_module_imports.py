@@ -7,6 +7,7 @@ import pathlib
 import types
 
 import numpy as np
+import pytest
 
 from pdmsim import DensityState, KrausChannel, PseudoDensityMatrix, Schedule
 
@@ -289,6 +290,13 @@ def test_numpy_qr_only_in_qr_isometries():
     assert calls_outside("linalg.qr", "causality", "qr_isometries") == {}
 
 
+@pytest.mark.parametrize("solver", ["eigvalsh", "eigh", "eigvals", "eig"])
+def test_numpy_eigensolvers_only_in_hermitian_eig(solver):
+    # Every eigensolve goes through linalg.hermitian_eig, which checks and
+    # symmetrizes its input and keeps OpenBLAS on the calling thread.
+    assert calls_outside(f"linalg.{solver}", "linalg", "hermitian_eig") == {}
+
+
 def test_checker_sees_name_uses():
     source = (
         "from .causality import worst_deviation\n"
@@ -304,9 +312,7 @@ def test_checker_sees_name_uses():
 
 def test_worst_deviation_only_in_the_trial_loops():
     # A randomized check keeps its worst case through causality.worst_trial.
-    # suite_closed_form keeps its own loop: its trials share one input state
-    # and draw from one generator.
-    allowed = {("causality", "worst_trial"), ("verify", "suite_closed_form")}
+    allowed = {("causality", "worst_trial")}
     offenders = {
         m.name: [u for u in name_uses(m.read_text(), "worst_deviation") if (m.stem, u.split(":")[0]) not in allowed]
         for m in MODULES
