@@ -8,12 +8,8 @@ parametric noise models to locate causal/spacelike transitions.
 
 from .causality import (
     CausalityReport,
-    SuiteResult,
-    check_local_monotonicity,
-    check_unitary_invariance,
     classify,
     f_tr,
-    haar_unitary,
     spectrum_verdict,
 )
 from .channels import (
@@ -59,6 +55,12 @@ from .sweep import (
     find_transition,
     rows_to_csv,
     run_sweep,
+)
+from .verify import (
+    SuiteResult,
+    haar_unitary,
+    suite_local_monotonicity,
+    suite_unitary_invariance,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdmsim import DensityState
-from pdmsim.causality import ginibre, stinespring_channels
+from pdmsim.verify import ginibre, stinespring_channels
 from pdmsim.linalg import PAULIS, kron
 from pdmsim.verify import build_schedules, draw_schedule
 

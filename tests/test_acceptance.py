@@ -33,11 +33,11 @@ from pdmsim import (
     two_event_schedule,
     unitary_channel,
 )
-from pdmsim.causality import haar_unitary
 from pdmsim.verify import (
     GOLDEN_TWO_EVENT,
     GOLDEN_EIGENVALUES,
     golden_schedule,
+    haar_unitary,
     random_bloch,
     suite_convexity,
     suite_local_monotonicity,
@@ -152,8 +152,8 @@ def test_criterion_7_depolarizing_transition():
 
 def test_criterion_8_monotone_axioms():
     results = [
-        suite_unitary_invariance(seed=0, trials=200),
-        suite_local_monotonicity(seed=0, trials=200),
+        suite_unitary_invariance(build_pdm(golden_schedule()), seed=0, trials=200),
+        suite_local_monotonicity(build_pdm(golden_schedule()), seed=0, trials=200),
         suite_convexity(seed=0, trials=200),
     ]
     for r in results:

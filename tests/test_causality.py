@@ -10,8 +10,6 @@ from pdmsim import (
     UsageError,
     build_pdm,
     channel_at_time,
-    check_local_monotonicity,
-    check_unitary_invariance,
     classify,
     f_tr,
     find_transition,
@@ -21,12 +19,14 @@ from pdmsim import (
     reduce_pdm,
     spectrum_verdict,
     state_from_bloch,
+    suite_local_monotonicity,
+    suite_unitary_invariance,
     two_event_pdm_stack,
     two_event_schedule,
     unitary_channel,
 )
-import pdmsim.causality as causality
-from pdmsim.causality import (
+import pdmsim.verify as verify
+from pdmsim.verify import (
     CHECK_ATOL,
     _f_tr_matrix,
     convexity_gaps,
@@ -54,13 +54,13 @@ def depolarizing_pdm(lam):
 
 
 def distort_trial(monkeypatch, trial, distort):
-    """Make ``causality.qr_isometries`` return ``distort(Q)`` for the isometry of one trial.
+    """Make ``verify.qr_isometries`` return ``distort(Q)`` for the isometry of one trial.
 
     The axiom checks draw one Gaussian per trial, in trial order, so the
     isometry's index over all calls is its trial. Returns the list of
     isometries seen so far.
     """
-    real = causality.qr_isometries
+    real = verify.qr_isometries
     seen = []
 
     def distorted(gaussians, haar=False):
@@ -69,7 +69,7 @@ def distort_trial(monkeypatch, trial, distort):
         seen.extend(out)
         return out
 
-    monkeypatch.setattr(causality, "qr_isometries", distorted)
+    monkeypatch.setattr(verify, "qr_isometries", distorted)
     return seen
 
 
@@ -225,17 +225,17 @@ class TestMonotoneAxioms:
         SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
         for U in (np.eye(4, dtype=complex), SWAP):
             moved = U @ R.matrix @ U.conj().T
-            from pdmsim.causality import _f_tr_matrix
+            from pdmsim.verify import _f_tr_matrix
 
             assert abs(_f_tr_matrix(moved) - base) <= 1e-12
 
     def test_unitary_invariance_randomized(self):
-        rep = check_unitary_invariance(build_pdm(golden_schedule()), trials=100, seed=5)
+        rep = suite_unitary_invariance(build_pdm(golden_schedule()), seed=5, trials=100)
         assert rep.passed and rep.max_deviation <= 1e-9
 
     def test_local_monotonicity_fully_depolarizing(self):
         R = build_pdm(golden_schedule())
-        rep = check_local_monotonicity(R, trials=1, seed=0)
+        rep = suite_local_monotonicity(R, seed=0, trials=1)
         assert rep.passed
         # Explicit extreme case: killing event 2 gives |0><0| (x) I/2.
         collapsed = build_pdm(
@@ -244,7 +244,7 @@ class TestMonotoneAxioms:
         assert f_tr(collapsed) == pytest.approx(0.0, abs=1e-12)
 
     def test_local_monotonicity_randomized(self):
-        rep = check_local_monotonicity(build_pdm(golden_schedule()), trials=200, seed=11)
+        rep = suite_local_monotonicity(build_pdm(golden_schedule()), seed=11, trials=200)
         assert rep.passed and rep.max_deviation <= 1e-9
 
     @pytest.mark.parametrize("stack_bytes", [None, 3 * 16 * 4 * 4])
@@ -252,14 +252,14 @@ class TestMonotoneAxioms:
     def test_stacked_checks_match_per_trial_loops(self, seed, stack_bytes, monkeypatch):
         if stack_bytes is not None:
             # Chunks of 3 trials of a 4x4 PDM (40 = 13 * 3 + 1), one trial of a larger one.
-            monkeypatch.setattr(causality, "CHECK_STACK_BYTES", stack_bytes)
+            monkeypatch.setattr(verify, "CHECK_STACK_BYTES", stack_bytes)
         R_random = build_pdm(random_schedule(np.random.default_rng(seed), max_events=3))
         for R in (build_pdm(golden_schedule()), R_random):
             for check, reference in (
-                (check_unitary_invariance, unitary_invariance_loop),
-                (check_local_monotonicity, local_monotonicity_loop),
+                (suite_unitary_invariance, unitary_invariance_loop),
+                (suite_local_monotonicity, local_monotonicity_loop),
             ):
-                rep = check(R, trials=40, seed=seed)
+                rep = check(R, seed=seed, trials=40)
                 want = reference(R, trials=40, seed=seed)
                 assert rep.passed == (want <= 1e-9)
                 assert abs(rep.max_deviation - want) <= 1e-12
@@ -270,13 +270,13 @@ class TestMonotoneAxioms:
         # channel's Kraus operators and raises its f_tr; the report must fail
         # and name that trial.
         if stack_bytes is not None:
-            monkeypatch.setattr(causality, "CHECK_STACK_BYTES", stack_bytes)
+            monkeypatch.setattr(verify, "CHECK_STACK_BYTES", stack_bytes)
         R = build_pdm(golden_schedule())
-        for check in (check_unitary_invariance, check_local_monotonicity):
+        for check in (suite_unitary_invariance, suite_local_monotonicity):
             for distorted in (0, 39):
                 with monkeypatch.context() as m:
                     seen = distort_trial(m, distorted, lambda Q: 2 * Q)
-                    rep = check(R, trials=40, seed=3)
+                    rep = check(R, seed=3, trials=40)
                 assert len(seen) == 40
                 assert not rep.passed and rep.max_deviation > 0.01
                 assert rep.detail.split()[:2] == ["trial", str(distorted)]
@@ -287,12 +287,12 @@ class TestMonotoneAxioms:
         # A NaN unitary or channel in one trial gives that trial deviation inf:
         # the check fails and names it instead of raising a usage error.
         if stack_bytes is not None:
-            monkeypatch.setattr(causality, "CHECK_STACK_BYTES", stack_bytes)
+            monkeypatch.setattr(verify, "CHECK_STACK_BYTES", stack_bytes)
         R = build_pdm(golden_schedule())
-        for check in (check_unitary_invariance, check_local_monotonicity):
+        for check in (suite_unitary_invariance, suite_local_monotonicity):
             with monkeypatch.context() as m:
                 seen = distort_trial(m, bad, lambda Q: np.full_like(Q, np.nan))
-                rep = check(R, trials=40, seed=3)
+                rep = check(R, seed=3, trials=40)
             assert len(seen) == 40
             assert not rep.passed and rep.max_deviation == np.inf
             assert rep.detail.split()[:2] == ["trial", str(bad)]
@@ -312,7 +312,7 @@ class TestMonotoneAxioms:
         SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
         swapped = build_pdm(golden_schedule())
         # Same PDM conjugated by the factor swap is still a valid mixture input.
-        from pdmsim.causality import _f_tr_matrix
+        from pdmsim.verify import _f_tr_matrix
 
         mix = 0.5 * R.matrix + 0.5 * SWAP @ swapped.matrix @ SWAP.conj().T
         assert _f_tr_matrix(mix) <= 0.5 * f_tr(R) + 0.5 * f_tr(swapped) + 1e-9
@@ -372,7 +372,7 @@ class TestMonotoneAxioms:
         import pdmsim.verify as verify
 
         distort_trial(monkeypatch, 17, lambda Q: 2 * Q)
-        res = verify.suite_local_monotonicity(seed=5, trials=40)
+        res = verify.suite_local_monotonicity(build_pdm(golden_schedule()), seed=5, trials=40)
         rng = np.random.default_rng(5 + 17)
         random_cptp(1, int(rng.integers(1, 5)), rng)
         event = int(rng.integers(0, 2)) + 1
@@ -388,7 +388,7 @@ class TestWorstTrial:
     # Budgets of one trial a chunk (every comparison crosses chunks) and of 3 trials of 8 bytes.
     @pytest.fixture(autouse=True, params=[1, 24], ids=["one-trial-chunks", "three-trial-chunks"])
     def stack_bytes(self, request, monkeypatch):
-        monkeypatch.setattr(causality, "CHECK_STACK_BYTES", request.param)
+        monkeypatch.setattr(verify, "CHECK_STACK_BYTES", request.param)
 
     def test_trial_k_draws_from_seed_plus_k(self):
         seen = []
@@ -428,6 +428,28 @@ class TestWorstTrial:
     def test_no_trials_is_a_usage_error(self):
         with pytest.raises(UsageError, match="trials must be >= 1"):
             worst_trial(0, 0, 8, lambda rngs: (np.zeros(len(rngs)), None))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: suite_unitary_invariance(build_pdm(golden_schedule()), -1, 3), "seed must be >= 0, got -1"),
+            (lambda: verify.suite_convexity(-2, 3), "seed must be >= 0, got -2"),
+            (lambda: verify.suite_ancilla(0, 2.5), "trials must be an integer, got 2.5"),
+            (lambda: verify.run_all(0, True), "trials must be an integer, got True"),
+            (lambda: verify.run_all(True, 3), "seed must be an integer, got True"),
+            (lambda: worst_trial(0.0, 3, 8, lambda rngs: (np.zeros(len(rngs)), None)), "seed must be an integer"),
+        ],
+        ids=["negative-seed", "negative-seed-convexity", "fractional-trials", "bool-trials", "bool-seed", "float-seed"],
+    )
+    def test_bad_seed_or_trial_count_is_a_usage_error(self, call, message):
+        # The trial loop checks both before any generator is seeded; numpy
+        # would raise a bare ValueError or TypeError, or read True as 1.
+        with pytest.raises(UsageError) as err:
+            call()
+        assert str(err.value).startswith(message)
+
+    def test_numpy_integers_are_counts(self):
+        assert worst_trial(np.int64(2), np.int32(3), 8, lambda rngs: (np.zeros(len(rngs)), None))[1] == (0,)
 
     def test_memory_does_not_grow_with_trials(self):
         # Only the worst case is kept from chunk to chunk.
@@ -469,8 +491,8 @@ class TestStackedQR:
         shapes = [self.TALL[i] for i in rng.permutation(2 * len(self.TALL)) % len(self.TALL)]
         gaussians = [ginibre(rows, cols, rng) for rows, cols in shapes]
         contractions = []
-        real = causality.tp_residuals
-        monkeypatch.setattr(causality, "tp_residuals", lambda ks: contractions.append(len(ks)) or real(ks))
+        real = verify.tp_residuals
+        monkeypatch.setattr(verify, "tp_residuals", lambda ks: contractions.append(len(ks)) or real(ks))
         channels = stinespring_channels(gaussians)
         assert sorted(contractions) == [2] * len(self.TALL)
         for ch in channels:
@@ -517,7 +539,7 @@ class TestMultiEventMonotonicity:
             R = build_pdm(random_schedule(rng, max_events=5))
             value = f_tr(R)
             causal += value > 0
-            rep = check_local_monotonicity(R, trials=20, seed=100 * k)
+            rep = suite_local_monotonicity(R, seed=100 * k, trials=20)
             assert rep.passed, (k, rep)
             n = R.event_count
             for _ in range(3):

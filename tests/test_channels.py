@@ -22,7 +22,7 @@ from pdmsim import (
     unitary_channel,
 )
 from pdmsim import channels
-from pdmsim.causality import haar_unitary
+from pdmsim.verify import haar_unitary
 from pdmsim.channels import (
     TP_ATOL,
     DensityState,

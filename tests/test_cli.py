@@ -728,10 +728,9 @@ class TestVerify:
         assert capsys.readouterr().out == want
 
     def test_draw_chunks_do_not_change_results(self, monkeypatch):
-        # suite_closed_form runs its trials through causality.worst_trial, in
-        # chunks of causality.CHECK_STACK_BYTES, read when it runs; one trial
+        # suite_closed_form runs its trials through verify.worst_trial, in
+        # chunks of verify.CHECK_STACK_BYTES, read when it runs; one trial
         # per chunk gives one stack per trial and the same results, to the bit.
-        import pdmsim.causality as causality
         import pdmsim.verify as verify
 
         calls = []
@@ -745,19 +744,18 @@ class TestVerify:
         # Three trials make one stack by default, then the sweep path's one.
         want = verify.suite_closed_form(0, 3)
         assert calls == [3, 3]
-        monkeypatch.setattr(causality, "CHECK_STACK_BYTES", 1)
+        monkeypatch.setattr(verify, "CHECK_STACK_BYTES", 1)
         calls.clear()
         assert verify.suite_closed_form(0, 3) == want
         assert calls == [1, 1, 1, 3]
 
     def test_trial_loop_chunks_do_not_change_results(self, monkeypatch):
-        # Every suite runs its trials in chunks of causality.CHECK_STACK_BYTES;
+        # Every suite runs its trials in chunks of verify.CHECK_STACK_BYTES;
         # one trial per chunk gives the same results, to the bit.
-        import pdmsim.causality as causality
         import pdmsim.verify as verify
 
         want = verify.run_all(4, 12)
-        monkeypatch.setattr(causality, "CHECK_STACK_BYTES", 1)
+        monkeypatch.setattr(verify, "CHECK_STACK_BYTES", 1)
         assert verify.run_all(4, 12) == want
 
     @pytest.mark.parametrize("suite, trials", [("suite_convexity", 1000), ("suite_closed_form", 250)])
@@ -894,9 +892,9 @@ class TestVerify:
         assert "trial 0 assignment " in res.detail
 
     def test_nan_unitary_fails_the_suite_not_the_run(self, monkeypatch, capsys):
-        import pdmsim.causality as causality
+        import pdmsim.verify as verify
 
-        real = causality.qr_isometries
+        real = verify.qr_isometries
         calls = []
 
         def nan_at_trial_2(gaussians, haar=False):
@@ -910,7 +908,7 @@ class TestVerify:
                         out[i] = np.full_like(U, np.nan)
             return out
 
-        monkeypatch.setattr(causality, "qr_isometries", nan_at_trial_2)
+        monkeypatch.setattr(verify, "qr_isometries", nan_at_trial_2)
         assert main(["verify", "--seed", "0", "--trials", "5"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] unitary_invariance: max deviation inf (trial 2)" in out

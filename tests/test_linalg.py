@@ -13,7 +13,7 @@ from pdmsim import (
     two_event_schedule,
 )
 from pdmsim import channels, linalg, schedule
-from pdmsim.causality import haar_unitary
+from pdmsim.verify import haar_unitary
 from pdmsim.linalg import (
     I2,
     PAULIS,

@@ -284,10 +284,29 @@ def test_numpy_kron_only_behind_linalg_kron():
 
 
 def test_numpy_qr_only_in_qr_isometries():
-    # Every random isometry comes from causality.qr_isometries, which stacks
+    # Every random isometry comes from verify.qr_isometries, which stacks
     # its matrices by shape: a single-matrix np.linalg.qr call costs ~22-45 us
     # against ~1-11 us per matrix stacked (2-vCPU x86-64 host).
-    assert calls_outside("linalg.qr", "causality", "qr_isometries") == {}
+    assert calls_outside("linalg.qr", "verify", "qr_isometries") == {}
+
+
+def test_random_generators_only_in_worst_trial():
+    # Every randomized check seeds trial k with seed + k in one place, the
+    # trial loop, so no draw can come from a generator it did not make.
+    assert calls_outside("random.default_rng", "verify", "worst_trial") == {}
+
+
+def test_causality_keeps_only_the_monotone():
+    # The monotone needs no channel and no random draw: causality.py imports
+    # nothing from .channels and factors no matrix by QR.
+    source = (ROOT / "src" / "pdmsim" / "causality.py").read_text()
+    channel_imports = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, "channels"), (0, "pdmsim.channels"))
+    ]
+    assert channel_imports == []
+    assert numpy_calls(source, "linalg.qr") == []
 
 
 @pytest.mark.parametrize("solver", ["eigvalsh", "eigh", "eigvals", "eig"])
@@ -311,8 +330,8 @@ def test_checker_sees_name_uses():
 
 
 def test_worst_deviation_only_in_the_trial_loops():
-    # A randomized check keeps its worst case through causality.worst_trial.
-    allowed = {("causality", "worst_trial")}
+    # A randomized check keeps its worst case through verify.worst_trial.
+    allowed = {("verify", "worst_trial")}
     offenders = {
         m.name: [u for u in name_uses(m.read_text(), "worst_deviation") if (m.stem, u.split(":")[0]) not in allowed]
         for m in MODULES

@@ -32,7 +32,7 @@ from pdmsim import (
     unitary_channel,
 )
 import pdmsim.schedule as schedule
-from pdmsim.causality import haar_unitary
+from pdmsim.verify import haar_unitary
 from pdmsim.channels import kraus_sum
 from pdmsim.linalg import I2, PAULI_STACK, PAULIS, X, embed_operator, kron
 from pdmsim.schedule import PDM_BYTE_BUDGET, _event_paulis, _event_projectors

@@ -21,7 +21,7 @@ from pdmsim import (
     two_event_schedule,
 )
 from pdmsim import sweep
-from pdmsim.causality import haar_unitary
+from pdmsim.verify import haar_unitary
 from pdmsim.linalg import PSD_ATOL
 from pdmsim.sweep import MAX_SWEEP_POINTS, time_grid
 
