@@ -30,6 +30,9 @@ TP_ATOL = 1e-10
 #: at the 256 times of a transition scan, 5 members take 16 MiB and 6 would
 #: take 64 MiB.
 KRAUS_BYTE_BUDGET = 32 * 2**20
+#: The Kraus-operator count of each single-qubit noise family, by name: the
+#: one list of the families ``NoiseModel``, ``noise_kraus`` and the file parsers accept.
+FAMILY_KRAUS_COUNTS = {"dephasing": 2, "depolarizing": 4, "amplitude_damping": 2}
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +162,11 @@ def unitary_channel(U: np.ndarray) -> KrausChannel:
     return ch
 
 
+def is_noise_family(kind) -> bool:
+    """Whether ``kind`` names a noise family of ``FAMILY_KRAUS_COUNTS``; a JSON list or object names none."""
+    return isinstance(kind, str) and kind in FAMILY_KRAUS_COUNTS
+
+
 def _family_kraus(kind: str, s: np.ndarray) -> np.ndarray:
     """Kraus operators of a single-qubit noise family at the strengths s, shape (T, K, 2, 2).
 
@@ -281,7 +289,7 @@ class NoiseModel:
     members: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.kind in ("dephasing", "depolarizing", "amplitude_damping"):
+        if is_noise_family(self.kind):
             if self.tau is None or not self.tau > 0 or not math.isfinite(self.tau):
                 raise UsageError(
                     f"{self.kind} model requires a finite time constant tau > 0, got {self.tau!r}"
@@ -301,6 +309,9 @@ class NoiseModel:
                 raise UsageError(f"composite members must be a sequence of models, got {self.members!r}") from None
             if len(self.members) == 0:
                 raise UsageError("composite model requires at least one member")
+            for m in self.members:
+                if not isinstance(m, NoiseModel):
+                    raise UsageError(f"composite members must be noise models, got {m!r}")
         else:
             raise UsageError(f"unknown noise model kind {self.kind!r}")
 
@@ -343,7 +354,7 @@ def _kraus_shape(model: NoiseModel) -> tuple[int, int]:
     if model.kind == "composite":
         shapes = [_kraus_shape(m) for m in model.members]
         return math.prod(k for k, _ in shapes), shapes[0][1]
-    return {"dephasing": 2, "depolarizing": 4, "amplitude_damping": 2}[model.kind], 2
+    return FAMILY_KRAUS_COUNTS[model.kind], 2
 
 
 def _kraus_at(model: NoiseModel, ts: np.ndarray) -> np.ndarray:

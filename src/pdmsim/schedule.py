@@ -178,6 +178,9 @@ class Schedule:
         object.__setattr__(self, "events", events)
         if not events:
             raise UsageError("a schedule needs at least one event")
+        for e in events:
+            if not isinstance(e, Event):
+                raise UsageError(f"events must be Event records, got {e!r}")
         ids = sorted(e.id for e in events)
         if ids != list(range(1, len(events) + 1)):
             raise UsageError(f"event ids must be contiguous 1..n, got {ids}")
@@ -205,6 +208,8 @@ class Schedule:
         for gap, ch in enumerate(channels):
             if ch is None:
                 continue
+            if not isinstance(ch, KrausChannel):
+                raise UsageError(f"inter_slice_channels[{gap}] must be a KrausChannel or None, got {ch!r}")
             if ch.qubits != self.qubit_count:
                 raise UsageError("inter-slice channel dimension does not match system")
             _require_trace_preserving(gap, ch.tp_residual)

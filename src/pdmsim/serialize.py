@@ -1,9 +1,8 @@
-"""JSON-compatible schedule and sweep-config documents.
+"""JSON schedule files (``pdm build``) and sweep configs (``pdm sweep`` / ``pdm transition``).
 
-One document format serves both the schedule files consumed by ``pdm build``
-and the sweep configs consumed by ``pdm sweep`` / ``pdm transition``.
-Floats need not round-trip bit-exactly, but parse -> emit -> parse must be
-value-identical, so every parser returns a canonical dict.
+Each parser returns only the object it builds. ``load_json`` refuses a key
+repeated in one object and every parser refuses unknown fields, so the
+loaded document is the one record of what a run read.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from .channels import (
     KrausChannel,
     NoiseModel,
     channel_at_time,
+    is_noise_family,
     make_channel,
     state_from_bloch,
     unitary_channel,
@@ -28,13 +28,8 @@ from .linalg import qubits_of_dim
 from .schedule import Event, Schedule
 from .sweep import SweepConfig
 
-_CHANNEL_KINDS = ("dephasing", "depolarizing", "amplitude_damping")
 _SCHEDULE_KEYS = ("qubits", "initial_state", "slices", "channels")
 _SWEEP_KEYS = ("initial_state", "noise", "t_min", "t_max", "points", "grid", "csv", "svg")
-
-
-def _matrix_to_pairs(M: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(M, dtype=complex)]
 
 
 def _matrix_field(doc: dict, where: str) -> np.ndarray:
@@ -120,145 +115,95 @@ def _bloch(doc: dict, where: str) -> list:
     return [float(x) for x in raw]
 
 
-def parse_initial_state(doc, qubits: int) -> tuple[DensityState, dict]:
-    """Parse an initial-state descriptor; returns the state and its canonical form.
-
-    A ``matrix`` stays an array in the canonical form; ``normalize_schedule_doc``
-    writes it out as ``[re, im]`` pairs.
-    """
+def parse_initial_state(doc, qubits: int) -> DensityState:
+    """Parse an initial-state descriptor: a 1-qubit ``bloch`` vector or a ``matrix``."""
     if isinstance(doc, dict) and "bloch" in doc:
         _reject_unknown(doc, ("bloch",), "initial_state")
         r = _bloch(doc, "initial_state")
         if qubits != 1:
             raise UsageError("a bloch-vector initial state requires a 1-qubit system")
-        return state_from_bloch(r), {"bloch": r}
+        return state_from_bloch(r)
     if isinstance(doc, dict) and "matrix" in doc:
         _reject_unknown(doc, ("matrix",), "initial_state")
         M = _matrix_field(doc, "initial_state")
         if qubits_of_dim(len(M)) != qubits:
             raise UsageError(f"initial state dim {len(M)} does not match {qubits} qubits")
-        return DensityState(M), {"matrix": M}
+        return DensityState(M)
     raise UsageError("initial_state must carry either 'bloch' or 'matrix'")
 
 
-def parse_channel_descriptor(doc, qubits: int) -> tuple[KrausChannel | None, dict | None]:
-    """Parse one inter-slice channel descriptor into a channel on the full system.
-
-    Returns the channel (None for no or an identity gap) and the canonical
-    descriptor, whose unitary ``matrix`` stays an array as in
-    ``parse_initial_state``.
-    """
+def parse_channel_descriptor(doc, qubits: int) -> KrausChannel | None:
+    """Parse one gap-channel descriptor into a channel on the full system, None for no or an identity gap."""
     if doc is None:
-        return None, None
+        return None
     kind = _require(doc, "kind", "channel descriptor")
     if kind == "identity":
         _reject_unknown(doc, ("kind",), "identity descriptor")
-        return None, {"kind": "identity"}
-    if kind in _CHANNEL_KINDS:
+        return None
+    if is_noise_family(kind):
         if qubits != 1:
             raise UsageError(f"{kind} gap channel requires a 1-qubit schedule")
         where = f"{kind} descriptor"
         if "param" in doc:
             _reject_unknown(doc, ("kind", "param"), where)
-            param = _number(doc, "param", where)
-            return make_channel(kind, param), {"kind": kind, "param": param}
+            return make_channel(kind, _number(doc, "param", where))
         _reject_unknown(doc, ("kind", "tau", "t"), where)
-        tau = _number(doc, "tau", where)
-        t = _number(doc, "t", where)
-        model = NoiseModel(kind, tau=tau)
-        return channel_at_time(model, t), {"kind": kind, "tau": tau, "t": t}
+        tau, t = _number(doc, "tau", where), _number(doc, "t", where)
+        return channel_at_time(NoiseModel(kind, tau=tau), t)
     if kind == "unitary":
         _reject_unknown(doc, ("kind", "matrix"), "unitary descriptor")
         U = _matrix_field(doc, "unitary descriptor")
         if qubits_of_dim(len(U)) != qubits:
             raise UsageError("unitary dimension does not match the system")
-        return unitary_channel(U), {"kind": "unitary", "matrix": U}
+        return unitary_channel(U)
     raise UsageError(f"unknown channel kind {kind!r}")
 
 
 def schedule_from_dict(doc: dict) -> Schedule:
-    return _parse_schedule(doc)[0]
-
-
-def normalize_schedule_doc(doc: dict) -> dict:
-    """The canonical JSON form of a schedule document, matrices as ``[re, im]`` pairs.
-
-    Only this form converts the matrices; ``schedule_from_dict`` discards the
-    canonical parts and never pays for it.
-    """
-    canon = _parse_schedule(doc)[1]
-    for part in [canon["initial_state"], *canon["channels"]]:
-        if part is not None and "matrix" in part:
-            part["matrix"] = _matrix_to_pairs(part["matrix"])
-    return canon
-
-
-def _parse_schedule(doc: dict) -> tuple[Schedule, dict]:
     qubits = _integer(doc, "qubits", "schedule")
     _reject_unknown(doc, _SCHEDULE_KEYS, "schedule")
     if qubits < 1:
         raise UsageError("qubits must be >= 1")
-    state, state_doc = parse_initial_state(_require(doc, "initial_state", "schedule"), qubits)
+    state = parse_initial_state(_require(doc, "initial_state", "schedule"), qubits)
     slices = _require(doc, "slices", "schedule")
     if not isinstance(slices, list) or not slices:
         raise UsageError("slices must be a nonempty list of event lists")
     events = []
-    canon_slices = []
     for si, sl in enumerate(slices):
         if not isinstance(sl, list) or not sl:
             raise UsageError(f"slice {si} must be a nonempty event list")
-        canon = []
         for ev in sl:
             where = f"slice {si} event"
             eid = _integer(ev, "id", where)
             q = _integer(ev, "qubit", where)
             _reject_unknown(ev, ("id", "qubit"), where)
             events.append(Event(eid, q, si))
-            canon.append({"id": eid, "qubit": q})
-        canon_slices.append(canon)
     raw_channels = doc.get("channels", [None] * (len(slices) - 1))
     if not isinstance(raw_channels, list):
         raise UsageError(f"channels must be a list of gap-channel descriptors, got {raw_channels!r}")
     if len(raw_channels) != len(slices) - 1:
-        raise UsageError(
-            f"expected {len(slices) - 1} gap channels, got {len(raw_channels)}"
-        )
-    channels, canon_channels = [], []
-    for ch_doc in raw_channels:
-        ch, canon = parse_channel_descriptor(ch_doc, qubits)
-        channels.append(ch)
-        canon_channels.append(canon)
-    schedule = Schedule(state, tuple(events), tuple(channels))
-    return schedule, {
-        "qubits": qubits,
-        "initial_state": state_doc,
-        "slices": canon_slices,
-        "channels": canon_channels,
-    }
+        raise UsageError(f"expected {len(slices) - 1} gap channels, got {len(raw_channels)}")
+    channels = tuple(parse_channel_descriptor(ch_doc, qubits) for ch_doc in raw_channels)
+    return Schedule(state, tuple(events), channels)
 
 
-def noise_model_from_dict(doc: dict) -> tuple[NoiseModel, dict]:
+def noise_model_from_dict(doc: dict) -> NoiseModel:
     kind = _require(doc, "kind", "noise descriptor")
-    if kind in _CHANNEL_KINDS:
+    if is_noise_family(kind):
         _reject_unknown(doc, ("kind", "tau"), f"{kind} noise descriptor")
-        tau = _number(doc, "tau", f"{kind} noise descriptor")
-        return NoiseModel(kind, tau=tau), {"kind": kind, "tau": tau}
+        return NoiseModel(kind, tau=_number(doc, "tau", f"{kind} noise descriptor"))
     if kind == "unitary":
         _reject_unknown(doc, ("kind", "matrix"), "unitary noise descriptor")
         U = _matrix_field(doc, "unitary noise descriptor")
         if U.shape != (2, 2):
             raise UsageError(f"unitary noise matrix must be 2x2 (one qubit), got shape {U.shape}")
-        return NoiseModel("unitary", unitary=U), {"kind": "unitary", "matrix": _matrix_to_pairs(U)}
+        return NoiseModel("unitary", unitary=U)
     if kind == "composite":
         _reject_unknown(doc, ("kind", "members"), "composite noise descriptor")
         members = _require(doc, "members", "composite noise descriptor")
         if not isinstance(members, list) or not members:
             raise UsageError("composite noise requires a nonempty member list")
-        parsed = [noise_model_from_dict(m) for m in members]
-        return (
-            NoiseModel("composite", members=tuple(m for m, _ in parsed)),
-            {"kind": "composite", "members": [c for _, c in parsed]},
-        )
+        return NoiseModel("composite", members=tuple(map(noise_model_from_dict, members)))
     raise UsageError(f"unknown noise kind {kind!r}")
 
 
@@ -269,7 +214,7 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
         raise UsageError("sweep config initial_state must carry a bloch vector")
     _reject_unknown(state_doc, ("bloch",), "sweep config initial_state")
     bloch = tuple(_bloch(state_doc, "sweep config initial_state"))
-    noise, _ = noise_model_from_dict(_require(doc, "noise", "sweep config"))
+    noise = noise_model_from_dict(_require(doc, "noise", "sweep config"))
     return SweepConfig(
         bloch=bloch,
         noise=noise,
@@ -317,6 +262,3 @@ def load_json(path: str) -> dict:
         raise UsageError(f"{path} must contain a JSON object")
     return doc
 
-
-def dumps_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -52,6 +52,8 @@ class SweepConfig:
             object.__setattr__(self, "bloch", tuple(float(x) for x in bloch))
         except OverflowError:
             raise UsageError("Bloch vector components must be finite, got an int too large for a float") from None
+        if not isinstance(self.noise, NoiseModel):
+            raise UsageError(f"noise must be a NoiseModel, got {self.noise!r}")
         for name in ("t_min", "t_max"):
             if not math.isfinite(getattr(self, name)):
                 raise UsageError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -179,6 +181,8 @@ def rows_to_csv(sweep: Sweep) -> str:
 
 # SVG layout constants.
 _W, _PANEL_H, _MARGIN, _GAP = 640, 210, 46, 28
+#: One colour per eigenvalue curve; ``emit_svg`` refuses a sweep with more columns.
+_EIGEN_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 
 def _fmt(x: float) -> str:
@@ -259,7 +263,9 @@ def emit_svg(sweep: Sweep) -> str:
         raise UsageError(f"SVG output requires the last time after the first, got {t_first!r} and {t_last!r}")
     spans = _causal_spans(sweep)
     k = sweep.eigenvalues.shape[1]
-    colors = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"][:k]
+    if k > len(_EIGEN_COLORS):
+        raise UsageError(f"SVG output draws at most {len(_EIGEN_COLORS)} eigenvalue columns, got {k}")
+    colors = _EIGEN_COLORS[:k]
     height = 2 * (_PANEL_H + _GAP) + 2 * _MARGIN
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

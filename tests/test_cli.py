@@ -521,6 +521,45 @@ INPUT_ERRORS = {
         None,
         "keep ids [5] out of range 1..2",
     ),
+    # A JSON list or object is no family name, and looking it up raises no TypeError.
+    "list-channel-kind": (
+        "build",
+        dict(GOLDEN_DOC, channels=[{"kind": ["dephasing"], "param": 0.5}]),
+        "unknown channel kind ['dephasing']",
+    ),
+    "object-noise-kind": (
+        "transition",
+        dict(_SWEEP, noise={"kind": {"name": "dephasing"}, "tau": 1.0}),
+        "unknown noise kind {'name': 'dephasing'}",
+    ),
+    "list-model-kind": (lambda: NoiseModel(["dephasing"], tau=1.0), None, "unknown noise model kind ['dephasing']"),
+    # A member of the wrong type is refused when the object is made, not met later as an AttributeError.
+    "event-not-an-Event": (
+        lambda: Schedule(_golden_state(), (Event(1, 0, 0), (2, 0, 1))),
+        None,
+        "events must be Event records, got (2, 0, 1)",
+    ),
+    "gap-not-a-channel": (
+        lambda: Schedule(_golden_state(), (Event(1, 0, 0), Event(2, 0, 1)), ("dephasing",)),
+        None,
+        "inter_slice_channels[0] must be a KrausChannel or None, got 'dephasing'",
+    ),
+    "composite-member-not-a-model": (
+        lambda: NoiseModel("composite", members=[NoiseModel("dephasing", tau=1.0), "dephasing"]),
+        None,
+        "composite members must be noise models, got 'dephasing'",
+    ),
+    "sweep-noise-not-a-model": (
+        lambda: SweepConfig((0, 0, 0), {"kind": "dephasing", "tau": 1.0}, 0.0, 1.0, 3),
+        None,
+        "noise must be a NoiseModel, got {'kind': 'dephasing', 'tau': 1.0}",
+    ),
+    # Each eigenvalue column is drawn in its own colour, and there are 6.
+    "svg-of-8-eigenvalue-columns": (
+        lambda: emit_svg(Sweep(np.linspace(0.0, 1.0, 3), np.zeros((3, 8)), np.zeros(3), [False] * 3)),
+        None,
+        "SVG output draws at most 6 eigenvalue columns, got 8",
+    ),
 }
 
 

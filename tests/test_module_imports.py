@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import pathlib
+import sys
 import types
 
 import numpy as np
@@ -47,10 +48,9 @@ def test_no_module_imports_a_private_name():
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: Module-level names that no program code calls yet, each kept for a caller
 #: ROADMAP.md plans: ``reduce_pdm`` for a pair-marginal engine or multi-event
-#: verify suites (items 5 and 7), and the canonical schedule document for a
-#: machine-readable run record (item 2). Once one gains a caller,
+#: verify suites (items 5 and 7). Once one gains a caller,
 #: ``test_every_module_level_name_is_used`` fails until it leaves this set.
-UNCALLED = {"schedule.reduce_pdm", "serialize.normalize_schedule_doc", "serialize.dumps_doc"}
+UNCALLED = {"schedule.reduce_pdm"}
 
 
 def package_modules(root: pathlib.Path) -> list[pathlib.Path]:
@@ -156,7 +156,6 @@ def test_checker_counts_only_program_files(tmp_path):
 def test_exempt_name_with_a_caller_fails(tmp_path):
     root = fake_repo(tmp_path, {
         "src/pdmsim/schedule.py": "def reduce_pdm():\n    pass\n",
-        "src/pdmsim/serialize.py": "def normalize_schedule_doc():\n    pass\n\ndef dumps_doc():\n    pass\n",
     })
     assert uncalled_names(root) == UNCALLED
     fake_repo(root, {"demos/demo.py": "from pdmsim.schedule import reduce_pdm\nreduce_pdm()\n"})
@@ -275,6 +274,31 @@ def test_checker_sees_imported_modules():
 def test_only_linalg_imports_ctypes():
     # linalg.single_threaded is the one place that calls into a C library.
     assert [m.stem for m in MODULES if "ctypes" in imported_modules(m.read_text())] == ["linalg"]
+
+
+def outside_imports(source: str) -> set[str]:
+    """The modules the source imports that are neither numpy nor in the standard library."""
+    return imported_modules(source) - sys.stdlib_module_names - {"numpy"}
+
+
+def test_checker_sees_outside_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import scipy.linalg\n"
+        "from json import loads\n"
+        "from .linalg import kron\n"
+        "def f():\n"
+        "    from hypothesis import given\n"
+    )
+    assert outside_imports(source) == {"scipy", "hypothesis"}
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # numpy is the one declared dependency: a module that is importable on a
+    # development host, such as scipy, may be missing where pdmsim is installed.
+    offenders = {m.name: outside_imports(m.read_text()) for m in MODULES}
+    assert {name: mods for name, mods in offenders.items() if mods} == {}
 
 
 def test_numpy_kron_only_behind_linalg_kron():

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pdmsim import KrausChannel, Schedule, UsageError, build_pdm, expectation
+from pdmsim import KrausChannel, NoiseModel, Schedule, UsageError, build_pdm, expectation, noise_kraus
+from pdmsim import channels
 from pdmsim.serialize import (
-    dumps_doc,
-    normalize_schedule_doc,
     noise_model_from_dict,
     parse_channel_descriptor,
     parse_initial_state,
@@ -50,33 +49,9 @@ def test_matrix_initial_state():
     assert expectation(s, (1,)) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_round_trip_is_value_identical():
-    for doc in (
-        GOLDEN_DOC,
-        dict(GOLDEN_DOC, channels=[{"kind": "depolarizing", "tau": 2.0, "t": 0.25}]),
-        {
-            "qubits": 2,
-            "initial_state": {
-                "matrix": [
-                    [[0.5, 0], [0, 0], [0, 0], [0.5, 0]],
-                    [[0, 0], [0, 0], [0, 0], [0, 0]],
-                    [[0, 0], [0, 0], [0, 0], [0, 0]],
-                    [[0.5, 0], [0, 0], [0, 0], [0.5, 0]],
-                ]
-            },
-            "slices": [[{"id": 1, "qubit": 0}, {"id": 2, "qubit": 1}]],
-            "channels": [],
-        },
-    ):
-        canon = normalize_schedule_doc(doc)
-        emitted = dumps_doc(canon)
-        reparsed = normalize_schedule_doc(json.loads(emitted))
-        assert reparsed == canon
-
-
-def test_three_qubit_matrix_document_is_pinned():
-    # A matrix state and two unitary gaps: the canonical document writes every
-    # matrix entry back as the [re, im] pair it was read from.
+def test_three_qubit_matrix_document_is_read_bit_exactly():
+    # A matrix state and two unitary gaps: every matrix entry is read back as
+    # the [re, im] pair the document holds.
     r = 1 / math.sqrt(2)
     state = np.diag([0.5, 0.25, 0.125, 0.0625, 0.0625, 0, 0, 0]).astype(complex)
     state[0, 1], state[1, 0] = 0.1j, -0.1j
@@ -93,8 +68,11 @@ def test_three_qubit_matrix_document_is_pinned():
         "slices": slices,
         "channels": [{"kind": "unitary", "matrix": pairs(hadamard)}, {"kind": "unitary", "matrix": pairs(phase)}],
     }
-    want = json.dumps(doc, indent=2, sort_keys=True)
-    assert dumps_doc(normalize_schedule_doc(json.loads(want))) == want
+    s = schedule_from_dict(json.loads(json.dumps(doc)))
+    assert np.array_equal(s.initial_state.matrix, state)
+    assert [ch.kraus_ops.shape for ch in s.inter_slice_channels] == [(1, 8, 8)] * 2
+    assert np.array_equal(s.inter_slice_channels[0].kraus_ops[0], hadamard)
+    assert np.array_equal(s.inter_slice_channels[1].kraus_ops[0], phase)
 
 
 def test_unitary_gap_is_checked_for_trace_preservation_once(monkeypatch):
@@ -148,15 +126,30 @@ def test_huge_qubit_count_is_a_usage_error():
 
 
 def test_noise_model_descriptors():
-    model, canon = noise_model_from_dict({"kind": "dephasing", "tau": 1.5})
+    model = noise_model_from_dict({"kind": "dephasing", "tau": 1.5})
     assert model.kind == "dephasing" and model.tau == 1.5
-    assert canon == {"kind": "dephasing", "tau": 1.5}
-    model, _ = noise_model_from_dict(
+    model = noise_model_from_dict(
         {"kind": "composite", "members": [{"kind": "dephasing", "tau": 1.0}, {"kind": "depolarizing", "tau": 2.0}]}
     )
     assert model.kind == "composite" and len(model.members) == 2
     with pytest.raises(UsageError):
         noise_model_from_dict({"kind": "composite", "members": []})
+
+
+def test_noise_families_are_read_from_one_list(monkeypatch):
+    # Each family is a gap descriptor, a noise descriptor and a model with its
+    # listed Kraus count; a family taken off the list is unknown to all three.
+    for kind, count in channels.FAMILY_KRAUS_COUNTS.items():
+        s = schedule_from_dict(dict(GOLDEN_DOC, channels=[{"kind": kind, "tau": 1.0, "t": 0.5}]))
+        assert s.inter_slice_channels[0].kraus_ops.shape == (count, 2, 2)
+        assert noise_kraus(noise_model_from_dict({"kind": kind, "tau": 1.0}), [0.5]).shape == (1, count, 2, 2)
+    monkeypatch.delitem(channels.FAMILY_KRAUS_COUNTS, "amplitude_damping")
+    with pytest.raises(UsageError, match="unknown channel kind 'amplitude_damping'"):
+        schedule_from_dict(dict(GOLDEN_DOC, channels=[{"kind": "amplitude_damping", "param": 0.5}]))
+    with pytest.raises(UsageError, match="unknown noise kind 'amplitude_damping'"):
+        noise_model_from_dict({"kind": "amplitude_damping", "tau": 1.0})
+    with pytest.raises(UsageError, match="unknown noise model kind 'amplitude_damping'"):
+        NoiseModel("amplitude_damping", tau=1.0)
 
 
 def test_sweep_config_parsing():
