@@ -58,7 +58,6 @@ from .sweep import (
 )
 from .verify import (
     SuiteResult,
-    haar_unitary,
     suite_local_monotonicity,
     suite_unitary_invariance,
 )

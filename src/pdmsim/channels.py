@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,7 +291,7 @@ class NoiseModel:
 
     def __post_init__(self):
         if is_noise_family(self.kind):
-            if self.tau is None or not self.tau > 0 or not math.isfinite(self.tau):
+            if not isinstance(self.tau, numbers.Real) or not self.tau > 0 or not math.isfinite(self.tau):
                 raise UsageError(
                     f"{self.kind} model requires a finite time constant tau > 0, got {self.tau!r}"
                 )

@@ -143,16 +143,18 @@ def _write_texts(texts: list[tuple[str, str]]) -> None:
         for path, _ in texts:
             new = not os.path.lexists(path)
             opened.append((open(path, "a"), path, new))
-        seen = {}
+        seen, sizes = {}, []
         for fh, path, _ in opened:
             st = os.fstat(fh.fileno())
             key = (st.st_dev, st.st_ino)
             if stat.S_ISREG(st.st_mode) and key in seen:
                 raise UsageError(f"{seen[key]} and {path} name the same file")
             seen[key] = path
-        for (fh, path, _), (_, text) in zip(opened, texts):
+            sizes.append(st.st_size)
+        for (fh, path, _), (_, text), size in zip(opened, texts, sizes):
             with fh:
-                if fh.seekable():
+                # An empty file, such as one this call created, needs no truncate.
+                if size and fh.seekable():
                     fh.truncate(0)
                 fh.write(text)
     except (OSError, UsageError) as exc:

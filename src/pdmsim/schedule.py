@@ -174,6 +174,8 @@ class Schedule:
     inter_slice_channels: tuple = ()
 
     def __post_init__(self):
+        if not isinstance(self.initial_state, DensityState):
+            raise UsageError(f"initial_state must be a DensityState, got {type(self.initial_state).__name__}")
         events = tuple(self.events)
         object.__setattr__(self, "events", events)
         if not events:
@@ -589,6 +591,8 @@ def _forward(s: Schedule, labels: np.ndarray | None = None) -> np.ndarray:
 
 def build_pdm(s: Schedule) -> PseudoDensityMatrix:
     """Assemble the PDM from all 4^n assignment expectations (n = event count), by ``_forward``."""
+    if not isinstance(s, Schedule):
+        raise UsageError(f"build_pdm needs a Schedule, got {s!r}")
     return PseudoDensityMatrix(tuple(sorted(s.events, key=lambda ev: ev.id)), _forward(s))
 
 

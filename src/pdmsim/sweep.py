@@ -55,6 +55,8 @@ class SweepConfig:
         if not isinstance(self.noise, NoiseModel):
             raise UsageError(f"noise must be a NoiseModel, got {self.noise!r}")
         for name in ("t_min", "t_max"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise UsageError(f"{name} must be a real number, got {getattr(self, name)!r}")
             if not math.isfinite(getattr(self, name)):
                 raise UsageError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.t_min < 0:

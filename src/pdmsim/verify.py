@@ -55,7 +55,8 @@ class SuiteResult:
     #: inf when the worst trial's matrix is not finite.
     max_deviation: float
     #: The worst case, such as trial k and for local monotonicity the event
-    #: its channel acted on. Trial k draws from seed + k (``worst_trial``).
+    #: its channel acted on. Trial k reads the k-th block of each of its
+    #: suite's two random streams (``worst_trial``).
     detail: str = ""
 
 
@@ -74,40 +75,68 @@ def worst_deviation(devs: np.ndarray) -> tuple[int, float]:
     return k, float(devs.flat[k])
 
 
+class TrialDraws:
+    """A chunk's share of a randomized check's two random streams, made by ``worst_trial``.
+
+    ``uniform(width)`` reads the chunk's ``(m, width)`` block of uniforms in
+    [0, 1), one row per trial. ``normal(counts)`` reads ``sum(counts)``
+    standard normals as one flat array, ``counts[j]`` for the chunk's j-th
+    trial, in trial order. Each may be read once per chunk, so trial k reads
+    the k-th block of each stream at every chunk size, as long as the suite
+    asks for one width in every chunk and a trial's count depends on its own
+    uniforms only. ``trials`` is the chunk's range of trial indices.
+    """
+
+    def __init__(self, uniform_rng: np.random.Generator, normal_rng: np.random.Generator, trials: range):
+        self.trials = trials
+        self._unread = {"uniform": uniform_rng, "normal": normal_rng}
+
+    def __len__(self) -> int:
+        return len(self.trials)
+
+    def _stream(self, name: str) -> np.random.Generator:
+        if name not in self._unread:
+            raise RuntimeError(f"the {name} stream was already read in this chunk")
+        return self._unread.pop(name)
+
+    def uniform(self, width: int) -> np.ndarray:
+        return self._stream("uniform").random((len(self.trials), width))
+
+    def normal(self, counts) -> np.ndarray:
+        return self._stream("normal").standard_normal(int(np.sum(counts)))
+
+
 def worst_trial(seed: int, trials: int, trial_bytes: int, evaluate):
     """The first largest deviation of seeded trials, its index and its trial's context.
 
-    Trial k draws from ``np.random.default_rng(seed + k)``, so ``seed`` is an
-    integer >= 0 (numpy takes no negative seed) and ``trials`` one >= 1; a
-    bool is neither. The trials run in chunks of at most CHECK_STACK_BYTES,
-    ``trial_bytes`` a trial (at least one trial a chunk): ``evaluate(rngs)``
-    takes a chunk's generators and returns its deviations, trial axis first,
-    and one context per trial (or None). As each trial has its own
-    generator, ``evaluate`` may draw a chunk's trials one kind of draw at a
-    time: each generator's draws keep their order. Only the worst case is
-    kept from chunk to chunk, so memory does not grow with ``trials``.
-    Returns ``(deviation, index, context)``: ``index`` is the deviation's
-    index over all trials, its first entry the trial.
+    The trials draw from two generators made once per call: a uniform
+    stream seeded with ``[seed, 0]`` and a normal stream seeded with
+    ``[seed, 1]``. So ``seed`` is an integer >= 0 (numpy takes no negative
+    seed) and ``trials`` one >= 1; a bool is neither. The trials run in
+    chunks of at most CHECK_STACK_BYTES, ``trial_bytes`` a trial (at least
+    one trial a chunk): ``evaluate(draws)`` reads a chunk's draws from its
+    ``TrialDraws`` and returns its deviations, trial axis first, and one
+    context per trial (or None). Trial k reads the k-th block of each
+    stream, so the chunk size does not change the results. Only the worst
+    case is kept from chunk to chunk, so memory does not grow with
+    ``trials``. Returns ``(deviation, index, context)``: ``index`` is the
+    deviation's index over all trials, its first entry the trial.
     """
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise UsageError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise UsageError(f"{name} must be >= {least}, got {value}")
+    streams = [np.random.default_rng([int(seed), stream]) for stream in (0, 1)]
     worst = (-np.inf, None, None)
     for chunk in chunk_slices(trials, trial_bytes, CHECK_STACK_BYTES):
-        devs, context = evaluate([np.random.default_rng(seed + k) for k in range(trials)[chunk]])
+        devs, context = evaluate(TrialDraws(*streams, range(trials)[chunk]))
         i, dev = worst_deviation(devs)
         if dev > worst[0]:
             k, *rest = np.unravel_index(i, np.shape(devs))
             index = (chunk.start + int(k), *map(int, rest))
             worst = (dev, index, None if context is None else context[k])
     return worst
-
-
-def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian matrix: all real parts are drawn first, then all imaginary parts."""
-    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
 
 def qr_isometries(gaussians, haar: bool = False) -> list[np.ndarray]:
@@ -152,17 +181,6 @@ def stinespring_channels(gaussians) -> list[KrausChannel]:
         for i, r in zip(rows, residuals):
             object.__setattr__(channels[i], "tp_residual", float(r))
     return channels
-
-
-def cptp_draw(qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """A random channel's draws: a Kraus rank of 1-4, then its Gaussian for ``stinespring_channels``."""
-    d = 2**qubits
-    return ginibre(d * int(rng.integers(1, 5)), d, rng)
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary: QR of a complex Ginibre matrix, phase-fixed."""
-    return qr_isometries([ginibre(dim, dim, rng)], haar=True)[0]
 
 
 def _f_tr_matrix(M: np.ndarray) -> np.ndarray:
@@ -213,47 +231,101 @@ def golden_schedule() -> Schedule:
     return two_event_schedule(state_from_bloch([0, 0, 1]), None)
 
 
-def random_bloch(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return v * rng.uniform(0, 1)
+def _kraus_ranks(u: np.ndarray) -> np.ndarray:
+    """A Kraus rank of 1-4 per uniform: 1 + floor(4 u)."""
+    return 1 + (4 * u).astype(int)
 
 
-def two_event_draws(rngs) -> tuple[list, list]:
-    """One random two-event input per generator: a Bloch state, then a CPTP gap of Kraus rank 1-4.
+def _complex_gaussian(z: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A complex Gaussian matrix from 2 rows cols normals ``z``: all real parts first, then all imaginary parts."""
+    re, im = z.reshape(2, rows, cols)
+    return re + 1j * im
 
-    The states are checked as one ``density_states`` stack, and the gap
-    channels come from one QR per Kraus rank (``stinespring_channels``).
+
+def bloch_vectors(z: np.ndarray, radii) -> np.ndarray:
+    """Random Bloch vectors, one per row of 3 normals ``z``: the row's direction at its radius in [0, 1)."""
+    return z / np.linalg.norm(z, axis=1, keepdims=True) * np.reshape(radii, (-1, 1))
+
+
+def two_event_draws(draws: TrialDraws, u: np.ndarray) -> tuple[list, list]:
+    """One random two-event input per row of ``u``: a Bloch state, then a CPTP gap of Kraus rank 1-4.
+
+    Row i of ``u`` holds input i's uniforms: its Bloch radius, then its Kraus
+    rank K. Its normals are 3 for its Bloch direction, then the (2K, 2)
+    Gaussian of its gap's Stinespring isometry; one ``draws.normal`` reads
+    all of them, in row order. The states are checked as one
+    ``density_states`` stack, and the gap channels come from one QR per
+    Kraus rank (``stinespring_channels``).
     """
-    blochs, gaussians = zip(*[(random_bloch(rng), cptp_draw(1, rng)) for rng in rngs])
-    return density_states([bloch_matrix(r) for r in blochs]), stinespring_channels(gaussians)
+    ranks = _kraus_ranks(u[:, 1])
+    counts = 3 + 8 * ranks
+    z = draws.normal(counts)
+    starts = np.cumsum(counts) - counts
+    blochs = bloch_vectors(z[starts[:, None] + np.arange(3)], u[:, 0])
+    gaussians = [_complex_gaussian(z[at + 3 : at + n], 2 * K, 2) for at, n, K in zip(starts, counts, ranks)]
+    return density_states(bloch_matrix(blochs.T[..., None, None])), stinespring_channels(gaussians)
 
 
 class _ScheduleDraw(NamedTuple):
     """What a random schedule draws, before any matrix is built from it; one Bloch vector per qubit."""
 
     events: tuple
-    #: One ``cptp_draw`` per gap channel.
+    #: One Stinespring Gaussian per gap channel.
     gaussians: list
     blochs: list
 
 
-def draw_schedule(rng: np.random.Generator, max_events: int) -> _ScheduleDraw:
-    """Draw a random schedule of 1 to ``max_events`` events on 1-3 qubits; ``build_schedules`` builds it."""
-    qubits = int(rng.integers(1, 4))
-    n_events = int(rng.integers(1, max_events + 1))
-    events, slice_index, used = [], 0, set()
-    for eid in range(1, n_events + 1):
-        q = int(rng.integers(0, qubits))
-        if q in used or (used and rng.random() < 0.4):
-            slice_index += 1
-            used = set()
-            q = int(rng.integers(0, qubits))
-        used.add(q)
-        events.append(Event(eid, q, slice_index))
-    gaussians = [cptp_draw(qubits, rng) for _ in range(slice_index)]
-    blochs = [random_bloch(rng) for _ in range(qubits)]
-    return _ScheduleDraw(tuple(events), gaussians, blochs)
+def schedule_width(max_events: int) -> int:
+    """Uniforms a schedule of at most ``max_events`` events reads (``draw_schedules``)."""
+    return 4 * max_events + 4
+
+
+def draw_schedules(draws: TrialDraws, u: np.ndarray, max_events: int) -> list[_ScheduleDraw]:
+    """Random schedules of 1 to ``max_events`` events on 1-3 qubits, one per row of ``u``.
+
+    A row's first ``schedule_width(max_events)`` uniforms, with E =
+    ``max_events``, are read in this order:
+
+    - the qubit count, then the event count
+    - 3 per event: a qubit, a coin, and a qubit for a new slice. An event
+      opens a new slice when its qubit is taken in the current one, or else
+      (after the slice's first event) when the coin is below 0.4.
+    - a Kraus rank per gap, E - 1 in all
+    - a Bloch radius per qubit, 3 in all
+
+    A schedule's normals are 3 per qubit for its Bloch directions, 9 in all,
+    then its gaps' Stinespring Gaussians; one ``draws.normal`` reads all of
+    them, in row order. A schedule on q qubits uses its first q Bloch
+    vectors. ``build_schedules`` builds the draws.
+    """
+    ranks_at, radii_at = 3 * max_events + 2, 4 * max_events + 1
+    layouts = []
+    for row, ranks in zip(u.tolist(), _kraus_ranks(u[:, ranks_at:radii_at]).tolist()):
+        qubits = 1 + int(3 * row[0])
+        events, slice_index, used = [], 0, set()
+        for eid in range(1, 2 + int(max_events * row[1])):
+            pick, coin, repick = row[3 * eid - 1 : 3 * eid + 2]
+            q = int(qubits * pick)
+            if q in used or (used and coin < 0.4):
+                slice_index += 1
+                used = set()
+                q = int(qubits * repick)
+            used.add(q)
+            events.append(Event(eid, q, slice_index))
+        layouts.append((tuple(events), qubits, ranks[:slice_index]))
+    counts = np.array([9 + 2 * 4**q * sum(ranks) for _, q, ranks in layouts])
+    z = draws.normal(counts)
+    starts = np.cumsum(counts) - counts
+    blochs = bloch_vectors(z[starts[:, None] + np.arange(9)].reshape(-1, 3), u[:, radii_at : radii_at + 3])
+    out = []
+    for (events, qubits, ranks), at, rows in zip(layouts, starts + 9, blochs.reshape(-1, 3, 3)):
+        d = 2**qubits
+        gaussians = []
+        for K in ranks:
+            gaussians.append(_complex_gaussian(z[at : at + 2 * d * d * K], d * K, d))
+            at += 2 * d * d * K
+        out.append(_ScheduleDraw(events, gaussians, list(rows[:qubits])))
+    return out
 
 
 def build_schedules(draws) -> list[Schedule]:
@@ -276,7 +348,7 @@ def build_schedules(draws) -> list[Schedule]:
     ]
 
 
-#: Bytes of Gaussians a ``draw_schedule`` trial of at most 4 events may
+#: Bytes of Gaussians a ``draw_schedules`` trial of at most 4 events may
 #: draw: 3 gaps of Kraus rank 4 on 3 qubits, (32, 8) complex entries each.
 _SCHEDULE_DRAW_BYTES = 3 * 16 * 32 * 8
 #: Bytes one PDM of a two-event trial holds until its chunk is checked: its
@@ -310,23 +382,28 @@ def suite_golden() -> SuiteResult:
 def suite_engine_oracle(seed: int = 0, trials: int = 200) -> SuiteResult:
     """The branch oracle vs ``expectations`` and vs ``build_pdm``'s coefficients.
 
-    Each trial draws a schedule (``draw_schedule``) and ``_RANDOM_PICKS`` random
-    assignments, adds the all-identity one, and evaluates them as one batch
-    on each side. A chunk of trials is drawn first and its schedules built
-    together, their gap channels from one QR per Gaussian shape. ``detail``
-    names the side and the assignment of the worst deviation.
+    Each trial draws a schedule (``draw_schedules``) and ``_RANDOM_PICKS``
+    random assignments, adds the all-identity one, and evaluates them as one
+    batch on each side. A pick's label for event j is floor(4 u) of the
+    trial's uniform for that pick and event, read after its schedule's. A
+    chunk of trials is drawn first and its schedules built together, their
+    gap channels from one QR per Gaussian shape. ``detail`` names the side
+    and the assignment of the worst deviation.
     """
+    width = schedule_width(4)
 
-    def deviations(rngs):
-        draws = [draw_schedule(rng, 4) for rng in rngs]
-        # Each trial's picks in one draw (the same stream as one draw per pick), then the all-identity one.
-        picks = [rng.integers(0, 4, size=(_RANDOM_PICKS, len(d.events))) for rng, d in zip(rngs, draws)]
-        batches = [np.vstack([p, np.zeros_like(p[:1])]) for p in picks]
+    def deviations(draws):
+        u = draws.uniform(width + _RANDOM_PICKS * 4)
+        schedules = build_schedules(draw_schedules(draws, u, 4))
+        picks = (4 * u[:, width:]).astype(np.int64).reshape(-1, _RANDOM_PICKS, 4)
+        batches = []
         devs = []
-        for s, labels in zip(build_schedules(draws), batches):
+        for s, p in zip(schedules, picks):
+            labels = np.vstack([p[:, : s.event_count], np.zeros((1, s.event_count), dtype=np.int64)])
             want = oracle_expectations(s, labels)
             got = np.stack([expectations(s, labels), build_pdm(s).stored_expectations(labels)], axis=1)
             devs.append(np.abs(got - want[:, None]))
+            batches.append(labels)
         # Axes (trial, pick, side), row-major: the first maximum is the one a per-pick loop would keep.
         return np.array(devs), batches
 
@@ -341,9 +418,9 @@ def suite_ancilla(seed: int = 0, trials: int = 50) -> SuiteResult:
     A chunk of trials is drawn first (``two_event_draws``).
     """
 
-    def deviations(rngs):
+    def deviations(draws):
         devs = []
-        for st, ch in zip(*two_event_draws(rngs)):
+        for st, ch in zip(*two_event_draws(draws, draws.uniform(2))):
             s = two_event_schedule(st, ch)
             devs.append(np.abs(ancilla_expectations(s, _ALL_PAIRS) - expectations(s, _ALL_PAIRS)))
         return np.array(devs), None
@@ -358,29 +435,32 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
 
     Trial k draws its input state and its CPTP gap of Kraus rank 1-4
     (``two_event_draws``); a chunk of trials is one stack with one state per
-    row. One more trial, drawn from seed + trials, checks the sweep path: one
-    state and a random composite of amplitude damping, a unitary and
-    dephasing (members that do not commute), evaluated at t = 0, 1 and 2 by
-    one ``noise_kraus`` call into a stack on that one state. Each row is
-    checked against ``build_pdm`` of the ``compose`` of the members'
-    ``channel_at_time`` at its time.
+    row. One more trial, the only one of a ``worst_trial`` call on seed +
+    trials, checks the sweep path. Its uniforms are a Bloch radius and the
+    time constants of amplitude damping and dephasing, each 0.5 + 1.5 u; its
+    normals are 3 for the Bloch direction, then the 2x2 Gaussian of a Haar
+    unitary. That one state and the composite of amplitude damping, the
+    unitary and dephasing (members that do not commute) are evaluated at
+    t = 0, 1 and 2 by one ``noise_kraus`` call into a stack on that state.
+    Each row is checked against ``build_pdm`` of the ``compose`` of the
+    members' ``channel_at_time`` at its time.
     """
     ts = np.linspace(0.0, 2.0, 3)
 
-    def deviations(rngs):
-        states, channels = two_event_draws(rngs)
+    def deviations(draws):
+        states, channels = two_event_draws(draws, draws.uniform(2))
         stack = two_event_pdm_stack(states, kraus_array(channels))
         built = np.array([build_pdm(two_event_schedule(st, ch)).matrix for st, ch in zip(states, channels)])
         return np.max(np.abs(built - stack), axis=(1, 2)), None
 
-    def sweep_deviations(rngs):
-        (rng,) = rngs
-        state = state_from_bloch(random_bloch(rng))
-        damping, dephasing = (float(tau) for tau in rng.uniform(0.5, 2.0, size=2))
+    def sweep_deviations(draws):
+        ((radius, damping, dephasing),) = draws.uniform(3)
+        z = draws.normal([3 + 8])
+        state = state_from_bloch(bloch_vectors(z[None, :3], radius)[0])
         members = (
-            NoiseModel("amplitude_damping", tau=damping),
-            NoiseModel("unitary", unitary=haar_unitary(2, rng)),
-            NoiseModel("dephasing", tau=dephasing),
+            NoiseModel("amplitude_damping", tau=0.5 + 1.5 * float(damping)),
+            NoiseModel("unitary", unitary=qr_isometries([_complex_gaussian(z[3:], 2, 2)], haar=True)[0]),
+            NoiseModel("dephasing", tau=0.5 + 1.5 * float(dephasing)),
         )
         swept = two_event_pdm_stack(state, noise_kraus(NoiseModel("composite", members=members), ts))
         per_time = [functools.reduce(compose, [channel_at_time(m, t) for m in members]) for t in ts]
@@ -397,15 +477,16 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
 def suite_unitary_invariance(R: PseudoDensityMatrix, seed: int = 0, trials: int = 200) -> SuiteResult:
     """f_tr(U R U^dag) must equal f_tr(R) for Haar-random unitaries U.
 
-    A chunk of trials draws its Ginibre matrices first, then takes its
-    unitaries from one QR and its f_tr values from one eigenvalue solve.
-    ``detail`` names the trial of the largest deviation.
+    Each trial reads the 2 D^2 normals of one D x D Ginibre matrix. A chunk
+    takes its unitaries from one QR and its f_tr values from one eigenvalue
+    solve. ``detail`` names the trial of the largest deviation.
     """
     base = f_tr(R)
     dim = R.matrix.shape[0]
 
-    def deviations(rngs):
-        Us = np.stack(qr_isometries([ginibre(dim, dim, rng) for rng in rngs], haar=True))
+    def deviations(draws):
+        z = draws.normal(np.full(len(draws), 2 * dim * dim)).reshape(len(draws), 2 * dim * dim)
+        Us = np.stack(qr_isometries([_complex_gaussian(row, dim, dim) for row in z], haar=True))
         return np.abs(_f_tr_matrix(Us @ R.matrix @ dagger(Us)) - base), None
 
     worst, (k,), _ = worst_trial(seed, trials, 16 * dim * dim, deviations)
@@ -415,21 +496,28 @@ def suite_unitary_invariance(R: PseudoDensityMatrix, seed: int = 0, trials: int 
 def suite_local_monotonicity(R: PseudoDensityMatrix, seed: int = 0, trials: int = 200) -> SuiteResult:
     """f_tr must not increase under a CPTP channel on a single event factor.
 
-    Each trial draws a random channel of Kraus rank 1-4 and the factor it
-    acts on. A chunk draws all its trials first and takes their channels
-    from one QR per Kraus rank (``stinespring_channels``). They are
-    zero-padded into one ``kraus_array`` (a zero operator adds nothing) and
-    applied to R with one ``kraus_sum`` per event factor, over the trials on
-    that factor, and the chunk is one eigenvalue solve. ``detail`` names the
-    trial of the largest rise and its event.
+    Each trial's uniforms are a Kraus rank K of 1-4 and the factor its
+    channel acts on, floor(n u) of n; its normals are the (2K, 2) Gaussian
+    of the channel's Stinespring isometry. A chunk draws all its trials
+    first and takes their channels from one QR per Kraus rank
+    (``stinespring_channels``). They are zero-padded into one
+    ``kraus_array`` (a zero operator adds nothing) and applied to R with one
+    ``kraus_sum`` per event factor, over the trials on that factor, and the
+    chunk is one eigenvalue solve. ``detail`` names the trial of the largest
+    rise and its event.
     """
     base = f_tr(R)
     n = R.event_count
     dim = R.matrix.shape[0]
 
-    def rises(rngs):
-        kraus = kraus_array(stinespring_channels([cptp_draw(1, rng) for rng in rngs]))
-        factor = np.array([rng.integers(0, n) for rng in rngs])
+    def rises(draws):
+        u = draws.uniform(2)
+        ranks = _kraus_ranks(u[:, 0])
+        z = draws.normal(8 * ranks)
+        ends = np.cumsum(8 * ranks)
+        gaussians = [_complex_gaussian(z[end - 8 * K : end], 2 * K, 2) for end, K in zip(ends, ranks)]
+        kraus = kraus_array(stinespring_channels(gaussians))
+        factor = (n * u[:, 1]).astype(int)
         outs = np.empty((len(kraus), dim, dim), dtype=complex)
         for f in range(n):
             on_f = factor == f
@@ -446,16 +534,18 @@ def suite_local_monotonicity(R: PseudoDensityMatrix, seed: int = 0, trials: int 
 def suite_convexity(seed: int = 0, trials: int = 200) -> SuiteResult:
     """Convexity of f_tr on mixtures of two random two-event PDMs.
 
-    Each trial draws two (state, CPTP gap of Kraus rank 1-4) pairs and a
-    weight p. A chunk's PDMs come from one closed-form stack, one state per
-    row, and ``convexity_gaps`` takes the f_tr of them and of the chunk's
-    mixtures from one eigenvalue solve. ``detail`` names the trial of the
-    largest gap.
+    Each trial draws two (state, CPTP gap of Kraus rank 1-4) pairs
+    (``two_event_draws``) and a weight p: its uniforms are the pairs' two
+    each, then p. A chunk's PDMs come from one closed-form stack, one state
+    per row, and ``convexity_gaps`` takes the f_tr of them and of the
+    chunk's mixtures from one eigenvalue solve. ``detail`` names the trial
+    of the largest gap.
     """
 
-    def gaps(rngs):
-        states, channels = two_event_draws([rng for rng in rngs for _ in range(2)])
-        weights = [[p, 1 - p] for p in (float(rng.uniform(0, 1)) for rng in rngs)]
+    def gaps(draws):
+        u = draws.uniform(5)
+        states, channels = two_event_draws(draws, u[:, :4].reshape(-1, 2))
+        weights = np.stack([u[:, 4], 1 - u[:, 4]], axis=1)
         Rs = two_event_pdm_stack(states, kraus_array(channels)).reshape(-1, 2, 4, 4)
         return convexity_gaps(Rs, weights), None
 
@@ -464,8 +554,9 @@ def suite_convexity(seed: int = 0, trials: int = 200) -> SuiteResult:
 
 
 def run_all(seed: int = 0, trials: int = 200) -> list[SuiteResult]:
-    # Trial k of every randomized suite draws from numpy's generator seeded
-    # with seed + k; ``worst_trial`` checks the seed and the trial count.
+    # Each randomized suite reads one uniform and one normal stream, seeded
+    # with [seed, 0] and [seed, 1], trial k the k-th block of each;
+    # ``worst_trial`` makes them and checks the seed and the trial count.
     golden = build_pdm(golden_schedule())
     return [
         suite_golden(),

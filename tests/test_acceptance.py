@@ -37,14 +37,12 @@ from pdmsim.verify import (
     GOLDEN_TWO_EVENT,
     GOLDEN_EIGENVALUES,
     golden_schedule,
-    haar_unitary,
-    random_bloch,
     suite_convexity,
     suite_local_monotonicity,
     suite_unitary_invariance,
 )
 
-from conftest import pdm_expectation, random_cptp, random_density, random_pure, random_schedule
+from conftest import haar_unitary, pdm_expectation, random_bloch, random_cptp, random_density, random_pure, random_schedule
 
 
 def report(n, text):

@@ -30,8 +30,6 @@ from pdmsim.verify import (
     CHECK_ATOL,
     _f_tr_matrix,
     convexity_gaps,
-    ginibre,
-    haar_unitary,
     qr_isometries,
     stinespring_channels,
     worst_deviation,
@@ -40,9 +38,9 @@ from pdmsim.verify import (
 from pdmsim.channels import kraus_sum
 from pdmsim.linalg import PAULIS, PSD_ATOL, embed_operator
 from pdmsim.schedule import Event, Schedule
-from pdmsim.verify import golden_schedule, random_bloch
+from pdmsim.verify import golden_schedule
 
-from conftest import random_cptp, random_density, random_pure, random_schedule
+from conftest import ginibre, haar_unitary, random_cptp, random_density, random_pure, random_schedule
 
 
 def dephasing_pdm(gamma):
@@ -73,12 +71,29 @@ def distort_trial(monkeypatch, trial, distort):
     return seen
 
 
+def streams(seed):
+    """The uniform and the normal stream ``worst_trial`` makes for ``seed``."""
+    return np.random.default_rng([seed, 0]), np.random.default_rng([seed, 1])
+
+
+def two_event_input(uniforms, normal):
+    """A two-event input as ``verify.two_event_draws`` reads it.
+
+    Its uniforms are a Bloch radius and a Kraus rank; its normals are 3 for
+    the Bloch direction, then the gap's Stinespring Gaussian.
+    """
+    radius, rank = uniforms
+    v = normal.standard_normal(3)
+    return state_from_bloch(v / np.linalg.norm(v) * radius), random_cptp(1, 1 + int(4 * rank), normal)
+
+
 def unitary_invariance_loop(R, trials, seed):
-    """Reference: one eigensolve per trial of max |f_tr(U R U^dag) - f_tr(R)|."""
+    """Reference: one eigensolve per trial of max |f_tr(U R U^dag) - f_tr(R)|, trial k reading its normals in turn."""
     base = f_tr(R)
     worst = 0.0
+    _, normal = streams(seed)
     for k in range(trials):
-        U = haar_unitary(R.matrix.shape[0], np.random.default_rng(seed + k))
+        U = haar_unitary(R.matrix.shape[0], normal)
         worst = max(worst, abs(float(_f_tr_matrix(U @ R.matrix @ U.conj().T)) - base))
     return worst
 
@@ -87,10 +102,11 @@ def local_monotonicity_loop(R, trials, seed):
     """Reference: one eigensolve per trial of the largest rise of f_tr under a one-factor channel."""
     base = f_tr(R)
     worst = -np.inf
+    uniform, normal = streams(seed)
     for k in range(trials):
-        rng = np.random.default_rng(seed + k)
-        ch = random_cptp(1, int(rng.integers(1, 5)), rng)
-        factor = int(rng.integers(0, R.event_count))
+        rank, factor = uniform.random(2)
+        ch = random_cptp(1, 1 + int(4 * rank), normal)
+        factor = int(R.event_count * factor)
         out = kraus_sum(embed_operator(ch.kraus_ops, factor, R.event_count), R.matrix)
         worst = max(worst, float(_f_tr_matrix(out)) - base)
     return max(0.0, worst)
@@ -99,18 +115,11 @@ def local_monotonicity_loop(R, trials, seed):
 def convexity_loop(seed, trials):
     """Reference: ``suite_convexity``'s draws, one ``build_pdm`` per PDM and one gap per trial."""
     gaps = []
+    uniform, normal = streams(seed)
     for k in range(trials):
-        rng = np.random.default_rng(seed + k)
-        Rs = [
-            build_pdm(
-                two_event_schedule(
-                    state_from_bloch(random_bloch(rng)),
-                    random_cptp(1, int(rng.integers(1, 5)), rng),
-                )
-            )
-            for _ in range(2)
-        ]
-        p = float(rng.uniform(0, 1))
+        u = uniform.random(5)
+        Rs = [build_pdm(two_event_schedule(*two_event_input(u[2 * j : 2 * j + 2], normal))) for j in range(2)]
+        p = float(u[4])
         mix = p * Rs[0].matrix + (1 - p) * Rs[1].matrix
         gaps.append(float(_f_tr_matrix(mix)) - p * f_tr(Rs[0]) - (1 - p) * f_tr(Rs[1]))
         # convexity_gaps on this one mixture reports the same gap.
@@ -360,11 +369,8 @@ class TestMonotoneAxioms:
 
         monkeypatch.setattr(verify, "two_event_pdm_stack", distorted)
         res = verify.suite_convexity(seed=0, trials=10)
-        rng = np.random.default_rng(6)
-        for _ in range(2):
-            random_bloch(rng)
-            random_cptp(1, int(rng.integers(1, 5)), rng)
-        p = float(rng.uniform(0, 1))
+        # Trial 6's weight is its fifth uniform.
+        p = float(streams(0)[0].random((10, 5))[6, 4])
         assert not res.passed and res.detail == "trial 6"
         assert res.max_deviation == pytest.approx(4 * p, abs=1e-12)
 
@@ -373,15 +379,9 @@ class TestMonotoneAxioms:
 
         distort_trial(monkeypatch, 17, lambda Q: 2 * Q)
         res = verify.suite_local_monotonicity(build_pdm(golden_schedule()), seed=5, trials=40)
-        rng = np.random.default_rng(5 + 17)
-        random_cptp(1, int(rng.integers(1, 5)), rng)
-        event = int(rng.integers(0, 2)) + 1
+        # Trial 17's factor is floor(2 u) of its second uniform.
+        event = int(2 * streams(5)[0].random((40, 2))[17, 1]) + 1
         assert not res.passed and res.detail == f"trial 17 on event {event}"
-
-
-def trial_of(rng: np.random.Generator, seed: int) -> int:
-    """The trial k whose generator ``worst_trial`` seeded with seed + k."""
-    return int(rng.bit_generator.seed_seq.entropy) - seed
 
 
 class TestWorstTrial:
@@ -390,21 +390,56 @@ class TestWorstTrial:
     def stack_bytes(self, request, monkeypatch):
         monkeypatch.setattr(verify, "CHECK_STACK_BYTES", request.param)
 
-    def test_trial_k_draws_from_seed_plus_k(self):
-        seen = []
+    def test_each_trial_draws_the_same_at_every_chunk_size(self):
+        # Trial k reads row k of the uniform stream, then its own count of
+        # normals after every earlier trial's: what one read of the whole run gives.
+        seen = {}
 
-        def first_draws(rngs):
-            seen.extend(rng.random() for rng in rngs)
-            return np.zeros(len(rngs)), None
+        def record(draws):
+            u = draws.uniform(2)
+            counts = 1 + (5 * u[:, 0]).astype(int)
+            z = draws.normal(counts)
+            for k, row, block in zip(draws.trials, u, np.split(z, np.cumsum(counts)[:-1])):
+                seen[k] = (row, block)
+            return np.zeros(len(draws)), None
 
-        worst_trial(9, 7, 8, first_draws)
-        assert seen == [np.random.default_rng(9 + k).random() for k in range(7)]
+        worst_trial(9, 7, 8, record)
+        uniform, normal = streams(9)
+        u = uniform.random((7, 2))
+        assert sorted(seen) == list(range(7))
+        for k in range(7):
+            assert np.array_equal(seen[k][0], u[k])
+            assert np.array_equal(seen[k][1], normal.standard_normal(1 + int(5 * u[k, 0])))
+
+    @pytest.mark.parametrize("stream", ["uniform", "normal"])
+    def test_a_stream_is_read_once_per_chunk(self, stream):
+        # A second read would take the next chunk's draws, so the results
+        # would depend on the chunk size.
+        def read_twice(draws):
+            for _ in range(2):
+                draws.uniform(1) if stream == "uniform" else draws.normal(np.ones(len(draws), dtype=int))
+            return np.zeros(len(draws)), None
+
+        with pytest.raises(RuntimeError, match=f"the {stream} stream was already read in this chunk"):
+            worst_trial(0, 3, 8, read_twice)
+
+    def test_a_call_makes_at_most_two_generators(self, monkeypatch):
+        made, calls = [], []
+        default_rng, trial_loop = np.random.default_rng, verify.worst_trial
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
+        monkeypatch.setattr(verify, "worst_trial", lambda *a: calls.append(a) or trial_loop(*a))
+        verify.worst_trial(5, 7, 8, lambda draws: (np.zeros(len(draws)), None))
+        assert len(made) <= 2
+        made.clear()
+        calls.clear()
+        verify.run_all(3, 12)
+        # Six randomized suites, and the closed-form suite's sweep path.
+        assert len(calls) == 7 and len(made) <= 2 * len(calls)
 
     def test_tie_across_chunks_keeps_the_earlier_trial(self):
-        def devs(rngs):
-            out = np.zeros((len(rngs), 3))
-            for j, rng in enumerate(rngs):
-                k = trial_of(rng, 4)
+        def devs(draws):
+            out = np.zeros((len(draws), 3))
+            for j, k in enumerate(draws.trials):
                 if k in (2, 5):
                     out[j, 1 if k == 2 else 0] = 1.0
             return out, None
@@ -412,22 +447,22 @@ class TestWorstTrial:
         assert worst_trial(4, 8, 8, devs) == (1.0, (2, 1), None)
 
     def test_nan_reads_as_inf_and_wins(self):
-        def devs(rngs):
-            trials = np.array([trial_of(rng, 0) for rng in rngs])
+        def devs(draws):
+            trials = np.array(draws.trials)
             return np.select([trials == 1, trials == 4], [1e300, np.nan], 0.0), None
 
         assert worst_trial(0, 6, 8, devs) == (np.inf, (4,), None)
 
     def test_context_belongs_to_the_worst_trial(self):
-        def devs(rngs):
-            trials = [trial_of(rng, 3) for rng in rngs]
+        def devs(draws):
+            trials = list(draws.trials)
             return np.array([-abs(k - 5) for k in trials], dtype=float), [f"context of {k}" for k in trials]
 
         assert worst_trial(3, 10, 8, devs) == (0.0, (5,), "context of 5")
 
     def test_no_trials_is_a_usage_error(self):
         with pytest.raises(UsageError, match="trials must be >= 1"):
-            worst_trial(0, 0, 8, lambda rngs: (np.zeros(len(rngs)), None))
+            worst_trial(0, 0, 8, lambda draws: (np.zeros(len(draws)), None))
 
     @pytest.mark.parametrize(
         "call, message",
@@ -437,7 +472,7 @@ class TestWorstTrial:
             (lambda: verify.suite_ancilla(0, 2.5), "trials must be an integer, got 2.5"),
             (lambda: verify.run_all(0, True), "trials must be an integer, got True"),
             (lambda: verify.run_all(True, 3), "seed must be an integer, got True"),
-            (lambda: worst_trial(0.0, 3, 8, lambda rngs: (np.zeros(len(rngs)), None)), "seed must be an integer"),
+            (lambda: worst_trial(0.0, 3, 8, lambda draws: (np.zeros(len(draws)), None)), "seed must be an integer"),
         ],
         ids=["negative-seed", "negative-seed-convexity", "fractional-trials", "bool-trials", "bool-seed", "float-seed"],
     )
@@ -449,14 +484,14 @@ class TestWorstTrial:
         assert str(err.value).startswith(message)
 
     def test_numpy_integers_are_counts(self):
-        assert worst_trial(np.int64(2), np.int32(3), 8, lambda rngs: (np.zeros(len(rngs)), None))[1] == (0,)
+        assert worst_trial(np.int64(2), np.int32(3), 8, lambda draws: (np.zeros(len(draws)), None))[1] == (0,)
 
     def test_memory_does_not_grow_with_trials(self):
         # Only the worst case is kept from chunk to chunk.
         import tracemalloc
 
-        def devs(rngs):
-            return np.zeros(len(rngs)), None
+        def devs(draws):
+            return np.zeros(len(draws)), None
 
         worst_trial(0, 10, 8, devs)  # warm up
         peaks = []

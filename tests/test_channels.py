@@ -22,7 +22,6 @@ from pdmsim import (
     unitary_channel,
 )
 from pdmsim import channels
-from pdmsim.verify import haar_unitary
 from pdmsim.channels import (
     TP_ATOL,
     DensityState,
@@ -31,7 +30,7 @@ from pdmsim.channels import (
 from pdmsim.linalg import I2, X, Y, Z, embed_operator
 from pdmsim.verify import GOLDEN_TWO_EVENT
 
-from conftest import random_cptp, random_density
+from conftest import haar_unitary, random_cptp, random_density
 
 
 def bloch_of(M):

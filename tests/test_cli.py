@@ -50,21 +50,21 @@ GOLDEN_DOC = {
 #: ``pdm verify`` output, pinned.
 VERIFY_SEED_0 = (
     "[PASS] golden_two_event: max deviation 0.000e+00\n"
-    "[PASS] engine_vs_oracle: max deviation 1.110e-16\n"
+    "[PASS] engine_vs_oracle: max deviation 2.220e-16\n"
     "[PASS] ancilla_protocol: max deviation 7.772e-16\n"
     "[PASS] closed_form_two_event: max deviation 5.551e-17\n"
-    "[PASS] unitary_invariance: max deviation 8.882e-16\n"
-    "[PASS] local_monotonicity: max deviation 0.000e+00\n"
+    "[PASS] unitary_invariance: max deviation 1.110e-15\n"
+    "[PASS] local_monotonicity: max deviation 4.441e-16\n"
     "[PASS] convexity: max deviation 0.000e+00\n"
     "all suites passed\n"
 )
 VERIFY_SEED_1E6 = (
     "[PASS] golden_two_event: max deviation 0.000e+00\n"
-    "[PASS] engine_vs_oracle: max deviation 3.331e-16\n"
-    "[PASS] ancilla_protocol: max deviation 7.772e-16\n"
+    "[PASS] engine_vs_oracle: max deviation 2.220e-16\n"
+    "[PASS] ancilla_protocol: max deviation 9.992e-16\n"
     "[PASS] closed_form_two_event: max deviation 1.110e-16\n"
     "[PASS] unitary_invariance: max deviation 1.110e-15\n"
-    "[PASS] local_monotonicity: max deviation 8.882e-16\n"
+    "[PASS] local_monotonicity: max deviation 4.441e-16\n"
     "[PASS] convexity: max deviation 0.000e+00\n"
     "all suites passed\n"
 )
@@ -385,6 +385,19 @@ class TestSweep:
         # Written again with a good SVG path, it holds only the new rows.
         assert main(["sweep", cfg, "--csv", str(csv), "--svg", str(tmp_path / "x.svg")]) == 0
         assert len(csv_rows(csv.read_text()).t) == 5
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-files", "longer-files"])
+    def test_outputs_hold_only_the_new_text(self, tmp_path, existing):
+        # A new file is written as created; a file holding more text than the
+        # new one is emptied first, so none of its old text is left.
+        from pdmsim.cli import _write_texts
+
+        paths = [str(tmp_path / "a.csv"), str(tmp_path / "a.svg")]
+        if existing:
+            for p in paths:
+                pathlib.Path(p).write_text("old text, longer than the new\n" * 40)
+        _write_texts([(paths[0], "t,f\n"), (paths[1], "<svg/>\n")])
+        assert [pathlib.Path(p).read_text() for p in paths] == ["t,f\n", "<svg/>\n"]
 
     def test_null_output_paths_are_absent(self, tmp_path, capsys):
         doc = dict(sweep_doc((0, 0, 0), "depolarizing", 1.0, 0.0, 1.0, 5), csv=None, svg=None)
@@ -723,12 +736,13 @@ class TestVerify:
         # A drawn schedule's initial state, validated once as a whole, is the
         # product of the states of its Bloch vectors, each validated alone.
         from pdmsim.linalg import kron
-        from pdmsim.verify import build_schedules, draw_schedule
+        from pdmsim.verify import TrialDraws, build_schedules, draw_schedules, schedule_width
 
-        for seed in range(18):
-            draw = draw_schedule(np.random.default_rng(seed), 4)
+        draws = TrialDraws(np.random.default_rng([0, 0]), np.random.default_rng([0, 1]), range(18))
+        drawn = draw_schedules(draws, draws.uniform(schedule_width(4)), 4)
+        for draw, s in zip(drawn, build_schedules(drawn)):
             want = kron([state_from_bloch(r).matrix for r in draw.blochs])
-            assert np.array_equal(build_schedules([draw])[0].initial_state.matrix, want)
+            assert np.array_equal(s.initial_state.matrix, want)
 
     def test_closed_form_suite_flags_a_wrong_sweep_path(self, monkeypatch):
         import pdmsim.verify as verify
@@ -747,8 +761,11 @@ class TestVerify:
 
         monkeypatch.setattr(verify, "noise_kraus", skewed)
         res = verify.suite_closed_form(seed=0, trials=5)
-        # The sweep path is one more trial, drawn from seed + trials; its state is that generator's first draw.
-        state = state_from_bloch(verify.random_bloch(np.random.default_rng(0 + 5)))
+        # The sweep path is the one trial of a worst_trial call on seed + trials: its
+        # Bloch radius is the first uniform, its direction the first 3 normals.
+        radius = np.random.default_rng([0 + 5, 0]).random()
+        v = np.random.default_rng([0 + 5, 1]).standard_normal(3)
+        state = state_from_bloch(v / np.linalg.norm(v) * radius)
         closed_form = verify.two_event_pdm_stack
         want = np.max(np.abs(closed_form(state, seen["skewed"]) - closed_form(state, seen["exact"])))
         assert not res.passed

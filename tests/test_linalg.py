@@ -13,7 +13,6 @@ from pdmsim import (
     two_event_schedule,
 )
 from pdmsim import channels, linalg, schedule
-from pdmsim.verify import haar_unitary
 from pdmsim.linalg import (
     I2,
     PAULIS,
@@ -27,7 +26,7 @@ from pdmsim.linalg import (
 )
 from pdmsim.verify import GOLDEN_TWO_EVENT
 
-from conftest import random_hermitian
+from conftest import haar_unitary, random_hermitian
 
 
 def trace_norm(M):

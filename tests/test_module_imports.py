@@ -315,8 +315,8 @@ def test_numpy_qr_only_in_qr_isometries():
 
 
 def test_random_generators_only_in_worst_trial():
-    # Every randomized check seeds trial k with seed + k in one place, the
-    # trial loop, so no draw can come from a generator it did not make.
+    # Every randomized check draws from the two streams the trial loop makes,
+    # so no draw can come from a generator it did not make.
     assert calls_outside("random.default_rng", "verify", "worst_trial") == {}
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pdmsim
 from pdmsim import (
     DensityState,
     Event,
@@ -32,13 +33,12 @@ from pdmsim import (
     unitary_channel,
 )
 import pdmsim.schedule as schedule
-from pdmsim.verify import haar_unitary
 from pdmsim.channels import kraus_sum
 from pdmsim.linalg import I2, PAULI_STACK, PAULIS, X, embed_operator, kron
 from pdmsim.schedule import PDM_BYTE_BUDGET, _event_paulis, _event_projectors
-from pdmsim.verify import GOLDEN_TWO_EVENT, golden_schedule, random_bloch, suite_engine_oracle
+from pdmsim.verify import GOLDEN_TWO_EVENT, golden_schedule, suite_engine_oracle
 
-from conftest import pdm_expectation, random_cptp, random_density, random_schedule
+from conftest import haar_unitary, pdm_expectation, random_bloch, random_cptp, random_density, random_schedule
 
 
 def mixed_two_event(channel):
@@ -653,8 +653,6 @@ class TestAncillaExpectation:
         assert ancilla_expectation(s, (2, 2)) == pytest.approx(0.4, abs=1e-12)
 
     def test_matches_engine_all_assignments(self, rng):
-        from pdmsim.verify import random_bloch
-
         for k in range(20):
             trial_rng = np.random.default_rng(300 + k)
             s = two_event_schedule(
@@ -917,3 +915,26 @@ def test_equality_is_identity_and_every_type_hashes():
         assert a != b and not a == b
         assert hash(a) == hash(a)
         assert len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Schedule(np.eye(2) / 2, (Event(1, 0, 0),)), "initial_state must be a DensityState, got ndarray"),
+        (
+            lambda: pdmsim.SweepConfig((0, 0, 0), pdmsim.NoiseModel("dephasing", tau=1.0), "0", 1.0, 3),
+            "t_min must be a real number, got '0'",
+        ),
+        (
+            lambda: pdmsim.NoiseModel("dephasing", tau="1"),
+            "dephasing model requires a finite time constant tau > 0, got '1'",
+        ),
+        (lambda: build_pdm("x"), "build_pdm needs a Schedule, got 'x'"),
+    ],
+    ids=["schedule-state", "sweep-t_min", "noise-tau", "build_pdm-schedule"],
+)
+def test_wrong_typed_constructor_argument_is_a_usage_error(call, message):
+    # Each was a bare AttributeError or TypeError from deep inside the call.
+    with pytest.raises(UsageError) as err:
+        call()
+    assert str(err.value) == message

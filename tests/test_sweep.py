@@ -21,9 +21,10 @@ from pdmsim import (
     two_event_schedule,
 )
 from pdmsim import sweep
-from pdmsim.verify import haar_unitary
 from pdmsim.linalg import PSD_ATOL
 from pdmsim.sweep import MAX_SWEEP_POINTS, time_grid
+
+from conftest import haar_unitary
 
 NOISES = {
     "dephasing": NoiseModel("dephasing", tau=1.1),
