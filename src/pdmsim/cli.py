@@ -131,9 +131,9 @@ def _write_texts(texts: list[tuple[str, str]]) -> None:
     """Write each ``(path, text)`` pair's text to its file: all of them, or none that this call made.
 
     Every file is opened before any is written, for appending, which creates
-    a file without emptying one that exists; a file is emptied only when all
-    are open, and only when no two paths name the same regular file (one
-    text would overwrite the other). When one cannot be opened or written, or
+    a file without emptying one that exists; a file that is not empty is
+    emptied only when all are open, and only when no two paths name the same
+    regular file (one text would overwrite the other). When one cannot be opened or written, or
     two name one file, every file is closed and the ones this call created
     are removed. The failure is a ``UsageError``, as a failed read is in
     ``load_json``.
@@ -153,7 +153,6 @@ def _write_texts(texts: list[tuple[str, str]]) -> None:
             sizes.append(st.st_size)
         for (fh, path, _), (_, text), size in zip(opened, texts, sizes):
             with fh:
-                # An empty file, such as one this call created, needs no truncate.
                 if size and fh.seekable():
                     fh.truncate(0)
                 fh.write(text)
