@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,11 +79,13 @@ class TrialDraws:
 
     ``uniform(width)`` reads the chunk's ``(m, width)`` block of uniforms in
     [0, 1), one row per trial. ``normal(counts)`` reads ``sum(counts)``
-    standard normals as one flat array, ``counts[j]`` for the chunk's j-th
-    trial, in trial order. Each may be read once per chunk, so trial k reads
-    the k-th block of each stream at every chunk size, as long as the suite
-    asks for one width in every chunk and a trial's count depends on its own
-    uniforms only. ``trials`` is the chunk's range of trial indices.
+    standard normals in one read and returns them as one array per entry of
+    ``counts``, in order: views of that read, ``counts[j]`` normals for the
+    chunk's j-th trial (or input, where a trial draws several). Each may be
+    read once per chunk, so trial k reads the k-th block of each stream at
+    every chunk size, as long as the suite asks for one width in every chunk
+    and a trial's count depends on its own uniforms only. ``trials`` is the
+    chunk's range of trial indices.
     """
 
     def __init__(self, uniform_rng: np.random.Generator, normal_rng: np.random.Generator, trials: range):
@@ -102,8 +103,9 @@ class TrialDraws:
     def uniform(self, width: int) -> np.ndarray:
         return self._stream("uniform").random((len(self.trials), width))
 
-    def normal(self, counts) -> np.ndarray:
-        return self._stream("normal").standard_normal(int(np.sum(counts)))
+    def normal(self, counts) -> list[np.ndarray]:
+        z = self._stream("normal").standard_normal(int(np.sum(counts)))
+        return np.split(z, np.cumsum(counts)[:-1])
 
 
 def worst_trial(seed: int, trials: int, trial_bytes: int, evaluate):
@@ -258,21 +260,10 @@ def two_event_draws(draws: TrialDraws, u: np.ndarray) -> tuple[list, list]:
     Kraus rank (``stinespring_channels``).
     """
     ranks = _kraus_ranks(u[:, 1])
-    counts = 3 + 8 * ranks
-    z = draws.normal(counts)
-    starts = np.cumsum(counts) - counts
-    blochs = bloch_vectors(z[starts[:, None] + np.arange(3)], u[:, 0])
-    gaussians = [_complex_gaussian(z[at + 3 : at + n], 2 * K, 2) for at, n, K in zip(starts, counts, ranks)]
+    blocks = draws.normal(3 + 8 * ranks)
+    blochs = bloch_vectors(np.array([z[:3] for z in blocks]), u[:, 0])
+    gaussians = [_complex_gaussian(z[3:], 2 * K, 2) for z, K in zip(blocks, ranks)]
     return density_states(bloch_matrix(blochs.T[..., None, None])), stinespring_channels(gaussians)
-
-
-class _ScheduleDraw(NamedTuple):
-    """What a random schedule draws, before any matrix is built from it; one Bloch vector per qubit."""
-
-    events: tuple
-    #: One Stinespring Gaussian per gap channel.
-    gaussians: list
-    blochs: list
 
 
 def schedule_width(max_events: int) -> int:
@@ -280,7 +271,7 @@ def schedule_width(max_events: int) -> int:
     return 4 * max_events + 4
 
 
-def draw_schedules(draws: TrialDraws, u: np.ndarray, max_events: int) -> list[_ScheduleDraw]:
+def draw_schedules(draws: TrialDraws, u: np.ndarray, max_events: int) -> list[Schedule]:
     """Random schedules of 1 to ``max_events`` events on 1-3 qubits, one per row of ``u``.
 
     A row's first ``schedule_width(max_events)`` uniforms, with E =
@@ -296,7 +287,10 @@ def draw_schedules(draws: TrialDraws, u: np.ndarray, max_events: int) -> list[_S
     A schedule's normals are 3 per qubit for its Bloch directions, 9 in all,
     then its gaps' Stinespring Gaussians; one ``draws.normal`` reads all of
     them, in row order. A schedule on q qubits uses its first q Bloch
-    vectors. ``build_schedules`` builds the draws.
+    vectors: its initial state is the product of their states, and the
+    schedules of one qubit count make their products as one stack, checked
+    by one ``density_states`` call. The gap channels come from one QR per
+    Gaussian shape (``stinespring_channels``).
     """
     ranks_at, radii_at = 3 * max_events + 2, 4 * max_events + 1
     layouts = []
@@ -313,38 +307,24 @@ def draw_schedules(draws: TrialDraws, u: np.ndarray, max_events: int) -> list[_S
             used.add(q)
             events.append(Event(eid, q, slice_index))
         layouts.append((tuple(events), qubits, ranks[:slice_index]))
-    counts = np.array([9 + 2 * 4**q * sum(ranks) for _, q, ranks in layouts])
-    z = draws.normal(counts)
-    starts = np.cumsum(counts) - counts
-    blochs = bloch_vectors(z[starts[:, None] + np.arange(9)].reshape(-1, 3), u[:, radii_at : radii_at + 3])
-    out = []
-    for (events, qubits, ranks), at, rows in zip(layouts, starts + 9, blochs.reshape(-1, 3, 3)):
-        d = 2**qubits
-        gaussians = []
+    blocks = draws.normal([9 + 2 * 4**q * sum(ranks) for _, q, ranks in layouts])
+    blochs = bloch_vectors(np.array([z[:9] for z in blocks]).reshape(-1, 3), u[:, radii_at : radii_at + 3])
+    blochs = blochs.reshape(-1, 3, 3)
+    gaussians, states = [], {}
+    for (_, qubits, ranks), z in zip(layouts, blocks):
+        d, at = 2**qubits, 9
         for K in ranks:
             gaussians.append(_complex_gaussian(z[at : at + 2 * d * d * K], d * K, d))
             at += 2 * d * d * K
-        out.append(_ScheduleDraw(events, gaussians, list(rows[:qubits])))
-    return out
-
-
-def build_schedules(draws) -> list[Schedule]:
-    """The schedules of a list of draws, their gap channels from one QR per Gaussian shape.
-
-    Each initial state is the product of its qubits' Bloch states. The draws
-    of one qubit count make their products as one stack, checked by one
-    ``density_states`` call.
-    """
-    channels = iter(stinespring_channels([G for d in draws for G in d.gaussians]))
-    states = {}
-    for q in {len(d.blochs) for d in draws}:
-        rows = [i for i, d in enumerate(draws) if len(d.blochs) == q]
-        # factors[j] stacks qubit j's Bloch states, one per draw of the group.
-        factors = np.array([[bloch_matrix(r) for r in draws[i].blochs] for i in rows]).swapaxes(0, 1)
+    for q in {q for _, q, _ in layouts}:
+        rows = [i for i, (_, qubits, _) in enumerate(layouts) if qubits == q]
+        # factors[j] stacks qubit j's Bloch states, one per schedule of the group.
+        factors = np.array([[bloch_matrix(r) for r in blochs[i, :q]] for i in rows]).swapaxes(0, 1)
         states.update(zip(rows, density_states(kron(list(factors)))))
+    channels = iter(stinespring_channels(gaussians))
     return [
-        Schedule(states[i], d.events, tuple(next(channels) for _ in d.gaussians))
-        for i, d in enumerate(draws)
+        Schedule(states[i], events, tuple(next(channels) for _ in ranks))
+        for i, (events, _, ranks) in enumerate(layouts)
     ]
 
 
@@ -394,7 +374,7 @@ def suite_engine_oracle(seed: int = 0, trials: int = 200) -> SuiteResult:
 
     def deviations(draws):
         u = draws.uniform(width + _RANDOM_PICKS * 4)
-        schedules = build_schedules(draw_schedules(draws, u, 4))
+        schedules = draw_schedules(draws, u, 4)
         picks = (4 * u[:, width:]).astype(np.int64).reshape(-1, _RANDOM_PICKS, 4)
         batches = []
         devs = []
@@ -455,7 +435,7 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
 
     def sweep_deviations(draws):
         ((radius, damping, dephasing),) = draws.uniform(3)
-        z = draws.normal([3 + 8])
+        (z,) = draws.normal([3 + 8])
         state = state_from_bloch(bloch_vectors(z[None, :3], radius)[0])
         members = (
             NoiseModel("amplitude_damping", tau=0.5 + 1.5 * float(damping)),
@@ -485,7 +465,7 @@ def suite_unitary_invariance(R: PseudoDensityMatrix, seed: int = 0, trials: int 
     dim = R.matrix.shape[0]
 
     def deviations(draws):
-        z = draws.normal(np.full(len(draws), 2 * dim * dim)).reshape(len(draws), 2 * dim * dim)
+        z = draws.normal(np.full(len(draws), 2 * dim * dim))
         Us = np.stack(qr_isometries([_complex_gaussian(row, dim, dim) for row in z], haar=True))
         return np.abs(_f_tr_matrix(Us @ R.matrix @ dagger(Us)) - base), None
 
@@ -513,9 +493,7 @@ def suite_local_monotonicity(R: PseudoDensityMatrix, seed: int = 0, trials: int 
     def rises(draws):
         u = draws.uniform(2)
         ranks = _kraus_ranks(u[:, 0])
-        z = draws.normal(8 * ranks)
-        ends = np.cumsum(8 * ranks)
-        gaussians = [_complex_gaussian(z[end - 8 * K : end], 2 * K, 2) for end, K in zip(ends, ranks)]
+        gaussians = [_complex_gaussian(z, 2 * K, 2) for z, K in zip(draws.normal(8 * ranks), ranks)]
         kraus = kraus_array(stinespring_channels(gaussians))
         factor = (n * u[:, 1]).astype(int)
         outs = np.empty((len(kraus), dim, dim), dtype=complex)

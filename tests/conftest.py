@@ -3,7 +3,7 @@ import pytest
 
 from pdmsim import DensityState
 from pdmsim.linalg import PAULIS, kron
-from pdmsim.verify import TrialDraws, build_schedules, draw_schedules, qr_isometries, schedule_width, stinespring_channels
+from pdmsim.verify import TrialDraws, draw_schedules, qr_isometries, schedule_width, stinespring_channels
 
 
 def random_hermitian(dim, rng):
@@ -55,7 +55,7 @@ def random_schedule(rng, max_events=4):
     ``rng`` serves as both of the trial's streams: its uniforms, then its normals.
     """
     draws = TrialDraws(rng, rng, range(1))
-    return build_schedules(draw_schedules(draws, draws.uniform(schedule_width(max_events)), max_events))[0]
+    return draw_schedules(draws, draws.uniform(schedule_width(max_events)), max_events)[0]
 
 
 def pdm_expectation(R, assignment):

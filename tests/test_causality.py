@@ -398,8 +398,7 @@ class TestWorstTrial:
         def record(draws):
             u = draws.uniform(2)
             counts = 1 + (5 * u[:, 0]).astype(int)
-            z = draws.normal(counts)
-            for k, row, block in zip(draws.trials, u, np.split(z, np.cumsum(counts)[:-1])):
+            for k, row, block in zip(draws.trials, u, draws.normal(counts)):
                 seen[k] = (row, block)
             return np.zeros(len(draws)), None
 

@@ -734,14 +734,23 @@ class TestBuildOutputPinned:
 class TestVerify:
     def test_product_states_match_per_qubit_states(self):
         # A drawn schedule's initial state, validated once as a whole, is the
-        # product of the states of its Bloch vectors, each validated alone.
+        # product of the states of its Bloch vectors, each validated alone. A
+        # schedule's Bloch directions are its first 9 normals, its radii the
+        # 3 uniforms after its 17 layout and rank uniforms (4 events).
         from pdmsim.linalg import kron
-        from pdmsim.verify import TrialDraws, build_schedules, draw_schedules, schedule_width
+        from pdmsim.verify import TrialDraws, bloch_vectors, draw_schedules, schedule_width
 
-        draws = TrialDraws(np.random.default_rng([0, 0]), np.random.default_rng([0, 1]), range(18))
-        drawn = draw_schedules(draws, draws.uniform(schedule_width(4)), 4)
-        for draw, s in zip(drawn, build_schedules(drawn)):
-            want = kron([state_from_bloch(r).matrix for r in draw.blochs])
+        class Recorded(TrialDraws):
+            def normal(self, counts):
+                self.blocks = super().normal(counts)
+                return self.blocks
+
+        draws = Recorded(np.random.default_rng([0, 0]), np.random.default_rng([0, 1]), range(18))
+        u = draws.uniform(schedule_width(4))
+        schedules = draw_schedules(draws, u, 4)
+        for s, row, z in zip(schedules, u, draws.blocks):
+            blochs = bloch_vectors(z[:9].reshape(3, 3), row[17:20])[: s.initial_state.qubit_count]
+            want = kron([state_from_bloch(r).matrix for r in blochs])
             assert np.array_equal(s.initial_state.matrix, want)
 
     def test_closed_form_suite_flags_a_wrong_sweep_path(self, monkeypatch):
