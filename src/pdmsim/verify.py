@@ -55,7 +55,7 @@ class SuiteResult:
     max_deviation: float
     #: The worst case, such as trial k and for local monotonicity the event
     #: its channel acted on. Trial k reads the k-th block of each of its
-    #: suite's two random streams (``worst_trial``).
+    #: suite's own two random streams (``worst_trial``).
     detail: str = ""
 
 
@@ -108,13 +108,14 @@ class TrialDraws:
         return np.split(z, np.cumsum(counts)[:-1])
 
 
-def worst_trial(seed: int, trials: int, trial_bytes: int, evaluate):
+def worst_trial(seed: int, trials: int, trial_bytes: int, evaluate, *, key: int):
     """The first largest deviation of seeded trials, its index and its trial's context.
 
     The trials draw from two generators made once per call: a uniform
-    stream seeded with ``[seed, 0]`` and a normal stream seeded with
-    ``[seed, 1]``. So ``seed`` is an integer >= 0 (numpy takes no negative
-    seed) and ``trials`` one >= 1; a bool is neither. The trials run in
+    stream seeded with ``[seed, key, 0]`` and a normal stream seeded with
+    ``[seed, key, 1]``. ``key`` is a constant of the calling check, so that
+    no two checks read the same streams. ``seed`` is an integer >= 0 (numpy
+    takes no negative seed) and ``trials`` one >= 1; a bool is neither. The trials run in
     chunks of at most CHECK_STACK_BYTES, ``trial_bytes`` a trial (at least
     one trial a chunk): ``evaluate(draws)`` reads a chunk's draws from its
     ``TrialDraws`` and returns its deviations, trial axis first, and one
@@ -129,7 +130,7 @@ def worst_trial(seed: int, trials: int, trial_bytes: int, evaluate):
             raise UsageError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise UsageError(f"{name} must be >= {least}, got {value}")
-    streams = [np.random.default_rng([int(seed), stream]) for stream in (0, 1)]
+    streams = [np.random.default_rng([int(seed), key, stream]) for stream in (0, 1)]
     worst = (-np.inf, None, None)
     for chunk in chunk_slices(trials, trial_bytes, CHECK_STACK_BYTES):
         devs, context = evaluate(TrialDraws(*streams, range(trials)[chunk]))
@@ -387,7 +388,7 @@ def suite_engine_oracle(seed: int = 0, trials: int = 200) -> SuiteResult:
         # Axes (trial, pick, side), row-major: the first maximum is the one a per-pick loop would keep.
         return np.array(devs), batches
 
-    worst, (k, pick, side), labels = worst_trial(seed, trials, _SCHEDULE_DRAW_BYTES, deviations)
+    worst, (k, pick, side), labels = worst_trial(seed, trials, _SCHEDULE_DRAW_BYTES, deviations, key=1)
     detail = f"{_SIDES[side]}: trial {k} assignment {_plain(labels[pick])}"
     return SuiteResult("engine_vs_oracle", worst <= 1e-12, worst, detail)
 
@@ -405,7 +406,7 @@ def suite_ancilla(seed: int = 0, trials: int = 50) -> SuiteResult:
             devs.append(np.abs(ancilla_expectations(s, _ALL_PAIRS) - expectations(s, _ALL_PAIRS)))
         return np.array(devs), None
 
-    worst, (k, i), _ = worst_trial(seed, trials, _TWO_EVENT_PDM_BYTES, deviations)
+    worst, (k, i), _ = worst_trial(seed, trials, _TWO_EVENT_PDM_BYTES, deviations, key=2)
     detail = f"trial {k} assignment {_plain(_ALL_PAIRS[i])}"
     return SuiteResult("ancilla_protocol", worst <= 1e-10, worst, detail)
 
@@ -415,8 +416,8 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
 
     Trial k draws its input state and its CPTP gap of Kraus rank 1-4
     (``two_event_draws``); a chunk of trials is one stack with one state per
-    row. One more trial, the only one of a ``worst_trial`` call on seed +
-    trials, checks the sweep path. Its uniforms are a Bloch radius and the
+    row. One more trial, on streams of its own (stream key 4), checks the
+    sweep path. Its uniforms are a Bloch radius and the
     time constants of amplitude damping and dephasing, each 0.5 + 1.5 u; its
     normals are 3 for the Bloch direction, then the 2x2 Gaussian of a Haar
     unitary. That one state and the composite of amplitude damping, the
@@ -447,8 +448,8 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
         built = np.array([build_pdm(two_event_schedule(state, ch)).matrix for ch in per_time])
         return np.max(np.abs(built - swept), axis=(1, 2))[None], None
 
-    worst, (k,), _ = worst_trial(seed, trials, _TWO_EVENT_PDM_BYTES, deviations)
-    swept, (_, i), _ = worst_trial(seed + trials, 1, _TWO_EVENT_PDM_BYTES, sweep_deviations)
+    worst, (k,), _ = worst_trial(seed, trials, _TWO_EVENT_PDM_BYTES, deviations, key=3)
+    swept, (_, i), _ = worst_trial(seed, 1, _TWO_EVENT_PDM_BYTES, sweep_deviations, key=4)
     detail = f"trial {k}" if worst >= swept else f"sweep path at t={float(ts[i])!r}"
     worst = max(worst, swept)
     return SuiteResult("closed_form_two_event", worst <= 1e-12, worst, detail)
@@ -469,7 +470,7 @@ def suite_unitary_invariance(R: PseudoDensityMatrix, seed: int = 0, trials: int 
         Us = np.stack(qr_isometries([_complex_gaussian(row, dim, dim) for row in z], haar=True))
         return np.abs(_f_tr_matrix(Us @ R.matrix @ dagger(Us)) - base), None
 
-    worst, (k,), _ = worst_trial(seed, trials, 16 * dim * dim, deviations)
+    worst, (k,), _ = worst_trial(seed, trials, 16 * dim * dim, deviations, key=5)
     return SuiteResult("unitary_invariance", worst <= CHECK_ATOL, worst, f"trial {k}")
 
 
@@ -504,7 +505,7 @@ def suite_local_monotonicity(R: PseudoDensityMatrix, seed: int = 0, trials: int 
         return _f_tr_matrix(outs) - base, factor
 
     # A trial holds 4 embedded Kraus operators: 4 matrices of the PDM's dimension.
-    worst, (k,), factor = worst_trial(seed, trials, 4 * 16 * dim * dim, rises)
+    worst, (k,), factor = worst_trial(seed, trials, 4 * 16 * dim * dim, rises, key=6)
     detail = f"trial {k} on event {factor + 1}"
     return SuiteResult("local_monotonicity", worst <= CHECK_ATOL, max(0.0, worst), detail)
 
@@ -527,14 +528,15 @@ def suite_convexity(seed: int = 0, trials: int = 200) -> SuiteResult:
         Rs = two_event_pdm_stack(states, kraus_array(channels)).reshape(-1, 2, 4, 4)
         return convexity_gaps(Rs, weights), None
 
-    worst, (k,), _ = worst_trial(seed, trials, 2 * _TWO_EVENT_PDM_BYTES, gaps)
+    worst, (k,), _ = worst_trial(seed, trials, 2 * _TWO_EVENT_PDM_BYTES, gaps, key=7)
     return SuiteResult("convexity", worst <= CHECK_ATOL, max(0.0, worst), f"trial {k}")
 
 
 def run_all(seed: int = 0, trials: int = 200) -> list[SuiteResult]:
-    # Each randomized suite reads one uniform and one normal stream, seeded
-    # with [seed, 0] and [seed, 1], trial k the k-th block of each;
-    # ``worst_trial`` makes them and checks the seed and the trial count.
+    # Each randomized suite reads its own uniform and normal stream, seeded
+    # with [seed, key, 0] and [seed, key, 1] for its stream key (1-7), trial k
+    # the k-th block of each; ``worst_trial`` makes them and checks the seed
+    # and the trial count.
     golden = build_pdm(golden_schedule())
     return [
         suite_golden(),

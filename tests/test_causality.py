@@ -71,9 +71,9 @@ def distort_trial(monkeypatch, trial, distort):
     return seen
 
 
-def streams(seed):
-    """The uniform and the normal stream ``worst_trial`` makes for ``seed``."""
-    return np.random.default_rng([seed, 0]), np.random.default_rng([seed, 1])
+def streams(seed, key):
+    """The uniform and the normal stream ``worst_trial`` makes for ``seed`` and a check's stream ``key``."""
+    return np.random.default_rng([seed, key, 0]), np.random.default_rng([seed, key, 1])
 
 
 def two_event_input(uniforms, normal):
@@ -91,7 +91,7 @@ def unitary_invariance_loop(R, trials, seed):
     """Reference: one eigensolve per trial of max |f_tr(U R U^dag) - f_tr(R)|, trial k reading its normals in turn."""
     base = f_tr(R)
     worst = 0.0
-    _, normal = streams(seed)
+    _, normal = streams(seed, 5)
     for k in range(trials):
         U = haar_unitary(R.matrix.shape[0], normal)
         worst = max(worst, abs(float(_f_tr_matrix(U @ R.matrix @ U.conj().T)) - base))
@@ -102,7 +102,7 @@ def local_monotonicity_loop(R, trials, seed):
     """Reference: one eigensolve per trial of the largest rise of f_tr under a one-factor channel."""
     base = f_tr(R)
     worst = -np.inf
-    uniform, normal = streams(seed)
+    uniform, normal = streams(seed, 6)
     for k in range(trials):
         rank, factor = uniform.random(2)
         ch = random_cptp(1, 1 + int(4 * rank), normal)
@@ -115,7 +115,7 @@ def local_monotonicity_loop(R, trials, seed):
 def convexity_loop(seed, trials):
     """Reference: ``suite_convexity``'s draws, one ``build_pdm`` per PDM and one gap per trial."""
     gaps = []
-    uniform, normal = streams(seed)
+    uniform, normal = streams(seed, 7)
     for k in range(trials):
         u = uniform.random(5)
         Rs = [build_pdm(two_event_schedule(*two_event_input(u[2 * j : 2 * j + 2], normal))) for j in range(2)]
@@ -370,7 +370,7 @@ class TestMonotoneAxioms:
         monkeypatch.setattr(verify, "two_event_pdm_stack", distorted)
         res = verify.suite_convexity(seed=0, trials=10)
         # Trial 6's weight is its fifth uniform.
-        p = float(streams(0)[0].random((10, 5))[6, 4])
+        p = float(streams(0, 7)[0].random((10, 5))[6, 4])
         assert not res.passed and res.detail == "trial 6"
         assert res.max_deviation == pytest.approx(4 * p, abs=1e-12)
 
@@ -380,7 +380,7 @@ class TestMonotoneAxioms:
         distort_trial(monkeypatch, 17, lambda Q: 2 * Q)
         res = verify.suite_local_monotonicity(build_pdm(golden_schedule()), seed=5, trials=40)
         # Trial 17's factor is floor(2 u) of its second uniform.
-        event = int(2 * streams(5)[0].random((40, 2))[17, 1]) + 1
+        event = int(2 * streams(5, 6)[0].random((40, 2))[17, 1]) + 1
         assert not res.passed and res.detail == f"trial 17 on event {event}"
 
 
@@ -402,8 +402,8 @@ class TestWorstTrial:
                 seen[k] = (row, block)
             return np.zeros(len(draws)), None
 
-        worst_trial(9, 7, 8, record)
-        uniform, normal = streams(9)
+        worst_trial(9, 7, 8, record, key=2)
+        uniform, normal = streams(9, 2)
         u = uniform.random((7, 2))
         assert sorted(seen) == list(range(7))
         for k in range(7):
@@ -420,20 +420,29 @@ class TestWorstTrial:
             return np.zeros(len(draws)), None
 
         with pytest.raises(RuntimeError, match=f"the {stream} stream was already read in this chunk"):
-            worst_trial(0, 3, 8, read_twice)
+            worst_trial(0, 3, 8, read_twice, key=0)
 
     def test_a_call_makes_at_most_two_generators(self, monkeypatch):
-        made, calls = [], []
+        made, keys = [], []
         default_rng, trial_loop = np.random.default_rng, verify.worst_trial
         monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
-        monkeypatch.setattr(verify, "worst_trial", lambda *a: calls.append(a) or trial_loop(*a))
-        verify.worst_trial(5, 7, 8, lambda draws: (np.zeros(len(draws)), None))
+        monkeypatch.setattr(verify, "worst_trial", lambda *a, key: keys.append(key) or trial_loop(*a, key=key))
+        verify.worst_trial(5, 7, 8, lambda draws: (np.zeros(len(draws)), None), key=0)
         assert len(made) <= 2
         made.clear()
-        calls.clear()
+        keys.clear()
         verify.run_all(3, 12)
         # Six randomized suites, and the closed-form suite's sweep path.
-        assert len(calls) == 7 and len(made) <= 2 * len(calls)
+        assert len(keys) == 7 and len(made) <= 2 * len(keys)
+
+    def test_each_check_reads_streams_of_its_own(self, monkeypatch):
+        # Every worst_trial call of a run seeds its generators with a seed
+        # sequence that no other call of the run uses.
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(tuple(seed)) or default_rng(seed))
+        verify.run_all(3, 12)
+        assert len(made) == 14 and len(set(made)) == 14
 
     def test_tie_across_chunks_keeps_the_earlier_trial(self):
         def devs(draws):
@@ -443,25 +452,25 @@ class TestWorstTrial:
                     out[j, 1 if k == 2 else 0] = 1.0
             return out, None
 
-        assert worst_trial(4, 8, 8, devs) == (1.0, (2, 1), None)
+        assert worst_trial(4, 8, 8, devs, key=0) == (1.0, (2, 1), None)
 
     def test_nan_reads_as_inf_and_wins(self):
         def devs(draws):
             trials = np.array(draws.trials)
             return np.select([trials == 1, trials == 4], [1e300, np.nan], 0.0), None
 
-        assert worst_trial(0, 6, 8, devs) == (np.inf, (4,), None)
+        assert worst_trial(0, 6, 8, devs, key=0) == (np.inf, (4,), None)
 
     def test_context_belongs_to_the_worst_trial(self):
         def devs(draws):
             trials = list(draws.trials)
             return np.array([-abs(k - 5) for k in trials], dtype=float), [f"context of {k}" for k in trials]
 
-        assert worst_trial(3, 10, 8, devs) == (0.0, (5,), "context of 5")
+        assert worst_trial(3, 10, 8, devs, key=0) == (0.0, (5,), "context of 5")
 
     def test_no_trials_is_a_usage_error(self):
         with pytest.raises(UsageError, match="trials must be >= 1"):
-            worst_trial(0, 0, 8, lambda draws: (np.zeros(len(draws)), None))
+            worst_trial(0, 0, 8, lambda draws: (np.zeros(len(draws)), None), key=0)
 
     @pytest.mark.parametrize(
         "call, message",
@@ -471,7 +480,7 @@ class TestWorstTrial:
             (lambda: verify.suite_ancilla(0, 2.5), "trials must be an integer, got 2.5"),
             (lambda: verify.run_all(0, True), "trials must be an integer, got True"),
             (lambda: verify.run_all(True, 3), "seed must be an integer, got True"),
-            (lambda: worst_trial(0.0, 3, 8, lambda draws: (np.zeros(len(draws)), None)), "seed must be an integer"),
+            (lambda: worst_trial(0.0, 3, 8, lambda draws: (np.zeros(len(draws)), None), key=0), "seed must be an integer"),
         ],
         ids=["negative-seed", "negative-seed-convexity", "fractional-trials", "bool-trials", "bool-seed", "float-seed"],
     )
@@ -483,7 +492,7 @@ class TestWorstTrial:
         assert str(err.value).startswith(message)
 
     def test_numpy_integers_are_counts(self):
-        assert worst_trial(np.int64(2), np.int32(3), 8, lambda draws: (np.zeros(len(draws)), None))[1] == (0,)
+        assert worst_trial(np.int64(2), np.int32(3), 8, lambda draws: (np.zeros(len(draws)), None), key=0)[1] == (0,)
 
     def test_memory_does_not_grow_with_trials(self):
         # Only the worst case is kept from chunk to chunk.
@@ -492,12 +501,12 @@ class TestWorstTrial:
         def devs(draws):
             return np.zeros(len(draws)), None
 
-        worst_trial(0, 10, 8, devs)  # warm up
+        worst_trial(0, 10, 8, devs, key=0)  # warm up
         peaks = []
         for trials in (10, 10_000):
             tracemalloc.start()
             try:
-                worst_trial(0, trials, 8, devs)
+                worst_trial(0, trials, 8, devs, key=0)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import pathlib
@@ -50,21 +51,21 @@ GOLDEN_DOC = {
 #: ``pdm verify`` output, pinned.
 VERIFY_SEED_0 = (
     "[PASS] golden_two_event: max deviation 0.000e+00\n"
-    "[PASS] engine_vs_oracle: max deviation 2.220e-16\n"
-    "[PASS] ancilla_protocol: max deviation 7.772e-16\n"
+    "[PASS] engine_vs_oracle: max deviation 9.714e-17\n"
+    "[PASS] ancilla_protocol: max deviation 4.441e-16\n"
     "[PASS] closed_form_two_event: max deviation 5.551e-17\n"
-    "[PASS] unitary_invariance: max deviation 1.110e-15\n"
-    "[PASS] local_monotonicity: max deviation 4.441e-16\n"
+    "[PASS] unitary_invariance: max deviation 1.332e-15\n"
+    "[PASS] local_monotonicity: max deviation 8.882e-16\n"
     "[PASS] convexity: max deviation 0.000e+00\n"
     "all suites passed\n"
 )
 VERIFY_SEED_1E6 = (
     "[PASS] golden_two_event: max deviation 0.000e+00\n"
-    "[PASS] engine_vs_oracle: max deviation 2.220e-16\n"
-    "[PASS] ancilla_protocol: max deviation 9.992e-16\n"
+    "[PASS] engine_vs_oracle: max deviation 4.441e-16\n"
+    "[PASS] ancilla_protocol: max deviation 8.882e-16\n"
     "[PASS] closed_form_two_event: max deviation 1.110e-16\n"
-    "[PASS] unitary_invariance: max deviation 1.110e-15\n"
-    "[PASS] local_monotonicity: max deviation 4.441e-16\n"
+    "[PASS] unitary_invariance: max deviation 2.220e-15\n"
+    "[PASS] local_monotonicity: max deviation 8.882e-16\n"
     "[PASS] convexity: max deviation 0.000e+00\n"
     "all suites passed\n"
 )
@@ -770,16 +771,31 @@ class TestVerify:
 
         monkeypatch.setattr(verify, "noise_kraus", skewed)
         res = verify.suite_closed_form(seed=0, trials=5)
-        # The sweep path is the one trial of a worst_trial call on seed + trials: its
+        # The sweep path is the one trial of a worst_trial call on stream key 4: its
         # Bloch radius is the first uniform, its direction the first 3 normals.
-        radius = np.random.default_rng([0 + 5, 0]).random()
-        v = np.random.default_rng([0 + 5, 1]).standard_normal(3)
+        radius = np.random.default_rng([0, 4, 0]).random()
+        v = np.random.default_rng([0, 4, 1]).standard_normal(3)
         state = state_from_bloch(v / np.linalg.norm(v) * radius)
         closed_form = verify.two_event_pdm_stack
         want = np.max(np.abs(closed_form(state, seen["skewed"]) - closed_form(state, seen["exact"])))
         assert not res.passed
         assert res.detail == "sweep path at t=1.0"
         assert res.max_deviation == pytest.approx(want, rel=1e-6)
+
+    def test_two_event_suites_check_different_inputs(self, monkeypatch):
+        # ancilla_protocol and closed_form_two_event draw the same kind of
+        # input with the same seed and trial count, from streams of their own.
+        import pdmsim.verify as verify
+
+        drawn, real = [], verify.two_event_draws
+        monkeypatch.setattr(verify, "two_event_draws", lambda *a: drawn.append(real(*a)) or drawn[-1])
+        verify.suite_ancilla(0, 5)
+        verify.suite_closed_form(0, 5)
+        (ancilla_states, ancilla_channels), (closed_states, closed_channels) = drawn
+        for a, b in itertools.product(ancilla_states, closed_states):
+            assert not np.array_equal(a.matrix, b.matrix)
+        for a, b in itertools.product(ancilla_channels, closed_channels):
+            assert not np.array_equal(a.kraus_ops, b.kraus_ops)
 
     @pytest.mark.parametrize(
         "seed, trials, want",
