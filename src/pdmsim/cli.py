@@ -1,7 +1,8 @@
 """Command-line interface: build PDMs, run noise sweeps, find transitions, self-verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 invariant violation in the input data.
+Exit codes: 0 success, 1 verification failure, 2 usage/parse error
+(every malformed input file included), 3 an invariant violation inside the
+program.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from .channels import (
     state_from_bloch,
     unitary_channel,
 )
-from .errors import UsageError
+from .errors import InvariantViolation, UsageError
 from .linalg import qubits_of_dim
 from .schedule import Event, Schedule
 from .sweep import SweepConfig
@@ -128,12 +128,18 @@ def parse_initial_state(doc, qubits: int) -> DensityState:
         M = _matrix_field(doc, "initial_state")
         if qubits_of_dim(len(M)) != qubits:
             raise UsageError(f"initial state dim {len(M)} does not match {qubits} qubits")
-        return DensityState(M)
+        try:
+            return DensityState(M)
+        except InvariantViolation as exc:
+            raise UsageError(f"initial_state field 'matrix': {exc}") from None
     raise UsageError("initial_state must carry either 'bloch' or 'matrix'")
 
 
-def parse_channel_descriptor(doc, qubits: int) -> KrausChannel | None:
-    """Parse one gap-channel descriptor into a channel on the full system, None for no or an identity gap."""
+def parse_channel_descriptor(doc, qubits: int, where: str = "gap channel") -> KrausChannel | None:
+    """Parse one gap-channel descriptor into a channel on the full system, None for no or an identity gap.
+
+    A unitary that is not one is named by ``where``, such as "gap channel 0".
+    """
     if doc is None:
         return None
     kind = _require(doc, "kind", "channel descriptor")
@@ -155,7 +161,10 @@ def parse_channel_descriptor(doc, qubits: int) -> KrausChannel | None:
         U = _matrix_field(doc, "unitary descriptor")
         if qubits_of_dim(len(U)) != qubits:
             raise UsageError("unitary dimension does not match the system")
-        return unitary_channel(U)
+        try:
+            return unitary_channel(U)
+        except UsageError as exc:
+            raise UsageError(f"{where}: {exc}") from None
     raise UsageError(f"unknown channel kind {kind!r}")
 
 
@@ -183,7 +192,7 @@ def schedule_from_dict(doc: dict) -> Schedule:
         raise UsageError(f"channels must be a list of gap-channel descriptors, got {raw_channels!r}")
     if len(raw_channels) != len(slices) - 1:
         raise UsageError(f"expected {len(slices) - 1} gap channels, got {len(raw_channels)}")
-    channels = tuple(parse_channel_descriptor(ch_doc, qubits) for ch_doc in raw_channels)
+    channels = tuple(parse_channel_descriptor(d, qubits, f"gap channel {i}") for i, d in enumerate(raw_channels))
     return Schedule(state, tuple(events), channels)
 
 

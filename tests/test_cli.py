@@ -1,9 +1,11 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
 import pathlib
+import random
 import re
 import warnings
 
@@ -174,9 +176,29 @@ class TestBuild:
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path} repeats the key {key!r} in one object\n"
 
-    def test_invariant_violation_exit_3(self, tmp_path):
-        doc = dict(GOLDEN_DOC, initial_state={"matrix": [[[0.9, 0], [0, 0]], [[0, 0], [0.5, 0]]]})
-        assert main(["build", write(tmp_path / "s.json", doc)]) == 3
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                {"initial_state": {"matrix": [[[0.9, 0], [0, 0]], [[0, 0], [0.5, 0]]]}},
+                "initial_state field 'matrix': density matrix has trace",
+            ),
+            (
+                {"initial_state": {"matrix": [[[0.5, 0], [1, 2]], [[0, 0], [0.5, 0]]]}},
+                "initial_state field 'matrix': density matrix is not Hermitian",
+            ),
+            (
+                {"channels": [{"kind": "unitary", "matrix": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}]},
+                "gap channel 0: matrix is not unitary",
+            ),
+        ],
+        ids=["state-trace", "state-not-hermitian", "gap-not-unitary"],
+    )
+    def test_invalid_matrix_names_its_field_exit_2(self, tmp_path, capsys, change, message):
+        # A matrix the file gets wrong is a usage error naming where it is;
+        # exit 3 is left for faults inside the program.
+        assert main(["build", write(tmp_path / "s.json", dict(GOLDEN_DOC, **change))]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize(
         "change, named",
@@ -1291,3 +1313,51 @@ def test_build_output_pinned(name, tmp_path, capsys):
     path = write(tmp_path / "schedule.json", PINNED_BUILDS[name])
     assert main(["build", path]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_BUILD_DIGESTS[name]
+
+
+#: What a mutation may put in place of a value of a document: values of the
+#: wrong kind, non-finite and huge numbers, and plain numbers that are out of
+#: range or that break a matrix.
+_MUTANTS = (None, True, False, math.nan, math.inf, -math.inf, 10**400, "x", [1, 2], -1, 2.5)
+
+
+def _mutate(doc, rng):
+    """A copy of ``doc`` with one value swapped for a ``_MUTANTS`` entry, one key deleted or one list doubled."""
+    doc = copy.deepcopy(doc)
+    slots, nodes = [], [doc]
+    while nodes:
+        node = nodes.pop()
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                nodes.append(value)
+    node, key = rng.choice(slots)
+    ops = ["swap"] + ["delete"] * isinstance(node, dict) + ["double"] * isinstance(node[key], list)
+    op = rng.choice(ops)
+    if op == "swap":
+        node[key] = copy.deepcopy(rng.choice(_MUTANTS))
+    elif op == "delete":
+        del node[key]
+    else:
+        node[key] = node[key] * 2
+    return doc
+
+
+def test_mutated_documents_exit_0_or_2(tmp_path, capsys):
+    # Seeded mutations of every pinned schedule and sweep config: a malformed
+    # file is a usage error (exit 2) with an error line, never an invariant
+    # violation (exit 3, kept for internal faults) or an escaped exception.
+    rng = random.Random(2013)
+    seeds = [("build", doc) for doc in (*PINNED_BUILDS.values(), GOLDEN_DOC)]
+    seeds += [("transition", doc) for doc in PINNED_SWEEPS.values()]
+    path = tmp_path / "doc.json"
+    wrong = []
+    for _ in range(2000):
+        command, doc = rng.choice(seeds)
+        mutant = _mutate(doc, rng)
+        path.write_text(json.dumps(mutant))
+        code = main([command, str(path)])
+        err = capsys.readouterr().err
+        if code not in (0, 2) or (code == 2 and not err.startswith("error: ")):
+            wrong.append(f"{command} exit {code}: {err.strip()[:200]} on {json.dumps(mutant)[:300]}")
+    assert not wrong, f"{len(wrong)} mutants: " + "\n".join(wrong[:5])
