@@ -115,13 +115,13 @@ def worst_trial(seed: int, trials: int, trial_bytes: int, evaluate, *, key: int)
     stream seeded with ``[seed, key, 0]`` and a normal stream seeded with
     ``[seed, key, 1]``. ``key`` is a constant of the calling check, so that
     no two checks read the same streams. ``seed`` is an integer >= 0 (numpy
-    takes no negative seed) and ``trials`` one >= 1; a bool is neither. The trials run in
-    chunks of at most CHECK_STACK_BYTES, ``trial_bytes`` a trial (at least
-    one trial a chunk): ``evaluate(draws)`` reads a chunk's draws from its
-    ``TrialDraws`` and returns its deviations, trial axis first, and one
-    context per trial (or None). Trial k reads the k-th block of each
-    stream, so the chunk size does not change the results. Only the worst
-    case is kept from chunk to chunk, so memory does not grow with
+    takes no negative seed) and ``trials`` one >= 1; a bool is neither. The
+    trials run in chunks of at most CHECK_STACK_BYTES, ``trial_bytes`` a
+    trial (at least one trial a chunk): ``evaluate(draws)`` reads a chunk's
+    draws from its ``TrialDraws`` and returns its deviations, trial axis
+    first, and one context per trial (or None). Trial k reads the k-th block
+    of each stream, so the chunk size does not change the results. Only the
+    worst case is kept from chunk to chunk, so memory does not grow with
     ``trials``. Returns ``(deviation, index, context)``: ``index`` is the
     deviation's index over all trials, its first entry the trial.
     """
@@ -320,7 +320,7 @@ def draw_schedules(draws: TrialDraws, u: np.ndarray, max_events: int) -> list[Sc
     for q in {q for _, q, _ in layouts}:
         rows = [i for i, (_, qubits, _) in enumerate(layouts) if qubits == q]
         # factors[j] stacks qubit j's Bloch states, one per schedule of the group.
-        factors = np.array([[bloch_matrix(r) for r in blochs[i, :q]] for i in rows]).swapaxes(0, 1)
+        factors = bloch_matrix(blochs[rows, :q].T[..., None, None])
         states.update(zip(rows, density_states(kron(list(factors)))))
     channels = iter(stinespring_channels(gaussians))
     return [
@@ -417,10 +417,9 @@ def suite_closed_form(seed: int = 0, trials: int = 50) -> SuiteResult:
     Trial k draws its input state and its CPTP gap of Kraus rank 1-4
     (``two_event_draws``); a chunk of trials is one stack with one state per
     row. One more trial, on streams of its own (stream key 4), checks the
-    sweep path. Its uniforms are a Bloch radius and the
-    time constants of amplitude damping and dephasing, each 0.5 + 1.5 u; its
-    normals are 3 for the Bloch direction, then the 2x2 Gaussian of a Haar
-    unitary. That one state and the composite of amplitude damping, the
+    sweep path. Its uniforms are a Bloch radius and the time constants of
+    amplitude damping and dephasing, each 0.5 + 1.5 u; its normals are 3 for
+    the Bloch direction, then the 2x2 Gaussian of a Haar unitary. That one state and the composite of amplitude damping, the
     unitary and dephasing (members that do not commute) are evaluated at
     t = 0, 1 and 2 by one ``noise_kraus`` call into a stack on that state.
     Each row is checked against ``build_pdm`` of the ``compose`` of the
