@@ -200,6 +200,19 @@ class TestBuild:
         assert main(["build", write(tmp_path / "s.json", dict(GOLDEN_DOC, **change))]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    def test_invariant_violation_exit_3(self, tmp_path, capsys, monkeypatch):
+        # A valid file can still meet a fault inside the program: here the
+        # built PDM is corrupted, so its own coefficient check fires.
+        import pdmsim.cli
+
+        def faulty(schedule):
+            R = build_pdm(schedule)
+            return dataclasses.replace(R, coefficients=2 * R.coefficients)
+
+        monkeypatch.setattr(pdmsim.cli, "build_pdm", faulty)
+        assert main(["build", write(tmp_path / "s.json", GOLDEN_DOC)]) == 3
+        assert capsys.readouterr().err == "invariant violation: a stored expectation lies outside [-1, 1]\n"
+
     @pytest.mark.parametrize(
         "change, named",
         [
